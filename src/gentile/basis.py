@@ -90,10 +90,25 @@ class FockBasis:
             raise ValueError(f"state must be in 1..{self.m}, got {state}")
         return (position - 1) * self.m + (state - 1)
 
-    def position_totals(self) -> np.ndarray:
-        """(dim, nu) matrix of per-position particle totals."""
-        occ = self.occupations
-        return occ.reshape(self.dim, self.nu, self.m).sum(axis=2)
+
+def check_full_dimension(n: int, nu: int, m: int, cap: int) -> int:
+    """Dimension ``(n+1)**(nu*m)`` of the full product space.
+
+    Raises ``SizingError`` when it exceeds ``cap``.
+    """
+    full_dim = (n + 1) ** (nu * m)
+    if full_dim > cap:
+        raise SizingError(
+            f"full space for (n={n}, nu={nu}, m={m}) has dimension "
+            f"{full_dim} > cap {cap}"
+        )
+    return full_dim
+
+
+def check_sector(n: int, m: int, sector: int) -> None:
+    """Raise ``ValueError`` unless ``0 <= sector <= n*m``."""
+    if sector < 0 or sector > n * m:
+        raise ValueError(f"per-position total {sector} not in [0, n*m={n * m}]")
 
 
 @lru_cache(maxsize=64)
@@ -102,12 +117,7 @@ def _enumerate_cached(
 ) -> FockBasis:
     n = order.n
     modes = nu * m
-    full_dim = (n + 1) ** modes
-    if full_dim > cap:
-        raise SizingError(
-            f"full space for (n={n}, nu={nu}, m={m}) has dimension "
-            f"{full_dim} > cap {cap}"
-        )
+    check_full_dimension(n, nu, m, cap)
     if sector is None:
         states = tuple(itertools.product(range(n + 1), repeat=modes))
     else:
@@ -140,10 +150,7 @@ def enumerate_basis(
     if nu < 1 or m < 1:
         raise ValueError(f"need nu >= 1 and m >= 1, got nu={nu}, m={m}")
     if sector is not None:
-        if sector < 0 or sector > order.n * m:
-            raise ValueError(
-                f"per-position total {sector} not in [0, n*m={order.n * m}]"
-            )
+        check_sector(order.n, m, sector)
     return _enumerate_cached(nu, m, order, sector, cap)
 
 

@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success (contested residuals never fail a run), 2 when a
 guaranteed identity misses its tolerance, 3 on sizing or configuration
-errors.  Reports land in ``--out`` or, by default, in the directory named
-by the ``GENTILE_OUTPUT_DIR`` environment variable (falling back to the
-working directory).
+errors, which covers every ``ValueError`` the library raises.  Reports land
+in ``--out`` or, by default, in the directory named by the
+``GENTILE_OUTPUT_DIR`` environment variable (falling back to the working
+directory).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from . import __version__
-from .basis import DEFAULT_DIMENSION_CAP, SizingError
+from .basis import DEFAULT_DIMENSION_CAP, check_full_dimension, check_sector
 from .heisenberg import spectrum_report
 from .operators import DENSE_EIG_CAP
 from .reporting import (
@@ -29,12 +30,11 @@ from .reporting import (
     json_bytes,
     partition_label,
     partition_table,
-    partitions_payload,
     partitions_rows,
-    spectrum_payload,
+    report_payload,
+    spectrum_report_dict,
     spectrum_rows,
     verdict_rows,
-    verify_payload,
 )
 from .scalars import GentileOrder
 from .verifier import (
@@ -121,10 +121,18 @@ def _default_out(command: str, fmt: str, given: Optional[str]) -> str:
     return os.path.join(base, f"{command}_report.{fmt}")
 
 
-def _timestamp(enabled: bool) -> Optional[str]:
-    if not enabled:
-        return None
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _write_report(args, out_path: str, config: dict, key: str, records: Sequence[dict],
+                  header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write the JSON payload or the CSV table, per ``--format``, atomically."""
+    if args.format == "json":
+        timestamp = (
+            None if args.no_timestamp
+            else datetime.now(timezone.utc).isoformat(timespec="seconds")
+        )
+        data = json_bytes(report_payload(config, __version__, key, records, timestamp))
+    else:
+        data = csv_bytes(header, rows)
+    atomic_write(out_path, data)
 
 
 def _build_parser() -> _Parser:
@@ -189,17 +197,15 @@ def _cmd_verify(args) -> int:
         if value < 1:
             raise CliError(f"--{name} must be >= 1")
 
-    # Sizing pre-flight: every grid point must enumerate under the cap and,
-    # in dense mode, evaluate under the dense cap.
+    # Pre-flight: every sector must exist and every grid point must enumerate
+    # under the cap and, in dense mode, evaluate under the dense cap.
     for n in ns:
-        for nu in nus:
-            for m in ms:
-                full_dim = (n + 1) ** (nu * m)
-                if full_dim > args.cap:
-                    raise CliError(
-                        f"(n={n}, nu={nu}, m={m}) needs dimension {full_dim} "
-                        f"> cap {args.cap}"
-                    )
+        for m in ms:
+            for sub in subspaces:
+                if sub is not None:
+                    check_sector(n, m, sub)
+            for nu in nus:
+                full_dim = check_full_dimension(n, nu, m, args.cap)
                 if args.mode == "dense" and full_dim > args.dense_cap:
                     raise CliError(
                         f"(n={n}, nu={nu}, m={m}) dense evaluation needs dimension "
@@ -235,13 +241,8 @@ def _cmd_verify(args) -> int:
         "tolerances": {i.value: tolerance_for(i) for i in IdentityId},
         "contested": sorted(i.value for i in CONTESTED),
     }
-    if fmt == "json":
-        data = json_bytes(
-            verify_payload(config, __version__, verdicts, _timestamp(not args.no_timestamp))
-        )
-    else:
-        data = csv_bytes(VERDICT_HEADER, verdict_rows(verdicts))
-    atomic_write(out_path, data)
+    _write_report(args, out_path, config, "verdicts", [v.record() for v in verdicts],
+                  VERDICT_HEADER, verdict_rows(verdicts))
 
     # stdout summary: one line per identity.
     print(f"gentile verify — {len(verdicts)} verdicts — report: {out_path}")
@@ -280,17 +281,13 @@ def _cmd_spectrum(args) -> int:
     for nu in nus:
         for m in ms:
             for n in ns:
-                order = GentileOrder(n)
-                try:
-                    reports.append(
-                        spectrum_report(
-                            nu, m, order, sector=args.sector,
-                            variants=variants if args.compare else (),
-                            forms=forms, cap=args.cap,
-                        )
+                reports.append(
+                    spectrum_report(
+                        nu, m, GentileOrder(n), sector=args.sector,
+                        variants=variants if args.compare else (),
+                        forms=forms, cap=args.cap,
                     )
-                except SizingError as exc:
-                    raise CliError(str(exc)) from exc
+                )
 
     fmt = args.format
     out_path = _default_out("spectrum", fmt, args.out)
@@ -309,13 +306,9 @@ def _cmd_spectrum(args) -> int:
         "dimension_cap": args.cap,
         "constant_convention": 0.0,
     }
-    if fmt == "json":
-        data = json_bytes(
-            spectrum_payload(config, __version__, reports, _timestamp(not args.no_timestamp))
-        )
-    else:
-        data = csv_bytes(SPECTRUM_HEADER, spectrum_rows(reports))
-    atomic_write(out_path, data)
+    _write_report(args, out_path, config, "spectra",
+                  [spectrum_report_dict(r) for r in reports],
+                  SPECTRUM_HEADER, spectrum_rows(reports))
 
     print(f"gentile spectrum — {len(reports)} runs — report: {out_path}")
     for report in reports:
@@ -356,13 +349,8 @@ def _cmd_partitions(args) -> int:
         "output": out_path,
         "timestamp": not args.no_timestamp,
     }
-    if fmt == "json":
-        data = json_bytes(
-            partitions_payload(config, __version__, table, _timestamp(not args.no_timestamp))
-        )
-    else:
-        data = csv_bytes(PARTITION_HEADER, partitions_rows(table))
-    atomic_write(out_path, data)
+    _write_report(args, out_path, config, "partitions", table,
+                  PARTITION_HEADER, partitions_rows(table))
 
     print(f"gentile partitions — N={args.N}, m={m} — report: {out_path}")
     print(f"{'partition':<16} {'s1':>4} {'s2':>4} {'c2_raw':>7} {'c2_shifted':>11} {'weyl':>5}")
@@ -386,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "partitions":
             return _cmd_partitions(args)
         raise CliError(f"unknown command {args.command!r}")
-    except (CliError, SizingError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"gentile: error: {exc}", file=sys.stderr)
         return 3
 

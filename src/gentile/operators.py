@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import FockBasis, ModeIndex, SizingError
-from .scalars import GentileOrder, coupling_j_array, occ_f_array, occ_g_array, sqrt_bracket
+from .scalars import GentileOrder, coupling_j, occ_f, occ_g, sqrt_bracket
 
 #: Magnitude below which assembled entries are dropped.
 DROP_TOL = 1e-14
@@ -325,20 +325,20 @@ def casimir_c2(basis: FockBasis) -> ComplexOperator:
     return as_operator(total, basis.basis_tag)
 
 
-def coupling_sum(basis: FockBasis) -> ComplexOperator:
-    """Diagonal operator whose eigenvalue is the summed coupling weight."""
-    vals = coupling_j_array(basis.occupations, basis.order).sum(axis=1)
+def _diagonal(vals: np.ndarray, basis: FockBasis) -> ComplexOperator:
     return as_operator(
         sp.diags(vals, 0, format="csr", dtype=np.complex128), basis.basis_tag
     )
+
+
+def coupling_sum(basis: FockBasis) -> ComplexOperator:
+    """Diagonal operator whose eigenvalue is the summed coupling weight."""
+    return _diagonal(coupling_j(basis.occupations, basis.order).sum(axis=1), basis)
 
 
 def total_number(basis: FockBasis) -> ComplexOperator:
     """Diagonal operator counting all particles over all modes."""
-    vals = basis.occupations.sum(axis=1).astype(np.float64)
-    return as_operator(
-        sp.diags(vals, 0, format="csr", dtype=np.complex128), basis.basis_tag
-    )
+    return _diagonal(basis.occupations.sum(axis=1), basis)
 
 
 def position_number(basis: FockBasis, position: int) -> ComplexOperator:
@@ -346,10 +346,7 @@ def position_number(basis: FockBasis, position: int) -> ComplexOperator:
     if not 1 <= position <= basis.nu:
         raise ValueError(f"position must be in 1..{basis.nu}, got {position}")
     sl = slice((position - 1) * basis.m, position * basis.m)
-    vals = basis.occupations[:, sl].sum(axis=1).astype(np.float64)
-    return as_operator(
-        sp.diags(vals, 0, format="csr", dtype=np.complex128), basis.basis_tag
-    )
+    return _diagonal(basis.occupations[:, sl].sum(axis=1), basis)
 
 
 def occupation_diag(basis: FockBasis, fn: str, position: int, state: int) -> ComplexOperator:
@@ -357,14 +354,12 @@ def occupation_diag(basis: FockBasis, fn: str, position: int, state: int) -> Com
     flat = basis.mode_flat(position, state)
     occ = basis.occupations[:, flat]
     if fn == "f":
-        vals = occ_f_array(occ, basis.order)
+        vals = occ_f(occ, basis.order)
     elif fn == "g":
-        vals = occ_g_array(occ, basis.order)
+        vals = occ_g(occ, basis.order)
     else:
         raise ValueError(f"fn must be 'f' or 'g', got {fn!r}")
-    return as_operator(
-        sp.diags(vals, 0, format="csr", dtype=np.complex128), basis.basis_tag
-    )
+    return _diagonal(vals, basis)
 
 
 # ---------------------------------------------------------------------------

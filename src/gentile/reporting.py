@@ -73,6 +73,16 @@ def csv_bytes(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+def report_payload(config: dict, version: str, key: str, records: Sequence[dict],
+                   timestamp: Optional[str]) -> dict:
+    """JSON report: config, version, optional timestamp, then ``key: records``."""
+    payload: dict = {"config": config, "version": version}
+    if timestamp is not None:
+        payload["generated_at"] = timestamp
+    payload[key] = list(records)
+    return payload
+
+
 def atomic_write(path: str, data: bytes) -> None:
     """Write-temp-then-rename so readers never observe a partial file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -112,15 +122,6 @@ def verdict_rows(verdicts: Sequence[Verdict]) -> list[list]:
             ]
         )
     return rows
-
-
-def verify_payload(config: dict, version: str, verdicts: Sequence[Verdict],
-                   timestamp: Optional[str]) -> dict:
-    payload: dict = {"config": config, "version": version}
-    if timestamp is not None:
-        payload["generated_at"] = timestamp
-    payload["verdicts"] = [v.record() for v in verdicts]
-    return payload
 
 
 # -- spectrum ----------------------------------------------------------------
@@ -172,15 +173,6 @@ def spectrum_report_dict(report: SpectrumReport) -> dict:
     }
 
 
-def spectrum_payload(config: dict, version: str, reports: Sequence[SpectrumReport],
-                     timestamp: Optional[str]) -> dict:
-    payload: dict = {"config": config, "version": version}
-    if timestamp is not None:
-        payload["generated_at"] = timestamp
-    payload["spectra"] = [spectrum_report_dict(r) for r in reports]
-    return payload
-
-
 def spectrum_rows(reports: Sequence[SpectrumReport]) -> list[list]:
     rows = []
     for report in reports:
@@ -225,15 +217,6 @@ def partition_table(total: int, m: int) -> list[dict]:
             }
         )
     return table
-
-
-def partitions_payload(config: dict, version: str, table: Sequence[dict],
-                       timestamp: Optional[str]) -> dict:
-    payload: dict = {"config": config, "version": version}
-    if timestamp is not None:
-        payload["generated_at"] = timestamp
-    payload["partitions"] = list(table)
-    return payload
 
 
 def partitions_rows(table: Sequence[dict]) -> list[list]:

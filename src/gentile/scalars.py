@@ -12,6 +12,10 @@ the unit phase ``q = exp(i*2*pi/(n+1))`` and the angle ``x = pi/(n+1)``:
 * ``coupling_j``  -- the exchange-coupling weight of an occupation ``N``, with
   ``coupling_j -> -N`` in both the n=1 and the large-n limits.
 
+The three occupation functions take one occupation or an array of them and
+apply the formula elementwise; an occupation outside ``[0, n]`` raises
+``ValueError``.
+
 Everything here is a pure function of its value arguments, so concurrent use
 is unrestricted.  The Bose limit is represented by a large finite order
 (``BOSE_PROXY_N``); every formula is continuous in ``1/(n+1)``, so no second
@@ -25,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 #: Finite stand-in for the n -> infinity (Bose) limit.
 BOSE_PROXY_N = 10**6
@@ -67,15 +72,6 @@ def bose_proxy() -> GentileOrder:
     return GentileOrder(BOSE_PROXY_N)
 
 
-def _check_occupation(occupation: int, order: GentileOrder, name: str = "N") -> None:
-    if occupation < 0:
-        raise ValueError(f"{name} must be nonnegative, got {occupation}")
-    if occupation > order.n:
-        raise ValueError(
-            f"{name}={occupation} exceeds the maximum occupation n={order.n}"
-        )
-
-
 def bracket_nu(nu: int, order: GentileOrder) -> complex:
     """q-number ``<nu> = (1 - q**nu)/(1 - q)`` for ``q = exp(i*2*pi/(n+1))``.
 
@@ -96,52 +92,8 @@ def sqrt_bracket(nu: int, order: GentileOrder) -> complex:
     return cmath.sqrt(bracket_nu(nu, order))
 
 
-def occ_g(occupation: int, order: GentileOrder) -> float:
-    """``csc(x) * sin(N*x)`` with ``x = pi/(n+1)``; equals ``|<N>|`` for N <= n."""
-    _check_occupation(occupation, order)
-    x = order.x
-    return math.sin(occupation * x) / math.sin(x)
-
-
-def occ_f(occupation: int, order: GentileOrder) -> float:
-    """``csc(x)*(cos(x) - 1)*sin(N*x) + cos(N*x)``.
-
-    Identical to ``occ_g(N+1) - occ_g(N)`` with ``occ_g(n+1)`` read off the
-    trig formula (where it vanishes).
-    """
-    _check_occupation(occupation, order)
-    x = order.x
-    nx = occupation * x
-    return (math.cos(x) - 1.0) * math.sin(nx) / math.sin(x) + math.cos(nx)
-
-
-def coupling_j(occupation: int, order: GentileOrder) -> float:
-    """Exchange-coupling weight of occupation ``N``.
-
-    ``-2*csc(x)**2 * sin(x/2) * sin(N*x) * sin((2N+n)*x/2)`` with
-    ``x = pi/(n+1)``.  Vanishes at ``N = 0`` and tends to ``-N`` both at
-    ``n = 1`` and as ``n`` grows.
-    """
-    _check_occupation(occupation, order)
-    n = order.n
-    x = order.x
-    csc = 1.0 / math.sin(x)
-    return (
-        -2.0
-        * csc
-        * csc
-        * math.sin(x / 2.0)
-        * math.sin(occupation * x)
-        * math.sin((2 * occupation + n) * x / 2.0)
-    )
-
-
-# Vectorized companions used by the diagonal-operator builders.  They apply
-# the same formulas to whole occupation arrays; validation is elementwise.
-
-
-def _check_occupation_array(occ: np.ndarray, order: GentileOrder) -> np.ndarray:
-    occ = np.asarray(occ)
+def _occupations(occupation: ArrayLike, order: GentileOrder) -> np.ndarray:
+    occ = np.asarray(occupation)
     if occ.size and (occ.min() < 0 or occ.max() > order.n):
         raise ValueError(
             f"occupations must lie in [0, {order.n}], got range "
@@ -150,20 +102,32 @@ def _check_occupation_array(occ: np.ndarray, order: GentileOrder) -> np.ndarray:
     return occ.astype(np.float64)
 
 
-def occ_g_array(occ: np.ndarray, order: GentileOrder) -> np.ndarray:
-    occ = _check_occupation_array(occ, order)
+def occ_g(occupation: ArrayLike, order: GentileOrder) -> np.ndarray:
+    """``csc(x) * sin(N*x)`` with ``x = pi/(n+1)``; equals ``|<N>|`` for N <= n."""
+    occ = _occupations(occupation, order)
     x = order.x
     return np.sin(occ * x) / math.sin(x)
 
 
-def occ_f_array(occ: np.ndarray, order: GentileOrder) -> np.ndarray:
-    occ = _check_occupation_array(occ, order)
+def occ_f(occupation: ArrayLike, order: GentileOrder) -> np.ndarray:
+    """``csc(x)*(cos(x) - 1)*sin(N*x) + cos(N*x)``.
+
+    Identical to ``occ_g(N+1) - occ_g(N)`` with ``occ_g(n+1)`` read off the
+    trig formula (where it vanishes).
+    """
+    occ = _occupations(occupation, order)
     x = order.x
     return (math.cos(x) - 1.0) * np.sin(occ * x) / math.sin(x) + np.cos(occ * x)
 
 
-def coupling_j_array(occ: np.ndarray, order: GentileOrder) -> np.ndarray:
-    occ = _check_occupation_array(occ, order)
+def coupling_j(occupation: ArrayLike, order: GentileOrder) -> np.ndarray:
+    """Exchange-coupling weight of occupation ``N``.
+
+    ``-2*csc(x)**2 * sin(x/2) * sin(N*x) * sin((2N+n)*x/2)`` with
+    ``x = pi/(n+1)``.  Vanishes at ``N = 0`` and tends to ``-N`` both at
+    ``n = 1`` and as ``n`` grows.
+    """
+    occ = _occupations(occupation, order)
     n = order.n
     x = order.x
     csc2 = 1.0 / math.sin(x) ** 2

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +37,9 @@ from .operators import (
     class_sum,
     coupling_sum,
     eigensolve_hermitian,
+    entrywise_real,
     exchange_op,
+    hermitian_part,
     max_abs,
     occupation_diag,
     position_number,
@@ -46,7 +49,7 @@ from .operators import (
     unitary_generator,
 )
 from .partitions import VARIANTS, casimir_value, partitions_of
-from .scalars import GentileOrder, occ_f_array, occ_g_array
+from .scalars import GentileOrder, occ_f, occ_g
 
 
 class IdentityId(str, Enum):
@@ -217,21 +220,26 @@ def _measure(
     return max(measured, extra)
 
 
-def _mat(x: ComplexOperator) -> sp.csr_matrix:
-    return x.mat
-
-
 # ---------------------------------------------------------------------------
 # Operand assembly
 # ---------------------------------------------------------------------------
 
 
-def _bases(task: VerificationTask, cap: int) -> tuple[FockBasis, Optional[FockBasis]]:
+def _checked_bases(
+    task: VerificationTask, cap: int, dense_cap: int
+) -> tuple[FockBasis, Optional[FockBasis]]:
+    """Full basis and optional sector basis; dense tasks must fit ``dense_cap``."""
     order = GentileOrder(task.n)
     full = enumerate_basis(task.nu, task.m, order, sector=None, cap=cap)
     sector = None
     if task.subspace is not None:
         sector = enumerate_basis(task.nu, task.m, order, sector=task.subspace, cap=cap)
+    dim = full.dim if sector is None else sector.dim
+    if task.mode == "dense" and dim > dense_cap:
+        raise SizingError(
+            f"dense mode limited to dim <= {dense_cap}, task needs {dim}; "
+            "use sampled mode"
+        )
     return full, sector
 
 
@@ -241,16 +249,48 @@ def _on_subspace(op: ComplexOperator, full: FockBasis, sector: Optional[FockBasi
     return restrict(op, full, sector).op.mat
 
 
-def _eval_basis(full: FockBasis, sector: Optional[FockBasis]) -> FockBasis:
-    return sector if sector is not None else full
+@lru_cache(maxsize=64)
+def _single_mode_diffs(order: GentileOrder) -> dict[str, tuple[sp.csr_matrix, ...]]:
+    """Difference matrices of every single-mode relation, keyed by relation.
 
+    ``top_state_annihilation`` is the raiser column at the top state, which
+    must vanish identically.  The result is cached and shared: read only.
+    """
+    ops = single_mode_ops(order)
+    q = order.q
+    phase = np.exp(1j * order.x)
+    eye = sp.identity(order.n + 1, dtype=np.complex128, format="csr")
+    levels = np.arange(order.n + 1)
+    diag_g = sp.diags(occ_g(levels, order), 0, dtype=np.complex128, format="csr")
+    diag_f = sp.diags(occ_f(levels, order), 0, dtype=np.complex128, format="csr")
 
-def _check_dense_dim(task: VerificationTask, dim: int, dense_cap: int) -> None:
-    if task.mode == "dense" and dim > dense_cap:
-        raise SizingError(
-            f"dense mode limited to dim <= {dense_cap}, task needs {dim}; "
-            "use sampled mode"
+    def self_brackets(qq):
+        return (
+            ops.b @ ops.b_dag - qq * (ops.b_dag @ ops.b) - diag_f,
+            ops.a @ ops.a_dag - qq * (ops.a_dag @ ops.a) - diag_f,
         )
+
+    up_ab = ops.a_dag @ ops.b_dag @ ops.a_dag @ ops.b_dag
+    up_ba = ops.b_dag @ ops.a_dag @ ops.b_dag @ ops.a_dag
+    dn_ab = ops.a @ ops.b @ ops.a @ ops.b
+    dn_ba = ops.b @ ops.a @ ops.b @ ops.a
+    return {
+        "nbracket_unit": (ops.b @ ops.a_dag - q * (ops.a_dag @ ops.b) - eye,),
+        "annihilator_pair_phase": (ops.a @ ops.b - phase * (ops.b @ ops.a),),
+        "creator_pair_phase": (ops.a_dag @ ops.b_dag - phase * (ops.b_dag @ ops.a_dag),),
+        "creator_pair_phase_double_angle": (
+            ops.a_dag @ ops.b_dag - phase * phase * (ops.b_dag @ ops.a_dag),
+        ),
+        "raiser_lowerer_diag": (ops.a_dag @ ops.a - diag_g,),
+        "ladder_gap_diag": (ops.a @ ops.a_dag - ops.a_dag @ ops.a - diag_f,),
+        "top_state_annihilation": (ops.a_dag[:, order.n],),
+        "self_bracket_plain": self_brackets(1.0),
+        "self_bracket_deformed": self_brackets(q),
+        "quartic_word_bracket": (
+            up_ab @ up_ba - q * (up_ba @ up_ab),
+            dn_ab @ dn_ba - q * (dn_ba @ dn_ab),
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +300,7 @@ def _check_dense_dim(task: VerificationTask, dim: int, dense_cap: int) -> None:
 
 def _recipe_ladder_nbracket(task, cap, dense_cap):
     order = GentileOrder(task.n)
-    full, _ = _bases(replace(task, subspace=None), cap)
-    _check_dense_dim(task, full.dim, dense_cap)
+    full, _ = _checked_bases(replace(task, subspace=None), cap, dense_cap)
     from .operators import _embedded_mode_ops  # embedded cache shared with builders
 
     emb = _embedded_mode_ops(full)
@@ -287,49 +326,34 @@ def _recipe_ladder_nbracket(task, cap, dense_cap):
 
 
 def _recipe_annihilator_phase(task, cap, dense_cap):
-    order = GentileOrder(task.n)
-    ops = single_mode_ops(order)
-    phase = np.exp(1j * order.x)
-    diffs = [ops.a @ ops.b - phase * (ops.b @ ops.a)]
-    return diffs, 0.0, "single-mode relation; phase exp(i*pi/(n+1))"
+    diffs = _single_mode_diffs(GentileOrder(task.n))
+    return diffs["annihilator_pair_phase"], 0.0, "single-mode relation; phase exp(i*pi/(n+1))"
 
 
 def _recipe_creator_phase(task, cap, dense_cap):
-    order = GentileOrder(task.n)
-    ops = single_mode_ops(order)
-    phase = np.exp(1j * order.x)
-    diffs = [ops.a_dag @ ops.b_dag - phase * (ops.b_dag @ ops.a_dag)]
-    double = max_abs(ops.a_dag @ ops.b_dag - phase * phase * (ops.b_dag @ ops.a_dag))
+    diffs = _single_mode_diffs(GentileOrder(task.n))
+    double = max_abs(diffs["creator_pair_phase_double_angle"][0])
     detail = (
         "single-mode relation; asserted phase exp(i*pi/(n+1)), the adjoint of "
         "the annihilator pair relation; the double-angle phase "
         f"exp(i*2*pi/(n+1)) leaves residual {double!r}"
     )
-    return diffs, 0.0, detail
+    return diffs["creator_pair_phase"], 0.0, detail
 
 
 def _recipe_occupation_functions(task, cap, dense_cap):
-    order = GentileOrder(task.n)
-    ops = single_mode_ops(order)
-    levels = np.arange(order.n + 1)
-    diag_g = sp.diags(occ_g_array(levels, order), 0, dtype=np.complex128, format="csr")
-    diag_f = sp.diags(occ_f_array(levels, order), 0, dtype=np.complex128, format="csr")
-    diffs = [
-        ops.a_dag @ ops.a - diag_g,
-        ops.a @ ops.a_dag - ops.a_dag @ ops.a - diag_f,
-    ]
-    top_col = float(np.abs(ops.a_dag[:, order.n].toarray()).max())
+    diffs = _single_mode_diffs(GentileOrder(task.n))
+    top_col = max_abs(diffs["top_state_annihilation"][0])
     detail = (
         "raiser-lowerer diagonal vs occ_g; ladder gap vs occ_f; extra term is "
         "the raiser column at the top state (must vanish identically)"
     )
-    return diffs, top_col, detail
+    return diffs["raiser_lowerer_diag"] + diffs["ladder_gap_diag"], top_col, detail
 
 
 def _recipe_generator_commutation(task, cap, dense_cap):
-    full, sector = _bases(task, cap)
-    basis_eval = _eval_basis(full, sector)
-    _check_dense_dim(task, basis_eval.dim, dense_cap)
+    full, sector = _checked_bases(task, cap, dense_cap)
+    basis_eval = full if sector is None else sector
     m = task.m
     ident = {}
     for k in range(1, m + 1):
@@ -369,38 +393,20 @@ def _recipe_generator_commutation(task, cap, dense_cap):
 
 
 def _recipe_self_bracket(task, cap, dense_cap, deformed: bool):
-    order = GentileOrder(task.n)
-    ops = single_mode_ops(order)
-    levels = np.arange(order.n + 1)
-    diag_f = sp.diags(occ_f_array(levels, order), 0, dtype=np.complex128, format="csr")
-    q = order.q if deformed else 1.0
-    diffs = [
-        ops.b @ ops.b_dag - q * (ops.b_dag @ ops.b) - diag_f,
-        ops.a @ ops.a_dag - q * (ops.a_dag @ ops.a) - diag_f,
-    ]
+    diffs = _single_mode_diffs(GentileOrder(task.n))
     kind = "deformed bracket" if deformed else "plain commutator"
-    return diffs, 0.0, f"single-mode {kind} of each ladder with its own adjoint vs occ_f"
+    key = "self_bracket_deformed" if deformed else "self_bracket_plain"
+    return diffs[key], 0.0, f"single-mode {kind} of each ladder with its own adjoint vs occ_f"
 
 
 def _recipe_quartic_words(task, cap, dense_cap):
-    order = GentileOrder(task.n)
-    ops = single_mode_ops(order)
-    q = order.q
-    up_ab = ops.a_dag @ ops.b_dag @ ops.a_dag @ ops.b_dag
-    up_ba = ops.b_dag @ ops.a_dag @ ops.b_dag @ ops.a_dag
-    dn_ab = ops.a @ ops.b @ ops.a @ ops.b
-    dn_ba = ops.b @ ops.a @ ops.b @ ops.a
-    diffs = [
-        up_ab @ up_ba - q * (up_ba @ up_ab),
-        dn_ab @ dn_ba - q * (dn_ba @ dn_ab),
-    ]
-    return diffs, 0.0, "single-mode deformed brackets of the alternating quartic words"
+    diffs = _single_mode_diffs(GentileOrder(task.n))
+    detail = "single-mode deformed brackets of the alternating quartic words"
+    return diffs["quartic_word_bracket"], 0.0, detail
 
 
 def _recipe_duality(task, cap, dense_cap):
-    full, sector = _bases(task, cap)
-    basis_eval = _eval_basis(full, sector)
-    _check_dense_dim(task, basis_eval.dim, dense_cap)
+    full, sector = _checked_bases(task, cap, dense_cap)
     taus = {
         (i, j): _on_subspace(exchange_op(i, j, full), full, sector)
         for i in range(1, task.nu + 1)
@@ -420,10 +426,8 @@ def _recipe_duality(task, cap, dense_cap):
     return diffs, 0.0, detail
 
 
-def _theorem_sides(task, cap, full=None, sector=None):
+def _theorem_sides(task, full, sector):
     """LHS-RHS matrix of the class-sum / Casimir relation on the subspace."""
-    if full is None:
-        full, sector = _bases(task, cap)
     order = GentileOrder(task.n)
     p_mat = _on_subspace(class_sum(full), full, sector)
     j_mat = _on_subspace(coupling_sum(full), full, sector)
@@ -431,29 +435,23 @@ def _theorem_sides(task, cap, full=None, sector=None):
     c2 = _on_subspace(casimir_c2(full), full, sector)
     qp = order.q * p_mat
     if task.interpretation == "hermitian_part":
-        interp = (qp + qp.getH()) * 0.5
+        interp = hermitian_part(qp)
     else:
-        realpart = qp.copy()
-        realpart.data = realpart.data.real.astype(np.complex128)
-        interp = realpart
+        interp = entrywise_real(qp)
     m = task.m
     return interp + m * j_mat - (0.5 * c2 - 0.5 * m * c1)
 
 
 def _recipe_class_sum_casimir(task, cap, dense_cap):
-    full, sector = _bases(task, cap)
-    basis_eval = _eval_basis(full, sector)
-    _check_dense_dim(task, basis_eval.dim, dense_cap)
+    full, sector = _checked_bases(task, cap, dense_cap)
     if task.interpretation == "not_applicable":
         task = replace(task, interpretation="entrywise_real")
-    diff = _theorem_sides(task, cap, full, sector)
+    diff = _theorem_sides(task, full, sector)
     detail = f"real-part reading: {task.interpretation}"
     return [diff], 0.0, detail
 
 
-def _limit_sides(task, cap, full=None, sector=None):
-    if full is None:
-        full, sector = _bases(task, cap)
+def _limit_sides(task, full, sector):
     sign = -1.0 if task.n == 1 else 1.0
     p_mat = _on_subspace(class_sum(full), full, sector)
     n_mat = _on_subspace(total_number(full), full, sector)
@@ -464,18 +462,14 @@ def _limit_sides(task, cap, full=None, sector=None):
 
 
 def _recipe_limit_relation(task, cap, dense_cap):
-    full, sector = _bases(task, cap)
-    basis_eval = _eval_basis(full, sector)
-    _check_dense_dim(task, basis_eval.dim, dense_cap)
-    diff, sign = _limit_sides(task, cap, full, sector)
+    full, sector = _checked_bases(task, cap, dense_cap)
+    diff, sign = _limit_sides(task, full, sector)
     label = "max-occupation-1 limit" if task.n == 1 else "large-n reading"
     return [diff], 0.0, f"sign {sign:+.0f} ({label})"
 
 
 def _recipe_casimir_hermiticity(task, cap, dense_cap):
-    full, sector = _bases(task, cap)
-    basis_eval = _eval_basis(full, sector)
-    _check_dense_dim(task, basis_eval.dim, dense_cap)
+    full, sector = _checked_bases(task, cap, dense_cap)
     c1 = _on_subspace(casimir_c1(full), full, sector)
     c2 = _on_subspace(casimir_c2(full), full, sector)
     diffs = [c1 - c1.getH(), c2 - c2.getH()]
@@ -483,8 +477,7 @@ def _recipe_casimir_hermiticity(task, cap, dense_cap):
 
 
 def _recipe_sector_conservation(task, cap, dense_cap):
-    full, _ = _bases(replace(task, subspace=None), cap)
-    _check_dense_dim(task, full.dim, dense_cap)
+    full, _ = _checked_bases(replace(task, subspace=None), cap, dense_cap)
     ops: list[ComplexOperator] = []
     for i in range(1, task.nu + 1):
         for j in range(i + 1, task.nu + 1):
@@ -594,31 +587,17 @@ def run_task(
         else:
             diffs, extra, detail = _RECIPES[task.identity](task, dimension_cap, dense_cap)
             residual = _measure(diffs, task.mode, task.k, task.seed, extra)
-    except (SizingError, ValueError) as exc:
-        return Verdict(
-            identity=task.identity,
-            n=task.n,
-            nu=task.nu,
-            m=task.m,
-            subspace=task.subspace_label,
-            interpretation=task.interpretation,
-            mode=task.mode,
-            k=task.k,
-            seed=task.seed,
-            residual=None,
-            tolerance=tolerance,
-            status="fail",
-            detail=f"task error: {exc}",
-        )
-
-    if task.identity in CONTESTED:
-        status = "report_only"
-    elif residual is not None and residual < tolerance:
-        status = "pass"
+    except ValueError as exc:  # SizingError included
+        residual, status, detail = None, "fail", f"task error: {exc}"
     else:
-        status = "fail"
-    if task.identity in SINGLE_MODE_IDENTITIES:
-        detail += "; nu/m/subspace echo the grid point only"
+        if task.identity in CONTESTED:
+            status = "report_only"
+        elif residual is not None and residual < tolerance:
+            status = "pass"
+        else:
+            status = "fail"
+        if task.identity in SINGLE_MODE_IDENTITIES:
+            detail += "; nu/m/subspace echo the grid point only"
     return Verdict(
         identity=task.identity,
         n=task.n,
@@ -709,33 +688,15 @@ def limit_theorem_agreement(nu: int, m: int, subspace: Optional[int] = 1) -> flo
         subspace=subspace,
         interpretation="entrywise_real",
     )
-    full, sector = _bases(task, DEFAULT_DIMENSION_CAP)
-    d_theorem = _theorem_sides(task, DEFAULT_DIMENSION_CAP, full, sector)
-    d_limit, _ = _limit_sides(task, DEFAULT_DIMENSION_CAP, full, sector)
+    full, sector = _checked_bases(task, DEFAULT_DIMENSION_CAP, DENSE_EIG_CAP)
+    d_theorem = _theorem_sides(task, full, sector)
+    d_limit, _ = _limit_sides(task, full, sector)
     return max_abs(d_theorem - d_limit)
 
 
 def single_mode_residuals(order: GentileOrder) -> dict[str, float]:
     """Residuals of the single-mode ladder-algebra suite, keyed by relation."""
-    ops = single_mode_ops(order)
-    q = order.q
-    phase = np.exp(1j * order.x)
-    eye = sp.identity(order.n + 1, dtype=np.complex128, format="csr")
-    levels = np.arange(order.n + 1)
-    diag_g = sp.diags(occ_g_array(levels, order), 0, dtype=np.complex128, format="csr")
-    diag_f = sp.diags(occ_f_array(levels, order), 0, dtype=np.complex128, format="csr")
     return {
-        "nbracket_unit": max_abs(ops.b @ ops.a_dag - q * (ops.a_dag @ ops.b) - eye),
-        "annihilator_pair_phase": max_abs(ops.a @ ops.b - phase * (ops.b @ ops.a)),
-        "creator_pair_phase": max_abs(
-            ops.a_dag @ ops.b_dag - phase * (ops.b_dag @ ops.a_dag)
-        ),
-        "creator_pair_phase_double_angle": max_abs(
-            ops.a_dag @ ops.b_dag - phase * phase * (ops.b_dag @ ops.a_dag)
-        ),
-        "raiser_lowerer_diag": max_abs(ops.a_dag @ ops.a - diag_g),
-        "ladder_gap_diag": max_abs(ops.a @ ops.a_dag - ops.a_dag @ ops.a - diag_f),
-        "top_state_annihilation": float(
-            np.abs(ops.a_dag[:, order.n].toarray()).max()
-        ),
+        key: max(max_abs(d) for d in diffs)
+        for key, diffs in _single_mode_diffs(order).items()
     }

@@ -4,6 +4,8 @@ import csv
 import json
 import os
 
+import pytest
+
 from gentile.cli import main
 
 
@@ -204,6 +206,24 @@ class TestPartitionsCommand:
     def test_negative_rejected(self, tmp_path, capsys):
         assert run_cli(["partitions", "--N", "-1", "--out", str(tmp_path / "x")]) == 3
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["spectrum", "--nu", "3", "--sector", "5"], "per-position total 5"),
+        (["spectrum", "--nu", "3", "--n", "2", "--sector", "2"], "not Hermitian"),
+        (["spectrum", "--nu", "2", "--n", "0"], "maximum occupation"),
+        (["verify", "--mode", "sampled", "--k", "5"], "k >= 32"),
+        (["verify", "--n", "1", "--nu", "2", "--subspace", "sector:5"], "per-position total 5"),
+    ],
+)
+def test_library_errors_exit_three(args, message, tmp_path, capsys):
+    assert run_cli(args + ["--out", str(tmp_path / "x.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gentile: error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
 
 
 class TestOutputHandling:

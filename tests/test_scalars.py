@@ -16,7 +16,6 @@ from gentile import (
     occ_f,
     occ_g,
 )
-from gentile.scalars import coupling_j_array, occ_f_array, occ_g_array
 
 
 class TestGentileOrder:
@@ -146,20 +145,20 @@ class TestCouplingJ:
 
 
 class TestArrayVariants:
+    """Each closed form takes one occupation or an array of them."""
+
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_match_scalars(self, n):
         order = GentileOrder(n)
         occ = np.arange(n + 1)
-        np.testing.assert_allclose(
-            occ_g_array(occ, order), [occ_g(v, order) for v in occ], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            occ_f_array(occ, order), [occ_f(v, order) for v in occ], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            coupling_j_array(occ, order), [coupling_j(v, order) for v in occ], atol=1e-15
-        )
+        for fn in (occ_g, occ_f, coupling_j):
+            values = fn(occ, order)
+            assert values.shape == occ.shape
+            np.testing.assert_array_equal(values, [fn(int(v), order) for v in occ])
 
     def test_array_range_check(self):
-        with pytest.raises(ValueError):
-            occ_g_array(np.array([0, 5]), GentileOrder(3))
+        order = GentileOrder(3)
+        for fn in (occ_g, occ_f, coupling_j):
+            for bad in (4, -1, np.array([0, 4]), np.array([-1, 0])):
+                with pytest.raises(ValueError):
+                    fn(bad, order)
