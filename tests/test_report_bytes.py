@@ -24,6 +24,13 @@ CASES = {
     "spectrum_compare.csv": [
         "spectrum", "--compare", "--nu", "2..4", "--m", "2", "--n", "1..3", "--format", "csv",
     ],
+    "spectrum_m3.csv": [
+        "spectrum", "--compare", "--nu", "2..3", "--m", "3", "--n", "1..2", "--format", "csv",
+    ],
+    "verify_sampled_m3.json": [
+        "verify", "--mode", "sampled", "--k", "32", "--seed", "3", "--n", "1..2", "--nu", "2",
+        "--m", "3", "--subspace", "full,sector:2",
+    ],
     "partitions_6_3.json": ["partitions", "--N", "6", "--m", "3"],
     "partitions_6_3.csv": ["partitions", "--N", "6", "--m", "3", "--format", "csv"],
 }
