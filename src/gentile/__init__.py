@@ -32,7 +32,6 @@ from .operators import (
     DROP_TOL,
     ComplexOperator,
     NonHermitianError,
-    Restriction,
     SingleModeSet,
     adjoint,
     as_operator,
@@ -47,6 +46,7 @@ from .operators import (
     entrywise_real,
     exchange_op,
     hermitian_part,
+    leakage,
     max_abs,
     n_bracket,
     position_number,

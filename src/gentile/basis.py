@@ -7,20 +7,24 @@ order.  Enumeration is lexicographic and ascending in that flattened tuple,
 so the all-zero state is ordinal 0 and (on the full space) the all-``n``
 state is last.
 
+The ``(dim, nu*m)`` array ``occupations`` is the only record of the states.
+Because each entry lies in ``0..n``, a state's lexicographic ordinal in the
+full space is its mixed-radix number in base ``n+1`` (``ranks``), so
+indexing is arithmetic and needs no lookup table.
+
 An optional sector constraint fixes the particle total at every position to
 one uniform value ``t`` (``t = 1`` is the spin realization).  Sector bases
-are filtered sub-sequences of the full enumeration, so relative order is
-preserved.
+are filtered sub-sequences of the full enumeration, so their ranks ascend.
 
-Bases are immutable after construction; concurrent reads are safe.
+Bases are immutable after construction and compare and hash by value,
+``(nu, m, order, sector)``; concurrent reads are safe.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,30 +53,39 @@ class ModeIndex:
         return ModeIndex(position=flat // m + 1, state=flat % m + 1)
 
 
-@dataclass(frozen=True, eq=False)
+def _radix(n: int, modes: int) -> np.ndarray:
+    """Place values of the flat modes in base ``n+1``, most significant first."""
+    return (n + 1) ** np.arange(modes - 1, -1, -1, dtype=np.int64)
+
+
+@dataclass(frozen=True)
 class FockBasis:
-    """Enumerated occupation basis with its index map.
+    """Enumerated occupation basis.
 
     ``sector is None`` means the full product space; an integer ``t`` keeps
     only states whose per-position totals all equal ``t``.  ``occupations``
-    is the (dim, nu*m) integer matrix of the enumerated states, read-only.
+    is the (dim, nu*m) integer matrix of the enumerated states, read-only,
+    and takes no part in equality.
     """
 
     nu: int
     m: int
     order: GentileOrder
     sector: Optional[int]
-    states: tuple[tuple[int, ...], ...]
-    index: Mapping[tuple[int, ...], int] = field(repr=False)
-    occupations: np.ndarray = field(repr=False)
+    occupations: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.occupations.shape[0]
 
     @property
     def modes(self) -> int:
         return self.nu * self.m
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """Each state's ordinal in the full space, ascending."""
+        return self.occupations @ _radix(self.order.n, self.modes)
 
     @property
     def is_full(self) -> bool:
@@ -112,27 +125,16 @@ def check_sector(n: int, m: int, sector: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def _enumerate_cached(
-    nu: int, m: int, order: GentileOrder, sector: Optional[int], cap: int
-) -> FockBasis:
+def _enumerate_cached(nu: int, m: int, order: GentileOrder, sector: Optional[int]) -> FockBasis:
     n = order.n
-    modes = nu * m
-    check_full_dimension(n, nu, m, cap)
     if sector is None:
-        states = tuple(itertools.product(range(n + 1), repeat=modes))
+        radix = _radix(n, nu * m)
+        occ = np.arange((n + 1) ** (nu * m), dtype=np.int64)[:, None] // radix % (n + 1)
     else:
-        states = tuple(
-            s
-            for s in itertools.product(range(n + 1), repeat=modes)
-            if all(sum(s[p * m : (p + 1) * m]) == sector for p in range(nu))
-        )
-    index = {s: i for i, s in enumerate(states)}
-    occ = np.array(states, dtype=np.int64).reshape(len(states), modes)
+        full = _enumerate_cached(nu, m, order, None).occupations
+        occ = full[(full.reshape(-1, nu, m).sum(axis=2) == sector).all(axis=1)]
     occ.setflags(write=False)
-    return FockBasis(
-        nu=nu, m=m, order=order, sector=sector, states=states, index=index,
-        occupations=occ,
-    )
+    return FockBasis(nu=nu, m=m, order=order, sector=sector, occupations=occ)
 
 
 def enumerate_basis(
@@ -151,30 +153,31 @@ def enumerate_basis(
         raise ValueError(f"need nu >= 1 and m >= 1, got nu={nu}, m={m}")
     if sector is not None:
         check_sector(order.n, m, sector)
-    return _enumerate_cached(nu, m, order, sector, cap)
+    check_full_dimension(order.n, nu, m, cap)
+    return _enumerate_cached(nu, m, order, sector)
 
 
 def state_to_index(basis: FockBasis, state: Sequence[int]) -> int:
     """Ordinal of ``state`` in ``basis``; inverse of :func:`index_to_state`."""
     key = tuple(int(v) for v in state)
     if len(key) != basis.modes:
-        raise ValueError(
-            f"state has {len(key)} entries, basis has {basis.modes} modes"
-        )
-    try:
-        return basis.index[key]
-    except KeyError:
-        n = basis.order.n
-        if any(v < 0 or v > n for v in key):
-            raise ValueError(f"occupations {key} outside [0, {n}]") from None
+        raise ValueError(f"state has {len(key)} entries, basis has {basis.modes} modes")
+    n = basis.order.n
+    if any(v < 0 or v > n for v in key):
+        raise ValueError(f"occupations {key} outside [0, {n}]")
+    ranks = basis.ranks
+    rank = int(np.array(key, dtype=np.int64) @ _radix(n, basis.modes))
+    ordinal = int(np.searchsorted(ranks, rank))
+    if ordinal == basis.dim or ranks[ordinal] != rank:
         raise ValueError(
             f"state {key} violates the sector constraint "
             f"(per-position total {basis.sector})"
-        ) from None
+        )
+    return ordinal
 
 
 def index_to_state(basis: FockBasis, ordinal: int) -> tuple[int, ...]:
     """The ``ordinal``-th state in the declared lexicographic order."""
     if not 0 <= ordinal < basis.dim:
         raise IndexError(f"ordinal {ordinal} not in [0, {basis.dim})")
-    return basis.states[ordinal]
+    return tuple(int(v) for v in basis.occupations[ordinal])

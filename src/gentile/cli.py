@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success (contested residuals never fail a run), 2 when a
 guaranteed identity misses its tolerance, 3 on sizing or configuration
-errors, which covers every ``ValueError`` the library raises.  Reports land
-in ``--out`` or, by default, in the directory named by the
+errors, which covers every ``ValueError`` the library raises and every
+``verify`` verdict with ``status="error"`` (whose report is still written).
+Reports land in ``--out`` or, by default, in the directory named by the
 ``GENTILE_OUTPUT_DIR`` environment variable (falling back to the working
 directory).
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
@@ -39,7 +41,6 @@ from .reporting import (
 from .scalars import GentileOrder
 from .verifier import (
     CONTESTED,
-    GUARANTEED,
     INTERPRETATIONS,
     IdentityId,
     expand_tasks,
@@ -246,21 +247,25 @@ def _cmd_verify(args) -> int:
 
     # stdout summary: one line per identity.
     print(f"gentile verify — {len(verdicts)} verdicts — report: {out_path}")
-    print(f"{'identity':<34} {'tasks':>5} {'pass':>5} {'fail':>5} {'report':>6} {'max residual':>14}")
-    guaranteed_failed = 0
+    print(f"{'identity':<34} {'tasks':>5} {'pass':>5} {'fail':>5} {'report':>6} "
+          f"{'error':>5} {'max residual':>14}")
     for identity in sorted(IdentityId, key=lambda i: i.value):
         group = [v for v in verdicts if v.identity is identity]
         if not group:
             continue
-        npass = sum(1 for v in group if v.status == "pass")
-        nfail = sum(1 for v in group if v.status == "fail")
-        nreport = sum(1 for v in group if v.status == "report_only")
-        if identity in GUARANTEED:
-            guaranteed_failed += nfail
+        counts = Counter(v.status for v in group)
         residuals = [v.residual for v in group if v.residual is not None]
         worst = float_repr(max(residuals)) if residuals else "n/a"
-        print(f"{identity.value:<34} {len(group):>5} {npass:>5} {nfail:>5} {nreport:>6} {worst:>14}")
-    return 2 if guaranteed_failed else 0
+        print(f"{identity.value:<34} {len(group):>5} {counts['pass']:>5} {counts['fail']:>5} "
+              f"{counts['report_only']:>6} {counts['error']:>5} {worst:>14}")
+    errors = [v for v in verdicts if v.status == "error"]
+    if errors:
+        e = errors[0]
+        print(f"gentile: error: {len(errors)} of {len(verdicts)} tasks are task errors; "
+              f"first {e.identity.value} (n={e.n}, nu={e.nu}, m={e.m}, {e.subspace}): "
+              f"{e.detail}", file=sys.stderr)
+        return 3
+    return 2 if any(v.status == "fail" for v in verdicts) else 0
 
 
 # ---------------------------------------------------------------------------

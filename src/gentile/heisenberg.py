@@ -93,7 +93,7 @@ def build_hamiltonian(
         raise ValueError(f"need at least two positions, got nu={nu}")
     full = enumerate_basis(nu, m, order, sector=None, cap=cap)
     sector_basis = enumerate_basis(nu, m, order, sector=sector, cap=cap)
-    return restrict(class_sum(full), full, sector_basis).op
+    return restrict(class_sum(full), full, sector_basis)
 
 
 def spectrum_ed(hamiltonian: ComplexOperator) -> list[tuple[float, int]]:

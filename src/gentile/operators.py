@@ -15,9 +15,9 @@ distinct operators concurrently is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -166,51 +166,37 @@ def embed(op: Matrix, mode: ModeIndex, basis: FockBasis) -> ComplexOperator:
     return as_operator(_embed_flat(mat, flat, basis), basis.basis_tag)
 
 
-class Restriction(NamedTuple):
-    """A restricted operator together with its off-sector leakage norm."""
-
-    op: ComplexOperator
-    leakage: float
-
-
-def restrict(op: ComplexOperator, full_basis: FockBasis, sector_basis: FockBasis) -> Restriction:
-    """Sub-matrix on the sector rows/columns plus the leakage it ignores.
-
-    The leakage is the largest magnitude among entries coupling sector states
-    to non-sector states in either direction; it is reported, never fatal.
-    """
+def _sector_rows(op: ComplexOperator, full_basis: FockBasis, sector_basis: FockBasis) -> np.ndarray:
+    """Full-space ordinals of the sector states; the operator must be full-space."""
+    if full_basis != replace(sector_basis, sector=None):
+        raise ValueError(f"{full_basis.basis_tag} is not the full space of "
+                         f"{sector_basis.basis_tag}")
     if op.dim != full_basis.dim:
         raise ValueError(
             f"operator dim {op.dim} does not match full basis dim {full_basis.dim}"
         )
-    rows = np.fromiter(
-        (full_basis.index[s] for s in sector_basis.states),
-        dtype=np.int64,
-        count=sector_basis.dim,
-    )
-    in_sector = np.zeros(full_basis.dim, dtype=bool)
-    in_sector[rows] = True
+    return sector_basis.ranks
 
-    cols_slice = op.mat[:, rows].tocoo()
-    out_rows = cols_slice.row[~in_sector[cols_slice.row]]
-    leak_out = (
-        float(np.abs(cols_slice.data[~in_sector[cols_slice.row]]).max())
-        if out_rows.size
-        else 0.0
-    )
-    rows_slice = op.mat[rows, :].tocoo()
-    out_cols = rows_slice.col[~in_sector[rows_slice.col]]
-    leak_in = (
-        float(np.abs(rows_slice.data[~in_sector[rows_slice.col]]).max())
-        if out_cols.size
-        else 0.0
-    )
 
-    sub = op.mat[rows][:, rows]
-    return Restriction(
-        op=as_operator(sub, sector_basis.basis_tag),
-        leakage=max(leak_out, leak_in),
-    )
+def restrict(
+    op: ComplexOperator, full_basis: FockBasis, sector_basis: FockBasis
+) -> ComplexOperator:
+    """Sub-matrix on the sector rows and columns; see :func:`leakage`."""
+    rows = _sector_rows(op, full_basis, sector_basis)
+    return as_operator(op.mat[rows][:, rows], sector_basis.basis_tag)
+
+
+def leakage(op: ComplexOperator, full_basis: FockBasis, sector_basis: FockBasis) -> float:
+    """What :func:`restrict` ignores: the largest entry magnitude coupling
+    sector states to non-sector states, in either direction (0.0 if none).
+    """
+    rows = _sector_rows(op, full_basis, sector_basis)
+    outside = np.ones(full_basis.dim, dtype=bool)
+    outside[rows] = False
+    into = op.mat[:, rows].tocoo()
+    out_of = op.mat[rows, :].tocoo()
+    vals = np.concatenate([into.data[outside[into.row]], out_of.data[outside[out_of.col]]])
+    return float(np.abs(vals).max()) if vals.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ to one residual recipe.  Identities split into two sets:
   these always emit ``report_only`` with the measured residual, and never
   affect a suite's exit status.
 
+A task that raises ``ValueError`` (sizing included) gets ``status="error"``.
+
 Residual norms are the max entry magnitude in dense mode, or the max over
 seeded random vectors of ``|(LHS-RHS) v|_inf / |v|_1`` in sampled mode; the
 1-norm in the denominator makes every sampled probe a lower bound on the
@@ -40,6 +42,7 @@ from .operators import (
     entrywise_real,
     exchange_op,
     hermitian_part,
+    leakage,
     max_abs,
     occupation_diag,
     position_number,
@@ -246,7 +249,7 @@ def _checked_bases(
 def _on_subspace(op: ComplexOperator, full: FockBasis, sector: Optional[FockBasis]) -> sp.csr_matrix:
     if sector is None:
         return op.mat
-    return restrict(op, full, sector).op.mat
+    return restrict(op, full, sector).mat
 
 
 @lru_cache(maxsize=64)
@@ -492,12 +495,12 @@ def _recipe_sector_conservation(task, cap, dense_cap):
 
     sector_total = task.subspace if task.subspace is not None else 1
     sector = enumerate_basis(task.nu, task.m, full.order, sector=sector_total, cap=cap)
-    leakage = max(restrict(op, full, sector).leakage for op in ops)
+    leak = max(leakage(op, full, sector) for op in ops)
     detail = (
         f"{len(ops)} operators x {task.nu} position totals; extra term is the "
         f"max restriction leakage onto sector:{sector_total}"
     )
-    return diffs, leakage, detail
+    return diffs, leak, detail
 
 
 def _spectrum_match(task, cap, dense_cap):
@@ -510,8 +513,8 @@ def _spectrum_match(task, cap, dense_cap):
             f"spectral comparison needs a dense solve; sector dim {sector.dim} "
             f"> cap {dense_cap}"
         )
-    c1_s = restrict(casimir_c1(full), full, sector).op
-    c2_s = restrict(casimir_c2(full), full, sector).op
+    c1_s = restrict(casimir_c1(full), full, sector)
+    c2_s = restrict(casimir_c2(full), full, sector)
     measured_c1 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(c1_s)})
     measured_c2 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(c2_s)})
 
@@ -588,7 +591,8 @@ def run_task(
             diffs, extra, detail = _RECIPES[task.identity](task, dimension_cap, dense_cap)
             residual = _measure(diffs, task.mode, task.k, task.seed, extra)
     except ValueError as exc:  # SizingError included
-        residual, status, detail = None, "fail", f"task error: {exc}"
+        residual, status = None, "error"
+        detail = f"task error ({type(exc).__name__}): {exc}"
     else:
         if task.identity in CONTESTED:
             status = "report_only"

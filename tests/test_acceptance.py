@@ -19,9 +19,9 @@ from gentile import (
     build_hamiltonian,
     enumerate_basis,
     exchange_op,
+    leakage,
     limit_theorem_agreement,
     partitions_of,
-    restrict,
     spectrum_casimir,
     spectrum_ed,
     unitary_generator,
@@ -95,7 +95,7 @@ def test_criterion_3_duality_and_conservation():
             ]
             operators += [casimir_c1(full), casimir_c2(full)]
             for op in operators:
-                worst_leakage = max(worst_leakage, restrict(op, full, sector).leakage)
+                worst_leakage = max(worst_leakage, leakage(op, full, sector))
             for casimir in (casimir_c1(full), casimir_c2(full)):
                 worst_hermiticity = max(
                     worst_hermiticity, max_abs(casimir.mat - casimir.mat.getH())

@@ -1,7 +1,9 @@
 """Basis enumeration, indexing, and sector filtering."""
 
 import itertools
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from gentile import (
     GentileOrder,
     ModeIndex,
     SizingError,
+    class_sum,
     enumerate_basis,
     index_to_state,
     state_to_index,
@@ -63,29 +66,50 @@ class TestDimensions:
             enumerate_basis(2, 2, order, sector=5)
 
 
+def all_states(basis):
+    return [index_to_state(basis, i) for i in range(basis.dim)]
+
+
 class TestOrdering:
     def test_lexicographic_and_boundaries(self):
         order = GentileOrder(2)
         basis = enumerate_basis(2, 2, order)
-        assert list(basis.states) == sorted(basis.states)
-        assert basis.states[0] == (0, 0, 0, 0)
-        assert basis.states[-1] == (2, 2, 2, 2)
+        states = all_states(basis)
+        assert states == sorted(states)
+        assert states[0] == (0, 0, 0, 0)
+        assert states[-1] == (2, 2, 2, 2)
 
     def test_sector_is_subsequence_of_full(self):
         order = GentileOrder(2)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        positions = [full.index[s] for s in sector.states]
+        positions = [state_to_index(full, s) for s in all_states(sector)]
         assert positions == sorted(positions)
+        assert list(sector.ranks) == positions
+        assert np.all(np.diff(sector.ranks) > 0)
+        np.testing.assert_array_equal(full.ranks, np.arange(full.dim))
 
     def test_single_occupancy_patterns(self):
         basis = enumerate_basis(2, 2, GentileOrder(1), sector=1)
-        assert set(basis.states) == {
+        assert set(all_states(basis)) == {
             (0, 1, 0, 1),
             (0, 1, 1, 0),
             (1, 0, 0, 1),
             (1, 0, 1, 0),
         }
+
+
+class TestValueIdentity:
+    def test_bases_and_caches_are_shared_across_caps(self):
+        order = GentileOrder(1)
+        a = enumerate_basis(3, 2, order)
+        b = enumerate_basis(3, 2, order, cap=2**19)
+        assert a is b
+        assert class_sum(a) is class_sum(b)
+        # equality and hashing go by (nu, m, order, sector), not identity
+        c = enumerate_basis(2, 2, GentileOrder(1), sector=1)
+        assert c == replace(c) and hash(c) == hash(replace(c)) and c is not replace(c)
+        assert c != enumerate_basis(2, 2, order)
 
 
 class TestIndexing:
@@ -103,8 +127,8 @@ class TestIndexing:
     def test_round_trip(self, data):
         n = data.draw(st.integers(1, 3))
         nu = data.draw(st.integers(1, 3))
-        m = data.draw(st.integers(1, 2))
-        sector = data.draw(st.sampled_from([None, 1]))
+        m = data.draw(st.integers(1, 3))
+        sector = data.draw(st.one_of(st.none(), st.integers(0, n * m)))
         basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
         ordinal = data.draw(st.integers(0, basis.dim - 1))
         assert state_to_index(basis, index_to_state(basis, ordinal)) == ordinal
@@ -115,6 +139,8 @@ class TestIndexing:
             state_to_index(basis, (2, 0, 0, 1))
         with pytest.raises(ValueError, match="sector"):
             state_to_index(basis, (1, 1, 1, 0))
+        with pytest.raises(ValueError, match="sector"):
+            state_to_index(basis, (1, 0, 0, 0))  # full rank between two sector ranks
         with pytest.raises(ValueError, match="modes"):
             state_to_index(basis, (1, 0))
 

@@ -226,6 +226,25 @@ def test_library_errors_exit_three(args, message, tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_contested_task_error_exits_three_and_keeps_report(tmp_path, capsys):
+    # The spectral comparison solves densely, so a dense cap below the sector
+    # dimension makes the contested identity a task error, not a failure.
+    out = tmp_path / "v.json"
+    args = ["verify", "--mode", "sampled", "--dense-cap", "2", "--n", "1", "--nu", "2",
+            "--m", "2", "--subspace", "full", "--no-timestamp", "--out", str(out)]
+    assert run_cli(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("gentile: error: ") and captured.err.count("\n") == 1
+    assert "sector dim 4 > cap 2" in captured.err
+    verdicts = read_json(out)["verdicts"]
+    errors = [v for v in verdicts if v["status"] == "error"]
+    assert [v["identity"] for v in errors] == ["casimir_spectrum_match"]
+    assert errors[0]["residual"] is None
+    assert errors[0]["detail"].startswith("task error (SizingError): ")
+    assert {v["status"] for v in verdicts} == {"pass", "report_only", "error"}
+    assert "error" in captured.out.splitlines()[1].split()
+
+
 class TestOutputHandling:
     def test_env_var_default_directory(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GENTILE_OUTPUT_DIR", str(tmp_path))

@@ -26,6 +26,8 @@ from gentile import (
     enumerate_basis,
     exchange_op,
     hermitian_part,
+    index_to_state,
+    leakage,
     max_abs,
     n_bracket,
     position_number,
@@ -48,11 +50,12 @@ def swap_matrix_oracle(sector_basis, i, j):
     m = sector_basis.m
     dim = sector_basis.dim
     out = np.zeros((dim, dim))
-    for col, state in enumerate(sector_basis.states):
+    for col in range(dim):
+        state = index_to_state(sector_basis, col)
         blocks = [list(state[p * m : (p + 1) * m]) for p in range(sector_basis.nu)]
         blocks[i - 1], blocks[j - 1] = blocks[j - 1], blocks[i - 1]
         swapped = tuple(v for block in blocks for v in block)
-        out[sector_basis.index[swapped], col] = 1.0
+        out[state_to_index(sector_basis, swapped), col] = 1.0
     return out
 
 
@@ -150,16 +153,15 @@ class TestRestriction:
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         eye = as_operator(sp.identity(full.dim, dtype=complex), full.basis_tag)
+        assert leakage(eye, full, sector) == 0.0
         result = restrict(eye, full, sector)
-        assert result.leakage == 0.0
-        assert max_abs(result.op.mat - sp.identity(sector.dim, dtype=complex)) == 0.0
+        assert max_abs(result.mat - sp.identity(sector.dim, dtype=complex)) == 0.0
 
     def test_generator_has_no_leakage(self):
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        result = restrict(unitary_generator(1, 2, full), full, sector)
-        assert result.leakage == 0.0
+        assert leakage(unitary_generator(1, 2, full), full, sector) == 0.0
 
     def test_bare_annihilator_leaks(self):
         order = GentileOrder(1)
@@ -167,7 +169,26 @@ class TestRestriction:
         sector = enumerate_basis(2, 2, order, sector=1)
         ops = single_mode_ops(order)
         lone = embed(ops.a, ModeIndex(1, 1), full)
-        assert restrict(lone, full, sector).leakage > 0.0
+        assert leakage(lone, full, sector) > 0.0
+
+    def test_leakage_counts_both_directions(self):
+        order = GentileOrder(1)
+        full = enumerate_basis(2, 2, order)
+        sector = enumerate_basis(2, 2, order, sector=1)
+        inside, outside = int(sector.ranks[0]), 0
+        single = sp.csr_matrix(([0.5], ([inside], [outside])), shape=(full.dim, full.dim))
+        for mat in (single, single.T):
+            assert leakage(as_operator(mat, full.basis_tag), full, sector) == 0.5
+
+    def test_mismatched_full_basis_is_rejected(self):
+        sector = enumerate_basis(2, 2, GentileOrder(1), sector=1)
+        eye = as_operator(sp.identity(sector.dim, dtype=complex), sector.basis_tag)
+        other = enumerate_basis(2, 2, GentileOrder(2))
+        for fn in (restrict, leakage):
+            with pytest.raises(ValueError, match="full space"):
+                fn(eye, sector, sector)
+            with pytest.raises(ValueError, match="full space"):
+                fn(class_sum(other), other, sector)
 
     def test_restrict_commutes_with_assembly_for_conserving_operators(self):
         # restricting the assembled product equals assembling from the
@@ -175,14 +196,14 @@ class TestRestriction:
         order = GentileOrder(2)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        c2_restricted = restrict(casimir_c2(full), full, sector).op.mat
+        c2_restricted = restrict(casimir_c2(full), full, sector).mat
         rebuilt = None
         for k in (1, 2):
             for l in (1, 2):
+                assert leakage(unitary_generator(k, l, full), full, sector) == 0.0
                 kl = restrict(unitary_generator(k, l, full), full, sector)
                 lk = restrict(unitary_generator(l, k, full), full, sector)
-                assert kl.leakage == 0.0
-                term = kl.op.mat @ lk.op.mat
+                term = kl.mat @ lk.mat
                 rebuilt = term if rebuilt is None else rebuilt + term
         assert max_abs(c2_restricted - rebuilt) < 1e-12
 
@@ -192,20 +213,20 @@ class TestExchange:
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
+        assert leakage(exchange_op(1, 2, full), full, sector) < 1e-12
         tau = restrict(exchange_op(1, 2, full), full, sector)
-        assert tau.leakage < 1e-12
         oracle = swap_matrix_oracle(sector, 1, 2)
-        assert max_abs(tau.op.mat - oracle) < 1e-12
+        assert max_abs(tau.mat - oracle) < 1e-12
         # spot: (pos1 state1, pos2 state2) -> (pos1 state2, pos2 state1)
         src = state_to_index(sector, (1, 0, 0, 1))
         dst = state_to_index(sector, (0, 1, 1, 0))
-        assert tau.op.mat[dst, src] == pytest.approx(1.0, abs=1e-12)
+        assert tau.mat[dst, src] == pytest.approx(1.0, abs=1e-12)
 
     def test_same_state_is_fixed_point(self):
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        tau = restrict(exchange_op(1, 2, full), full, sector).op
+        tau = restrict(exchange_op(1, 2, full), full, sector)
         both_first = state_to_index(sector, (1, 0, 1, 0))
         column = tau.mat[:, both_first].toarray().ravel()
         assert column[both_first] == pytest.approx(1.0, abs=1e-12)
@@ -215,14 +236,14 @@ class TestExchange:
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        tau = restrict(exchange_op(1, 2, full), full, sector).op
+        tau = restrict(exchange_op(1, 2, full), full, sector)
         assert max_abs(tau.mat @ tau.mat - sp.identity(sector.dim, dtype=complex)) < 1e-12
 
     def test_exchange_spectrum(self):
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        tau = restrict(exchange_op(1, 2, full), full, sector).op
+        tau = restrict(exchange_op(1, 2, full), full, sector)
         assert eigensolve_hermitian(tau) == [
             (pytest.approx(-1.0, abs=1e-10), 1),
             (pytest.approx(1.0, abs=1e-10), 3),
@@ -236,7 +257,7 @@ class TestExchange:
         order = GentileOrder(n)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        tau = restrict(exchange_op(1, 2, full), full, sector).op
+        tau = restrict(exchange_op(1, 2, full), full, sector)
         oracle = swap_matrix_oracle(sector, 1, 2)
         assert max_abs(tau.mat - oracle) < 1e-12
 
@@ -274,7 +295,7 @@ class TestClassSum:
         order = GentileOrder(1)
         full = enumerate_basis(3, 2, order)
         sector = enumerate_basis(3, 2, order, sector=1)
-        restricted = restrict(class_sum(full), full, sector).op
+        restricted = restrict(class_sum(full), full, sector)
         clusters = eigensolve_hermitian(restricted)
         assert [(round(v, 9), mult) for v, mult in clusters] == [(0.0, 4), (3.0, 4)]
 
@@ -329,10 +350,10 @@ class TestCasimirs:
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        c2 = restrict(casimir_c2(full), full, sector).op
+        c2 = restrict(casimir_c2(full), full, sector)
         for k in (1, 2):
             for l in (1, 2):
-                gen = restrict(unitary_generator(k, l, full), full, sector).op
+                gen = restrict(unitary_generator(k, l, full), full, sector)
                 assert max_abs(commutator(c2, gen)) < 1e-10
 
     def test_sector_spectrum_reflects_doubling(self):
@@ -341,7 +362,7 @@ class TestCasimirs:
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        c2 = restrict(casimir_c2(full), full, sector).op
+        c2 = restrict(casimir_c2(full), full, sector)
         clusters = eigensolve_hermitian(c2)
         assert [(round(v, 9), mult) for v, mult in clusters] == [(8.0, 1), (24.0, 3)]
 
@@ -354,7 +375,7 @@ class TestDiagonalOperators:
         j_diag = coupling_sum(full).mat.diagonal().real
         assert j_diag[vacuum] == 0.0
         sector = enumerate_basis(2, 2, order, sector=1)
-        restricted = restrict(coupling_sum(full), full, sector).op
+        restricted = restrict(coupling_sum(full), full, sector)
         np.testing.assert_allclose(restricted.mat.diagonal().real, -2.0, atol=1e-12)
 
     def test_coupling_sum_is_diagonal(self):
@@ -434,7 +455,7 @@ class TestEigensolver:
         order = GentileOrder(1)
         full = enumerate_basis(3, 2, order)
         sector = enumerate_basis(3, 2, order, sector=1)
-        clusters = eigensolve_hermitian(restrict(class_sum(full), full, sector).op)
+        clusters = eigensolve_hermitian(restrict(class_sum(full), full, sector))
         assert sum(mult for _, mult in clusters) == sector.dim
 
     def test_non_hermitian_rejected(self):

@@ -126,16 +126,17 @@ class TestGrid:
         keys = [v.sort_key() for v in verdicts]
         assert keys == sorted(keys)
 
-    def test_oversized_dense_task_becomes_failed_verdict(self):
+    def test_oversized_dense_task_becomes_error_verdict(self):
         tasks = expand_tasks(
             ns=(3,), nus=(3,), ms=(2,), subspaces=(None,),
             identities=(IdentityId.CASIMIR_HERMITICITY,),
         )
         verdicts = run_grid(tasks, dense_cap=100)
         assert len(verdicts) == 1
-        assert verdicts[0].status == "fail"
+        assert verdicts[0].status == "error"
         assert verdicts[0].residual is None
         assert "dense" in verdicts[0].detail
+        assert verdicts[0].detail.startswith("task error (SizingError): ")
 
     def test_single_mode_identities_note_grid_echo(self):
         verdict = run_task(make_task(IdentityId.QUARTIC_WORD_BRACKET))
