@@ -13,8 +13,12 @@ full space is its mixed-radix number in base ``n+1`` (``ranks``), so
 indexing is arithmetic and needs no lookup table.
 
 An optional sector constraint fixes the particle total at every position to
-one uniform value ``t`` (``t = 1`` is the spin realization).  Sector bases
-are filtered sub-sequences of the full enumeration, so their ranks ascend.
+one uniform value ``t`` (``t = 1`` is the spin realization).  A sector is
+enumerated directly, never through the full space: its states are the
+lexicographic product over positions of the compositions of ``t`` into ``m``
+parts of at most ``n``.  That product is exactly the sub-sequence of the full
+enumeration whose per-position totals all equal ``t``, so sector ranks
+ascend, and a sector is sized by its own dimension.
 
 Bases are immutable after construction and compare and hash by value,
 ``(nu, m, order, sector)``; concurrent reads are safe.
@@ -22,6 +26,7 @@ Bases are immutable after construction and compare and hash by value,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -124,6 +129,45 @@ def check_sector(n: int, m: int, sector: int) -> None:
         raise ValueError(f"per-position total {sector} not in [0, n*m={n * m}]")
 
 
+def _composition_count(n: int, m: int, total: int) -> int:
+    """Compositions of ``total`` into ``m`` parts in ``0..n`` (inclusion-exclusion)."""
+    return sum(
+        (-1) ** k * math.comb(m, k) * math.comb(total - k * (n + 1) + m - 1, m - 1)
+        for k in range(m + 1)
+        if total - k * (n + 1) >= 0
+    )
+
+
+def check_sector_dimension(n: int, nu: int, m: int, sector: int, cap: int) -> int:
+    """Dimension ``(#compositions)**nu`` of a sector, computed before any enumeration.
+
+    Raises ``SizingError`` when it exceeds ``cap``, or when full-space ranks
+    (``(n+1)**(nu*m)`` values) would overflow 64-bit integers.
+    """
+    dim = _composition_count(n, m, sector) ** nu
+    if dim > cap:
+        raise SizingError(
+            f"sector {sector} for (n={n}, nu={nu}, m={m}) has dimension "
+            f"{dim} > cap {cap}"
+        )
+    if (n + 1) ** (nu * m) > 2**63:
+        raise SizingError(
+            f"full-space ranks for (n={n}, nu={nu}, m={m}) overflow 64-bit integers"
+        )
+    return dim
+
+
+def _compositions(n: int, m: int, total: int) -> list[tuple[int, ...]]:
+    """Compositions of ``total <= n*m`` into ``m`` parts in ``0..n``, ascending."""
+    if m == 1:
+        return [(total,)]
+    return [
+        (first,) + rest
+        for first in range(max(0, total - n * (m - 1)), min(n, total) + 1)
+        for rest in _compositions(n, m - 1, total - first)
+    ]
+
+
 @lru_cache(maxsize=64)
 def _enumerate_cached(nu: int, m: int, order: GentileOrder, sector: Optional[int]) -> FockBasis:
     n = order.n
@@ -131,8 +175,12 @@ def _enumerate_cached(nu: int, m: int, order: GentileOrder, sector: Optional[int
         radix = _radix(n, nu * m)
         occ = np.arange((n + 1) ** (nu * m), dtype=np.int64)[:, None] // radix % (n + 1)
     else:
-        full = _enumerate_cached(nu, m, order, None).occupations
-        occ = full[(full.reshape(-1, nu, m).sum(axis=2) == sector).all(axis=1)]
+        # Lexicographic product over positions: position p picks composition
+        # number (ordinal // c**(nu-1-p)) % c.
+        comps = np.array(_compositions(n, m, sector), dtype=np.int64).reshape(-1, m)
+        c = len(comps)
+        picks = np.arange(c**nu, dtype=np.int64)[:, None] // _radix(c - 1, nu) % c
+        occ = comps[picks].reshape(-1, nu * m)
     occ.setflags(write=False)
     return FockBasis(nu=nu, m=m, order=order, sector=sector, occupations=occ)
 
@@ -146,14 +194,17 @@ def enumerate_basis(
 ) -> FockBasis:
     """Enumerate the occupation basis, optionally restricted to a sector.
 
-    Raises ``SizingError`` when the underlying full enumeration exceeds
-    ``cap`` and ``ValueError`` for inconsistent parameters.
+    Raises ``SizingError`` when the basis's own dimension (the full space's,
+    or the sector's) exceeds ``cap`` and ``ValueError`` for inconsistent
+    parameters.
     """
     if nu < 1 or m < 1:
         raise ValueError(f"need nu >= 1 and m >= 1, got nu={nu}, m={m}")
-    if sector is not None:
+    if sector is None:
+        check_full_dimension(order.n, nu, m, cap)
+    else:
         check_sector(order.n, m, sector)
-    check_full_dimension(order.n, nu, m, cap)
+        check_sector_dimension(order.n, nu, m, sector, cap)
     return _enumerate_cached(nu, m, order, sector)
 
 

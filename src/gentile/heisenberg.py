@@ -1,8 +1,9 @@
 """All-pairs exchange Hamiltonian: exact diagonalization vs partition route.
 
-The Hamiltonian is the class sum of pair exchanges restricted to the spin
-sector (one particle per position); the additive constant of the spin-dot
-rewriting is fixed to zero by convention and recorded in every report.
+The Hamiltonian is the class sum of pair exchanges on the spin sector (one
+particle per position), built on the sector basis itself; the additive
+constant of the spin-dot rewriting is fixed to zero by convention and
+recorded in every report.
 
 The partition route evaluates closed-form Casimir eigenvalues over integer
 partitions of the particle number.  Three forms are available:
@@ -29,9 +30,9 @@ from typing import Optional, Sequence
 from .basis import DEFAULT_DIMENSION_CAP, enumerate_basis
 from .operators import (
     ComplexOperator,
+    check_dense_dimension,
     class_sum,
     eigensolve_hermitian,
-    restrict,
 )
 from .partitions import Partition, casimir_value, partitions_of, weyl_dimension
 from .scalars import GentileOrder, coupling_j
@@ -88,12 +89,14 @@ def build_hamiltonian(
     sector: int = 1,
     cap: int = DEFAULT_DIMENSION_CAP,
 ) -> ComplexOperator:
-    """Class sum of exchanges restricted to the fixed-total sector."""
-    if nu < 2:
-        raise ValueError(f"need at least two positions, got nu={nu}")
-    full = enumerate_basis(nu, m, order, sector=None, cap=cap)
-    sector_basis = enumerate_basis(nu, m, order, sector=sector, cap=cap)
-    return restrict(class_sum(full), full, sector_basis)
+    """Class sum of exchanges on the fixed-total sector.
+
+    Only the sector is enumerated, so ``cap`` bounds the sector's dimension
+    (the number of compositions of ``sector`` into ``m`` parts of at most
+    ``n``, to the power ``nu``), not the full space's.  Raises
+    ``SizingError`` above it.
+    """
+    return class_sum(enumerate_basis(nu, m, order, sector=sector, cap=cap))
 
 
 def spectrum_ed(hamiltonian: ComplexOperator) -> list[tuple[float, int]]:
@@ -198,6 +201,8 @@ def spectrum_report(
     cap: int = DEFAULT_DIMENSION_CAP,
 ) -> SpectrumReport:
     """Run ED and every requested partition-route prediction side by side."""
+    # Refuse a sector too large for the dense solve before building on it.
+    check_dense_dimension(enumerate_basis(nu, m, order, sector=sector, cap=cap).dim)
     hamiltonian = build_hamiltonian(nu, m, order, sector=sector, cap=cap)
     ed = tuple((float(v), int(mult)) for v, mult in spectrum_ed(hamiltonian))
     casimir_blocks = []

@@ -6,11 +6,20 @@ conjugates).  Multi-mode operators are plain tensor-product embeddings:
 operators on different modes commute exactly, with no inter-mode phase
 strings; all statistics live in the on-mode deformed bracket.
 
-Composite operators (exchange, class sum, unitary generators, Casimirs,
-diagonal coupling sums) are assembled by sparse multiplication in the
-right-to-left application order of their defining words.  Assembled matrices
-are pruned at ``DROP_TOL`` and treated as immutable afterwards; building
-distinct operators concurrently is safe.
+The pair exchange and the class sum are built by word application, on the
+full space or directly on a sector: each quartic word maps a state to at
+most one state, so it shifts rows of the occupation array, multiplies the
+ladder amplitudes met on the way and ranks the targets by ``searchsorted``
+on ``FockBasis.ranks``.  The words conserve every per-position total, so a
+sector's matrix is exactly the restriction of the full-space one.  Amplitude
+products are taken in Python scalar complex arithmetic, left to right, once
+per distinct occupation tuple: numpy's vectorised complex multiply may use
+fused multiply-adds (FMA), which differ in the last bit from scalar and
+sparse-product arithmetic, and byte-stable reports need bit-stable matrices.
+The generators and Casimirs are sparse products of embedded ladder matrices
+on the full space, in the right-to-left application order of their words.
+Assembled matrices are pruned at ``DROP_TOL`` and treated as immutable
+afterwards; building distinct operators concurrently is safe.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import FockBasis, ModeIndex, SizingError
+from .basis import FockBasis, ModeIndex, SizingError, _radix
 from .scalars import GentileOrder, coupling_j, occ_f, occ_g, sqrt_bracket
 
 #: Magnitude below which assembled entries are dropped.
@@ -153,11 +162,13 @@ def _embed_flat(op: Matrix, flat: int, basis: FockBasis) -> sp.csr_matrix:
 def embed(op: Matrix, mode: ModeIndex, basis: FockBasis) -> ComplexOperator:
     """Place a single-mode matrix on ``mode``, identity on every other mode.
 
-    The basis must be a full product space; act on sectors by restricting
-    afterwards.
+    The basis must be a full product space: a single ladder operator leaves
+    every sector.  Restrict conserving products of embedded operators to
+    reach a sector.
     """
     if not basis.is_full:
-        raise ValueError("embedding requires a full-space basis; restrict afterwards")
+        raise ValueError("embedding requires a full-space basis: a single ladder "
+                         "operator leaves every sector")
     d = basis.order.n + 1
     mat = sp.csr_matrix(op)
     if mat.shape != (d, d):
@@ -224,24 +235,54 @@ def _word(mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
 
 def _require_full(basis: FockBasis, what: str) -> None:
     if not basis.is_full:
-        raise ValueError(f"{what} is assembled on the full space; restrict afterwards")
+        raise ValueError(f"{what} is assembled on the full space; restrict the result "
+                         "to reach a sector")
 
 
 @lru_cache(maxsize=256)
 def _exchange_cached(basis: FockBasis, i: int, j: int) -> ComplexOperator:
-    emb = _embedded_mode_ops(basis)
-    m = basis.m
-    f = basis.mode_flat
-    total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
-    for k in range(1, m + 1):
-        for l in range(1, m + 1):
-            w1 = _word(
-                [emb["a_dag"][f(i, k)], emb["a_dag"][f(j, l)], emb["b"][f(i, l)], emb["b"][f(j, k)]]
-            )
-            w2 = _word(
-                [emb["a_dag"][f(i, k)], emb["b_dag"][f(j, l)], emb["b"][f(i, l)], emb["a"][f(j, k)]]
-            )
-            total = total + w1 + w2
+    """Half the sum over internal states ``k, l`` of the two quartic words
+    ``a†(i,k) a†(j,l) b(i,l) b(j,k)`` and ``a†(i,k) b†(j,l) b(i,l) a(j,k)``.
+
+    Both words of one ``(k, l)`` send a state to the same target, which is
+    the state itself only for ``k == l``.  Entries are summed in the order of
+    the sparse sum ``total + w1 + w2`` over ``(k, l)`` in row-major order, so
+    the matrix is bit-identical to the product of embedded ladder matrices.
+    """
+    n, dim = basis.order.n, basis.dim
+    occ, ranks, f = basis.occupations, basis.ranks, basis.mode_flat
+    amp = [0j] + [sqrt_bracket(level, basis.order) for level in range(1, n + 1)]
+    place = _radix(n, basis.modes).tolist()
+    diag = np.zeros(dim, dtype=np.complex128)
+    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
+    for k in range(1, basis.m + 1):
+        for l in range(1, basis.m + 1):
+            ik, jl, il, jk = f(i, k), f(j, l), f(i, l), f(j, k)
+            same = int(k == l)
+            # The occupation each factor meets, leftmost (acting last) first:
+            # raise (i,k) to it, raise (j,l) to it, lower (i,l) from it, lower
+            # (j,k) from it.  The words act where all four lie in 1..n.
+            met = np.stack([occ[:, ik] + 1 - same, occ[:, jl] + 1 - same,
+                            occ[:, il], occ[:, jk]], axis=1)
+            acts = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=1))
+            distinct, inverse = np.unique(met[acts], axis=0, return_inverse=True)
+            products = np.array([
+                (((amp[u0] * amp[u1]) * amp[u2]) * amp[u3],
+                 ((amp[u0] * amp[u1].conjugate()) * amp[u2]) * amp[u3].conjugate())
+                for u0, u1, u2, u3 in distinct.tolist()
+            ], dtype=np.complex128).reshape(-1, 2)
+            w1, w2 = products[inverse.ravel()].T
+            if same:
+                diag[acts] = (diag[acts] + w1) + w2
+            else:
+                shift = place[ik] + place[jl] - place[il] - place[jk]
+                rows.append(np.searchsorted(ranks, ranks[acts] + shift))
+                cols.append(acts)
+                vals.append(w1 + w2)
+    total = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
     # The two quartic words coincide on single-occupancy states, so the raw
     # sum would exchange with amplitude 2; halving makes the operator the
     # unit transposition there (tau^2 = 1 on the spin sector).
@@ -249,8 +290,10 @@ def _exchange_cached(basis: FockBasis, i: int, j: int) -> ComplexOperator:
 
 
 def exchange_op(i: int, j: int, basis: FockBasis) -> ComplexOperator:
-    """Exchange of the particles at positions ``i`` and ``j`` (both 1-based)."""
-    _require_full(basis, "exchange_op")
+    """Exchange of the particles at positions ``i`` and ``j`` (both 1-based).
+
+    Acts on the full space or on any sector basis.
+    """
     if i == j:
         raise ValueError("exchange requires two distinct positions")
     if not (1 <= i < j <= basis.nu):
@@ -260,8 +303,10 @@ def exchange_op(i: int, j: int, basis: FockBasis) -> ComplexOperator:
 
 @lru_cache(maxsize=64)
 def class_sum(basis: FockBasis) -> ComplexOperator:
-    """Sum of all pair exchanges (the transposition-class operator)."""
-    _require_full(basis, "class_sum")
+    """Sum of all pair exchanges (the transposition-class operator).
+
+    Acts on the full space or on any sector basis.
+    """
     if basis.nu < 2:
         raise ValueError(f"class sum needs at least two positions, got nu={basis.nu}")
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
@@ -412,6 +457,12 @@ def n_bracket(a, b, order: GentileOrder):
 # ---------------------------------------------------------------------------
 
 
+def check_dense_dimension(dim: int, dense_cap: int = DENSE_EIG_CAP) -> None:
+    """Raise ``SizingError`` when a dense eigensolve of ``dim`` exceeds ``dense_cap``."""
+    if dim > dense_cap:
+        raise SizingError(f"dense eigensolve needs dim {dim} > dense cap {dense_cap}")
+
+
 def eigensolve_hermitian(
     op: Union[ComplexOperator, Matrix],
     degeneracy_tol: float = 1e-8,
@@ -427,8 +478,7 @@ def eigensolve_hermitian(
     """
     mat, _ = _unwrap(op)
     dim = mat.shape[0]
-    if dim > dense_cap:
-        raise SizingError(f"dense eigensolve limited to dim <= {dense_cap}, got {dim}")
+    check_dense_dimension(dim, dense_cap)
     asym = max_abs(mat - mat.getH())
     if asym > hermiticity_tol:
         raise NonHermitianError(asym)

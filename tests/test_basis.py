@@ -17,6 +17,7 @@ from gentile import (
     index_to_state,
     state_to_index,
 )
+from gentile.basis import check_sector_dimension
 
 
 def count_sector_states(nu, m, n, total):
@@ -52,6 +53,27 @@ class TestDimensions:
         sector = enumerate_basis(nu, m, order, sector=1)
         assert sector.dim == m**nu
 
+    def test_sector_dimension_against_oracle(self):
+        for n in (1, 2, 3):
+            for m in (1, 2, 3):
+                for t in range(n * m + 1):
+                    sector = enumerate_basis(2, m, GentileOrder(n), sector=t)
+                    assert sector.dim == count_sector_states(2, m, n, t)
+                    # the pre-enumeration sizing counts the same states
+                    assert check_sector_dimension(n, 2, m, t, 2**20) == sector.dim
+
+    def test_sector_sized_by_its_own_dimension(self):
+        order = GentileOrder(2)
+        sector = enumerate_basis(8, 2, order, sector=1)  # full space 3**16 > default cap
+        assert sector.dim == 256
+        assert sector.ranks[-1] < 3**16
+        with pytest.raises(SizingError, match=r"sector 1 for \(n=2, nu=8, m=2\) .* 256 > cap 255"):
+            enumerate_basis(8, 2, order, sector=1, cap=255)
+        # a one-state sector whose full-space ranks would not fit in int64
+        with pytest.raises(SizingError, match="overflow"):
+            enumerate_basis(20, 2, order, sector=0)
+        assert enumerate_basis(19, 2, order, sector=0).ranks.tolist() == [0]
+
     def test_cap_names_offenders(self):
         with pytest.raises(SizingError) as err:
             enumerate_basis(21, 1, GentileOrder(1))
@@ -80,14 +102,21 @@ class TestOrdering:
         assert states[-1] == (2, 2, 2, 2)
 
     def test_sector_is_subsequence_of_full(self):
+        # sectors are enumerated directly; they must equal the filtered full
+        # enumeration, in the same order
         order = GentileOrder(2)
-        full = enumerate_basis(2, 2, order)
-        sector = enumerate_basis(2, 2, order, sector=1)
-        positions = [state_to_index(full, s) for s in all_states(sector)]
-        assert positions == sorted(positions)
-        assert list(sector.ranks) == positions
-        assert np.all(np.diff(sector.ranks) > 0)
-        np.testing.assert_array_equal(full.ranks, np.arange(full.dim))
+        for m, sectors in ((2, [1]), (3, range(2 * 3 + 1))):
+            full = enumerate_basis(2, m, order)
+            np.testing.assert_array_equal(full.ranks, np.arange(full.dim))
+            totals = full.occupations.reshape(full.dim, 2, m).sum(axis=2)
+            for t in sectors:
+                sector = enumerate_basis(2, m, order, sector=t)
+                filtered = full.occupations[(totals == t).all(axis=1)]
+                np.testing.assert_array_equal(sector.occupations, filtered)
+                positions = [state_to_index(full, s) for s in all_states(sector)]
+                assert positions == sorted(positions)
+                assert list(sector.ranks) == positions
+                assert np.all(np.diff(sector.ranks) > 0)
 
     def test_single_occupancy_patterns(self):
         basis = enumerate_basis(2, 2, GentileOrder(1), sector=1)

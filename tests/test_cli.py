@@ -7,6 +7,7 @@ import os
 import pytest
 
 from gentile.cli import main
+from gentile.operators import class_sum
 
 
 def run_cli(args):
@@ -165,6 +166,25 @@ class TestSpectrumCommand:
         )
         assert code == 3
         assert "cap" in capsys.readouterr().err
+
+    def test_sector_sized_by_its_own_dimension(self, tmp_path, capsys):
+        # the full space 3**16 is over the default cap; the sector has 2**8 states
+        out = tmp_path / "s.json"
+        assert run_cli(["spectrum", "--n", "2", "--nu", "8", "--m", "2", "--out", str(out)]) == 0
+        ed = read_json(out)["spectra"][0]["ed"]
+        assert sum(level["multiplicity"] for level in ed) == 256
+        capsys.readouterr()
+
+    def test_dense_eigensolve_cap_exits_three(self, tmp_path, capsys):
+        # the 2**13-state sector enumerates under the cap but is too large to
+        # solve densely; it is refused before the Hamiltonian is built
+        built = class_sum.cache_info().misses
+        code = run_cli(["spectrum", "--nu", "13", "--m", "2", "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "dense eigensolve needs dim 8192 > dense cap 4096" in err
+        assert class_sum.cache_info().misses == built
+        assert not (tmp_path / "x.json").exists()
 
     def test_single_particle_rejected(self, tmp_path, capsys):
         code = run_cli(["spectrum", "--nu", "1", "--out", str(tmp_path / "x.json")])

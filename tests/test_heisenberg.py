@@ -64,6 +64,18 @@ class TestHamiltonian:
         clusters = spectrum_ed(H)
         assert sum(mult for _, mult in clusters) == 81
 
+    def test_sector_built_without_full_space(self):
+        # the full space 2**22 is over the default cap; only the sector is built
+        H = build_hamiltonian(11, 2, GentileOrder(1))
+        assert H.dim == 2**11 and H.basis_tag == "n1:nu11:m2:sector:1"
+        assert max_abs(H.mat - H.mat.getH()) == 0.0
+        # an exchange fixes a state iff both positions hold the same internal
+        # state, so the diagonal counts same-state pairs; bit p of the ordinal
+        # is 1 where position p holds state 1
+        ones = np.array([bin(s).count("1") for s in range(2**11)])
+        same_pairs = (ones * (ones - 1) + (11 - ones) * (10 - ones)) / 2
+        np.testing.assert_array_equal(H.mat.diagonal().real, same_pairs)
+
     def test_trace_conservation(self):
         H = build_hamiltonian(3, 2, GentileOrder(1))
         clusters = spectrum_ed(H)

@@ -37,6 +37,7 @@ from gentile import (
     total_number,
     unitary_generator,
 )
+from gentile.operators import _embedded_mode_ops, _word
 from gentile.verifier import single_mode_residuals
 
 
@@ -57,6 +58,73 @@ def swap_matrix_oracle(sector_basis, i, j):
         swapped = tuple(v for block in blocks for v in block)
         out[state_to_index(sector_basis, swapped), col] = 1.0
     return out
+
+
+def kron_exchange_oracle(full, i, j):
+    """Reference exchange: products of Kronecker-embedded ladder matrices.
+
+    The oracle for the word application in ``exchange_op``, on the full
+    space only: both quartic words of every (k, l) as sparse matrix
+    products, summed, halved and pruned.
+    """
+    emb = _embedded_mode_ops(full)
+    f = full.mode_flat
+    total = sp.csr_matrix((full.dim, full.dim), dtype=np.complex128)
+    for k in range(1, full.m + 1):
+        for l in range(1, full.m + 1):
+            w1 = _word(
+                [emb["a_dag"][f(i, k)], emb["a_dag"][f(j, l)], emb["b"][f(i, l)], emb["b"][f(j, k)]]
+            )
+            w2 = _word(
+                [emb["a_dag"][f(i, k)], emb["b_dag"][f(j, l)], emb["b"][f(i, l)], emb["a"][f(j, k)]]
+            )
+            total = total + w1 + w2
+    return as_operator(0.5 * total, full.basis_tag)
+
+
+def kron_class_sum_oracle(full):
+    total = sp.csr_matrix((full.dim, full.dim), dtype=np.complex128)
+    for i in range(1, full.nu + 1):
+        for j in range(i + 1, full.nu + 1):
+            total = total + kron_exchange_oracle(full, i, j).mat
+    return as_operator(total, full.basis_tag)
+
+
+def assert_bit_equal(op, ref):
+    """Same basis, same sparsity pattern, same bit pattern of every entry."""
+    assert op.basis_tag == ref.basis_tag
+    assert np.array_equal(op.mat.indptr, ref.mat.indptr)
+    assert np.array_equal(op.mat.indices, ref.mat.indices)
+    assert np.array_equal(op.mat.data.view(np.uint64), ref.mat.data.view(np.uint64))
+
+
+#: (n, nu, m) with a full space of at most 4096 states.
+ORACLE_GRID = [
+    (n, nu, m)
+    for n in (1, 2, 3)
+    for nu in (2, 3)
+    for m in (1, 2, 3)
+    if (n + 1) ** (nu * m) <= 4096
+]
+
+
+@pytest.mark.parametrize("n, nu, m", ORACLE_GRID)
+def test_word_application_matches_kron_oracle(n, nu, m):
+    # Bit for bit, on the full space and on every sector: the sector build
+    # equals the restriction of the full-space oracle.
+    order = GentileOrder(n)
+    full = enumerate_basis(nu, m, order)
+    pairs = [(i, j) for i in range(1, nu + 1) for j in range(i + 1, nu + 1)]
+    exchanges = {pair: kron_exchange_oracle(full, *pair) for pair in pairs}
+    total = kron_class_sum_oracle(full)
+    for pair, ref in exchanges.items():
+        assert_bit_equal(exchange_op(*pair, full), ref)
+    assert_bit_equal(class_sum(full), total)
+    for t in range(n * m + 1):
+        sector = enumerate_basis(nu, m, order, sector=t)
+        for pair, ref in exchanges.items():
+            assert_bit_equal(exchange_op(*pair, sector), restrict(ref, full, sector))
+        assert_bit_equal(class_sum(sector), restrict(total, full, sector))
 
 
 class TestSingleMode:
@@ -271,8 +339,11 @@ class TestExchange:
             exchange_op(2, 1, full)
         with pytest.raises(ValueError):
             exchange_op(1, 3, full)
-        with pytest.raises(ValueError):
-            exchange_op(1, 2, sector)
+        # sectors are a supported input: built directly, equal to the
+        # restriction of the full-space oracle
+        assert_bit_equal(
+            exchange_op(1, 2, sector), restrict(kron_exchange_oracle(full, 1, 2), full, sector)
+        )
 
 
 class TestClassSum:
