@@ -149,8 +149,9 @@ def _build_parser() -> _Parser:
     verify.add_argument("--interpretation", default="both",
                         help="entrywise, hermitian, or both (class-sum relation)")
     verify.add_argument("--mode", default="dense", choices=["dense", "sampled"])
-    verify.add_argument("--k", type=int, default=64, help="sampled-mode vector count")
-    verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument("--k", type=int, default=64,
+                        help="sampled mode: validated (>= 32) and echoed; residuals are exact")
+    verify.add_argument("--seed", type=int, default=42, help="echoed in the report")
     verify.add_argument("--format", default="json", choices=["json", "csv"])
     verify.add_argument("--out", default=None)
     verify.add_argument("--no-timestamp", action="store_true")

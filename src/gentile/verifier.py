@@ -11,17 +11,17 @@ to one residual recipe.  Identities split into two sets:
 
 A task that raises ``ValueError`` (sizing included) gets ``status="error"``.
 
-Residual norms are the max entry magnitude in dense mode, or the max over
-seeded random vectors of ``|(LHS-RHS) v|_inf / |v|_1`` in sampled mode; the
-1-norm in the denominator makes every sampled probe a lower bound on the
-dense norm, so sampled runs can never overstate a residual.  Tasks are
-independent; verdict order is fixed by sorting, so concurrent evaluation
-and re-runs are reproducible.
+The residual of a task is the largest entry magnitude of its sparse
+difference matrices (``operators.max_abs``), read exactly in both modes.
+Dense mode refuses a task whose evaluation dimension is over the dense cap;
+sampled mode skips that check and gives the same residual.  ``k`` and
+``seed`` are validated and echoed in the verdict but change no residual.
+Tasks are independent; verdict order is fixed by sorting, so concurrent
+evaluation and re-runs are reproducible.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -194,33 +194,6 @@ class Verdict:
             "status": self.status,
             "detail": self.detail,
         }
-
-
-# ---------------------------------------------------------------------------
-# Residual measurement
-# ---------------------------------------------------------------------------
-
-
-def _measure(
-    diffs: Sequence[sp.csr_matrix],
-    mode: str,
-    k: int,
-    seed: int,
-    extra: float = 0.0,
-) -> float:
-    if mode == "dense":
-        measured = max((max_abs(d) for d in diffs), default=0.0)
-    else:
-        rng = np.random.default_rng(seed)
-        measured = 0.0
-        for d in diffs:
-            dim = d.shape[1]
-            for _ in range(k):
-                v = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / math.sqrt(2.0)
-                num = float(np.abs(d @ v).max()) if dim else 0.0
-                den = float(np.abs(v).sum())
-                measured = max(measured, num / den)
-    return max(measured, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +562,7 @@ def run_task(
                 detail += "; spectral comparison always solves densely"
         else:
             diffs, extra, detail = _RECIPES[task.identity](task, dimension_cap, dense_cap)
-            residual = _measure(diffs, task.mode, task.k, task.seed, extra)
+            residual = max([extra, *map(max_abs, diffs)])
     except ValueError as exc:  # SizingError included
         residual, status = None, "error"
         detail = f"task error ({type(exc).__name__}): {exc}"

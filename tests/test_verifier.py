@@ -1,6 +1,8 @@
 """Identity verifier: recipes, statuses, grids, determinism."""
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gentile import (
     CONTESTED,
@@ -13,6 +15,7 @@ from gentile import (
     run_grid,
     run_task,
 )
+from gentile import verifier
 from gentile.verifier import SINGLE_MODE_IDENTITIES, tolerance_for
 
 
@@ -104,6 +107,38 @@ class TestSampledMode:
         first = run_task(make_task(IdentityId.CLASS_SUM_CASIMIR, mode="sampled"))
         second = run_task(make_task(IdentityId.CLASS_SUM_CASIMIR, mode="sampled"))
         assert first.residual == second.residual
+
+    @staticmethod
+    def plant(monkeypatch, identity, dim, value):
+        """Make ``identity``'s recipe return one ``dim x dim`` CSR with one entry."""
+        defect = sp.csr_matrix(([value], ([dim - 1], [dim // 2])), shape=(dim, dim),
+                               dtype=np.complex128)
+        monkeypatch.setitem(verifier._RECIPES, identity, lambda t, c, d: ([defect], 0.0, ""))
+
+    @pytest.mark.parametrize("dim", [16, 256, 4096])
+    def test_single_entry_defect_measured_exactly(self, monkeypatch, dim):
+        self.plant(monkeypatch, IdentityId.LADDER_NBRACKET, dim, 1e-8)
+        verdict = run_task(make_task(IdentityId.LADDER_NBRACKET, mode="sampled"))
+        assert verdict.residual == 1e-8
+        assert verdict.status == "fail"
+
+    def test_guaranteed_identity_at_its_tolerance_fails(self, monkeypatch):
+        identity = IdentityId.SECTOR_CONSERVATION
+        self.plant(monkeypatch, identity, 4096, tolerance_for(identity))
+        verdict = run_task(make_task(identity, mode="sampled"))
+        assert verdict.residual == tolerance_for(identity)
+        assert verdict.status == "fail"
+
+    def test_sampled_equals_dense_on_default_grid(self):
+        sampled = run_grid(default_grid_tasks("sampled"))
+        dense = run_grid(default_grid_tasks("dense"))
+        assert len(sampled) == len(dense)
+        for s, d in zip(sampled, dense):
+            assert s.sort_key()[:-1] == d.sort_key()[:-1]
+            assert (None if s.residual is None else s.residual.hex()) == (
+                None if d.residual is None else d.residual.hex()
+            ), s.sort_key()
+            assert s.status == d.status, s.sort_key()
 
 
 class TestGrid:
