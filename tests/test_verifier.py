@@ -15,8 +15,7 @@ from gentile import (
     run_grid,
     run_task,
 )
-from gentile import verifier
-from gentile.verifier import SINGLE_MODE_IDENTITIES, tolerance_for
+from gentile.verifier import _RECIPES, SINGLE_MODE_IDENTITIES, tolerance_for
 
 
 def make_task(identity, **kwargs):
@@ -113,7 +112,7 @@ class TestSampledMode:
         """Make ``identity``'s recipe return one ``dim x dim`` CSR with one entry."""
         defect = sp.csr_matrix(([value], ([dim - 1], [dim // 2])), shape=(dim, dim),
                                dtype=np.complex128)
-        monkeypatch.setitem(verifier._RECIPES, identity, lambda t, c, d: ([defect], 0.0, ""))
+        monkeypatch.setitem(_RECIPES, identity, lambda t, c, d: ([defect], 0.0, ""))
 
     @pytest.mark.parametrize("dim", [16, 256, 4096])
     def test_single_entry_defect_measured_exactly(self, monkeypatch, dim):
