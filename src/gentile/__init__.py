@@ -41,7 +41,6 @@ from .operators import (
     commutator,
     coupling_sum,
     eigensolve_hermitian,
-    embed,
     entrywise_conjugate,
     entrywise_real,
     exchange_op,

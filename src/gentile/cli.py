@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from . import __version__
-from .basis import DEFAULT_DIMENSION_CAP, check_full_dimension, check_sector
+from .basis import DEFAULT_DIMENSION_CAP, check_sector
 from .heisenberg import spectrum_report
 from .operators import DENSE_EIG_CAP
 from .reporting import (
@@ -199,20 +199,13 @@ def _cmd_verify(args) -> int:
         if value < 1:
             raise CliError(f"--{name} must be >= 1")
 
-    # Pre-flight: every sector must exist and every grid point must enumerate
-    # under the cap and, in dense mode, evaluate under the dense cap.
+    # Pre-flight: every sector must exist.  Sizing is per task: a task over
+    # a cap becomes an error verdict, which exits 3 with the report written.
     for n in ns:
         for m in ms:
             for sub in subspaces:
                 if sub is not None:
                     check_sector(n, m, sub)
-            for nu in nus:
-                full_dim = check_full_dimension(n, nu, m, args.cap)
-                if args.mode == "dense" and full_dim > args.dense_cap:
-                    raise CliError(
-                        f"(n={n}, nu={nu}, m={m}) dense evaluation needs dimension "
-                        f"{full_dim} > dense cap {args.dense_cap}; use --mode sampled"
-                    )
 
     tasks = expand_tasks(
         ns=ns, nus=nus, ms=ms, subspaces=subspaces,

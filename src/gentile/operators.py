@@ -1,37 +1,40 @@
-"""Sparse operator kernel: ladder matrices, embeddings, and composites.
+"""Sparse operator kernel: ladder matrices, word application, and composites.
 
 Single-mode raising/lowering matrices come straight from the ladder actions
 (amplitudes are principal square roots of the q-numbers and their
-conjugates).  Multi-mode operators are plain tensor-product embeddings:
-operators on different modes commute exactly, with no inter-mode phase
-strings; all statistics live in the on-mode deformed bracket.
+conjugates).  Multi-mode operators act as tensor products: operators on
+different modes commute exactly, with no inter-mode phase strings; all
+statistics live in the on-mode deformed bracket.
 
-The pair exchange and the class sum are built by word application, on the
-full space or directly on a sector: each quartic word maps a state to at
-most one state, so it shifts rows of the occupation array, multiplies the
-ladder amplitudes met on the way and ranks the targets by ``searchsorted``
-on ``FockBasis.ranks``.  The words conserve every per-position total, so a
-sector's matrix is exactly the restriction of the full-space one.  Amplitude
-products are taken in Python scalar complex arithmetic, left to right, once
-per distinct occupation tuple: numpy's vectorised complex multiply may use
-fused multiply-adds (FMA), which differ in the last bit from scalar and
-sparse-product arithmetic, and byte-stable reports need bit-stable matrices.
-The generators and Casimirs are sparse products of embedded ladder matrices
-on the full space, in the right-to-left application order of their words.
-Assembled matrices are pruned at ``DROP_TOL`` and treated as immutable
-afterwards; building distinct operators concurrently is safe.
+Every multi-mode operator is built by one word kernel, on the full space or
+directly on a sector: a word of ladder letters maps a state to at most one
+state, so it shifts rows of the occupation array, multiplies the ladder
+amplitudes met on the way and ranks the targets by ``searchsorted`` on
+``FockBasis.ranks``.  The exchange is a sum of quartic words, the generator
+``E(k,l)`` a sum of two-letter words over positions, and ``C1``, ``C2`` are
+sums and products of cached generators.  All of them conserve every
+per-position total, so a sector's matrix is exactly the restriction of the
+full-space one.  Single ladder letters leave every sector and are built on
+the full space only.  Amplitude products are taken in Python scalar complex
+arithmetic, left to right, once per distinct tuple of met levels: numpy's
+vectorised complex multiply may use fused multiply-adds (FMA), which differ
+in the last bit from scalar and sparse-product arithmetic, and byte-stable
+reports need bit-stable matrices.  Assembled matrices are pruned at
+``DROP_TOL`` and treated as immutable afterwards; building distinct
+operators concurrently is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import FockBasis, ModeIndex, SizingError, _radix
+from .basis import FockBasis, SizingError, _radix
 from .scalars import GentileOrder, coupling_j, occ_f, occ_g, sqrt_bracket
 
 #: Magnitude below which assembled entries are dropped.
@@ -143,38 +146,8 @@ def single_mode_ops(order: GentileOrder) -> SingleModeSet:
 
 
 # ---------------------------------------------------------------------------
-# Embedding and restriction
+# Restriction
 # ---------------------------------------------------------------------------
-
-
-def _embed_flat(op: Matrix, flat: int, basis: FockBasis) -> sp.csr_matrix:
-    d = basis.order.n + 1
-    left = d**flat
-    right = d ** (basis.modes - 1 - flat)
-    out = sp.csr_matrix(op, dtype=np.complex128)
-    if left > 1:
-        out = sp.kron(sp.identity(left, dtype=np.complex128, format="csr"), out, format="csr")
-    if right > 1:
-        out = sp.kron(out, sp.identity(right, dtype=np.complex128, format="csr"), format="csr")
-    return out
-
-
-def embed(op: Matrix, mode: ModeIndex, basis: FockBasis) -> ComplexOperator:
-    """Place a single-mode matrix on ``mode``, identity on every other mode.
-
-    The basis must be a full product space: a single ladder operator leaves
-    every sector.  Restrict conserving products of embedded operators to
-    reach a sector.
-    """
-    if not basis.is_full:
-        raise ValueError("embedding requires a full-space basis: a single ladder "
-                         "operator leaves every sector")
-    d = basis.order.n + 1
-    mat = sp.csr_matrix(op)
-    if mat.shape != (d, d):
-        raise ValueError(f"single-mode operator must be {d}x{d}, got {mat.shape}")
-    flat = basis.mode_flat(mode.position, mode.state)
-    return as_operator(_embed_flat(mat, flat, basis), basis.basis_tag)
 
 
 def _sector_rows(op: ComplexOperator, full_basis: FockBasis, sector_basis: FockBasis) -> np.ndarray:
@@ -215,28 +188,77 @@ def leakage(op: ComplexOperator, full_basis: FockBasis, sector_basis: FockBasis)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _embedded_mode_ops(basis: FockBasis) -> dict[str, list[sp.csr_matrix]]:
-    """Every single-mode matrix embedded at every flat mode, cached per basis."""
-    ops = single_mode_ops(basis.order)
-    return {
-        name: [_embed_flat(getattr(ops, name), f, basis) for f in range(basis.modes)]
-        for name in ("a", "b", "a_dag", "b_dag", "num")
-    }
+#: Each letter name as (raises, takes the conjugate ``b`` amplitude).
+_LETTERS = {"a_dag": (True, False), "b_dag": (True, True), "b": (False, False), "a": (False, True)}
+
+#: A word: its letters ``(name, flat mode)``, written left to right.
+_Word = Sequence[tuple[str, int]]
 
 
-def _word(mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
-    """Product of a left-to-right written word (rightmost factor acts first)."""
-    out = mats[0]
-    for m in mats[1:]:
-        out = out @ m
-    return out
+def _apply_words(basis: FockBasis, groups: Sequence[Sequence[_Word]]) -> sp.coo_matrix:
+    """Sum of words applied to the occupation array of ``basis``.
+
+    A word is a left-to-right list of letters ``(name, flat mode)``; its
+    rightmost letter acts first.  The words of one group differ only in which
+    letters are conjugated, so they act on the same rows and send each to the
+    same target.  Amplitude products are taken left to right, once per
+    distinct tuple of met levels.  A group that returns every state to itself
+    adds to the diagonal as ``(acc + w1) + w2`` in group order; any other
+    group stores ``w1 + w2`` at its targets.  These are the orders of the
+    sparse sum of the words' matrix products, so the result is bit-identical
+    to it.
+    """
+    n, dim = basis.order.n, basis.dim
+    occ, ranks = basis.occupations, basis.ranks
+    amp = [0j] + [sqrt_bracket(level, basis.order) for level in range(1, n + 1)]
+    place = _radix(n, basis.modes).tolist()
+    diag = np.zeros(dim, dtype=np.complex128)
+    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
+    for words in groups:
+        # The level each letter meets, found from the right: a lowerer meets
+        # the current level, a raiser the level it raises to.  The word acts
+        # where every met level lies in 1..n.
+        current: dict[int, np.ndarray] = {}
+        met = []
+        shift = 0
+        for name, flat in reversed(words[0]):
+            raises = _LETTERS[name][0]
+            level = current.get(flat, occ[:, flat])
+            met.append(level + 1 if raises else level)
+            current[flat] = level + 1 if raises else level - 1
+            shift += place[flat] if raises else -place[flat]
+        met = np.stack(met[::-1], axis=1)
+        acts = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=1))
+        # One base-(n+1) integer per row: its numeric order is the
+        # lexicographic order of the met levels.
+        key = met[acts] @ _radix(n, met.shape[1])
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        conj = [[_LETTERS[name][1] for name, _ in word] for word in words]
+        products = np.array([
+            [reduce(mul, [amp[u].conjugate() if c else amp[u] for u, c in zip(levels, flags)])
+             for flags in conj]
+            for levels in met[acts[first]].tolist()
+        ], dtype=np.complex128).reshape(-1, len(words))
+        weights = products[inverse].T
+        if shift == 0:
+            for w in weights:
+                diag[acts] = diag[acts] + w
+        else:
+            rows.append(np.searchsorted(ranks, ranks[acts] + shift))
+            cols.append(acts)
+            vals.append(reduce(np.add, weights))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
 
 
-def _require_full(basis: FockBasis, what: str) -> None:
-    if not basis.is_full:
-        raise ValueError(f"{what} is assembled on the full space; restrict the result "
-                         "to reach a sector")
+@lru_cache(maxsize=256)
+def _ladder_cached(basis: FockBasis, name: str, flat: int) -> ComplexOperator:
+    """One single-mode ladder matrix (``a``, ``b``, ``a_dag`` or ``b_dag``)
+    acting on one flat mode of a full basis, identity on every other mode.
+    """
+    return as_operator(_apply_words(basis, [[[(name, flat)]]]), basis.basis_tag)
 
 
 @lru_cache(maxsize=256)
@@ -245,48 +267,20 @@ def _exchange_cached(basis: FockBasis, i: int, j: int) -> ComplexOperator:
     ``a†(i,k) a†(j,l) b(i,l) b(j,k)`` and ``a†(i,k) b†(j,l) b(i,l) a(j,k)``.
 
     Both words of one ``(k, l)`` send a state to the same target, which is
-    the state itself only for ``k == l``.  Entries are summed in the order of
-    the sparse sum ``total + w1 + w2`` over ``(k, l)`` in row-major order, so
-    the matrix is bit-identical to the product of embedded ladder matrices.
+    the state itself only for ``k == l``; the groups run over ``(k, l)`` in
+    row-major order.
     """
-    n, dim = basis.order.n, basis.dim
-    occ, ranks, f = basis.occupations, basis.ranks, basis.mode_flat
-    amp = [0j] + [sqrt_bracket(level, basis.order) for level in range(1, n + 1)]
-    place = _radix(n, basis.modes).tolist()
-    diag = np.zeros(dim, dtype=np.complex128)
-    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
+    f = basis.mode_flat
+    groups = []
     for k in range(1, basis.m + 1):
         for l in range(1, basis.m + 1):
             ik, jl, il, jk = f(i, k), f(j, l), f(i, l), f(j, k)
-            same = int(k == l)
-            # The occupation each factor meets, leftmost (acting last) first:
-            # raise (i,k) to it, raise (j,l) to it, lower (i,l) from it, lower
-            # (j,k) from it.  The words act where all four lie in 1..n.
-            met = np.stack([occ[:, ik] + 1 - same, occ[:, jl] + 1 - same,
-                            occ[:, il], occ[:, jk]], axis=1)
-            acts = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=1))
-            distinct, inverse = np.unique(met[acts], axis=0, return_inverse=True)
-            products = np.array([
-                (((amp[u0] * amp[u1]) * amp[u2]) * amp[u3],
-                 ((amp[u0] * amp[u1].conjugate()) * amp[u2]) * amp[u3].conjugate())
-                for u0, u1, u2, u3 in distinct.tolist()
-            ], dtype=np.complex128).reshape(-1, 2)
-            w1, w2 = products[inverse.ravel()].T
-            if same:
-                diag[acts] = (diag[acts] + w1) + w2
-            else:
-                shift = place[ik] + place[jl] - place[il] - place[jk]
-                rows.append(np.searchsorted(ranks, ranks[acts] + shift))
-                cols.append(acts)
-                vals.append(w1 + w2)
-    total = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
+            groups.append([[("a_dag", ik), ("a_dag", jl), ("b", il), ("b", jk)],
+                           [("a_dag", ik), ("b_dag", jl), ("b", il), ("a", jk)]])
     # The two quartic words coincide on single-occupancy states, so the raw
     # sum would exchange with amplitude 2; halving makes the operator the
     # unit transposition there (tau^2 = 1 on the spin sector).
-    return as_operator(0.5 * total, basis.basis_tag)
+    return as_operator(0.5 * _apply_words(basis, groups), basis.basis_tag)
 
 
 def exchange_op(i: int, j: int, basis: FockBasis) -> ComplexOperator:
@@ -318,18 +312,18 @@ def class_sum(basis: FockBasis) -> ComplexOperator:
 
 @lru_cache(maxsize=256)
 def _generator_cached(basis: FockBasis, k: int, l: int) -> ComplexOperator:
-    emb = _embedded_mode_ops(basis)
     f = basis.mode_flat
-    total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
-    for i in range(1, basis.nu + 1):
-        total = total + _word([emb["a_dag"][f(i, k)], emb["b"][f(i, l)]])
-        total = total + _word([emb["b_dag"][f(i, k)], emb["a"][f(i, l)]])
-    return as_operator(total, basis.basis_tag)
+    groups = [[[("a_dag", f(i, k)), ("b", f(i, l))], [("b_dag", f(i, k)), ("a", f(i, l))]]
+              for i in range(1, basis.nu + 1)]
+    return as_operator(_apply_words(basis, groups), basis.basis_tag)
 
 
 def unitary_generator(k: int, l: int, basis: FockBasis) -> ComplexOperator:
-    """Generator E(k, l): state-l to state-k transfer summed over positions."""
-    _require_full(basis, "unitary_generator")
+    """Generator E(k, l): state-l to state-k transfer summed over positions,
+    the words ``a†(i,k) b(i,l)`` and ``b†(i,k) a(i,l)`` at every position.
+
+    Acts on the full space or on any sector basis.
+    """
     if not (1 <= k <= basis.m and 1 <= l <= basis.m):
         raise ValueError(f"need states in 1..{basis.m}, got ({k}, {l})")
     return _generator_cached(basis, k, l)
@@ -337,8 +331,7 @@ def unitary_generator(k: int, l: int, basis: FockBasis) -> ComplexOperator:
 
 @lru_cache(maxsize=64)
 def casimir_c1(basis: FockBasis) -> ComplexOperator:
-    """First-order Casimir: sum of the diagonal generators."""
-    _require_full(basis, "casimir_c1")
+    """First-order Casimir: sum of the diagonal generators, on any basis."""
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
     for l in range(1, basis.m + 1):
         total = total + _generator_cached(basis, l, l).mat
@@ -347,8 +340,7 @@ def casimir_c1(basis: FockBasis) -> ComplexOperator:
 
 @lru_cache(maxsize=64)
 def casimir_c2(basis: FockBasis) -> ComplexOperator:
-    """Second-order Casimir: sum over k, l of E(k,l) E(l,k)."""
-    _require_full(basis, "casimir_c2")
+    """Second-order Casimir: sum over k, l of E(k,l) E(l,k), on any basis."""
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
     for k in range(1, basis.m + 1):
         for l in range(1, basis.m + 1):

@@ -11,6 +11,13 @@ to one residual recipe.  Identities split into two sets:
 
 A task that raises ``ValueError`` (sizing included) gets ``status="error"``.
 
+Each task evaluates on one basis: its sector, or the full space.  The
+operators are built on that basis directly, and it is sized before it is
+enumerated, so a sector task never builds its full space.  Only
+``ladder_nbracket_identity`` (single ladder letters leave every sector) and
+``sector_conservation`` (which measures the leakage out of a sector) are
+full-space statements.
+
 The residual of a task is the largest entry magnitude of its sparse
 difference matrices (``operators.max_abs``), read exactly in both modes.
 Dense mode refuses a task whose evaluation dimension is over the dense cap;
@@ -30,10 +37,18 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import DEFAULT_DIMENSION_CAP, FockBasis, SizingError, enumerate_basis
+from .basis import (
+    DEFAULT_DIMENSION_CAP,
+    FockBasis,
+    SizingError,
+    check_full_dimension,
+    check_sector_dimension,
+    enumerate_basis,
+)
 from .operators import (
     DENSE_EIG_CAP,
     ComplexOperator,
+    _ladder_cached,
     casimir_c1,
     casimir_c2,
     class_sum,
@@ -46,7 +61,6 @@ from .operators import (
     max_abs,
     occupation_diag,
     position_number,
-    restrict,
     single_mode_ops,
     total_number,
     unitary_generator,
@@ -201,28 +215,22 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _checked_bases(
-    task: VerificationTask, cap: int, dense_cap: int
-) -> tuple[FockBasis, Optional[FockBasis]]:
-    """Full basis and optional sector basis; dense tasks must fit ``dense_cap``."""
+def _checked_basis(task: VerificationTask, cap: int, dense_cap: int) -> FockBasis:
+    """The one basis a task evaluates on: its sector, or the full space.
+
+    It is sized before it is enumerated; dense tasks must fit ``dense_cap``.
+    """
     order = GentileOrder(task.n)
-    full = enumerate_basis(task.nu, task.m, order, sector=None, cap=cap)
-    sector = None
-    if task.subspace is not None:
-        sector = enumerate_basis(task.nu, task.m, order, sector=task.subspace, cap=cap)
-    dim = full.dim if sector is None else sector.dim
+    if task.subspace is None:
+        dim = check_full_dimension(task.n, task.nu, task.m, cap)
+    else:
+        dim = check_sector_dimension(task.n, task.nu, task.m, task.subspace, cap)
     if task.mode == "dense" and dim > dense_cap:
         raise SizingError(
             f"dense mode limited to dim <= {dense_cap}, task needs {dim}; "
             "use sampled mode"
         )
-    return full, sector
-
-
-def _on_subspace(op: ComplexOperator, full: FockBasis, sector: Optional[FockBasis]) -> sp.csr_matrix:
-    if sector is None:
-        return op.mat
-    return restrict(op, full, sector).mat
+    return enumerate_basis(task.nu, task.m, order, sector=task.subspace, cap=cap)
 
 
 @lru_cache(maxsize=64)
@@ -275,18 +283,14 @@ def _single_mode_diffs(order: GentileOrder) -> dict[str, tuple[sp.csr_matrix, ..
 
 
 def _recipe_ladder_nbracket(task, cap, dense_cap):
-    order = GentileOrder(task.n)
-    full, _ = _checked_bases(replace(task, subspace=None), cap, dense_cap)
-    from .operators import _embedded_mode_ops  # embedded cache shared with builders
-
-    emb = _embedded_mode_ops(full)
-    q = order.q
+    full = _checked_basis(replace(task, subspace=None), cap, dense_cap)
+    q = full.order.q
     eye = sp.identity(full.dim, dtype=np.complex128, format="csr")
     diffs = []
     for f1 in range(full.modes):
         for f2 in range(full.modes):
-            lower = emb["b"][f1]
-            raiser = emb["a_dag"][f2]
+            lower = _ladder_cached(full, "b", f1).mat
+            raiser = _ladder_cached(full, "a_dag", f2).mat
             if f1 == f2:
                 diffs.append(lower @ raiser - q * (raiser @ lower) - eye)
             else:
@@ -328,13 +332,12 @@ def _recipe_occupation_functions(task, cap, dense_cap):
 
 
 def _recipe_generator_commutation(task, cap, dense_cap):
-    full, sector = _checked_bases(task, cap, dense_cap)
-    basis_eval = full if sector is None else sector
+    basis_eval = _checked_basis(task, cap, dense_cap)
     m = task.m
     ident = {}
     for k in range(1, m + 1):
         for l in range(1, m + 1):
-            ident[(k, l)] = _on_subspace(unitary_generator(k, l, full), full, sector)
+            ident[(k, l)] = unitary_generator(k, l, basis_eval).mat
 
     def corr(k, l):
         total = sp.csr_matrix((basis_eval.dim, basis_eval.dim), dtype=np.complex128)
@@ -382,14 +385,14 @@ def _recipe_quartic_words(task, cap, dense_cap):
 
 
 def _recipe_duality(task, cap, dense_cap):
-    full, sector = _checked_bases(task, cap, dense_cap)
+    basis = _checked_basis(task, cap, dense_cap)
     taus = {
-        (i, j): _on_subspace(exchange_op(i, j, full), full, sector)
+        (i, j): exchange_op(i, j, basis).mat
         for i in range(1, task.nu + 1)
         for j in range(i + 1, task.nu + 1)
     }
     gens = {
-        (s, t): _on_subspace(unitary_generator(s, t, full), full, sector)
+        (s, t): unitary_generator(s, t, basis).mat
         for s in range(1, task.m + 1)
         for t in range(1, task.m + 1)
     }
@@ -402,14 +405,13 @@ def _recipe_duality(task, cap, dense_cap):
     return diffs, 0.0, detail
 
 
-def _theorem_sides(task, full, sector):
-    """LHS-RHS matrix of the class-sum / Casimir relation on the subspace."""
-    order = GentileOrder(task.n)
-    p_mat = _on_subspace(class_sum(full), full, sector)
-    j_mat = _on_subspace(coupling_sum(full), full, sector)
-    c1 = _on_subspace(casimir_c1(full), full, sector)
-    c2 = _on_subspace(casimir_c2(full), full, sector)
-    qp = order.q * p_mat
+def _theorem_sides(task, basis):
+    """LHS-RHS matrix of the class-sum / Casimir relation on ``basis``."""
+    p_mat = class_sum(basis).mat
+    j_mat = coupling_sum(basis).mat
+    c1 = casimir_c1(basis).mat
+    c2 = casimir_c2(basis).mat
+    qp = basis.order.q * p_mat
     if task.interpretation == "hermitian_part":
         interp = hermitian_part(qp)
     else:
@@ -419,41 +421,40 @@ def _theorem_sides(task, full, sector):
 
 
 def _recipe_class_sum_casimir(task, cap, dense_cap):
-    full, sector = _checked_bases(task, cap, dense_cap)
+    basis = _checked_basis(task, cap, dense_cap)
     if task.interpretation == "not_applicable":
         task = replace(task, interpretation="entrywise_real")
-    diff = _theorem_sides(task, full, sector)
+    diff = _theorem_sides(task, basis)
     detail = f"real-part reading: {task.interpretation}"
     return [diff], 0.0, detail
 
 
-def _limit_sides(task, full, sector):
+def _limit_sides(task, basis):
     sign = -1.0 if task.n == 1 else 1.0
-    p_mat = _on_subspace(class_sum(full), full, sector)
-    n_mat = _on_subspace(total_number(full), full, sector)
-    c1 = _on_subspace(casimir_c1(full), full, sector)
-    c2 = _on_subspace(casimir_c2(full), full, sector)
+    p_mat = class_sum(basis).mat
+    n_mat = total_number(basis).mat
+    c1 = casimir_c1(basis).mat
+    c2 = casimir_c2(basis).mat
     m = task.m
     return sign * p_mat - m * n_mat - (0.5 * c2 - 0.5 * m * c1), sign
 
 
 def _recipe_limit_relation(task, cap, dense_cap):
-    full, sector = _checked_bases(task, cap, dense_cap)
-    diff, sign = _limit_sides(task, full, sector)
+    diff, sign = _limit_sides(task, _checked_basis(task, cap, dense_cap))
     label = "max-occupation-1 limit" if task.n == 1 else "large-n reading"
     return [diff], 0.0, f"sign {sign:+.0f} ({label})"
 
 
 def _recipe_casimir_hermiticity(task, cap, dense_cap):
-    full, sector = _checked_bases(task, cap, dense_cap)
-    c1 = _on_subspace(casimir_c1(full), full, sector)
-    c2 = _on_subspace(casimir_c2(full), full, sector)
+    basis = _checked_basis(task, cap, dense_cap)
+    c1 = casimir_c1(basis).mat
+    c2 = casimir_c2(basis).mat
     diffs = [c1 - c1.getH(), c2 - c2.getH()]
     return diffs, 0.0, "adjoint comparison of both Casimir operators"
 
 
 def _recipe_sector_conservation(task, cap, dense_cap):
-    full, _ = _checked_bases(replace(task, subspace=None), cap, dense_cap)
+    full = _checked_basis(replace(task, subspace=None), cap, dense_cap)
     ops: list[ComplexOperator] = []
     for i in range(1, task.nu + 1):
         for j in range(i + 1, task.nu + 1):
@@ -479,17 +480,15 @@ def _recipe_sector_conservation(task, cap, dense_cap):
 def _spectrum_match(task, cap, dense_cap):
     order = GentileOrder(task.n)
     sector_total = task.subspace if task.subspace is not None else 1
-    full = enumerate_basis(task.nu, task.m, order, sector=None, cap=cap)
-    sector = enumerate_basis(task.nu, task.m, order, sector=sector_total, cap=cap)
-    if sector.dim > dense_cap:
+    dim = check_sector_dimension(task.n, task.nu, task.m, sector_total, cap)
+    if dim > dense_cap:
         raise SizingError(
-            f"spectral comparison needs a dense solve; sector dim {sector.dim} "
+            f"spectral comparison needs a dense solve; sector dim {dim} "
             f"> cap {dense_cap}"
         )
-    c1_s = restrict(casimir_c1(full), full, sector)
-    c2_s = restrict(casimir_c2(full), full, sector)
-    measured_c1 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(c1_s)})
-    measured_c2 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(c2_s)})
+    sector = enumerate_basis(task.nu, task.m, order, sector=sector_total, cap=cap)
+    measured_c1 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(casimir_c1(sector))})
+    measured_c2 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(casimir_c2(sector))})
 
     parts = partitions_of(task.nu, task.m)
     report = []
@@ -665,9 +664,9 @@ def limit_theorem_agreement(nu: int, m: int, subspace: Optional[int] = 1) -> flo
         subspace=subspace,
         interpretation="entrywise_real",
     )
-    full, sector = _checked_bases(task, DEFAULT_DIMENSION_CAP, DENSE_EIG_CAP)
-    d_theorem = _theorem_sides(task, full, sector)
-    d_limit, _ = _limit_sides(task, full, sector)
+    basis = _checked_basis(task, DEFAULT_DIMENSION_CAP, DENSE_EIG_CAP)
+    d_theorem = _theorem_sides(task, basis)
+    d_limit, _ = _limit_sides(task, basis)
     return max_abs(d_theorem - d_limit)
 
 

@@ -99,6 +99,19 @@ class TestVerifyCommand:
         assert code == 3
         assert "dense" in capsys.readouterr().err
 
+    def test_sector_tasks_sized_by_their_sector(self, tmp_path, capsys):
+        # The full space (2**14 states) is over the dense cap, the sector (128)
+        # is not: only the two full-space identities become task errors.
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--n", "1", "--nu", "7", "--m", "2", "--subspace",
+                        "sector:1", "--no-timestamp", "--out", str(out)])
+        assert code == 3
+        assert "dense" in capsys.readouterr().err
+        verdicts = read_json(out)["verdicts"]
+        errors = {v["identity"] for v in verdicts if v["status"] == "error"}
+        assert errors == {"ladder_nbracket_identity", "sector_conservation"}
+        assert all(v["residual"] is not None for v in verdicts if v["status"] != "error")
+
     def test_bad_subspace_exits_three(self, tmp_path, capsys):
         code = run_cli(["verify", "--subspace", "half", "--out", str(tmp_path / "x")])
         assert code == 3

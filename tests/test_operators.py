@@ -1,7 +1,8 @@
-"""Operator kernel: ladder matrices, embeddings, composites, eigensolver."""
+"""Operator kernel: ladder matrices, word application, composites, eigensolver."""
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from gentile import (
     commutator,
     coupling_sum,
     eigensolve_hermitian,
-    embed,
     entrywise_conjugate,
     entrywise_real,
     enumerate_basis,
@@ -37,7 +37,7 @@ from gentile import (
     total_number,
     unitary_generator,
 )
-from gentile.operators import _embedded_mode_ops, _word
+from gentile.operators import _ladder_cached
 from gentile.verifier import single_mode_residuals
 
 
@@ -60,6 +60,49 @@ def swap_matrix_oracle(sector_basis, i, j):
     return out
 
 
+def kron_embed_flat(op, flat, basis):
+    """A single-mode matrix at one flat mode: identity Kronecker products."""
+    d = basis.order.n + 1
+    left = d**flat
+    right = d ** (basis.modes - 1 - flat)
+    out = sp.csr_matrix(op, dtype=np.complex128)
+    if left > 1:
+        out = sp.kron(sp.identity(left, dtype=np.complex128, format="csr"), out, format="csr")
+    if right > 1:
+        out = sp.kron(out, sp.identity(right, dtype=np.complex128, format="csr"), format="csr")
+    return out
+
+
+def kron_embed(op, mode, basis):
+    """Place a single-mode matrix on ``mode`` of a full basis."""
+    if not basis.is_full:
+        raise ValueError("embedding requires a full-space basis")
+    d = basis.order.n + 1
+    mat = sp.csr_matrix(op)
+    if mat.shape != (d, d):
+        raise ValueError(f"single-mode operator must be {d}x{d}, got {mat.shape}")
+    flat = basis.mode_flat(mode.position, mode.state)
+    return as_operator(kron_embed_flat(mat, flat, basis), basis.basis_tag)
+
+
+@lru_cache(maxsize=32)
+def kron_mode_ops(full):
+    """Every single-mode matrix embedded at every flat mode of a full basis."""
+    ops = single_mode_ops(full.order)
+    return {
+        name: [kron_embed_flat(getattr(ops, name), f, full) for f in range(full.modes)]
+        for name in ("a", "b", "a_dag", "b_dag", "num")
+    }
+
+
+def kron_word(mats):
+    """Product of a left-to-right written word (rightmost factor acts first)."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = out @ m
+    return out
+
+
 def kron_exchange_oracle(full, i, j):
     """Reference exchange: products of Kronecker-embedded ladder matrices.
 
@@ -67,15 +110,15 @@ def kron_exchange_oracle(full, i, j):
     space only: both quartic words of every (k, l) as sparse matrix
     products, summed, halved and pruned.
     """
-    emb = _embedded_mode_ops(full)
+    emb = kron_mode_ops(full)
     f = full.mode_flat
     total = sp.csr_matrix((full.dim, full.dim), dtype=np.complex128)
     for k in range(1, full.m + 1):
         for l in range(1, full.m + 1):
-            w1 = _word(
+            w1 = kron_word(
                 [emb["a_dag"][f(i, k)], emb["a_dag"][f(j, l)], emb["b"][f(i, l)], emb["b"][f(j, k)]]
             )
-            w2 = _word(
+            w2 = kron_word(
                 [emb["a_dag"][f(i, k)], emb["b_dag"][f(j, l)], emb["b"][f(i, l)], emb["a"][f(j, k)]]
             )
             total = total + w1 + w2
@@ -88,6 +131,33 @@ def kron_class_sum_oracle(full):
         for j in range(i + 1, full.nu + 1):
             total = total + kron_exchange_oracle(full, i, j).mat
     return as_operator(total, full.basis_tag)
+
+
+def kron_generator_oracle(full, k, l):
+    """Reference E(k, l): both two-letter words at every position, summed."""
+    emb = kron_mode_ops(full)
+    f = full.mode_flat
+    total = sp.csr_matrix((full.dim, full.dim), dtype=np.complex128)
+    for i in range(1, full.nu + 1):
+        total = total + kron_word([emb["a_dag"][f(i, k)], emb["b"][f(i, l)]])
+        total = total + kron_word([emb["b_dag"][f(i, k)], emb["a"][f(i, l)]])
+    return as_operator(total, full.basis_tag)
+
+
+def kron_casimir_oracles(full):
+    """Reference C1 and C2 from the reference generators."""
+    gens = {
+        (k, l): kron_generator_oracle(full, k, l).mat
+        for k in range(1, full.m + 1)
+        for l in range(1, full.m + 1)
+    }
+    c1 = sp.csr_matrix((full.dim, full.dim), dtype=np.complex128)
+    c2 = sp.csr_matrix((full.dim, full.dim), dtype=np.complex128)
+    for k in range(1, full.m + 1):
+        c1 = c1 + gens[(k, k)]
+        for l in range(1, full.m + 1):
+            c2 = c2 + gens[(k, l)] @ gens[(l, k)]
+    return as_operator(c1, full.basis_tag), as_operator(c2, full.basis_tag)
 
 
 def assert_bit_equal(op, ref):
@@ -115,16 +185,28 @@ def test_word_application_matches_kron_oracle(n, nu, m):
     order = GentileOrder(n)
     full = enumerate_basis(nu, m, order)
     pairs = [(i, j) for i in range(1, nu + 1) for j in range(i + 1, nu + 1)]
-    exchanges = {pair: kron_exchange_oracle(full, *pair) for pair in pairs}
-    total = kron_class_sum_oracle(full)
-    for pair, ref in exchanges.items():
-        assert_bit_equal(exchange_op(*pair, full), ref)
-    assert_bit_equal(class_sum(full), total)
+    # (builder on a basis, full-space oracle) pairs
+    cases = [(lambda b, p=pair: exchange_op(*p, b), kron_exchange_oracle(full, *pair))
+             for pair in pairs]
+    cases.append((class_sum, kron_class_sum_oracle(full)))
+    cases += [(lambda b, k=k, l=l: unitary_generator(k, l, b), kron_generator_oracle(full, k, l))
+              for k in range(1, m + 1) for l in range(1, m + 1)]
+    cases += zip((casimir_c1, casimir_c2), kron_casimir_oracles(full))
+    for build, ref in cases:
+        assert_bit_equal(build(full), ref)
     for t in range(n * m + 1):
         sector = enumerate_basis(nu, m, order, sector=t)
-        for pair, ref in exchanges.items():
-            assert_bit_equal(exchange_op(*pair, sector), restrict(ref, full, sector))
-        assert_bit_equal(class_sum(sector), restrict(total, full, sector))
+        for build, ref in cases:
+            assert_bit_equal(build(sector), restrict(ref, full, sector))
+    # One-letter words: the conjugated letters carry -0.0 imaginary parts
+    # where the Kronecker product gives +0.0, so compare values, not bits.
+    emb = kron_mode_ops(full)
+    for name in ("a", "b", "a_dag", "b_dag"):
+        for flat in range(full.modes):
+            op, ref = _ladder_cached(full, name, flat).mat, emb[name][flat]
+            assert np.array_equal(op.indptr, ref.indptr)
+            assert np.array_equal(op.indices, ref.indices)
+            assert np.array_equal(op.data, ref.data)
 
 
 class TestSingleMode:
@@ -179,14 +261,14 @@ class TestEmbedding:
         order = GentileOrder(1)
         basis = enumerate_basis(2, 2, order)
         eye = sp.identity(2, dtype=complex, format="csr")
-        embedded = embed(eye, ModeIndex(1, 2), basis)
+        embedded = kron_embed(eye, ModeIndex(1, 2), basis)
         assert max_abs(embedded.mat - sp.identity(basis.dim, dtype=complex)) == 0.0
 
     def test_number_embedding_is_occupation_diagonal(self):
         order = GentileOrder(2)
         basis = enumerate_basis(2, 2, order)
         ops = single_mode_ops(order)
-        embedded = embed(ops.num, ModeIndex(1, 1), basis)
+        embedded = kron_embed(ops.num, ModeIndex(1, 1), basis)
         diag = embedded.mat.diagonal().real
         np.testing.assert_array_equal(diag, basis.occupations[:, 0])
 
@@ -194,8 +276,8 @@ class TestEmbedding:
         order = GentileOrder(1)
         basis = enumerate_basis(2, 2, order)
         ops = single_mode_ops(order)
-        first = embed(ops.a, ModeIndex(1, 1), basis)
-        second = embed(ops.a, ModeIndex(2, 2), basis)
+        first = kron_embed(ops.a, ModeIndex(1, 1), basis)
+        second = kron_embed(ops.a, ModeIndex(2, 2), basis)
         assert max_abs(commutator(first, second)) == 0.0
 
     def test_shape_and_sector_rejection(self):
@@ -203,15 +285,15 @@ class TestEmbedding:
         basis = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         with pytest.raises(ValueError):
-            embed(np.eye(2), ModeIndex(1, 1), basis)  # needs 3x3 at n=2
+            kron_embed(np.eye(2), ModeIndex(1, 1), basis)  # needs 3x3 at n=2
         with pytest.raises(ValueError):
-            embed(np.eye(3), ModeIndex(1, 1), sector)
+            kron_embed(np.eye(3), ModeIndex(1, 1), sector)
 
     def test_embedded_ladder_entry_count(self):
         order = GentileOrder(2)
         basis = enumerate_basis(2, 2, order)
         ops = single_mode_ops(order)
-        embedded = embed(ops.a, ModeIndex(2, 1), basis)
+        embedded = kron_embed(ops.a, ModeIndex(2, 1), basis)
         assert embedded.nnz <= basis.dim
 
 
@@ -236,7 +318,7 @@ class TestRestriction:
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         ops = single_mode_ops(order)
-        lone = embed(ops.a, ModeIndex(1, 1), full)
+        lone = kron_embed(ops.a, ModeIndex(1, 1), full)
         assert leakage(lone, full, sector) > 0.0
 
     def test_leakage_counts_both_directions(self):

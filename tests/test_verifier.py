@@ -172,6 +172,16 @@ class TestGrid:
         assert "dense" in verdicts[0].detail
         assert verdicts[0].detail.startswith("task error (SizingError): ")
 
+    def test_sector_task_never_builds_its_full_space(self):
+        # The full space has 2**22 states, over the default cap of 2**20; the
+        # sector has 2048, and a sector task is sized and built on it alone.
+        shape = dict(n=1, nu=11, m=2, subspace=1)
+        verdict = run_task(VerificationTask(IdentityId.CASIMIR_HERMITICITY, **shape))
+        assert verdict.status == "pass", verdict.detail
+        spectrum = run_task(VerificationTask(IdentityId.CASIMIR_SPECTRUM, **shape))
+        assert spectrum.status == "report_only", spectrum.detail
+        assert spectrum.residual is not None
+
     def test_single_mode_identities_note_grid_echo(self):
         verdict = run_task(make_task(IdentityId.QUARTIC_WORD_BRACKET))
         assert verdict.identity in SINGLE_MODE_IDENTITIES
