@@ -244,7 +244,7 @@ def _cmd_verify(args) -> int:
     print(f"{'identity':<34} {'tasks':>5} {'pass':>5} {'fail':>5} {'report':>6} "
           f"{'error':>5} {'max residual':>14}")
     for identity in sorted(IdentityId, key=lambda i: i.value):
-        group = [v for v in verdicts if v.identity is identity]
+        group = [v for v in verdicts if v.task.identity is identity]
         if not group:
             continue
         counts = Counter(v.status for v in group)
@@ -254,9 +254,9 @@ def _cmd_verify(args) -> int:
               f"{counts['report_only']:>6} {counts['error']:>5} {worst:>14}")
     errors = [v for v in verdicts if v.status == "error"]
     if errors:
-        e = errors[0]
+        e, t = errors[0], errors[0].task
         print(f"gentile: error: {len(errors)} of {len(verdicts)} tasks are task errors; "
-              f"first {e.identity.value} (n={e.n}, nu={e.nu}, m={e.m}, {e.subspace}): "
+              f"first {t.identity.value} (n={t.n}, nu={t.nu}, m={t.m}, {t.subspace_label}): "
               f"{e.detail}", file=sys.stderr)
         return 3
     return 2 if any(v.status == "fail" for v in verdicts) else 0

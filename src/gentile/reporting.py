@@ -102,26 +102,11 @@ def atomic_write(path: str, data: bytes) -> None:
 
 
 def verdict_rows(verdicts: Sequence[Verdict]) -> list[list]:
-    rows = []
-    for v in verdicts:
-        rows.append(
-            [
-                v.identity.value,
-                v.n,
-                v.nu,
-                v.m,
-                v.subspace,
-                v.interpretation,
-                v.mode,
-                v.k,
-                v.seed,
-                float_repr(v.residual),
-                float_repr(v.tolerance),
-                v.status,
-                v.detail,
-            ]
-        )
-    return rows
+    return [
+        [float_repr(value) if key in ("residual", "tolerance") else value
+         for key, value in v.record().items()]
+        for v in verdicts
+    ]
 
 
 # -- spectrum ----------------------------------------------------------------

@@ -20,11 +20,16 @@ full-space statements.
 
 The residual of a task is the largest entry magnitude of its sparse
 difference matrices (``operators.max_abs``), read exactly in both modes.
-Dense mode refuses a task whose evaluation dimension is over the dense cap;
-sampled mode skips that check and gives the same residual.  ``k`` and
-``seed`` are validated and echoed in the verdict but change no residual.
-Tasks are independent; verdict order is fixed by sorting, so concurrent
-evaluation and re-runs are reproducible.
+``run_task`` is the only place the mode acts: dense mode refuses a task
+whose evaluation dimension is over the dense cap, and sampled mode lifts
+that cap for residual evaluation and gives the same residual.  The spectral
+comparison solves densely, so it keeps the cap in both modes.  ``mode``,
+``k`` and ``seed`` are validated and echoed but change no residual.
+
+A ``Verdict`` is its task plus the outcome: residual, status and detail;
+its tolerance follows from the identity.  Tasks are independent; verdict
+order is fixed by sorting, so concurrent evaluation and re-runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -115,6 +121,11 @@ CONTESTED: frozenset[IdentityId] = frozenset(
 #: Nominal tolerance echoed on contested verdicts.
 REPORT_TOLERANCE = 1e-10
 
+
+def tolerance_for(identity: IdentityId) -> float:
+    return GUARANTEED.get(identity, REPORT_TOLERANCE)
+
+
 INTERPRETATIONS = ("entrywise_real", "hermitian_part")
 
 #: Identities evaluated on the single-mode space only (grid echoes nu/m).
@@ -165,44 +176,33 @@ class VerificationTask:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one task: residual, tolerance, and status."""
+    """One task and its outcome: residual, status and detail."""
 
-    identity: IdentityId
-    n: int
-    nu: int
-    m: int
-    subspace: str
-    interpretation: str
-    mode: str
-    k: int
-    seed: int
+    task: VerificationTask
     residual: Optional[float]
-    tolerance: float
     status: str
     detail: str = ""
 
+    @property
+    def tolerance(self) -> float:
+        return tolerance_for(self.task.identity)
+
     def sort_key(self):
-        return (
-            self.identity.value,
-            self.n,
-            self.nu,
-            self.m,
-            self.subspace,
-            self.interpretation,
-            self.mode,
-        )
+        t = self.task
+        return (t.identity.value, t.n, t.nu, t.m, t.subspace_label, t.interpretation, t.mode)
 
     def record(self) -> dict:
+        t = self.task
         return {
-            "identity": self.identity.value,
-            "n": self.n,
-            "nu": self.nu,
-            "m": self.m,
-            "subspace": self.subspace,
-            "interpretation": self.interpretation,
-            "mode": self.mode,
-            "k": self.k,
-            "seed": self.seed,
+            "identity": t.identity.value,
+            "n": t.n,
+            "nu": t.nu,
+            "m": t.m,
+            "subspace": t.subspace_label,
+            "interpretation": t.interpretation,
+            "mode": t.mode,
+            "k": t.k,
+            "seed": t.seed,
             "residual": self.residual,
             "tolerance": self.tolerance,
             "status": self.status,
@@ -215,20 +215,20 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _checked_basis(task: VerificationTask, cap: int, dense_cap: int) -> FockBasis:
+def _checked_basis(task: VerificationTask, cap: int, dense_cap: Optional[int]) -> FockBasis:
     """The one basis a task evaluates on: its sector, or the full space.
 
-    It is sized before it is enumerated; dense tasks must fit ``dense_cap``.
+    It is sized before it is enumerated, and must fit ``dense_cap`` if given.
     """
     order = GentileOrder(task.n)
     if task.subspace is None:
         dim = check_full_dimension(task.n, task.nu, task.m, cap)
     else:
         dim = check_sector_dimension(task.n, task.nu, task.m, task.subspace, cap)
-    if task.mode == "dense" and dim > dense_cap:
+    if dense_cap is not None and dim > dense_cap:
+        space = "full-space" if task.subspace is None else "sector"
         raise SizingError(
-            f"dense mode limited to dim <= {dense_cap}, task needs {dim}; "
-            "use sampled mode"
+            f"too large for dense evaluation: {space} dim {dim} > cap {dense_cap}"
         )
     return enumerate_basis(task.nu, task.m, order, sector=task.subspace, cap=cap)
 
@@ -478,15 +478,8 @@ def _recipe_sector_conservation(task, cap, dense_cap):
 
 
 def _spectrum_match(task, cap, dense_cap):
-    order = GentileOrder(task.n)
     sector_total = task.subspace if task.subspace is not None else 1
-    dim = check_sector_dimension(task.n, task.nu, task.m, sector_total, cap)
-    if dim > dense_cap:
-        raise SizingError(
-            f"spectral comparison needs a dense solve; sector dim {dim} "
-            f"> cap {dense_cap}"
-        )
-    sector = enumerate_basis(task.nu, task.m, order, sector=sector_total, cap=cap)
+    sector = _checked_basis(replace(task, subspace=sector_total), cap, dense_cap)
     measured_c1 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(casimir_c1(sector))})
     measured_c2 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(casimir_c2(sector))})
 
@@ -543,24 +536,25 @@ _RECIPES = {
 }
 
 
-def tolerance_for(identity: IdentityId) -> float:
-    return GUARANTEED.get(identity, REPORT_TOLERANCE)
-
-
 def run_task(
     task: VerificationTask,
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
     dense_cap: int = DENSE_EIG_CAP,
 ) -> Verdict:
-    """Evaluate one task and classify the residual."""
-    tolerance = tolerance_for(task.identity)
+    """Evaluate one task and classify the residual.
+
+    This is the one place ``task.mode`` acts: sampled mode evaluates residuals
+    without the dense cap.  The spectral comparison solves densely in both.
+    """
+    sampled = task.mode == "sampled"
     try:
         if task.identity is IdentityId.CASIMIR_SPECTRUM:
             residual, detail = _spectrum_match(task, dimension_cap, dense_cap)
-            if task.mode == "sampled":
+            if sampled:
                 detail += "; spectral comparison always solves densely"
         else:
-            diffs, extra, detail = _RECIPES[task.identity](task, dimension_cap, dense_cap)
+            recipe = _RECIPES[task.identity]
+            diffs, extra, detail = recipe(task, dimension_cap, None if sampled else dense_cap)
             residual = max([extra, *map(max_abs, diffs)])
     except ValueError as exc:  # SizingError included
         residual, status = None, "error"
@@ -568,27 +562,13 @@ def run_task(
     else:
         if task.identity in CONTESTED:
             status = "report_only"
-        elif residual is not None and residual < tolerance:
+        elif residual is not None and residual < tolerance_for(task.identity):
             status = "pass"
         else:
             status = "fail"
         if task.identity in SINGLE_MODE_IDENTITIES:
             detail += "; nu/m/subspace echo the grid point only"
-    return Verdict(
-        identity=task.identity,
-        n=task.n,
-        nu=task.nu,
-        m=task.m,
-        subspace=task.subspace_label,
-        interpretation=task.interpretation,
-        mode=task.mode,
-        k=task.k,
-        seed=task.seed,
-        residual=residual,
-        tolerance=tolerance,
-        status=status,
-        detail=detail,
-    )
+    return Verdict(task, residual, status, detail)
 
 
 def expand_tasks(
@@ -603,32 +583,14 @@ def expand_tasks(
     identities: Sequence[IdentityId] = tuple(IdentityId),
 ) -> list[VerificationTask]:
     """Grid product; the class-sum relation fans out over interpretations."""
-    tasks = []
-    for identity in identities:
-        interps = (
-            interpretations
-            if identity is IdentityId.CLASS_SUM_CASIMIR
-            else ("not_applicable",)
+    return [
+        VerificationTask(identity, n, nu, m, sub, interp, mode, k, seed)
+        for identity in identities
+        for n, nu, m, sub in product(ns, nus, ms, subspaces)
+        for interp in (
+            interpretations if identity is IdentityId.CLASS_SUM_CASIMIR else ("not_applicable",)
         )
-        for n in ns:
-            for nu in nus:
-                for m in ms:
-                    for sub in subspaces:
-                        for interp in interps:
-                            tasks.append(
-                                VerificationTask(
-                                    identity=identity,
-                                    n=n,
-                                    nu=nu,
-                                    m=m,
-                                    subspace=sub,
-                                    interpretation=interp,
-                                    mode=mode,
-                                    k=k,
-                                    seed=seed,
-                                )
-                            )
-    return tasks
+    ]
 
 
 def run_grid(

@@ -150,9 +150,9 @@ class TestGrid:
     def test_default_grid_statuses(self):
         verdicts = run_grid(default_grid_tasks())
         assert all(v.status in ("pass", "report_only") for v in verdicts)
-        guaranteed = [v for v in verdicts if v.identity in GUARANTEED]
+        guaranteed = [v for v in verdicts if v.task.identity in GUARANTEED]
         assert guaranteed and all(v.status == "pass" for v in guaranteed)
-        contested = [v for v in verdicts if v.identity in CONTESTED]
+        contested = [v for v in verdicts if v.task.identity in CONTESTED]
         assert contested and all(v.status == "report_only" for v in contested)
 
     def test_verdicts_sorted(self):
@@ -184,7 +184,7 @@ class TestGrid:
 
     def test_single_mode_identities_note_grid_echo(self):
         verdict = run_task(make_task(IdentityId.QUARTIC_WORD_BRACKET))
-        assert verdict.identity in SINGLE_MODE_IDENTITIES
+        assert verdict.task.identity in SINGLE_MODE_IDENTITIES
         assert "echo" in verdict.detail
 
 
