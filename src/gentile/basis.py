@@ -98,8 +98,7 @@ class FockBasis:
 
     @property
     def basis_tag(self) -> str:
-        sec = "full" if self.sector is None else f"sector:{self.sector}"
-        return f"n{self.order.n}:nu{self.nu}:m{self.m}:{sec}"
+        return f"n{self.order.n}:nu{self.nu}:m{self.m}:{subspace_label(self.sector)}"
 
     def mode_flat(self, position: int, state: int) -> int:
         if not 1 <= position <= self.nu:
@@ -107,6 +106,11 @@ class FockBasis:
         if not 1 <= state <= self.m:
             raise ValueError(f"state must be in 1..{self.m}, got {state}")
         return (position - 1) * self.m + (state - 1)
+
+
+def subspace_label(sector: Optional[int]) -> str:
+    """``full`` for the full space, ``sector:T`` for per-position total T."""
+    return "full" if sector is None else f"sector:{sector}"
 
 
 def check_full_dimension(n: int, nu: int, m: int, cap: int) -> int:

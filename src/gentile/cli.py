@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from . import __version__
-from .basis import DEFAULT_DIMENSION_CAP, check_sector
+from .basis import DEFAULT_DIMENSION_CAP, check_sector, subspace_label
 from .heisenberg import spectrum_report
 from .operators import DENSE_EIG_CAP
 from .reporting import (
@@ -62,8 +62,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _no_repeats(values: list, flag: str, label=str) -> list:
+    """Refuse a repeated grid value; the config echo stays what was typed."""
+    repeated = [value for value, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise CliError(f"{flag} repeats {label(repeated[0])}")
+    return values
+
+
 def _parse_int_list(text: str, name: str) -> list[int]:
-    """Accept ``5``, ``1..3``, and comma lists like ``1,2,5``."""
+    """Accept ``5``, ``1..3``, and comma lists like ``1,2,5``, no value twice.
+
+    A range is measured before it is built: no list may hold more than
+    ``MAX_TASKS`` values.
+    """
     values: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -75,6 +87,8 @@ def _parse_int_list(text: str, name: str) -> list[int]:
                 raise CliError(f"bad range {chunk!r} for --{name}") from None
             if hi_i < lo_i:
                 raise CliError(f"empty range {chunk!r} for --{name}")
+            if len(values) + hi_i - lo_i + 1 > MAX_TASKS:
+                raise CliError(f"--{name} holds more than {MAX_TASKS} values at range {chunk!r}")
             values.extend(range(lo_i, hi_i + 1))
         else:
             try:
@@ -83,7 +97,7 @@ def _parse_int_list(text: str, name: str) -> list[int]:
                 raise CliError(f"bad value {chunk!r} for --{name}") from None
     if not values:
         raise CliError(f"--{name} expanded to nothing")
-    return values
+    return _no_repeats(values, f"--{name}")
 
 
 def _parse_subspaces(text: str) -> list[Optional[int]]:
@@ -101,7 +115,7 @@ def _parse_subspaces(text: str) -> list[Optional[int]]:
                 raise CliError(f"bad sector spec {chunk!r}") from None
         else:
             raise CliError(f"subspace must be full, sector:T, or both; got {chunk!r}")
-    return out
+    return _no_repeats(out, "--subspace", subspace_label)
 
 
 def _parse_interpretations(text: str) -> list[str]:
@@ -191,6 +205,12 @@ def _cmd_verify(args) -> int:
     ms = _parse_int_list(args.m, "m")
     subspaces = _parse_subspaces(args.subspace)
     interpretations = _parse_interpretations(args.interpretation)
+    # Counted before the grid is built; the class-sum relation fans out over
+    # the interpretations, every other identity runs once per grid point.
+    count = (len(ns) * len(nus) * len(ms) * len(subspaces)
+             * (len(IdentityId) - 1 + len(interpretations)))
+    if count > MAX_TASKS:
+        raise CliError(f"grid expands to {count} tasks > limit {MAX_TASKS}")
 
     for n in ns:
         if n < 1:
@@ -211,9 +231,6 @@ def _cmd_verify(args) -> int:
         ns=ns, nus=nus, ms=ms, subspaces=subspaces,
         interpretations=interpretations, mode=args.mode, k=args.k, seed=args.seed,
     )
-    if len(tasks) > MAX_TASKS:
-        raise CliError(f"grid expands to {len(tasks)} tasks > limit {MAX_TASKS}")
-
     verdicts = run_grid(tasks, dimension_cap=args.cap, dense_cap=args.dense_cap)
 
     fmt = args.format
@@ -223,7 +240,7 @@ def _cmd_verify(args) -> int:
         "n": ns,
         "nu": nus,
         "m": ms,
-        "subspace": ["full" if s is None else f"sector:{s}" for s in subspaces],
+        "subspace": [subspace_label(s) for s in subspaces],
         "interpretation": interpretations,
         "mode": args.mode,
         "k": args.k,

@@ -50,6 +50,7 @@ from .basis import (
     check_full_dimension,
     check_sector_dimension,
     enumerate_basis,
+    subspace_label,
 )
 from .operators import (
     DENSE_EIG_CAP,
@@ -171,7 +172,7 @@ class VerificationTask:
 
     @property
     def subspace_label(self) -> str:
-        return "full" if self.subspace is None else f"sector:{self.subspace}"
+        return subspace_label(self.subspace)
 
 
 @dataclass(frozen=True)
@@ -480,7 +481,13 @@ def _recipe_sector_conservation(task, cap, dense_cap):
 def _spectrum_match(task, cap, dense_cap):
     sector_total = task.subspace if task.subspace is not None else 1
     sector = _checked_basis(replace(task, subspace=sector_total), cap, dense_cap)
-    measured_c1 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(casimir_c1(sector))})
+    # C1 is diagonal: its spectrum is its diagonal, checked real to the
+    # eigensolver's hermiticity tolerance.
+    c1 = casimir_c1(sector).mat
+    c1_diag = c1.diagonal()
+    if (c1 - sp.diags(c1_diag)).count_nonzero() or np.abs(c1_diag.imag).max() > 1e-10:
+        raise ValueError("C1 is not a real diagonal matrix")
+    measured_c1 = sorted({round(v, 9) for v in c1_diag.real.tolist()})
     measured_c2 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(casimir_c2(sector))})
 
     parts = partitions_of(task.nu, task.m)

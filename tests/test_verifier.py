@@ -1,5 +1,7 @@
 """Identity verifier: recipes, statuses, grids, determinism."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,6 +17,9 @@ from gentile import (
     run_grid,
     run_task,
 )
+from gentile import verifier
+from gentile.operators import as_operator
+from gentile.reporting import VERDICT_HEADER
 from gentile.verifier import _RECIPES, SINGLE_MODE_IDENTITIES, tolerance_for
 
 
@@ -129,6 +134,8 @@ class TestSampledMode:
         assert verdict.status == "fail"
 
     def test_sampled_equals_dense_on_default_grid(self):
+        # The mode changes nothing but the echo and the spectral note.
+        suffix = "; spectral comparison always solves densely"
         sampled = run_grid(default_grid_tasks("sampled"))
         dense = run_grid(default_grid_tasks("dense"))
         assert len(sampled) == len(dense)
@@ -138,6 +145,37 @@ class TestSampledMode:
                 None if d.residual is None else d.residual.hex()
             ), s.sort_key()
             assert s.status == d.status, s.sort_key()
+            assert s.tolerance == d.tolerance, s.sort_key()
+            spectral = s.task.identity is IdentityId.CASIMIR_SPECTRUM
+            assert s.detail == d.detail + (suffix if spectral else ""), s.sort_key()
+
+
+class TestVerdict:
+    def test_record_keys_are_the_report_header(self):
+        verdict = run_task(make_task(IdentityId.CASIMIR_HERMITICITY))
+        assert list(verdict.record()) == VERDICT_HEADER
+
+    def test_verdict_is_its_task_plus_outcome(self):
+        task = make_task(IdentityId.OCCUPATION_FUNCTIONS)
+        verdict = run_task(task)
+        assert [f.name for f in fields(verdict)] == ["task", "residual", "status", "detail"]
+        assert verdict.task == task
+        assert verdict.tolerance == tolerance_for(task.identity)
+
+    def test_non_diagonal_c1_is_a_task_error(self, monkeypatch):
+        # The spectral comparison reads C1's spectrum off its diagonal, so it
+        # must refuse a C1 that is not a real diagonal matrix.
+        real_c1 = verifier.casimir_c1
+
+        def skewed(basis):
+            op = real_c1(basis)
+            return as_operator(op.mat + sp.csr_matrix(([1e-3], ([0], [1])), shape=op.mat.shape),
+                               op.basis_tag)
+
+        monkeypatch.setattr(verifier, "casimir_c1", skewed)
+        verdict = run_task(make_task(IdentityId.CASIMIR_SPECTRUM, n=1))
+        assert verdict.status == "error"
+        assert "C1 is not a real diagonal matrix" in verdict.detail
 
 
 class TestGrid:
