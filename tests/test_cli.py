@@ -279,14 +279,6 @@ def test_contested_task_error_exits_three_and_keeps_report(tmp_path, capsys):
 
 
 class TestGridGuards:
-    @pytest.fixture(autouse=True)
-    def no_grid_building(self, monkeypatch):
-        # A refused grid is refused from its size alone, before any task exists.
-        def refuse(*args, **kwargs):
-            raise AssertionError("expand_tasks called")
-
-        monkeypatch.setattr("gentile.cli.expand_tasks", refuse)
-
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -295,18 +287,6 @@ class TestGridGuards:
             (["spectrum", "--nu", "2..10002"], "--nu holds more than 10000 values"),
             (["verify", "--n", "1..200", "--nu", "2..201", "--m", "2"],
              "grid expands to 1200000 tasks > limit 10000"),
-        ],
-    )
-    def test_oversized_grid_exits_three(self, args, message, tmp_path, capsys):
-        assert run_cli(args + ["--out", str(tmp_path / "x.json")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("gentile: error: ") and message in err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not (tmp_path / "x.json").exists()
-
-    @pytest.mark.parametrize(
-        "args, message",
-        [
             (["verify", "--n", "1,1", "--nu", "2", "--m", "2"], "--n repeats 1"),
             (["verify", "--n", "1", "--nu", "2", "--m", "2", "--subspace", "both,full"],
              "--subspace repeats full"),
@@ -314,11 +294,16 @@ class TestGridGuards:
             (["spectrum", "--nu", "2,1..3"], "--nu repeats 2"),
         ],
     )
-    def test_repeated_grid_value_exits_three(self, args, message, tmp_path, capsys):
+    def test_refused_before_the_grid_is_built(self, args, message, monkeypatch, tmp_path,
+                                              capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("expand_tasks called")
+
+        monkeypatch.setattr("gentile.cli.expand_tasks", refuse)
         assert run_cli(args + ["--out", str(tmp_path / "x.json")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("gentile: error: ") and message in err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x.json").exists()
 
 

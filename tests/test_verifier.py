@@ -151,26 +151,24 @@ class TestSampledMode:
 
 
 class TestVerdict:
-    def test_record_keys_are_the_report_header(self):
-        verdict = run_task(make_task(IdentityId.CASIMIR_HERMITICITY))
-        assert list(verdict.record()) == VERDICT_HEADER
-
     def test_verdict_is_its_task_plus_outcome(self):
         task = make_task(IdentityId.OCCUPATION_FUNCTIONS)
         verdict = run_task(task)
         assert [f.name for f in fields(verdict)] == ["task", "residual", "status", "detail"]
         assert verdict.task == task
         assert verdict.tolerance == tolerance_for(task.identity)
+        assert list(verdict.record()) == VERDICT_HEADER
 
-    def test_non_diagonal_c1_is_a_task_error(self, monkeypatch):
+    @pytest.mark.parametrize("row, col, value", [(0, 1, 1e-3), (0, 0, 1e-9j)])
+    def test_non_diagonal_c1_is_a_task_error(self, monkeypatch, row, col, value):
         # The spectral comparison reads C1's spectrum off its diagonal, so it
         # must refuse a C1 that is not a real diagonal matrix.
         real_c1 = verifier.casimir_c1
 
         def skewed(basis):
             op = real_c1(basis)
-            return as_operator(op.mat + sp.csr_matrix(([1e-3], ([0], [1])), shape=op.mat.shape),
-                               op.basis_tag)
+            extra = sp.csr_matrix(([value], ([row], [col])), shape=op.mat.shape)
+            return as_operator(op.mat + extra, op.basis_tag)
 
         monkeypatch.setattr(verifier, "casimir_c1", skewed)
         verdict = run_task(make_task(IdentityId.CASIMIR_SPECTRUM, n=1))
