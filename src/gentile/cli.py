@@ -16,12 +16,13 @@ import os
 import sys
 from collections import Counter
 from datetime import datetime, timezone
+from itertools import product
 from typing import Optional, Sequence
 
 from . import __version__
-from .basis import DEFAULT_DIMENSION_CAP, check_sector, subspace_label
+from .basis import DEFAULT_DIMENSION_CAP, check_sector, check_sector_dimension, subspace_label
 from .heisenberg import spectrum_report
-from .operators import DENSE_EIG_CAP
+from .operators import DENSE_EIG_CAP, check_dense_dimension
 from .reporting import (
     PARTITION_HEADER,
     SPECTRUM_HEADER,
@@ -44,6 +45,7 @@ from .verifier import (
     INTERPRETATIONS,
     IdentityId,
     expand_tasks,
+    interpretations_for,
     run_grid,
     tolerance_for,
 )
@@ -205,10 +207,9 @@ def _cmd_verify(args) -> int:
     ms = _parse_int_list(args.m, "m")
     subspaces = _parse_subspaces(args.subspace)
     interpretations = _parse_interpretations(args.interpretation)
-    # Counted before the grid is built; the class-sum relation fans out over
-    # the interpretations, every other identity runs once per grid point.
+    # Counted before the grid is built, with the fan-out expand_tasks uses.
     count = (len(ns) * len(nus) * len(ms) * len(subspaces)
-             * (len(IdentityId) - 1 + len(interpretations)))
+             * sum(len(interpretations_for(i, interpretations)) for i in IdentityId))
     if count > MAX_TASKS:
         raise CliError(f"grid expands to {count} tasks > limit {MAX_TASKS}")
 
@@ -293,17 +294,22 @@ def _cmd_spectrum(args) -> int:
     variants = ("shifted", "raw") if args.variant == "both" else (args.variant,)
     forms = ("bose", "fermi", "gentile") if args.compare else ()
 
-    reports = []
-    for nu in nus:
-        for m in ms:
-            for n in ns:
-                reports.append(
-                    spectrum_report(
-                        nu, m, GentileOrder(n), sector=args.sector,
-                        variants=variants if args.compare else (),
-                        forms=forms, cap=args.cap,
-                    )
-                )
+    if min(ms) < 1:
+        raise CliError("--m must be >= 1")
+    orders = [GentileOrder(n) for n in ns]
+    # Size every point before solving any; nothing is enumerated here.
+    for nu, m, order in product(nus, ms, orders):
+        check_sector(order.n, m, args.sector)
+        check_dense_dimension(check_sector_dimension(order.n, nu, m, args.sector, args.cap))
+
+    reports = [
+        spectrum_report(
+            nu, m, order, sector=args.sector,
+            variants=variants if args.compare else (),
+            forms=forms, cap=args.cap,
+        )
+        for nu, m, order in product(nus, ms, orders)
+    ]
 
     fmt = args.format
     out_path = _default_out("spectrum", fmt, args.out)

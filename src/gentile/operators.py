@@ -34,7 +34,7 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import FockBasis, SizingError, _radix
+from .basis import FockBasis, SizingError, _radix, enumerate_basis
 from .scalars import GentileOrder, coupling_j, occ_f, occ_g, sqrt_bracket
 
 #: Magnitude below which assembled entries are dropped.
@@ -124,25 +124,14 @@ class SingleModeSet:
 
 @lru_cache(maxsize=64)
 def single_mode_ops(order: GentileOrder) -> SingleModeSet:
-    """Build the single-mode ladder matrices for a Gentile order."""
-    n = order.n
-    d = n + 1
-    b = sp.lil_matrix((d, d), dtype=np.complex128)
-    a = sp.lil_matrix((d, d), dtype=np.complex128)
-    for nu in range(1, n + 1):
-        amp = sqrt_bracket(nu, order)
-        b[nu - 1, nu] = amp
-        a[nu - 1, nu] = amp.conjugate()
-    b = b.tocsr()
-    a = a.tocsr()
-    num = sp.diags(np.arange(d, dtype=np.float64), 0, format="csr", dtype=np.complex128)
-    return SingleModeSet(
-        a=a,
-        b=b,
-        a_dag=_pruned(a.getH()),
-        b_dag=_pruned(b.getH()),
-        num=num,
-    )
+    """The single-mode ladder matrices of a Gentile order: each letter of the
+    word kernel on the one-mode space.
+    """
+    mode = enumerate_basis(1, 1, order)
+    letters = {name: _ladder_cached(mode, name, 0).mat for name in _LETTERS}
+    num = sp.diags(np.arange(order.n + 1, dtype=np.float64), 0, format="csr",
+                   dtype=np.complex128)
+    return SingleModeSet(**letters, num=num)
 
 
 # ---------------------------------------------------------------------------

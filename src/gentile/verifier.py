@@ -1,30 +1,33 @@
 """Registry of operator identities, evaluated as numeric residuals.
 
-Every identity the algebra is expected (or merely claimed) to satisfy maps
-to one residual recipe.  Identities split into two sets:
+Every identity the algebra is expected (or merely claimed) to satisfy is one
+``IdentityId`` member and one row of ``_IDENTITIES``: its residual recipe,
+its tolerance and its evaluation space.  Adding an identity adds those two
+and nothing else.  Identities split into two sets:
 
 * guaranteed -- structural consequences of the ladder construction; these
   carry a tolerance and hard pass/fail status;
-* contested  -- relations whose operator-level truth is an open measurement;
-  these always emit ``report_only`` with the measured residual, and never
-  affect a suite's exit status.
+* contested  -- relations whose operator-level truth is an open measurement
+  (tolerance ``None``); these always emit ``report_only`` with the measured
+  residual, and never affect a suite's exit status.
 
 A task that raises ``ValueError`` (sizing included) gets ``status="error"``.
 
-Each task evaluates on one basis: its sector, or the full space.  The
-operators are built on that basis directly, and it is sized before it is
-enumerated, so a sector task never builds its full space.  Only
-``ladder_nbracket_identity`` (single ladder letters leave every sector) and
-``sector_conservation`` (which measures the leakage out of a sector) are
-full-space statements.
+A row's space names the one basis its tasks evaluate on: none (``single``,
+the single-mode relations), the full space (``full``: single ladder letters
+leave every sector, and ``sector_conservation`` measures the leakage out of
+one), the task's own subspace (``task``), or its sector (``spectral``).
+``run_task`` is the only place a basis is sized and built.  It is sized
+before it is enumerated, so a sector task never builds its full space, and
+the recipes receive it built.
 
 The residual of a task is the largest entry magnitude of its sparse
 difference matrices (``operators.max_abs``), read exactly in both modes.
 ``run_task`` is the only place the mode acts: dense mode refuses a task
 whose evaluation dimension is over the dense cap, and sampled mode lifts
 that cap for residual evaluation and gives the same residual.  The spectral
-comparison solves densely, so it keeps the cap in both modes.  ``mode``,
-``k`` and ``seed`` are validated and echoed but change no residual.
+space solves densely, so it keeps the cap in both modes.  ``mode``, ``k``
+and ``seed`` are validated and echoed but change no residual.
 
 A ``Verdict`` is its task plus the outcome: residual, status and detail;
 its tolerance follows from the identity.  Tasks are independent; verdict
@@ -37,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import product
-from typing import Iterable, Optional, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,7 +57,6 @@ from .basis import (
 )
 from .operators import (
     DENSE_EIG_CAP,
-    ComplexOperator,
     _ladder_cached,
     casimir_c1,
     casimir_c2,
@@ -95,51 +97,7 @@ class IdentityId(str, Enum):
     CASIMIR_SPECTRUM = "casimir_spectrum_match"
 
 
-#: Identities asserted to hold, with their pass tolerances.
-GUARANTEED: dict[IdentityId, float] = {
-    IdentityId.LADDER_NBRACKET: 1e-10,
-    IdentityId.ANNIHILATOR_PAIR_PHASE: 1e-10,
-    IdentityId.CREATOR_PAIR_PHASE: 1e-10,
-    IdentityId.OCCUPATION_FUNCTIONS: 1e-12,
-    IdentityId.SELF_BRACKET_PLAIN: 1e-12,
-    IdentityId.CASIMIR_HERMITICITY: 1e-10,
-    IdentityId.SECTOR_CONSERVATION: 1e-10,
-}
-
-#: Identities measured but never asserted (report_only).
-CONTESTED: frozenset[IdentityId] = frozenset(
-    {
-        IdentityId.GENERATOR_COMMUTATION,
-        IdentityId.SELF_BRACKET_DEFORMED,
-        IdentityId.QUARTIC_WORD_BRACKET,
-        IdentityId.DUALITY_COMMUTATION,
-        IdentityId.CLASS_SUM_CASIMIR,
-        IdentityId.LIMIT_RELATION,
-        IdentityId.CASIMIR_SPECTRUM,
-    }
-)
-
-#: Nominal tolerance echoed on contested verdicts.
-REPORT_TOLERANCE = 1e-10
-
-
-def tolerance_for(identity: IdentityId) -> float:
-    return GUARANTEED.get(identity, REPORT_TOLERANCE)
-
-
 INTERPRETATIONS = ("entrywise_real", "hermitian_part")
-
-#: Identities evaluated on the single-mode space only (grid echoes nu/m).
-SINGLE_MODE_IDENTITIES: frozenset[IdentityId] = frozenset(
-    {
-        IdentityId.ANNIHILATOR_PAIR_PHASE,
-        IdentityId.CREATOR_PAIR_PHASE,
-        IdentityId.OCCUPATION_FUNCTIONS,
-        IdentityId.SELF_BRACKET_PLAIN,
-        IdentityId.SELF_BRACKET_DEFORMED,
-        IdentityId.QUARTIC_WORD_BRACKET,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -217,7 +175,7 @@ class Verdict:
 
 
 def _checked_basis(task: VerificationTask, cap: int, dense_cap: Optional[int]) -> FockBasis:
-    """The one basis a task evaluates on: its sector, or the full space.
+    """The basis of ``task.subspace``: a sector, or the full space.
 
     It is sized before it is enumerated, and must fit ``dense_cap`` if given.
     """
@@ -232,6 +190,11 @@ def _checked_basis(task: VerificationTask, cap: int, dense_cap: Optional[int]) -
             f"too large for dense evaluation: {space} dim {dim} > cap {dense_cap}"
         )
     return enumerate_basis(task.nu, task.m, order, sector=task.subspace, cap=cap)
+
+
+def _sector_of(task: VerificationTask) -> int:
+    """The task's sector; a full-space task reads the spin sector, ``sector:1``."""
+    return 1 if task.subspace is None else task.subspace
 
 
 @lru_cache(maxsize=64)
@@ -279,12 +242,21 @@ def _single_mode_diffs(order: GentileOrder) -> dict[str, tuple[sp.csr_matrix, ..
 
 
 # ---------------------------------------------------------------------------
-# Recipes.  Each returns (difference matrices, extra residual, detail).
+# Recipes.  Each takes the task and its basis (built by ``run_task``) and
+# returns (difference matrices, extra residual, detail).
 # ---------------------------------------------------------------------------
 
 
-def _recipe_ladder_nbracket(task, cap, dense_cap):
-    full = _checked_basis(replace(task, subspace=None), cap, dense_cap)
+def _single_mode(key: str, detail: str) -> Callable:
+    """Recipe reading one single-mode relation, with a fixed detail."""
+
+    def recipe(task, basis):
+        return _single_mode_diffs(GentileOrder(task.n))[key], 0.0, detail
+
+    return recipe
+
+
+def _recipe_ladder_nbracket(task, full):
     q = full.order.q
     eye = sp.identity(full.dim, dtype=np.complex128, format="csr")
     diffs = []
@@ -306,12 +278,7 @@ def _recipe_ladder_nbracket(task, cap, dense_cap):
     return diffs, 0.0, detail
 
 
-def _recipe_annihilator_phase(task, cap, dense_cap):
-    diffs = _single_mode_diffs(GentileOrder(task.n))
-    return diffs["annihilator_pair_phase"], 0.0, "single-mode relation; phase exp(i*pi/(n+1))"
-
-
-def _recipe_creator_phase(task, cap, dense_cap):
+def _recipe_creator_phase(task, basis):
     diffs = _single_mode_diffs(GentileOrder(task.n))
     double = max_abs(diffs["creator_pair_phase_double_angle"][0])
     detail = (
@@ -322,7 +289,7 @@ def _recipe_creator_phase(task, cap, dense_cap):
     return diffs["creator_pair_phase"], 0.0, detail
 
 
-def _recipe_occupation_functions(task, cap, dense_cap):
+def _recipe_occupation_functions(task, basis):
     diffs = _single_mode_diffs(GentileOrder(task.n))
     top_col = max_abs(diffs["top_state_annihilation"][0])
     detail = (
@@ -332,37 +299,31 @@ def _recipe_occupation_functions(task, cap, dense_cap):
     return diffs["raiser_lowerer_diag"] + diffs["ladder_gap_diag"], top_col, detail
 
 
-def _recipe_generator_commutation(task, cap, dense_cap):
-    basis_eval = _checked_basis(task, cap, dense_cap)
+def _recipe_generator_commutation(task, basis):
     m = task.m
-    ident = {}
-    for k in range(1, m + 1):
-        for l in range(1, m + 1):
-            ident[(k, l)] = unitary_generator(k, l, basis_eval).mat
+    states = range(1, m + 1)
+    ident = {(k, l): unitary_generator(k, l, basis).mat for k, l in product(states, repeat=2)}
 
     def corr(k, l):
-        total = sp.csr_matrix((basis_eval.dim, basis_eval.dim), dtype=np.complex128)
+        total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
         for i in range(1, task.nu + 1):
-            fl = occupation_diag(basis_eval, "f", i, l).mat
-            gk = occupation_diag(basis_eval, "g", i, k).mat
-            fk = occupation_diag(basis_eval, "f", i, k).mat
-            gl = occupation_diag(basis_eval, "g", i, l).mat
+            fl = occupation_diag(basis, "f", i, l).mat
+            gk = occupation_diag(basis, "g", i, k).mat
+            fk = occupation_diag(basis, "f", i, k).mat
+            gl = occupation_diag(basis, "g", i, l).mat
             total = total + fl @ gk - fk @ gl
         return total
 
     diffs = []
-    for k in range(1, m + 1):
-        for l in range(1, m + 1):
-            for p in range(1, m + 1):
-                for q in range(1, m + 1):
-                    d = ident[(k, l)] @ ident[(p, q)] - ident[(p, q)] @ ident[(k, l)]
-                    if l == p:
-                        d = d - ident[(k, q)]
-                    if q == k:
-                        d = d + ident[(p, l)]
-                    if l == p and q == k:
-                        d = d - 2.0 * corr(k, l)
-                    diffs.append(d)
+    for k, l, p, q in product(states, repeat=4):
+        d = ident[(k, l)] @ ident[(p, q)] - ident[(p, q)] @ ident[(k, l)]
+        if l == p:
+            d = d - ident[(k, q)]
+        if q == k:
+            d = d + ident[(p, l)]
+        if l == p and q == k:
+            d = d - 2.0 * corr(k, l)
+        diffs.append(d)
     detail = (
         "generator commutators vs delta terms plus the occupation-function "
         f"correction, all {m}**4 index tuples; the correction need not cancel "
@@ -372,38 +333,12 @@ def _recipe_generator_commutation(task, cap, dense_cap):
     return diffs, 0.0, detail
 
 
-def _recipe_self_bracket(task, cap, dense_cap, deformed: bool):
-    diffs = _single_mode_diffs(GentileOrder(task.n))
-    kind = "deformed bracket" if deformed else "plain commutator"
-    key = "self_bracket_deformed" if deformed else "self_bracket_plain"
-    return diffs[key], 0.0, f"single-mode {kind} of each ladder with its own adjoint vs occ_f"
-
-
-def _recipe_quartic_words(task, cap, dense_cap):
-    diffs = _single_mode_diffs(GentileOrder(task.n))
-    detail = "single-mode deformed brackets of the alternating quartic words"
-    return diffs["quartic_word_bracket"], 0.0, detail
-
-
-def _recipe_duality(task, cap, dense_cap):
-    basis = _checked_basis(task, cap, dense_cap)
-    taus = {
-        (i, j): exchange_op(i, j, basis).mat
-        for i in range(1, task.nu + 1)
-        for j in range(i + 1, task.nu + 1)
-    }
-    gens = {
-        (s, t): unitary_generator(s, t, basis).mat
-        for s in range(1, task.m + 1)
-        for t in range(1, task.m + 1)
-    }
-    diffs = [
-        tau @ gen - gen @ tau for tau in taus.values() for gen in gens.values()
-    ]
-    detail = (
-        f"commutators of {len(taus)} exchanges with {len(gens)} generators"
-    )
-    return diffs, 0.0, detail
+def _recipe_duality(task, basis):
+    taus = [exchange_op(i, j, basis).mat for i, j in combinations(range(1, task.nu + 1), 2)]
+    gens = [unitary_generator(s, t, basis).mat
+            for s, t in product(range(1, task.m + 1), repeat=2)]
+    diffs = [tau @ gen - gen @ tau for tau in taus for gen in gens]
+    return diffs, 0.0, f"commutators of {len(taus)} exchanges with {len(gens)} generators"
 
 
 def _theorem_sides(task, basis):
@@ -413,16 +348,12 @@ def _theorem_sides(task, basis):
     c1 = casimir_c1(basis).mat
     c2 = casimir_c2(basis).mat
     qp = basis.order.q * p_mat
-    if task.interpretation == "hermitian_part":
-        interp = hermitian_part(qp)
-    else:
-        interp = entrywise_real(qp)
+    interp = hermitian_part(qp) if task.interpretation == "hermitian_part" else entrywise_real(qp)
     m = task.m
     return interp + m * j_mat - (0.5 * c2 - 0.5 * m * c1)
 
 
-def _recipe_class_sum_casimir(task, cap, dense_cap):
-    basis = _checked_basis(task, cap, dense_cap)
+def _recipe_class_sum_casimir(task, basis):
     if task.interpretation == "not_applicable":
         task = replace(task, interpretation="entrywise_real")
     diff = _theorem_sides(task, basis)
@@ -440,36 +371,30 @@ def _limit_sides(task, basis):
     return sign * p_mat - m * n_mat - (0.5 * c2 - 0.5 * m * c1), sign
 
 
-def _recipe_limit_relation(task, cap, dense_cap):
-    diff, sign = _limit_sides(task, _checked_basis(task, cap, dense_cap))
+def _recipe_limit_relation(task, basis):
+    diff, sign = _limit_sides(task, basis)
     label = "max-occupation-1 limit" if task.n == 1 else "large-n reading"
     return [diff], 0.0, f"sign {sign:+.0f} ({label})"
 
 
-def _recipe_casimir_hermiticity(task, cap, dense_cap):
-    basis = _checked_basis(task, cap, dense_cap)
+def _recipe_casimir_hermiticity(task, basis):
     c1 = casimir_c1(basis).mat
     c2 = casimir_c2(basis).mat
     diffs = [c1 - c1.getH(), c2 - c2.getH()]
     return diffs, 0.0, "adjoint comparison of both Casimir operators"
 
 
-def _recipe_sector_conservation(task, cap, dense_cap):
-    full = _checked_basis(replace(task, subspace=None), cap, dense_cap)
-    ops: list[ComplexOperator] = []
-    for i in range(1, task.nu + 1):
-        for j in range(i + 1, task.nu + 1):
-            ops.append(exchange_op(i, j, full))
-    for s in range(1, task.m + 1):
-        for t in range(1, task.m + 1):
-            ops.append(unitary_generator(s, t, full))
-    ops.extend([class_sum(full), casimir_c1(full), casimir_c2(full)])
+def _recipe_sector_conservation(task, full):
+    ops = [exchange_op(i, j, full) for i, j in combinations(range(1, task.nu + 1), 2)]
+    ops += [unitary_generator(s, t, full) for s, t in product(range(1, task.m + 1), repeat=2)]
+    ops += [class_sum(full), casimir_c1(full), casimir_c2(full)]
 
     totals = [position_number(full, i).mat for i in range(1, task.nu + 1)]
     diffs = [op.mat @ t - t @ op.mat for op in ops for t in totals]
 
-    sector_total = task.subspace if task.subspace is not None else 1
-    sector = enumerate_basis(task.nu, task.m, full.order, sector=sector_total, cap=cap)
+    # A sector is never larger than its full space, so this cap never refuses.
+    sector_total = _sector_of(task)
+    sector = enumerate_basis(task.nu, task.m, full.order, sector=sector_total, cap=full.dim)
     leak = max(leakage(op, full, sector) for op in ops)
     detail = (
         f"{len(ops)} operators x {task.nu} position totals; extra term is the "
@@ -478,9 +403,7 @@ def _recipe_sector_conservation(task, cap, dense_cap):
     return diffs, leak, detail
 
 
-def _spectrum_match(task, cap, dense_cap):
-    sector_total = task.subspace if task.subspace is not None else 1
-    sector = _checked_basis(replace(task, subspace=sector_total), cap, dense_cap)
+def _spectrum_match(task, sector):
     # C1 is diagonal: its spectrum is its diagonal, checked real to the
     # eigensolver's hermiticity tolerance.
     c1 = casimir_c1(sector).mat
@@ -523,24 +446,72 @@ def _spectrum_match(task, cap, dense_cap):
         + f"; C1 measured {measured_c1} vs partition weight {pred_c1!r} "
         f"(deviation {dev_c1!r})"
     )
-    return residual, detail
+    return [], residual, detail
 
 
-_RECIPES = {
-    IdentityId.LADDER_NBRACKET: _recipe_ladder_nbracket,
-    IdentityId.ANNIHILATOR_PAIR_PHASE: _recipe_annihilator_phase,
-    IdentityId.CREATOR_PAIR_PHASE: _recipe_creator_phase,
-    IdentityId.OCCUPATION_FUNCTIONS: _recipe_occupation_functions,
-    IdentityId.GENERATOR_COMMUTATION: _recipe_generator_commutation,
-    IdentityId.SELF_BRACKET_PLAIN: lambda t, c, d: _recipe_self_bracket(t, c, d, False),
-    IdentityId.SELF_BRACKET_DEFORMED: lambda t, c, d: _recipe_self_bracket(t, c, d, True),
-    IdentityId.QUARTIC_WORD_BRACKET: _recipe_quartic_words,
-    IdentityId.DUALITY_COMMUTATION: _recipe_duality,
-    IdentityId.CLASS_SUM_CASIMIR: _recipe_class_sum_casimir,
-    IdentityId.LIMIT_RELATION: _recipe_limit_relation,
-    IdentityId.CASIMIR_HERMITICITY: _recipe_casimir_hermiticity,
-    IdentityId.SECTOR_CONSERVATION: _recipe_sector_conservation,
+# ---------------------------------------------------------------------------
+# The identity table
+# ---------------------------------------------------------------------------
+
+
+class _Identity(NamedTuple):
+    """A recipe, a tolerance (``None``: contested) and an evaluation space:
+    ``single`` (no basis), ``full``, ``task`` (the task's own subspace) or
+    ``spectral`` (the task's sector, ``sector:1`` for a full-space task, held
+    to the dense cap in both modes).
+    """
+
+    recipe: Callable
+    tolerance: Optional[float]
+    space: str
+
+
+_SELF_BRACKET = "single-mode {} of each ladder with its own adjoint vs occ_f"
+
+_IDENTITIES: dict[IdentityId, _Identity] = {
+    IdentityId.LADDER_NBRACKET: _Identity(_recipe_ladder_nbracket, 1e-10, "full"),
+    IdentityId.ANNIHILATOR_PAIR_PHASE: _Identity(_single_mode(
+        "annihilator_pair_phase", "single-mode relation; phase exp(i*pi/(n+1))"), 1e-10, "single"),
+    IdentityId.CREATOR_PAIR_PHASE: _Identity(_recipe_creator_phase, 1e-10, "single"),
+    IdentityId.OCCUPATION_FUNCTIONS: _Identity(_recipe_occupation_functions, 1e-12, "single"),
+    IdentityId.GENERATOR_COMMUTATION: _Identity(_recipe_generator_commutation, None, "task"),
+    IdentityId.SELF_BRACKET_PLAIN: _Identity(_single_mode(
+        "self_bracket_plain", _SELF_BRACKET.format("plain commutator")), 1e-12, "single"),
+    IdentityId.SELF_BRACKET_DEFORMED: _Identity(_single_mode(
+        "self_bracket_deformed", _SELF_BRACKET.format("deformed bracket")), None, "single"),
+    IdentityId.QUARTIC_WORD_BRACKET: _Identity(_single_mode(
+        "quartic_word_bracket", "single-mode deformed brackets of the alternating quartic words"),
+        None, "single"),
+    IdentityId.DUALITY_COMMUTATION: _Identity(_recipe_duality, None, "task"),
+    IdentityId.CLASS_SUM_CASIMIR: _Identity(_recipe_class_sum_casimir, None, "task"),
+    IdentityId.LIMIT_RELATION: _Identity(_recipe_limit_relation, None, "task"),
+    IdentityId.CASIMIR_HERMITICITY: _Identity(_recipe_casimir_hermiticity, 1e-10, "task"),
+    IdentityId.SECTOR_CONSERVATION: _Identity(_recipe_sector_conservation, 1e-10, "full"),
+    IdentityId.CASIMIR_SPECTRUM: _Identity(_spectrum_match, None, "spectral"),
 }
+
+#: Identities asserted to hold, with their pass tolerances.
+GUARANTEED: dict[IdentityId, float] = {
+    i: row.tolerance for i, row in _IDENTITIES.items() if row.tolerance is not None
+}
+
+#: Identities measured but never asserted (report_only).
+CONTESTED: frozenset[IdentityId] = frozenset(
+    i for i, row in _IDENTITIES.items() if row.tolerance is None
+)
+
+#: Identities evaluated on the single-mode space only (grid echoes nu/m).
+SINGLE_MODE_IDENTITIES: frozenset[IdentityId] = frozenset(
+    i for i, row in _IDENTITIES.items() if row.space == "single"
+)
+
+
+#: Nominal tolerance echoed on contested verdicts.
+REPORT_TOLERANCE = 1e-10
+
+
+def tolerance_for(identity: IdentityId) -> float:
+    return GUARANTEED.get(identity, REPORT_TOLERANCE)
 
 
 def run_task(
@@ -550,32 +521,44 @@ def run_task(
 ) -> Verdict:
     """Evaluate one task and classify the residual.
 
-    This is the one place ``task.mode`` acts: sampled mode evaluates residuals
-    without the dense cap.  The spectral comparison solves densely in both.
+    This is the one place a basis is sized and built, and the one place
+    ``task.mode`` acts: sampled mode lifts the dense cap, except on the
+    spectral space, which solves densely in both modes.
     """
+    row = _IDENTITIES[task.identity]
     sampled = task.mode == "sampled"
     try:
-        if task.identity is IdentityId.CASIMIR_SPECTRUM:
-            residual, detail = _spectrum_match(task, dimension_cap, dense_cap)
-            if sampled:
-                detail += "; spectral comparison always solves densely"
-        else:
-            recipe = _RECIPES[task.identity]
-            diffs, extra, detail = recipe(task, dimension_cap, None if sampled else dense_cap)
-            residual = max([extra, *map(max_abs, diffs)])
+        basis = None
+        if row.space != "single":
+            subspace = {"full": None, "task": task.subspace, "spectral": _sector_of(task)}[row.space]
+            lifted = sampled and row.space != "spectral"
+            basis = _checked_basis(
+                replace(task, subspace=subspace), dimension_cap, None if lifted else dense_cap
+            )
+        diffs, extra, detail = row.recipe(task, basis)
+        residual = max([extra, *map(max_abs, diffs)])
     except ValueError as exc:  # SizingError included
         residual, status = None, "error"
         detail = f"task error ({type(exc).__name__}): {exc}"
     else:
-        if task.identity in CONTESTED:
+        if row.tolerance is None:
             status = "report_only"
-        elif residual is not None and residual < tolerance_for(task.identity):
+        elif residual is not None and residual < row.tolerance:
             status = "pass"
         else:
             status = "fail"
-        if task.identity in SINGLE_MODE_IDENTITIES:
+        if row.space == "single":
             detail += "; nu/m/subspace echo the grid point only"
+        elif row.space == "spectral" and sampled:
+            detail += "; spectral comparison always solves densely"
     return Verdict(task, residual, status, detail)
+
+
+def interpretations_for(identity: IdentityId, interpretations: Sequence[str]) -> Sequence[str]:
+    """The readings one identity runs under: only the class-sum relation
+    needs a reading of "real part of an operator", so only it fans out.
+    """
+    return interpretations if identity is IdentityId.CLASS_SUM_CASIMIR else ("not_applicable",)
 
 
 def expand_tasks(
@@ -589,14 +572,12 @@ def expand_tasks(
     seed: int = 42,
     identities: Sequence[IdentityId] = tuple(IdentityId),
 ) -> list[VerificationTask]:
-    """Grid product; the class-sum relation fans out over interpretations."""
+    """Grid product, fanned out over :func:`interpretations_for`."""
     return [
         VerificationTask(identity, n, nu, m, sub, interp, mode, k, seed)
         for identity in identities
         for n, nu, m, sub in product(ns, nus, ms, subspaces)
-        for interp in (
-            interpretations if identity is IdentityId.CLASS_SUM_CASIMIR else ("not_applicable",)
-        )
+        for interp in interpretations_for(identity, interpretations)
     ]
 
 

@@ -199,6 +199,18 @@ class TestSpectrumCommand:
         assert class_sum.cache_info().misses == built
         assert not (tmp_path / "x.json").exists()
 
+    def test_every_point_sized_before_any_solve(self, tmp_path, capsys):
+        # nu=2 fits, nu=13 does not: the whole grid is refused before the
+        # first point is built.
+        built = class_sum.cache_info().misses
+        code = run_cli(["spectrum", "--nu", "2,13", "--m", "2",
+                        "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "dense eigensolve needs dim 8192 > dense cap 4096" in err
+        assert class_sum.cache_info().misses == built
+        assert not (tmp_path / "x.json").exists()
+
     def test_single_particle_rejected(self, tmp_path, capsys):
         code = run_cli(["spectrum", "--nu", "1", "--out", str(tmp_path / "x.json")])
         assert code == 3

@@ -33,6 +33,7 @@ from gentile import (
     position_number,
     restrict,
     single_mode_ops,
+    sqrt_bracket,
     state_to_index,
     total_number,
     unitary_generator,
@@ -85,13 +86,31 @@ def kron_embed(op, mode, basis):
     return as_operator(kron_embed_flat(mat, flat, basis), basis.basis_tag)
 
 
+@lru_cache(maxsize=64)
+def entrywise_letters(order):
+    """The four single-mode ladder letters, assigned entry by entry.
+
+    An oracle for ``single_mode_ops``, independent of the word kernel.
+    """
+    d = order.n + 1
+    b = sp.lil_matrix((d, d), dtype=np.complex128)
+    a = sp.lil_matrix((d, d), dtype=np.complex128)
+    for level in range(1, d):
+        amp = sqrt_bracket(level, order)
+        b[level - 1, level] = amp
+        a[level - 1, level] = amp.conjugate()
+    a, b = a.tocsr(), b.tocsr()
+    return {"a": a, "b": b, "a_dag": as_operator(a.getH(), "").mat,
+            "b_dag": as_operator(b.getH(), "").mat}
+
+
 @lru_cache(maxsize=32)
 def kron_mode_ops(full):
     """Every single-mode matrix embedded at every flat mode of a full basis."""
-    ops = single_mode_ops(full.order)
+    mats = dict(entrywise_letters(full.order), num=single_mode_ops(full.order).num)
     return {
-        name: [kron_embed_flat(getattr(ops, name), f, full) for f in range(full.modes)]
-        for name in ("a", "b", "a_dag", "b_dag", "num")
+        name: [kron_embed_flat(mat, f, full) for f in range(full.modes)]
+        for name, mat in mats.items()
     }
 
 
@@ -160,12 +179,17 @@ def kron_casimir_oracles(full):
     return as_operator(c1, full.basis_tag), as_operator(c2, full.basis_tag)
 
 
+def assert_csr_bit_equal(mat, ref):
+    """Same sparsity pattern, same bit pattern of every entry."""
+    assert np.array_equal(mat.indptr, ref.indptr)
+    assert np.array_equal(mat.indices, ref.indices)
+    assert np.array_equal(mat.data.view(np.uint64), ref.data.view(np.uint64))
+
+
 def assert_bit_equal(op, ref):
     """Same basis, same sparsity pattern, same bit pattern of every entry."""
     assert op.basis_tag == ref.basis_tag
-    assert np.array_equal(op.mat.indptr, ref.mat.indptr)
-    assert np.array_equal(op.mat.indices, ref.mat.indices)
-    assert np.array_equal(op.mat.data.view(np.uint64), ref.mat.data.view(np.uint64))
+    assert_csr_bit_equal(op.mat, ref.mat)
 
 
 #: (n, nu, m) with a full space of at most 4096 states.
@@ -210,6 +234,15 @@ def test_word_application_matches_kron_oracle(n, nu, m):
 
 
 class TestSingleMode:
+    @pytest.mark.parametrize("n", [*range(1, 40), 1000])
+    def test_letters_match_entrywise_oracle(self, n):
+        # Bit for bit: the word kernel on the one-mode space assigns the
+        # same amplitudes, conjugates and adjoints as entrywise assignment.
+        order = GentileOrder(n)
+        ops, ref = single_mode_ops(order), entrywise_letters(order)
+        for name in ("a", "b", "a_dag", "b_dag"):
+            assert_csr_bit_equal(getattr(ops, name), ref[name])
+
     def test_fermi_like_matrices(self):
         ops = single_mode_ops(GentileOrder(1))
         a = ops.a.toarray()

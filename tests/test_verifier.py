@@ -17,10 +17,15 @@ from gentile import (
     run_grid,
     run_task,
 )
-from gentile import verifier
+from gentile import cli, verifier
 from gentile.operators import as_operator
 from gentile.reporting import VERDICT_HEADER
-from gentile.verifier import _RECIPES, SINGLE_MODE_IDENTITIES, tolerance_for
+from gentile.verifier import (
+    _IDENTITIES,
+    INTERPRETATIONS,
+    SINGLE_MODE_IDENTITIES,
+    tolerance_for,
+)
 
 
 def make_task(identity, **kwargs):
@@ -117,7 +122,8 @@ class TestSampledMode:
         """Make ``identity``'s recipe return one ``dim x dim`` CSR with one entry."""
         defect = sp.csr_matrix(([value], ([dim - 1], [dim // 2])), shape=(dim, dim),
                                dtype=np.complex128)
-        monkeypatch.setitem(_RECIPES, identity, lambda t, c, d: ([defect], 0.0, ""))
+        row = _IDENTITIES[identity]._replace(recipe=lambda t, b: ([defect], 0.0, ""))
+        monkeypatch.setitem(_IDENTITIES, identity, row)
 
     @pytest.mark.parametrize("dim", [16, 256, 4096])
     def test_single_entry_defect_measured_exactly(self, monkeypatch, dim):
@@ -222,6 +228,45 @@ class TestGrid:
         verdict = run_task(make_task(IdentityId.QUARTIC_WORD_BRACKET))
         assert verdict.task.identity in SINGLE_MODE_IDENTITIES
         assert "echo" in verdict.detail
+
+
+class TestIdentityTable:
+    ECHO = "; nu/m/subspace echo the grid point only"
+
+    @pytest.mark.parametrize("identity", list(IdentityId))
+    def test_one_row_per_identity(self, identity):
+        assert list(_IDENTITIES) == list(IdentityId)
+        assert (identity in GUARANTEED) != (identity in CONTESTED)
+        assert set(GUARANTEED) | CONTESTED == set(IdentityId)
+        row = _IDENTITIES[identity]
+        assert row.space in ("single", "full", "task", "spectral")
+        assert GUARANTEED.get(identity) == row.tolerance
+        verdict = run_task(make_task(identity, n=1))
+        assert verdict.status != "error", verdict.detail
+        assert verdict.detail.endswith(self.ECHO) == (row.space == "single")
+        assert (identity in SINGLE_MODE_IDENTITIES) == (row.space == "single")
+
+    @pytest.mark.parametrize("reading, interpretations", [
+        ("entrywise", ["entrywise_real"]),
+        ("hermitian", ["hermitian_part"]),
+        ("both", list(INTERPRETATIONS)),
+    ])
+    def test_cli_task_count_is_the_grid(self, reading, interpretations, monkeypatch,
+                                         tmp_path, capsys):
+        # The CLI counts the grid from its lists, before expand_tasks runs;
+        # the count must be what expand_tasks builds.
+        built = len(expand_tasks(ns=[1, 2], nus=[2], ms=[2], subspaces=[None, 1],
+                                 interpretations=interpretations))
+        seen = []
+        monkeypatch.setattr(cli, "run_grid", lambda tasks, **kw: seen.append(len(tasks)) or [])
+        monkeypatch.setattr(cli, "MAX_TASKS", built)
+        args = ["verify", "--n", "1,2", "--nu", "2", "--m", "2", "--subspace", "both",
+                "--interpretation", reading, "--out", str(tmp_path / "v.json")]
+        assert cli.main(args) == 0
+        assert seen == [built]
+        monkeypatch.setattr(cli, "MAX_TASKS", built - 1)
+        assert cli.main(args) == 3
+        assert f"grid expands to {built} tasks > limit {built - 1}" in capsys.readouterr().err
 
 
 class TestInternalConsistency:
