@@ -20,9 +20,9 @@ from itertools import product
 from typing import Optional, Sequence
 
 from . import __version__
-from .basis import DEFAULT_DIMENSION_CAP, check_sector, check_sector_dimension, subspace_label
-from .heisenberg import spectrum_report
-from .operators import DENSE_EIG_CAP, check_dense_dimension
+from .basis import DEFAULT_DIMENSION_CAP, check_sector, subspace_label
+from .heisenberg import check_spectrum_point, spectrum_report
+from .operators import DENSE_EIG_CAP
 from .reporting import (
     PARTITION_HEADER,
     SPECTRUM_HEADER,
@@ -299,8 +299,7 @@ def _cmd_spectrum(args) -> int:
     orders = [GentileOrder(n) for n in ns]
     # Size every point before solving any; nothing is enumerated here.
     for nu, m, order in product(nus, ms, orders):
-        check_sector(order.n, m, args.sector)
-        check_dense_dimension(check_sector_dimension(order.n, nu, m, args.sector, args.cap))
+        check_spectrum_point(nu, m, order, args.sector, args.cap)
 
     reports = [
         spectrum_report(

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .basis import DEFAULT_DIMENSION_CAP, enumerate_basis
+from .basis import DEFAULT_DIMENSION_CAP, check_sector, check_sector_dimension, enumerate_basis
 from .operators import (
     ComplexOperator,
     check_dense_dimension,
@@ -97,6 +97,14 @@ def build_hamiltonian(
     ``SizingError`` above it.
     """
     return class_sum(enumerate_basis(nu, m, order, sector=sector, cap=cap))
+
+
+def check_spectrum_point(nu: int, m: int, order: GentileOrder, sector: int, cap: int) -> None:
+    """Size one spectrum point without enumerating it: the sector must exist
+    and fit both ``cap`` and the dense solve.
+    """
+    check_sector(order.n, m, sector)
+    check_dense_dimension(check_sector_dimension(order.n, nu, m, sector, cap))
 
 
 def spectrum_ed(hamiltonian: ComplexOperator) -> list[tuple[float, int]]:
@@ -201,8 +209,7 @@ def spectrum_report(
     cap: int = DEFAULT_DIMENSION_CAP,
 ) -> SpectrumReport:
     """Run ED and every requested partition-route prediction side by side."""
-    # Refuse a sector too large for the dense solve before building on it.
-    check_dense_dimension(enumerate_basis(nu, m, order, sector=sector, cap=cap).dim)
+    check_spectrum_point(nu, m, order, sector, cap)
     hamiltonian = build_hamiltonian(nu, m, order, sector=sector, cap=cap)
     ed = tuple((float(v), int(mult)) for v, mult in spectrum_ed(hamiltonian))
     casimir_blocks = []

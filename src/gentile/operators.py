@@ -95,10 +95,10 @@ def as_operator(mat: Matrix, basis_tag: str) -> ComplexOperator:
 
 def max_abs(op: Union[ComplexOperator, Matrix]) -> float:
     """Largest entry magnitude (0.0 for an empty matrix)."""
-    mat = op.mat if isinstance(op, ComplexOperator) else sp.csr_matrix(op)
-    if mat.nnz == 0:
-        return 0.0
-    return float(np.abs(mat.data).max())
+    mat = op.mat if isinstance(op, ComplexOperator) else op
+    if not isinstance(mat, sp.csr_matrix):
+        mat = sp.csr_matrix(mat)
+    return float(np.abs(mat.data).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +163,10 @@ def leakage(op: ComplexOperator, full_basis: FockBasis, sector_basis: FockBasis)
     """What :func:`restrict` ignores: the largest entry magnitude coupling
     sector states to non-sector states, in either direction (0.0 if none).
     """
-    rows = _sector_rows(op, full_basis, sector_basis)
-    outside = np.ones(full_basis.dim, dtype=bool)
-    outside[rows] = False
-    into = op.mat[:, rows].tocoo()
-    out_of = op.mat[rows, :].tocoo()
-    vals = np.concatenate([into.data[outside[into.row]], out_of.data[outside[out_of.col]]])
-    return float(np.abs(vals).max()) if vals.size else 0.0
+    inside = np.zeros(full_basis.dim, dtype=bool)
+    inside[_sector_rows(op, full_basis, sector_basis)] = True
+    coo = op.mat.tocoo()
+    return float(np.abs(coo.data[inside[coo.row] != inside[coo.col]]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ the recipes receive it built.
 
 The residual of a task is the largest entry magnitude of its sparse
 difference matrices (``operators.max_abs``), read exactly in both modes.
+Diagonal operands (position totals, the occupation-function correction)
+are numpy vectors, never sparse products.  A ``full`` row is evaluated once
+per (full basis, sector) and memoised, so the ``full`` and ``sector:1``
+tasks of one grid point share one evaluation.
 ``run_task`` is the only place the mode acts: dense mode refuses a task
 whose evaluation dimension is over the dense cap, and sampled mode lifts
 that cap for residual evaluation and gives the same residual.  The spectral
@@ -57,6 +61,8 @@ from .basis import (
 )
 from .operators import (
     DENSE_EIG_CAP,
+    DROP_TOL,
+    ComplexOperator,
     _ladder_cached,
     casimir_c1,
     casimir_c2,
@@ -68,8 +74,6 @@ from .operators import (
     hermitian_part,
     leakage,
     max_abs,
-    occupation_diag,
-    position_number,
     single_mode_ops,
     total_number,
     unitary_generator,
@@ -256,26 +260,33 @@ def _single_mode(key: str, detail: str) -> Callable:
     return recipe
 
 
-def _recipe_ladder_nbracket(task, full):
+@lru_cache(maxsize=64)
+def _ladder_nbracket(full: FockBasis) -> float:
+    """Residual of every mode pair's bracket; its statement has no sector."""
     q = full.order.q
     eye = sp.identity(full.dim, dtype=np.complex128, format="csr")
-    diffs = []
+    residual = 0.0
     for f1 in range(full.modes):
         for f2 in range(full.modes):
             lower = _ladder_cached(full, "b", f1).mat
             raiser = _ladder_cached(full, "a_dag", f2).mat
             if f1 == f2:
-                diffs.append(lower @ raiser - q * (raiser @ lower) - eye)
+                diff = lower @ raiser - q * (raiser @ lower) - eye
             else:
                 # Distinct modes commute exactly under the tensor embedding,
                 # so the deformed bracket reduces to the plain commutator.
-                diffs.append(lower @ raiser - raiser @ lower)
+                diff = lower @ raiser - raiser @ lower
+            residual = max(residual, max_abs(diff))
+    return residual
+
+
+def _recipe_ladder_nbracket(task, full):
     detail = (
         "same-mode deformed bracket minus identity; distinct modes checked "
         "with the plain commutator (tensor embedding, no inter-mode phases); "
         "evaluated on the full product space"
     )
-    return diffs, 0.0, detail
+    return [], _ladder_nbracket(full), detail
 
 
 def _recipe_creator_phase(task, basis):
@@ -299,30 +310,37 @@ def _recipe_occupation_functions(task, basis):
     return diffs["raiser_lowerer_diag"] + diffs["ladder_gap_diag"], top_col, detail
 
 
+def _occupation_correction(basis: FockBasis, k: int, l: int) -> sp.csr_matrix:
+    """Diagonal ``sum_i f(i,l) g(i,k) - f(i,k) g(i,l)`` of ``occ_f``/``occ_g``
+    at each position's modes, summed over positions in order.
+    """
+
+    def occ(fn, i, state):
+        # The prune of a diagonal operator: occ_f(n/2) at even n is ~1e-16.
+        vals = fn(basis.occupations[:, basis.mode_flat(i, state)], basis.order)
+        return np.where(np.abs(vals) < DROP_TOL, 0.0, vals)
+
+    total = np.zeros(basis.dim)
+    for i in range(1, basis.nu + 1):
+        total = total + occ(occ_f, i, l) * occ(occ_g, i, k) - occ(occ_f, i, k) * occ(occ_g, i, l)
+    return sp.diags(total, 0, format="csr", dtype=np.complex128)
+
+
 def _recipe_generator_commutation(task, basis):
     m = task.m
     states = range(1, m + 1)
     ident = {(k, l): unitary_generator(k, l, basis).mat for k, l in product(states, repeat=2)}
-
-    def corr(k, l):
-        total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
-        for i in range(1, task.nu + 1):
-            fl = occupation_diag(basis, "f", i, l).mat
-            gk = occupation_diag(basis, "g", i, k).mat
-            fk = occupation_diag(basis, "f", i, k).mat
-            gl = occupation_diag(basis, "g", i, l).mat
-            total = total + fl @ gk - fk @ gl
-        return total
+    products = {(a, b): ident[a] @ ident[b] for a, b in product(ident, repeat=2)}
 
     diffs = []
     for k, l, p, q in product(states, repeat=4):
-        d = ident[(k, l)] @ ident[(p, q)] - ident[(p, q)] @ ident[(k, l)]
+        d = products[(k, l), (p, q)] - products[(p, q), (k, l)]
         if l == p:
             d = d - ident[(k, q)]
         if q == k:
             d = d + ident[(p, l)]
         if l == p and q == k:
-            d = d - 2.0 * corr(k, l)
+            d = d - 2.0 * _occupation_correction(basis, k, l)
         diffs.append(d)
     detail = (
         "generator commutators vs delta terms plus the occupation-function "
@@ -384,23 +402,37 @@ def _recipe_casimir_hermiticity(task, basis):
     return diffs, 0.0, "adjoint comparison of both Casimir operators"
 
 
-def _recipe_sector_conservation(task, full):
-    ops = [exchange_op(i, j, full) for i, j in combinations(range(1, task.nu + 1), 2)]
-    ops += [unitary_generator(s, t, full) for s, t in product(range(1, task.m + 1), repeat=2)]
+def _total_jumps(op: ComplexOperator, totals: Sequence[np.ndarray]) -> float:
+    """Largest entry of the commutators of ``op`` with the position totals.
+
+    A total ``d`` is diagonal, so ``[A, diag(d)]`` has the entries
+    ``A_ij (d_j - d_i)`` on the stored entries of ``A``.
+    """
+    coo = op.mat.tocoo()
+    return max(float(np.abs(coo.data * (d[coo.col] - d[coo.row])).max(initial=0.0))
+               for d in totals)
+
+
+@lru_cache(maxsize=64)
+def _sector_conservation(full: FockBasis, sector_total: int) -> tuple[float, str]:
+    nu, m = full.nu, full.m
+    ops = [exchange_op(i, j, full) for i, j in combinations(range(1, nu + 1), 2)]
+    ops += [unitary_generator(s, t, full) for s, t in product(range(1, m + 1), repeat=2)]
     ops += [class_sum(full), casimir_c1(full), casimir_c2(full)]
 
-    totals = [position_number(full, i).mat for i in range(1, task.nu + 1)]
-    diffs = [op.mat @ t - t @ op.mat for op in ops for t in totals]
-
     # A sector is never larger than its full space, so this cap never refuses.
-    sector_total = _sector_of(task)
-    sector = enumerate_basis(task.nu, task.m, full.order, sector=sector_total, cap=full.dim)
-    leak = max(leakage(op, full, sector) for op in ops)
+    sector = enumerate_basis(nu, m, full.order, sector=sector_total, cap=full.dim)
+    totals = [full.occupations[:, i * m:(i + 1) * m].sum(axis=1) for i in range(nu)]
+    residual = max(max(_total_jumps(op, totals), leakage(op, full, sector)) for op in ops)
     detail = (
-        f"{len(ops)} operators x {task.nu} position totals; extra term is the "
+        f"{len(ops)} operators x {nu} position totals; extra term is the "
         f"max restriction leakage onto sector:{sector_total}"
     )
-    return diffs, leak, detail
+    return residual, detail
+
+
+def _recipe_sector_conservation(task, full):
+    return [], *_sector_conservation(full, _sector_of(task))
 
 
 def _spectrum_match(task, sector):

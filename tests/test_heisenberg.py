@@ -15,6 +15,8 @@ from gentile import (
     spectrum_ed,
     spectrum_report,
 )
+from gentile import basis
+from gentile.basis import SizingError
 from gentile.operators import max_abs
 
 
@@ -221,3 +223,11 @@ class TestSpectrumReport:
         assert ("shifted", "gentile") in report.singular_forms
         assert ("raw", "gentile") in report.singular_forms
         assert all(form != "gentile" for _, form, _ in report.casimir)
+
+    def test_oversized_sector_refused_before_enumeration(self):
+        # The sector has 2**18 states: over the dense cap, under the
+        # enumeration cap.  It is refused from its size alone.
+        misses = basis._enumerate_cached.cache_info().misses
+        with pytest.raises(SizingError, match="dense eigensolve needs dim 262144"):
+            spectrum_report(18, 2, GentileOrder(1))
+        assert basis._enumerate_cached.cache_info().misses == misses

@@ -1,6 +1,7 @@
 """Identity verifier: recipes, statuses, grids, determinism."""
 
 from dataclasses import fields
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,8 +18,21 @@ from gentile import (
     run_grid,
     run_task,
 )
-from gentile import cli, verifier
-from gentile.operators import as_operator
+from gentile import GentileOrder, cli, verifier
+from gentile.basis import enumerate_basis
+from gentile.operators import (
+    _ladder_cached,
+    as_operator,
+    casimir_c1,
+    casimir_c2,
+    class_sum,
+    exchange_op,
+    leakage,
+    max_abs,
+    occupation_diag,
+    position_number,
+    unitary_generator,
+)
 from gentile.reporting import VERDICT_HEADER
 from gentile.verifier import (
     _IDENTITIES,
@@ -274,3 +288,161 @@ class TestInternalConsistency:
     @pytest.mark.parametrize("subspace", [None, 1])
     def test_limit_and_theorem_recipes_agree_at_order_one(self, nu, subspace):
         assert limit_theorem_agreement(nu, 2, subspace) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against the sparse-product forms they replace
+# ---------------------------------------------------------------------------
+
+#: (n, nu, m) with a full space of at most 4096 states.
+ORACLE_GRID = [
+    (n, nu, m)
+    for n in (1, 2, 3)
+    for nu in (2, 3)
+    for m in (1, 2, 3)
+    if (n + 1) ** (nu * m) <= 4096
+]
+
+
+def subspaces(n, m):
+    """The full space and every valid sector."""
+    return [None, *range(n * m + 1)]
+
+
+def correction_oracle(basis, k, l):
+    """The occupation-function correction as products of diagonal operators."""
+    total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
+    for i in range(1, basis.nu + 1):
+        fl = occupation_diag(basis, "f", i, l).mat
+        gk = occupation_diag(basis, "g", i, k).mat
+        fk = occupation_diag(basis, "f", i, k).mat
+        gl = occupation_diag(basis, "g", i, l).mat
+        total = total + fl @ gk - fk @ gl
+    return total
+
+
+def generator_commutation_oracle(basis):
+    """Two generator products per index tuple, diagonal-operator correction."""
+    states = range(1, basis.m + 1)
+    e = {(k, l): unitary_generator(k, l, basis).mat for k, l in product(states, repeat=2)}
+    residual = 0.0
+    for k, l, p, q in product(states, repeat=4):
+        d = e[k, l] @ e[p, q] - e[p, q] @ e[k, l]
+        if l == p:
+            d = d - e[k, q]
+        if q == k:
+            d = d + e[p, l]
+        if l == p and q == k:
+            d = d - 2.0 * correction_oracle(basis, k, l)
+        residual = max(residual, max_abs(d))
+    return residual
+
+
+def sliced_leakage(op, full, sector):
+    """Leakage read off the sector's column and row slices."""
+    rows = sector.ranks
+    outside = np.ones(full.dim, dtype=bool)
+    outside[rows] = False
+    into = op.mat[:, rows].tocoo()
+    out_of = op.mat[rows, :].tocoo()
+    vals = np.concatenate([into.data[outside[into.row]], out_of.data[outside[out_of.col]]])
+    return float(np.abs(vals).max()) if vals.size else 0.0
+
+
+def conservation_operands(full):
+    ops = [exchange_op(i, j, full) for i, j in combinations(range(1, full.nu + 1), 2)]
+    ops += [unitary_generator(s, t, full) for s, t in product(range(1, full.m + 1), repeat=2)]
+    return ops + [class_sum(full), casimir_c1(full), casimir_c2(full)]
+
+
+def dense_total_jumps(op, full):
+    """``max |A_ij (d_j - d_i)|`` over position totals, on the dense matrix."""
+    dense = op.toarray()
+    totals = full.occupations.reshape(full.dim, full.nu, full.m).sum(axis=2)
+    return max(
+        np.abs(dense * (d[None, :] - d[:, None])).max() for d in totals.T
+    )
+
+
+def hex_of(residual):
+    return None if residual is None else residual.hex()
+
+
+@pytest.mark.parametrize("n, nu, m", ORACLE_GRID)
+class TestFastPathOracles:
+    def test_occupation_correction_bit_equal(self, n, nu, m):
+        for sub in subspaces(n, m):
+            basis = enumerate_basis(nu, m, GentileOrder(n), sector=sub)
+            for k, l in product(range(1, m + 1), repeat=2):
+                got = verifier._occupation_correction(basis, k, l)
+                ref = correction_oracle(basis, k, l)
+                assert np.array_equal(got.indptr, ref.indptr)
+                assert np.array_equal(got.indices, ref.indices)
+                assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
+
+    def test_generator_commutation_residual_bit_equal(self, n, nu, m):
+        for sub in subspaces(n, m):
+            task = VerificationTask(IdentityId.GENERATOR_COMMUTATION, n, nu, m, sub)
+            basis = enumerate_basis(nu, m, GentileOrder(n), sector=sub)
+            verdict = run_task(task)
+            assert hex_of(verdict.residual) == generator_commutation_oracle(basis).hex(), sub
+
+    def test_sector_conservation_residual_bit_equal(self, n, nu, m):
+        full = enumerate_basis(nu, m, GentileOrder(n))
+        ops = conservation_operands(full)
+        totals = [position_number(full, i).mat for i in range(1, nu + 1)]
+        commutators = max(max_abs(op.mat @ t - t @ op.mat) for op in ops for t in totals)
+        for sub in subspaces(n, m):
+            sector = enumerate_basis(nu, m, full.order, sector=1 if sub is None else sub)
+            oracle = max([commutators, *(sliced_leakage(op, full, sector) for op in ops)])
+            verdict = run_task(VerificationTask(IdentityId.SECTOR_CONSERVATION, n, nu, m, sub))
+            assert hex_of(verdict.residual) == oracle.hex(), sub
+
+    def test_leakage_equals_sliced_oracle(self, n, nu, m):
+        # Single ladder letters leave every sector, so their leakage is not 0.
+        full = enumerate_basis(nu, m, GentileOrder(n))
+        letters = [_ladder_cached(full, name, flat)
+                   for name in ("a_dag", "b") for flat in (0, full.modes - 1)]
+        for sub in range(n * m + 1):
+            sector = enumerate_basis(nu, m, full.order, sector=sub)
+            for op in conservation_operands(full) + letters:
+                assert leakage(op, full, sector).hex() == sliced_leakage(op, full, sector).hex()
+
+
+class TestFullSpaceMemo:
+    """``full`` rows are evaluated once per (full basis, sector).  A test that
+    patches an operand of such a row clears its cache before and after."""
+
+    @pytest.fixture
+    def fresh_conservation(self):
+        verifier._sector_conservation.cache_clear()
+        yield
+        verifier._sector_conservation.cache_clear()
+
+    def test_full_and_sector_tasks_share_one_evaluation(self):
+        verifier._ladder_nbracket.cache_clear()
+        full = run_task(make_task(IdentityId.LADDER_NBRACKET, subspace=None))
+        sector = run_task(make_task(IdentityId.LADDER_NBRACKET, subspace=1))
+        info = verifier._ladder_nbracket.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert full.status == "pass"
+        assert (hex_of(full.residual), full.status, full.detail) == (
+            hex_of(sector.residual), sector.status, sector.detail)
+
+    def test_non_conserving_operand_fails(self, monkeypatch, fresh_conservation):
+        monkeypatch.setattr(verifier, "casimir_c2", lambda full: _ladder_cached(full, "a_dag", 0))
+        verdict = run_task(make_task(IdentityId.SECTOR_CONSERVATION))
+        assert verdict.status == "fail"
+        assert verdict.residual > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["a_dag", "b"])
+    def test_total_jumps_match_dense_commutators(self, n, name):
+        full = enumerate_basis(2, 2, GentileOrder(n))
+        totals = [position_number(full, i).mat.diagonal().real for i in (1, 2)]
+        for flat in range(full.modes):
+            op = _ladder_cached(full, name, flat)
+            expected = dense_total_jumps(op, full)
+            got = verifier._total_jumps(op, totals)
+            assert got > 0.0
+            assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
