@@ -33,21 +33,17 @@ from .operators import (
     ComplexOperator,
     NonHermitianError,
     SingleModeSet,
-    adjoint,
     as_operator,
     casimir_c1,
     casimir_c2,
     class_sum,
-    commutator,
     coupling_sum,
     eigensolve_hermitian,
-    entrywise_conjugate,
     entrywise_real,
     exchange_op,
     hermitian_part,
     leakage,
     max_abs,
-    n_bracket,
     position_number,
     restrict,
     single_mode_ops,

@@ -113,20 +113,6 @@ def subspace_label(sector: Optional[int]) -> str:
     return "full" if sector is None else f"sector:{sector}"
 
 
-def check_full_dimension(n: int, nu: int, m: int, cap: int) -> int:
-    """Dimension ``(n+1)**(nu*m)`` of the full product space.
-
-    Raises ``SizingError`` when it exceeds ``cap``.
-    """
-    full_dim = (n + 1) ** (nu * m)
-    if full_dim > cap:
-        raise SizingError(
-            f"full space for (n={n}, nu={nu}, m={m}) has dimension "
-            f"{full_dim} > cap {cap}"
-        )
-    return full_dim
-
-
 def check_sector(n: int, m: int, sector: int) -> None:
     """Raise ``ValueError`` unless ``0 <= sector <= n*m``."""
     if sector < 0 or sector > n * m:
@@ -142,22 +128,24 @@ def _composition_count(n: int, m: int, total: int) -> int:
     )
 
 
-def check_sector_dimension(n: int, nu: int, m: int, sector: int, cap: int) -> int:
-    """Dimension ``(#compositions)**nu`` of a sector, computed before any enumeration.
+def check_dimension(n: int, nu: int, m: int, sector: Optional[int], cap: int) -> int:
+    """Dimension of the full space, ``(n+1)**(nu*m)``, or of a sector,
+    ``(#compositions)**nu``, computed before any enumeration.
 
-    Raises ``SizingError`` when it exceeds ``cap``, or when full-space ranks
-    (``(n+1)**(nu*m)`` values) would overflow 64-bit integers.
+    Raises ``ValueError`` for a sector outside ``0..n*m``, and
+    ``SizingError`` when the dimension exceeds ``cap`` or when full-space
+    ranks (``(n+1)**(nu*m)`` values) would overflow 64-bit integers.
     """
-    dim = _composition_count(n, m, sector) ** nu
+    full_dim = (n + 1) ** (nu * m)
+    if sector is None:
+        dim, space = full_dim, "full space"
+    else:
+        check_sector(n, m, sector)
+        dim, space = _composition_count(n, m, sector) ** nu, f"sector {sector}"
     if dim > cap:
-        raise SizingError(
-            f"sector {sector} for (n={n}, nu={nu}, m={m}) has dimension "
-            f"{dim} > cap {cap}"
-        )
-    if (n + 1) ** (nu * m) > 2**63:
-        raise SizingError(
-            f"full-space ranks for (n={n}, nu={nu}, m={m}) overflow 64-bit integers"
-        )
+        raise SizingError(f"{space} for (n={n}, nu={nu}, m={m}) has dimension {dim} > cap {cap}")
+    if full_dim > 2**63:
+        raise SizingError(f"full-space ranks for (n={n}, nu={nu}, m={m}) overflow 64-bit integers")
     return dim
 
 
@@ -204,11 +192,7 @@ def enumerate_basis(
     """
     if nu < 1 or m < 1:
         raise ValueError(f"need nu >= 1 and m >= 1, got nu={nu}, m={m}")
-    if sector is None:
-        check_full_dimension(order.n, nu, m, cap)
-    else:
-        check_sector(order.n, m, sector)
-        check_sector_dimension(order.n, nu, m, sector, cap)
+    check_dimension(order.n, nu, m, sector, cap)
     return _enumerate_cached(nu, m, order, sector)
 
 

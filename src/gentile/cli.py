@@ -23,6 +23,7 @@ from . import __version__
 from .basis import DEFAULT_DIMENSION_CAP, check_sector, subspace_label
 from .heisenberg import check_spectrum_point, spectrum_report
 from .operators import DENSE_EIG_CAP
+from .partitions import partition_count
 from .reporting import (
     PARTITION_HEADER,
     SPECTRUM_HEADER,
@@ -358,6 +359,9 @@ def _cmd_partitions(args) -> int:
     m = args.m if args.m is not None else max(args.N, 1)
     if m < 1:
         raise CliError("--m must be >= 1")
+    # Counted first; the closed form for <= 3 parts bounds it below, so a huge N runs no loop.
+    if any(partition_count(args.N, k) > MAX_TASKS for k in (min(m, 3), m)):
+        raise CliError(f"partition table for N={args.N}, m={m} holds more than {MAX_TASKS} rows")
     table = partition_table(args.N, m)
 
     fmt = args.format

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .basis import DEFAULT_DIMENSION_CAP, check_sector, check_sector_dimension, enumerate_basis
+from .basis import DEFAULT_DIMENSION_CAP, check_dimension, enumerate_basis
 from .operators import (
     ComplexOperator,
     check_dense_dimension,
@@ -103,13 +103,12 @@ def check_spectrum_point(nu: int, m: int, order: GentileOrder, sector: int, cap:
     """Size one spectrum point without enumerating it: the sector must exist
     and fit both ``cap`` and the dense solve.
     """
-    check_sector(order.n, m, sector)
-    check_dense_dimension(check_sector_dimension(order.n, nu, m, sector, cap))
+    check_dense_dimension(check_dimension(order.n, nu, m, sector, cap))
 
 
 def spectrum_ed(hamiltonian: ComplexOperator) -> list[tuple[float, int]]:
     """Clustered ascending spectrum; rejects non-Hermitian input."""
-    return eigensolve_hermitian(hamiltonian)
+    return eigensolve_hermitian(hamiltonian.mat)
 
 
 def spectrum_casimir(

@@ -22,6 +22,11 @@ in the last bit from scalar and sparse-product arithmetic, and byte-stable
 reports need bit-stable matrices.  Assembled matrices are pruned at
 ``DROP_TOL`` and treated as immutable afterwards; building distinct
 operators concurrently is safe.
+
+Operators are untagged: ``ComplexOperator`` holds only its pruned CSR
+matrix, and every builder is handed its basis.  The matrix utilities
+(``max_abs``, ``entrywise_real``, ``hermitian_part``, ``eigensolve_hermitian``)
+take plain CSR; a caller holding an operator passes its ``.mat``.
 """
 
 from __future__ import annotations
@@ -56,10 +61,9 @@ class NonHermitianError(ValueError):
 
 @dataclass(frozen=True)
 class ComplexOperator:
-    """Sparse complex square matrix bound to the basis it acts on."""
+    """Sparse complex square matrix, pruned at ``DROP_TOL``."""
 
     mat: sp.csr_matrix
-    basis_tag: str
 
     @property
     def dim(self) -> int:
@@ -85,17 +89,16 @@ def _pruned(mat: Matrix) -> sp.csr_matrix:
     return out
 
 
-def as_operator(mat: Matrix, basis_tag: str) -> ComplexOperator:
-    """Wrap a matrix as a pruned operator tagged with its basis."""
+def as_operator(mat: Matrix) -> ComplexOperator:
+    """Wrap a square matrix as a pruned operator."""
     out = _pruned(mat)
     if out.shape[0] != out.shape[1]:
         raise ValueError(f"operator must be square, got shape {out.shape}")
-    return ComplexOperator(mat=out, basis_tag=basis_tag)
+    return ComplexOperator(mat=out)
 
 
-def max_abs(op: Union[ComplexOperator, Matrix]) -> float:
+def max_abs(mat: Matrix) -> float:
     """Largest entry magnitude (0.0 for an empty matrix)."""
-    mat = op.mat if isinstance(op, ComplexOperator) else op
     if not isinstance(mat, sp.csr_matrix):
         mat = sp.csr_matrix(mat)
     return float(np.abs(mat.data).max(initial=0.0))
@@ -156,7 +159,7 @@ def restrict(
 ) -> ComplexOperator:
     """Sub-matrix on the sector rows and columns; see :func:`leakage`."""
     rows = _sector_rows(op, full_basis, sector_basis)
-    return as_operator(op.mat[rows][:, rows], sector_basis.basis_tag)
+    return as_operator(op.mat[rows][:, rows])
 
 
 def leakage(op: ComplexOperator, full_basis: FockBasis, sector_basis: FockBasis) -> float:
@@ -244,7 +247,7 @@ def _ladder_cached(basis: FockBasis, name: str, flat: int) -> ComplexOperator:
     """One single-mode ladder matrix (``a``, ``b``, ``a_dag`` or ``b_dag``)
     acting on one flat mode of a full basis, identity on every other mode.
     """
-    return as_operator(_apply_words(basis, [[[(name, flat)]]]), basis.basis_tag)
+    return as_operator(_apply_words(basis, [[[(name, flat)]]]))
 
 
 @lru_cache(maxsize=256)
@@ -266,7 +269,7 @@ def _exchange_cached(basis: FockBasis, i: int, j: int) -> ComplexOperator:
     # The two quartic words coincide on single-occupancy states, so the raw
     # sum would exchange with amplitude 2; halving makes the operator the
     # unit transposition there (tau^2 = 1 on the spin sector).
-    return as_operator(0.5 * _apply_words(basis, groups), basis.basis_tag)
+    return as_operator(0.5 * _apply_words(basis, groups))
 
 
 def exchange_op(i: int, j: int, basis: FockBasis) -> ComplexOperator:
@@ -293,7 +296,7 @@ def class_sum(basis: FockBasis) -> ComplexOperator:
     for i in range(1, basis.nu + 1):
         for j in range(i + 1, basis.nu + 1):
             total = total + _exchange_cached(basis, i, j).mat
-    return as_operator(total, basis.basis_tag)
+    return as_operator(total)
 
 
 @lru_cache(maxsize=256)
@@ -301,7 +304,7 @@ def _generator_cached(basis: FockBasis, k: int, l: int) -> ComplexOperator:
     f = basis.mode_flat
     groups = [[[("a_dag", f(i, k)), ("b", f(i, l))], [("b_dag", f(i, k)), ("a", f(i, l))]]
               for i in range(1, basis.nu + 1)]
-    return as_operator(_apply_words(basis, groups), basis.basis_tag)
+    return as_operator(_apply_words(basis, groups))
 
 
 def unitary_generator(k: int, l: int, basis: FockBasis) -> ComplexOperator:
@@ -321,7 +324,7 @@ def casimir_c1(basis: FockBasis) -> ComplexOperator:
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
     for l in range(1, basis.m + 1):
         total = total + _generator_cached(basis, l, l).mat
-    return as_operator(total, basis.basis_tag)
+    return as_operator(total)
 
 
 @lru_cache(maxsize=64)
@@ -331,23 +334,21 @@ def casimir_c2(basis: FockBasis) -> ComplexOperator:
     for k in range(1, basis.m + 1):
         for l in range(1, basis.m + 1):
             total = total + _generator_cached(basis, k, l).mat @ _generator_cached(basis, l, k).mat
-    return as_operator(total, basis.basis_tag)
+    return as_operator(total)
 
 
-def _diagonal(vals: np.ndarray, basis: FockBasis) -> ComplexOperator:
-    return as_operator(
-        sp.diags(vals, 0, format="csr", dtype=np.complex128), basis.basis_tag
-    )
+def _diagonal(vals: np.ndarray) -> ComplexOperator:
+    return as_operator(sp.diags(vals, 0, format="csr", dtype=np.complex128))
 
 
 def coupling_sum(basis: FockBasis) -> ComplexOperator:
     """Diagonal operator whose eigenvalue is the summed coupling weight."""
-    return _diagonal(coupling_j(basis.occupations, basis.order).sum(axis=1), basis)
+    return _diagonal(coupling_j(basis.occupations, basis.order).sum(axis=1))
 
 
 def total_number(basis: FockBasis) -> ComplexOperator:
     """Diagonal operator counting all particles over all modes."""
-    return _diagonal(basis.occupations.sum(axis=1), basis)
+    return _diagonal(basis.occupations.sum(axis=1))
 
 
 def position_number(basis: FockBasis, position: int) -> ComplexOperator:
@@ -355,7 +356,7 @@ def position_number(basis: FockBasis, position: int) -> ComplexOperator:
     if not 1 <= position <= basis.nu:
         raise ValueError(f"position must be in 1..{basis.nu}, got {position}")
     sl = slice((position - 1) * basis.m, position * basis.m)
-    return _diagonal(basis.occupations[:, sl].sum(axis=1), basis)
+    return _diagonal(basis.occupations[:, sl].sum(axis=1))
 
 
 def occupation_diag(basis: FockBasis, fn: str, position: int, state: int) -> ComplexOperator:
@@ -368,7 +369,7 @@ def occupation_diag(basis: FockBasis, fn: str, position: int, state: int) -> Com
         vals = occ_g(occ, basis.order)
     else:
         raise ValueError(f"fn must be 'f' or 'g', got {fn!r}")
-    return _diagonal(vals, basis)
+    return _diagonal(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -376,58 +377,15 @@ def occupation_diag(basis: FockBasis, fn: str, position: int, state: int) -> Com
 # ---------------------------------------------------------------------------
 
 
-def _unwrap(x: Union[ComplexOperator, Matrix]) -> tuple[sp.csr_matrix, Union[str, None]]:
-    if isinstance(x, ComplexOperator):
-        return x.mat, x.basis_tag
-    return sp.csr_matrix(x, dtype=np.complex128), None
-
-
-def _rewrap(mat: Matrix, tag: Union[str, None]):
-    return as_operator(mat, tag) if tag is not None else _pruned(mat)
-
-
-def _pair(a, b) -> tuple[sp.csr_matrix, sp.csr_matrix, Union[str, None]]:
-    ma, ta = _unwrap(a)
-    mb, tb = _unwrap(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    if ta is not None and tb is not None and ta != tb:
-        raise ValueError(f"basis mismatch: {ta!r} vs {tb!r}")
-    return ma, mb, ta if ta is not None else tb
-
-
-def adjoint(a):
-    mat, tag = _unwrap(a)
-    return _rewrap(mat.getH(), tag)
-
-
-def entrywise_conjugate(a):
-    mat, tag = _unwrap(a)
-    return _rewrap(mat.conjugate(), tag)
-
-
-def entrywise_real(a):
+def entrywise_real(mat: sp.csr_matrix) -> sp.csr_matrix:
     """Real part of every stored entry, in the fixed occupation basis."""
-    mat, tag = _unwrap(a)
     out = mat.copy()
     out.data = out.data.real.astype(np.complex128)
-    return _rewrap(out, tag)
+    return _pruned(out)
 
 
-def hermitian_part(a):
-    mat, tag = _unwrap(a)
-    return _rewrap((mat + mat.getH()) * 0.5, tag)
-
-
-def commutator(a, b):
-    ma, mb, tag = _pair(a, b)
-    return _rewrap(ma @ mb - mb @ ma, tag)
-
-
-def n_bracket(a, b, order: GentileOrder):
-    """Deformed bracket ``XY - q YX`` with ``q = exp(i*2*pi/(n+1))``."""
-    ma, mb, tag = _pair(a, b)
-    return _rewrap(ma @ mb - order.q * (mb @ ma), tag)
+def hermitian_part(mat: sp.csr_matrix) -> sp.csr_matrix:
+    return _pruned((mat + mat.getH()) * 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +400,7 @@ def check_dense_dimension(dim: int, dense_cap: int = DENSE_EIG_CAP) -> None:
 
 
 def eigensolve_hermitian(
-    op: Union[ComplexOperator, Matrix],
+    mat: sp.csr_matrix,
     degeneracy_tol: float = 1e-8,
     hermiticity_tol: float = 1e-10,
     dense_cap: int = DENSE_EIG_CAP,
@@ -454,7 +412,6 @@ def eigensolve_hermitian(
     dimension.  Rejects non-Hermitian input (with the measured asymmetry)
     and dimensions above ``dense_cap``.
     """
-    mat, _ = _unwrap(op)
     dim = mat.shape[0]
     check_dense_dimension(dim, dense_cap)
     asym = max_abs(mat - mat.getH())

@@ -30,24 +30,49 @@ def _validate(partition: Sequence[int], m: int) -> Partition:
     return parts + (0,) * (m - len(parts))
 
 
+def _check_counts(total: int, max_parts: int) -> None:
+    if total < 0 or max_parts < 1:
+        raise ValueError(f"need total >= 0 and max_parts >= 1, got {total} and {max_parts}")
+
+
+def partition_count(total: int, max_parts: int) -> int:
+    """``len(partitions_of(total, max_parts))``, counted without enumerating.
+
+    Up to three parts the count has a closed form, so it takes no loop at
+    any ``total``; with more it takes ``total * max_parts`` steps, counting
+    the conjugate partitions (parts of size at most ``max_parts``).
+    """
+    _check_counts(total, max_parts)
+    parts = min(max_parts, total)
+    # p(total, <=3) is round((total+3)**2 / 12).
+    closed = (1, 1, total // 2 + 1, ((total + 3) ** 2 + 6) // 12)
+    if parts < len(closed):
+        return closed[parts]
+    ways = [1] + [0] * total
+    for size in range(1, parts + 1):
+        for s in range(size, total + 1):
+            ways[s] += ways[s - size]
+    return ways[total]
+
+
 def partitions_of(total: int, max_parts: int) -> list[Partition]:
     """All partitions of ``total`` into at most ``max_parts`` parts.
 
     Reverse-lexicographic order, each padded with zeros to ``max_parts``.
+    Every branch tried ends in a partition, so the time is proportional to
+    the output.
     """
-    if total < 0:
-        raise ValueError(f"total must be nonnegative, got {total}")
-    if max_parts < 1:
-        raise ValueError(f"max_parts must be >= 1, got {max_parts}")
+    _check_counts(total, max_parts)
     out: list[Partition] = []
 
     def descend(remaining: int, largest: int, prefix: Partition) -> None:
         if remaining == 0:
             out.append(prefix + (0,) * (max_parts - len(prefix)))
             return
-        if len(prefix) == max_parts:
-            return
-        for part in range(min(remaining, largest), 0, -1):
+        # No later part exceeds this one, so it takes at least its share of
+        # the slots left; a last slot takes all that remains.
+        least = -(-remaining // (max_parts - len(prefix)))
+        for part in range(min(remaining, largest), least - 1, -1):
             descend(remaining - part, part, prefix + (part,))
 
     descend(total, total, ())

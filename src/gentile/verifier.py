@@ -17,9 +17,10 @@ A row's space names the one basis its tasks evaluate on: none (``single``,
 the single-mode relations), the full space (``full``: single ladder letters
 leave every sector, and ``sector_conservation`` measures the leakage out of
 one), the task's own subspace (``task``), or its sector (``spectral``).
-``run_task`` is the only place a basis is sized and built.  It is sized
-before it is enumerated, so a sector task never builds its full space, and
-the recipes receive it built.
+Task bases are sized, then built, only in ``_checked_basis`` (for
+``run_task`` and ``limit_theorem_agreement``), so a sector task never builds
+its full space; ``sector_conservation`` also enumerates the sector it reads
+inside its full space.  Recipes receive their basis built.
 
 The residual of a task is the largest entry magnitude of its sparse
 difference matrices (``operators.max_abs``), read exactly in both modes.
@@ -54,8 +55,7 @@ from .basis import (
     DEFAULT_DIMENSION_CAP,
     FockBasis,
     SizingError,
-    check_full_dimension,
-    check_sector_dimension,
+    check_dimension,
     enumerate_basis,
     subspace_label,
 )
@@ -183,17 +183,13 @@ def _checked_basis(task: VerificationTask, cap: int, dense_cap: Optional[int]) -
 
     It is sized before it is enumerated, and must fit ``dense_cap`` if given.
     """
-    order = GentileOrder(task.n)
-    if task.subspace is None:
-        dim = check_full_dimension(task.n, task.nu, task.m, cap)
-    else:
-        dim = check_sector_dimension(task.n, task.nu, task.m, task.subspace, cap)
+    dim = check_dimension(task.n, task.nu, task.m, task.subspace, cap)
     if dense_cap is not None and dim > dense_cap:
         space = "full-space" if task.subspace is None else "sector"
         raise SizingError(
             f"too large for dense evaluation: {space} dim {dim} > cap {dense_cap}"
         )
-    return enumerate_basis(task.nu, task.m, order, sector=task.subspace, cap=cap)
+    return enumerate_basis(task.nu, task.m, GentileOrder(task.n), sector=task.subspace, cap=cap)
 
 
 def _sector_of(task: VerificationTask) -> int:
@@ -443,7 +439,7 @@ def _spectrum_match(task, sector):
     if (c1 - sp.diags(c1_diag)).count_nonzero() or np.abs(c1_diag.imag).max() > 1e-10:
         raise ValueError("C1 is not a real diagonal matrix")
     measured_c1 = sorted({round(v, 9) for v in c1_diag.real.tolist()})
-    measured_c2 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(casimir_c2(sector))})
+    measured_c2 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(casimir_c2(sector).mat)})
 
     parts = partitions_of(task.nu, task.m)
     report = []
@@ -553,7 +549,7 @@ def run_task(
 ) -> Verdict:
     """Evaluate one task and classify the residual.
 
-    This is the one place a basis is sized and built, and the one place
+    It builds the basis of the identity's space, and it is the one place
     ``task.mode`` acts: sampled mode lifts the dense cap, except on the
     spectral space, which solves densely in both modes.
     """

@@ -17,7 +17,7 @@ from gentile import (
     index_to_state,
     state_to_index,
 )
-from gentile.basis import check_sector_dimension
+from gentile.basis import check_dimension
 
 
 def count_sector_states(nu, m, n, total):
@@ -60,7 +60,7 @@ class TestDimensions:
                     sector = enumerate_basis(2, m, GentileOrder(n), sector=t)
                     assert sector.dim == count_sector_states(2, m, n, t)
                     # the pre-enumeration sizing counts the same states
-                    assert check_sector_dimension(n, 2, m, t, 2**20) == sector.dim
+                    assert check_dimension(n, 2, m, t, 2**20) == sector.dim
 
     def test_sector_sized_by_its_own_dimension(self):
         order = GentileOrder(2)

@@ -318,6 +318,28 @@ class TestGridGuards:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("total", ["33", "100", "1000000000000"])
+    def test_partition_table_refused_before_enumeration(self, total, monkeypatch, tmp_path,
+                                                         capsys):
+        # --m defaults to N; p(33) = 10143 rows is the first table over the limit.
+        def refuse(*args, **kwargs):
+            raise AssertionError("partitions_of called")
+
+        monkeypatch.setattr("gentile.partitions.partitions_of", refuse)
+        assert run_cli(["partitions", "--N", total, "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gentile: error: ") and "more than 10000 rows" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_largest_default_partition_table_is_built(self, monkeypatch, tmp_path, capsys):
+        # p(32) = 8349 rows is under the limit; the table itself takes seconds.
+        built = []
+        monkeypatch.setattr("gentile.cli.partition_table", lambda *a: built.append(a) or [])
+        assert run_cli(["partitions", "--N", "32", "--out", str(tmp_path / "p.json")]) == 0
+        assert built == [(32, 32)]
+        capsys.readouterr()
+
 
 class TestOutputHandling:
     def test_env_var_default_directory(self, tmp_path, monkeypatch, capsys):

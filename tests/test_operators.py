@@ -13,15 +13,12 @@ from gentile import (
     ModeIndex,
     NonHermitianError,
     SizingError,
-    adjoint,
     as_operator,
     casimir_c1,
     casimir_c2,
     class_sum,
-    commutator,
     coupling_sum,
     eigensolve_hermitian,
-    entrywise_conjugate,
     entrywise_real,
     enumerate_basis,
     exchange_op,
@@ -29,7 +26,6 @@ from gentile import (
     index_to_state,
     leakage,
     max_abs,
-    n_bracket,
     position_number,
     restrict,
     single_mode_ops,
@@ -83,7 +79,7 @@ def kron_embed(op, mode, basis):
     if mat.shape != (d, d):
         raise ValueError(f"single-mode operator must be {d}x{d}, got {mat.shape}")
     flat = basis.mode_flat(mode.position, mode.state)
-    return as_operator(kron_embed_flat(mat, flat, basis), basis.basis_tag)
+    return as_operator(kron_embed_flat(mat, flat, basis))
 
 
 @lru_cache(maxsize=64)
@@ -100,8 +96,8 @@ def entrywise_letters(order):
         b[level - 1, level] = amp
         a[level - 1, level] = amp.conjugate()
     a, b = a.tocsr(), b.tocsr()
-    return {"a": a, "b": b, "a_dag": as_operator(a.getH(), "").mat,
-            "b_dag": as_operator(b.getH(), "").mat}
+    return {"a": a, "b": b, "a_dag": as_operator(a.getH()).mat,
+            "b_dag": as_operator(b.getH()).mat}
 
 
 @lru_cache(maxsize=32)
@@ -141,7 +137,7 @@ def kron_exchange_oracle(full, i, j):
                 [emb["a_dag"][f(i, k)], emb["b_dag"][f(j, l)], emb["b"][f(i, l)], emb["a"][f(j, k)]]
             )
             total = total + w1 + w2
-    return as_operator(0.5 * total, full.basis_tag)
+    return as_operator(0.5 * total)
 
 
 def kron_class_sum_oracle(full):
@@ -149,7 +145,7 @@ def kron_class_sum_oracle(full):
     for i in range(1, full.nu + 1):
         for j in range(i + 1, full.nu + 1):
             total = total + kron_exchange_oracle(full, i, j).mat
-    return as_operator(total, full.basis_tag)
+    return as_operator(total)
 
 
 def kron_generator_oracle(full, k, l):
@@ -160,7 +156,7 @@ def kron_generator_oracle(full, k, l):
     for i in range(1, full.nu + 1):
         total = total + kron_word([emb["a_dag"][f(i, k)], emb["b"][f(i, l)]])
         total = total + kron_word([emb["b_dag"][f(i, k)], emb["a"][f(i, l)]])
-    return as_operator(total, full.basis_tag)
+    return as_operator(total)
 
 
 def kron_casimir_oracles(full):
@@ -176,7 +172,7 @@ def kron_casimir_oracles(full):
         c1 = c1 + gens[(k, k)]
         for l in range(1, full.m + 1):
             c2 = c2 + gens[(k, l)] @ gens[(l, k)]
-    return as_operator(c1, full.basis_tag), as_operator(c2, full.basis_tag)
+    return as_operator(c1), as_operator(c2)
 
 
 def assert_csr_bit_equal(mat, ref):
@@ -187,8 +183,7 @@ def assert_csr_bit_equal(mat, ref):
 
 
 def assert_bit_equal(op, ref):
-    """Same basis, same sparsity pattern, same bit pattern of every entry."""
-    assert op.basis_tag == ref.basis_tag
+    """Same sparsity pattern, same bit pattern of every entry."""
     assert_csr_bit_equal(op.mat, ref.mat)
 
 
@@ -311,7 +306,7 @@ class TestEmbedding:
         ops = single_mode_ops(order)
         first = kron_embed(ops.a, ModeIndex(1, 1), basis)
         second = kron_embed(ops.a, ModeIndex(2, 2), basis)
-        assert max_abs(commutator(first, second)) == 0.0
+        assert max_abs(first.mat @ second.mat - second.mat @ first.mat) == 0.0
 
     def test_shape_and_sector_rejection(self):
         order = GentileOrder(2)
@@ -335,7 +330,7 @@ class TestRestriction:
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        eye = as_operator(sp.identity(full.dim, dtype=complex), full.basis_tag)
+        eye = as_operator(sp.identity(full.dim, dtype=complex))
         assert leakage(eye, full, sector) == 0.0
         result = restrict(eye, full, sector)
         assert max_abs(result.mat - sp.identity(sector.dim, dtype=complex)) == 0.0
@@ -361,11 +356,11 @@ class TestRestriction:
         inside, outside = int(sector.ranks[0]), 0
         single = sp.csr_matrix(([0.5], ([inside], [outside])), shape=(full.dim, full.dim))
         for mat in (single, single.T):
-            assert leakage(as_operator(mat, full.basis_tag), full, sector) == 0.5
+            assert leakage(as_operator(mat), full, sector) == 0.5
 
     def test_mismatched_full_basis_is_rejected(self):
         sector = enumerate_basis(2, 2, GentileOrder(1), sector=1)
-        eye = as_operator(sp.identity(sector.dim, dtype=complex), sector.basis_tag)
+        eye = as_operator(sp.identity(sector.dim, dtype=complex))
         other = enumerate_basis(2, 2, GentileOrder(2))
         for fn in (restrict, leakage):
             with pytest.raises(ValueError, match="full space"):
@@ -427,7 +422,7 @@ class TestExchange:
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         tau = restrict(exchange_op(1, 2, full), full, sector)
-        assert eigensolve_hermitian(tau) == [
+        assert eigensolve_hermitian(tau.mat) == [
             (pytest.approx(-1.0, abs=1e-10), 1),
             (pytest.approx(1.0, abs=1e-10), 3),
         ]
@@ -482,7 +477,7 @@ class TestClassSum:
         full = enumerate_basis(3, 2, order)
         sector = enumerate_basis(3, 2, order, sector=1)
         restricted = restrict(class_sum(full), full, sector)
-        clusters = eigensolve_hermitian(restricted)
+        clusters = eigensolve_hermitian(restricted.mat)
         assert [(round(v, 9), mult) for v, mult in clusters] == [(0.0, 4), (3.0, 4)]
 
     def test_single_position_rejected(self):
@@ -540,7 +535,7 @@ class TestCasimirs:
         for k in (1, 2):
             for l in (1, 2):
                 gen = restrict(unitary_generator(k, l, full), full, sector)
-                assert max_abs(commutator(c2, gen)) < 1e-10
+                assert max_abs(c2.mat @ gen.mat - gen.mat @ c2.mat) < 1e-10
 
     def test_sector_spectrum_reflects_doubling(self):
         # measured second-order values are 4x the shifted irrep eigenvalues
@@ -549,7 +544,7 @@ class TestCasimirs:
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         c2 = restrict(casimir_c2(full), full, sector)
-        clusters = eigensolve_hermitian(c2)
+        clusters = eigensolve_hermitian(c2.mat)
         assert [(round(v, 9), mult) for v, mult in clusters] == [(8.0, 1), (24.0, 3)]
 
 
@@ -584,73 +579,61 @@ class TestMatrixUtilities:
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         tau = exchange_op(1, 2, full)
-        assert max_abs(commutator(tau, tau)) == 0.0
+        assert max_abs(tau.mat @ tau.mat - tau.mat @ tau.mat) == 0.0
 
     def test_hermitian_part_fixed_point(self):
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         c1 = casimir_c1(full)
-        assert max_abs(hermitian_part(c1).mat - c1.mat) < 1e-14
+        assert max_abs(hermitian_part(c1.mat) - c1.mat) < 1e-14
 
     def test_n_bracket_of_ladder_is_identity(self):
         for n in range(1, 6):
             order = GentileOrder(n)
             ops = single_mode_ops(order)
-            bracket = n_bracket(ops.b, ops.a_dag, order)
+            bracket = ops.b @ ops.a_dag - order.q * (ops.a_dag @ ops.b)
             assert max_abs(bracket - sp.identity(n + 1, dtype=complex)) < 1e-12
 
     def test_entrywise_operations(self):
         mat = sp.csr_matrix(np.array([[1 + 2j, 0], [0, -3j]]))
-        op = as_operator(mat, "tag")
-        assert max_abs(entrywise_conjugate(op).mat - mat.conjugate()) == 0.0
-        real = entrywise_real(op).mat.toarray()
+        real = entrywise_real(mat).toarray()
         np.testing.assert_allclose(real, [[1, 0], [0, 0]])
-        assert max_abs(adjoint(op).mat - mat.getH()) == 0.0
-
-    def test_mismatch_rejected(self):
-        a = as_operator(sp.identity(2, dtype=complex), "x")
-        b = as_operator(sp.identity(3, dtype=complex), "x")
-        c = as_operator(sp.identity(2, dtype=complex), "y")
-        with pytest.raises(ValueError, match="dimension"):
-            commutator(a, b)
-        with pytest.raises(ValueError, match="basis"):
-            commutator(a, c)
 
     def test_assembly_prunes_tiny_entries(self):
         mat = sp.csr_matrix(np.array([[1.0, 1e-16], [0.0, 1.0]], dtype=complex))
-        op = as_operator(mat, "t")
+        op = as_operator(mat)
         assert op.nnz == 2
         assert all(abs(v) >= 1e-14 for v in op.mat.data)
 
 
 class TestEigensolver:
     def test_identity(self):
-        op = as_operator(sp.identity(4, dtype=complex), "t")
-        assert eigensolve_hermitian(op) == [(1.0, 4)]
+        op = as_operator(sp.identity(4, dtype=complex))
+        assert eigensolve_hermitian(op.mat) == [(1.0, 4)]
 
     def test_two_level_diagonal(self):
-        op = as_operator(sp.diags([0.0, 1.0], 0, dtype=complex), "t")
-        assert eigensolve_hermitian(op) == [(0.0, 1), (1.0, 1)]
+        op = as_operator(sp.diags([0.0, 1.0], 0, dtype=complex))
+        assert eigensolve_hermitian(op.mat) == [(0.0, 1), (1.0, 1)]
 
     def test_degeneracy_clustering(self):
-        op = as_operator(sp.diags([0.0, 1e-9], 0, dtype=complex), "t")
-        clusters = eigensolve_hermitian(op, degeneracy_tol=1e-8)
+        op = as_operator(sp.diags([0.0, 1e-9], 0, dtype=complex))
+        clusters = eigensolve_hermitian(op.mat, degeneracy_tol=1e-8)
         assert len(clusters) == 1 and clusters[0][1] == 2
 
     def test_multiplicities_sum_to_dim(self):
         order = GentileOrder(1)
         full = enumerate_basis(3, 2, order)
         sector = enumerate_basis(3, 2, order, sector=1)
-        clusters = eigensolve_hermitian(restrict(class_sum(full), full, sector))
+        clusters = eigensolve_hermitian(restrict(class_sum(full), full, sector).mat)
         assert sum(mult for _, mult in clusters) == sector.dim
 
     def test_non_hermitian_rejected(self):
         mat = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(NonHermitianError) as err:
-            eigensolve_hermitian(as_operator(mat, "t"))
+            eigensolve_hermitian(as_operator(mat).mat)
         assert err.value.asymmetry == pytest.approx(1.0)
 
     def test_dimension_cap(self):
-        op = as_operator(sp.identity(8, dtype=complex), "t")
+        op = as_operator(sp.identity(8, dtype=complex))
         with pytest.raises(SizingError):
-            eigensolve_hermitian(op, dense_cap=4)
+            eigensolve_hermitian(op.mat, dense_cap=4)

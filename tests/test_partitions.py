@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentile import casimir_sp, casimir_value, partitions_of, weight, weyl_dimension
+from gentile.partitions import partition_count
 
 
 @lru_cache(maxsize=None)
@@ -46,6 +47,19 @@ class TestEnumeration:
     def test_counts_match_oracle(self, total, max_parts):
         assert len(partitions_of(total, max_parts)) == count_partitions(total, max_parts)
 
+    @pytest.mark.parametrize("total", range(21))
+    def test_count_without_enumerating(self, total):
+        for max_parts in range(1, total + 2):
+            assert partition_count(total, max_parts) == len(partitions_of(total, max_parts))
+
+    def test_count_in_closed_form_at_any_total(self):
+        # Up to three parts no loop runs, so an enormous total is counted at once.
+        big = 10**12
+        assert partition_count(big, 1) == 1
+        assert partition_count(big, 2) == big // 2 + 1
+        assert partition_count(big, 3) == ((big + 3) ** 2 + 6) // 12
+        assert partitions_of(big, 1) == [(big,)]
+
     @given(total=st.integers(0, 14), max_parts=st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_structure(self, total, max_parts):
@@ -62,6 +76,10 @@ class TestEnumeration:
             partitions_of(-1, 2)
         with pytest.raises(ValueError):
             partitions_of(3, 0)
+        with pytest.raises(ValueError):
+            partition_count(-1, 2)
+        with pytest.raises(ValueError):
+            partition_count(3, 0)
 
 
 class TestCasimirValues:

@@ -188,7 +188,7 @@ class TestVerdict:
         def skewed(basis):
             op = real_c1(basis)
             extra = sp.csr_matrix(([value], ([row], [col])), shape=op.mat.shape)
-            return as_operator(op.mat + extra, op.basis_tag)
+            return as_operator(op.mat + extra)
 
         monkeypatch.setattr(verifier, "casimir_c1", skewed)
         verdict = run_task(make_task(IdentityId.CASIMIR_SPECTRUM, n=1))
