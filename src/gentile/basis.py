@@ -128,23 +128,42 @@ def _composition_count(n: int, m: int, total: int) -> int:
     )
 
 
+def _capped_power(base: int, exp: int, cap: int) -> Optional[int]:
+    """``base**exp``, or ``None`` once a partial product passes ``cap`` with
+    factors still to multiply; a result over ``cap`` is at most ``cap*base``.
+    """
+    if base <= 1:
+        return base**exp
+    value = 1
+    for step in range(exp):
+        value *= base
+        if value > cap and step < exp - 1:
+            return None
+    return value
+
+
 def check_dimension(n: int, nu: int, m: int, sector: Optional[int], cap: int) -> int:
     """Dimension of the full space, ``(n+1)**(nu*m)``, or of a sector,
     ``(#compositions)**nu``, computed before any enumeration.
 
-    Raises ``ValueError`` for a sector outside ``0..n*m``, and
-    ``SizingError`` when the dimension exceeds ``cap`` or when full-space
-    ranks (``(n+1)**(nu*m)`` values) would overflow 64-bit integers.
+    Both powers are multiplied out only while they stay within their bound,
+    so a huge ``nu`` costs a few steps, and a dimension that passes ``cap``
+    before its last factor is reported as more than ``cap``.  Raises
+    ``ValueError`` for a sector outside ``0..n*m``, and ``SizingError`` when
+    the dimension exceeds ``cap`` or when full-space ranks
+    (``(n+1)**(nu*m)`` values) would overflow 64-bit integers.
     """
-    full_dim = (n + 1) ** (nu * m)
     if sector is None:
-        dim, space = full_dim, "full space"
+        base, exp, space = n + 1, nu * m, "full space"
     else:
         check_sector(n, m, sector)
-        dim, space = _composition_count(n, m, sector) ** nu, f"sector {sector}"
-    if dim > cap:
-        raise SizingError(f"{space} for (n={n}, nu={nu}, m={m}) has dimension {dim} > cap {cap}")
-    if full_dim > 2**63:
+        base, exp, space = _composition_count(n, m, sector), nu, f"sector {sector}"
+    dim = _capped_power(base, exp, cap)
+    if dim is None or dim > cap:
+        size = f"more than cap {cap}" if dim is None else f"{dim} > cap {cap}"
+        raise SizingError(f"{space} for (n={n}, nu={nu}, m={m}) has dimension {size}")
+    full_dim = _capped_power(n + 1, nu * m, 2**63)
+    if full_dim is None or full_dim > 2**63:
         raise SizingError(f"full-space ranks for (n={n}, nu={nu}, m={m}) overflow 64-bit integers")
     return dim
 

@@ -53,6 +53,9 @@ from .verifier import (
 
 MAX_TASKS = 10**4
 
+#: Largest rows x m**2 a partition table may take; the default --N 32 takes 8.5e6.
+MAX_PARTITION_WORK = 10**7
+
 OUTPUT_DIR_ENV = "GENTILE_OUTPUT_DIR"
 
 
@@ -360,8 +363,15 @@ def _cmd_partitions(args) -> int:
     if m < 1:
         raise CliError("--m must be >= 1")
     # Counted first; the closed form for <= 3 parts bounds it below, so a huge N runs no loop.
-    if any(partition_count(args.N, k) > MAX_TASKS for k in (min(m, 3), m)):
+    rows = partition_count(args.N, min(m, 3))
+    if rows <= MAX_TASKS:
+        rows = partition_count(args.N, m)
+    if rows > MAX_TASKS:
         raise CliError(f"partition table for N={args.N}, m={m} holds more than {MAX_TASKS} rows")
+    # Each row is padded to m parts, and its Weyl dimension takes m*(m-1)/2 factors.
+    if rows * m * m > MAX_PARTITION_WORK:
+        raise CliError(f"partition table for N={args.N}, m={m} needs {rows} rows x m**2 = "
+                       f"{rows * m * m} steps > limit {MAX_PARTITION_WORK}")
     table = partition_table(args.N, m)
 
     fmt = args.format

@@ -107,14 +107,19 @@ def casimir_value(p: int, partition: Sequence[int], m: int, variant: str = "shif
 
 
 def weyl_dimension(partition: Sequence[int], m: int) -> int:
-    """Dimension of the U(m) irrep labelled by ``partition`` (exact integer)."""
+    """Dimension of the U(m) irrep labelled by ``partition`` (exact integer).
+
+    A pair of equal parts contributes ``(j - i) / (j - i)``, so it is
+    skipped; the zero padding then costs loop steps but no big-integer growth.
+    """
     parts = _validate(partition, m)
     num = 1
     den = 1
     for i in range(m):
         for j in range(i + 1, m):
-            num *= parts[i] - parts[j] + j - i
-            den *= j - i
+            if parts[i] != parts[j]:
+                num *= parts[i] - parts[j] + j - i
+                den *= j - i
     q, r = divmod(num, den)
     if r:
         raise AssertionError(f"non-integer Weyl dimension for {parts}, m={m}")

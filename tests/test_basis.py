@@ -74,6 +74,18 @@ class TestDimensions:
             enumerate_basis(20, 2, order, sector=0)
         assert enumerate_basis(19, 2, order, sector=0).ranks.tolist() == [0]
 
+    def test_power_multiplied_only_up_to_its_bound(self):
+        # Passed before the last factor: the bound is named, not the dimension.
+        with pytest.raises(SizingError, match=r"sector 1 for \(n=2, nu=9, m=2\) has dimension "
+                                              r"more than cap 255$"):
+            check_dimension(2, 9, 2, 1, 255)
+        with pytest.raises(SizingError, match=r"full space .* dimension more than cap 1048576$"):
+            check_dimension(1, 10**6, 2, None, 2**20)
+        # A one-state sector needs no multiplying; its full-space ranks overflow.
+        with pytest.raises(SizingError, match="overflow"):
+            check_dimension(1, 10**12, 1, 0, 2**20)
+        assert check_dimension(1, 62, 1, 1, 2**20) == 1
+
     def test_cap_names_offenders(self):
         with pytest.raises(SizingError) as err:
             enumerate_basis(21, 1, GentileOrder(1))

@@ -101,7 +101,7 @@ class TestVerifyCommand:
 
     def test_sector_tasks_sized_by_their_sector(self, tmp_path, capsys):
         # The full space (2**14 states) is over the dense cap, the sector (128)
-        # is not: only the two full-space identities become task errors.
+        # is not: only the full-space identity becomes a task error.
         out = tmp_path / "v.json"
         code = run_cli(["verify", "--n", "1", "--nu", "7", "--m", "2", "--subspace",
                         "sector:1", "--no-timestamp", "--out", str(out)])
@@ -109,7 +109,7 @@ class TestVerifyCommand:
         assert "dense" in capsys.readouterr().err
         verdicts = read_json(out)["verdicts"]
         errors = {v["identity"] for v in verdicts if v["status"] == "error"}
-        assert errors == {"ladder_nbracket_identity", "sector_conservation"}
+        assert errors == {"sector_conservation"}
         assert all(v["residual"] is not None for v in verdicts if v["status"] != "error")
 
     def test_bad_subspace_exits_three(self, tmp_path, capsys):
@@ -331,6 +331,29 @@ class TestGridGuards:
         assert err.startswith("gentile: error: ") and "more than 10000 rows" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("parts", ["3000", "1000000000000"])
+    def test_partition_table_work_refused_before_building(self, parts, monkeypatch, tmp_path,
+                                                          capsys):
+        # Two rows, but each is padded to m parts: rows x m**2 is over the limit.
+        def refuse(*args, **kwargs):
+            raise AssertionError("partition_table called")
+
+        monkeypatch.setattr("gentile.cli.partition_table", refuse)
+        args = ["partitions", "--N", "2", "--m", parts, "--out", str(tmp_path / "x.json")]
+        assert run_cli(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gentile: error: ") and "steps > limit 10000000" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("nu", ["5000", "100000"])
+    def test_huge_dimension_refused_by_its_bound(self, nu, tmp_path, capsys):
+        # The power is multiplied out only until it passes the cap.
+        assert run_cli(["spectrum", "--nu", nu, "--m", "2", "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"gentile: error: sector 1 for (n=1, nu={nu}, m=2) has dimension "
+                       "more than cap 1048576\n")
 
     def test_largest_default_partition_table_is_built(self, monkeypatch, tmp_path, capsys):
         # p(32) = 8349 rows is under the limit; the table itself takes seconds.

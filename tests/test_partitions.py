@@ -1,6 +1,7 @@
 """Partition enumeration and irrep eigenvalue arithmetic."""
 
 import itertools
+import math
 from functools import lru_cache
 
 import pytest
@@ -137,3 +138,10 @@ class TestWeylDimension:
     def test_fundamental(self):
         for m in (2, 3, 4):
             assert weyl_dimension((1,), m) == m
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_symmetric_power_at_large_m(self, k):
+        # Sym^k(C^m); the zero padding must not grow the products.
+        m = 1000
+        assert weyl_dimension((k,), m) == math.comb(m + k - 1, k)
+        assert weyl_dimension((k, 1), m) == (k * math.comb(m + k - 1, k) * (m - 1)) // (k + 1)

@@ -338,6 +338,22 @@ def generator_commutation_oracle(basis):
     return residual
 
 
+def ladder_nbracket_oracle(full):
+    """Every ordered pair of flat modes, bracketed on the full product space."""
+    q = full.order.q
+    eye = sp.identity(full.dim, dtype=np.complex128, format="csr")
+    residual = 0.0
+    for f1, f2 in product(range(full.modes), repeat=2):
+        lower = _ladder_cached(full, "b", f1).mat
+        raiser = _ladder_cached(full, "a_dag", f2).mat
+        if f1 == f2:
+            diff = lower @ raiser - q * (raiser @ lower) - eye
+        else:
+            diff = lower @ raiser - raiser @ lower
+        residual = max(residual, max_abs(diff))
+    return residual
+
+
 def sliced_leakage(op, full, sector):
     """Leakage read off the sector's column and row slices."""
     rows = sector.ranks
@@ -387,6 +403,12 @@ class TestFastPathOracles:
             verdict = run_task(task)
             assert hex_of(verdict.residual) == generator_commutation_oracle(basis).hex(), sub
 
+    def test_ladder_nbracket_residual_bit_equal(self, n, nu, m):
+        oracle = ladder_nbracket_oracle(enumerate_basis(nu, m, GentileOrder(n))).hex()
+        for sub in subspaces(n, m):
+            verdict = run_task(VerificationTask(IdentityId.LADDER_NBRACKET, n, nu, m, sub))
+            assert hex_of(verdict.residual) == oracle, sub
+
     def test_sector_conservation_residual_bit_equal(self, n, nu, m):
         full = enumerate_basis(nu, m, GentileOrder(n))
         ops = conservation_operands(full)
@@ -419,11 +441,10 @@ class TestFullSpaceMemo:
         yield
         verifier._sector_conservation.cache_clear()
 
-    def test_full_and_sector_tasks_share_one_evaluation(self):
-        verifier._ladder_nbracket.cache_clear()
-        full = run_task(make_task(IdentityId.LADDER_NBRACKET, subspace=None))
-        sector = run_task(make_task(IdentityId.LADDER_NBRACKET, subspace=1))
-        info = verifier._ladder_nbracket.cache_info()
+    def test_full_and_sector_tasks_share_one_evaluation(self, fresh_conservation):
+        full = run_task(make_task(IdentityId.SECTOR_CONSERVATION, subspace=None))
+        sector = run_task(make_task(IdentityId.SECTOR_CONSERVATION, subspace=1))
+        info = verifier._sector_conservation.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert full.status == "pass"
         assert (hex_of(full.residual), full.status, full.detail) == (
@@ -446,3 +467,67 @@ class TestFullSpaceMemo:
             got = verifier._total_jumps(op, totals)
             assert got > 0.0
             assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+class TestReducedEvaluations:
+    """The ladder and generator recipes read fewer operands than their
+    statements name; a defect in an operand they still read must show, and
+    the duality recipe keeps every exchange pair because the pairs differ."""
+
+    @pytest.fixture
+    def fresh_ladder(self):
+        verifier._ladder_nbracket.cache_clear()
+        yield
+        verifier._ladder_nbracket.cache_clear()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_two_mode_raiser_defect_fails_ladder_bracket(self, n, monkeypatch, fresh_ladder):
+        real = verifier._ladder_cached
+
+        def perturbed(basis, name, flat):
+            op = real(basis, name, flat)
+            if (basis.nu, basis.m, name, flat) != (1, 2, "a_dag", 1):
+                return op
+            mat = op.mat.copy()
+            mat.data[0] += 1e-3
+            return as_operator(mat)
+
+        monkeypatch.setattr(verifier, "_ladder_cached", perturbed)
+        verdict = run_task(make_task(IdentityId.LADDER_NBRACKET, n=n))
+        assert verdict.status == "fail"
+        assert verdict.residual > 1e-4
+
+    @pytest.mark.parametrize("subspace", [None, 1])
+    def test_generator_defect_in_one_swap_operand_shows(self, subspace, monkeypatch):
+        task = make_task(IdentityId.GENERATOR_COMMUTATION, subspace=subspace)
+        clean = run_task(task).residual
+        real = verifier.unitary_generator
+
+        def perturbed(k, l, basis):
+            op = real(k, l, basis)
+            return as_operator(op.mat * (1.0 + 1e-3)) if (k, l) == (2, 1) else op
+
+        monkeypatch.setattr(verifier, "unitary_generator", perturbed)
+        monkeypatch.setitem(globals(), "unitary_generator", perturbed)
+        residual = run_task(task).residual
+        assert residual != clean
+        basis = enumerate_basis(2, 2, GentileOrder(2), sector=subspace)
+        assert residual.hex() == generator_commutation_oracle(basis).hex()
+
+    def test_duality_keeps_every_exchange_pair(self):
+        # At (n=3, nu=3, m=2, full) the pairs' residuals differ in the last
+        # bit, and the verdict reads the largest, pair (1,3)'s.
+        basis = enumerate_basis(3, 2, GentileOrder(3))
+        gens = [unitary_generator(s, t, basis).mat for s, t in product((1, 2), repeat=2)]
+        per_pair = {}
+        for i, j in combinations((1, 2, 3), 2):
+            tau = exchange_op(i, j, basis).mat
+            per_pair[i, j] = max(max_abs(tau @ g - g @ tau) for g in gens)
+        assert {pair: value.hex() for pair, value in per_pair.items()} == {
+            (1, 2): "0x1.4e7ae9144f0fep+2",
+            (1, 3): "0x1.4e7ae9144f0ffp+2",
+            (2, 3): "0x1.4e7ae9144f0fep+2",
+        }
+        verdict = run_task(VerificationTask(IdentityId.DUALITY_COMMUTATION, 3, 3, 2, None))
+        assert verdict.residual.hex() == max(per_pair.values()).hex()
+        assert per_pair[1, 2].hex() != verdict.residual.hex()
