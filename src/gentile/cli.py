@@ -368,7 +368,7 @@ def _cmd_partitions(args) -> int:
         rows = partition_count(args.N, m)
     if rows > MAX_TASKS:
         raise CliError(f"partition table for N={args.N}, m={m} holds more than {MAX_TASKS} rows")
-    # Each row is padded to m parts, and its Weyl dimension takes m*(m-1)/2 factors.
+    # Each row is padded to m parts, and its Weyl dimension loops over m*(m-1)/2 pairs.
     if rows * m * m > MAX_PARTITION_WORK:
         raise CliError(f"partition table for N={args.N}, m={m} needs {rows} rows x m**2 = "
                        f"{rows * m * m} steps > limit {MAX_PARTITION_WORK}")
