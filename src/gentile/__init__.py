@@ -10,11 +10,8 @@ Casimir eigenvalues over integer partitions.
 from .basis import (
     DEFAULT_DIMENSION_CAP,
     FockBasis,
-    ModeIndex,
     SizingError,
     enumerate_basis,
-    index_to_state,
-    state_to_index,
 )
 from .heisenberg import (
     CasimirLevel,
@@ -42,10 +39,7 @@ from .operators import (
     entrywise_real,
     exchange_op,
     hermitian_part,
-    leakage,
     max_abs,
-    position_number,
-    restrict,
     single_mode_ops,
     total_number,
     unitary_generator,
@@ -61,7 +55,6 @@ from .partitions import (
 from .scalars import (
     BOSE_PROXY_N,
     GentileOrder,
-    bose_proxy,
     bracket_nu,
     coupling_j,
     occ_f,
@@ -79,7 +72,6 @@ from .verifier import (
     limit_theorem_agreement,
     run_grid,
     run_task,
-    single_mode_residuals,
 )
 
 __version__ = "0.1.0"

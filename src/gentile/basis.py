@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -41,21 +41,6 @@ DEFAULT_DIMENSION_CAP = 2**20
 
 class SizingError(ValueError):
     """Raised when a requested space exceeds a configured cap."""
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """One (position, state) mode; both indices are 1-based."""
-
-    position: int
-    state: int
-
-    def flat(self, m: int) -> int:
-        return (self.position - 1) * m + (self.state - 1)
-
-    @staticmethod
-    def from_flat(flat: int, m: int) -> "ModeIndex":
-        return ModeIndex(position=flat // m + 1, state=flat % m + 1)
 
 
 def _radix(n: int, modes: int) -> np.ndarray:
@@ -92,14 +77,6 @@ class FockBasis:
         """Each state's ordinal in the full space, ascending."""
         return self.occupations @ _radix(self.order.n, self.modes)
 
-    @property
-    def is_full(self) -> bool:
-        return self.sector is None
-
-    @property
-    def basis_tag(self) -> str:
-        return f"n{self.order.n}:nu{self.nu}:m{self.m}:{subspace_label(self.sector)}"
-
     def mode_flat(self, position: int, state: int) -> int:
         if not 1 <= position <= self.nu:
             raise ValueError(f"position must be in 1..{self.nu}, got {position}")
@@ -123,8 +100,7 @@ def _composition_count(n: int, m: int, total: int) -> int:
     """Compositions of ``total`` into ``m`` parts in ``0..n`` (inclusion-exclusion)."""
     return sum(
         (-1) ** k * math.comb(m, k) * math.comb(total - k * (n + 1) + m - 1, m - 1)
-        for k in range(m + 1)
-        if total - k * (n + 1) >= 0
+        for k in range(min(m, total // (n + 1)) + 1)
     )
 
 
@@ -213,29 +189,3 @@ def enumerate_basis(
         raise ValueError(f"need nu >= 1 and m >= 1, got nu={nu}, m={m}")
     check_dimension(order.n, nu, m, sector, cap)
     return _enumerate_cached(nu, m, order, sector)
-
-
-def state_to_index(basis: FockBasis, state: Sequence[int]) -> int:
-    """Ordinal of ``state`` in ``basis``; inverse of :func:`index_to_state`."""
-    key = tuple(int(v) for v in state)
-    if len(key) != basis.modes:
-        raise ValueError(f"state has {len(key)} entries, basis has {basis.modes} modes")
-    n = basis.order.n
-    if any(v < 0 or v > n for v in key):
-        raise ValueError(f"occupations {key} outside [0, {n}]")
-    ranks = basis.ranks
-    rank = int(np.array(key, dtype=np.int64) @ _radix(n, basis.modes))
-    ordinal = int(np.searchsorted(ranks, rank))
-    if ordinal == basis.dim or ranks[ordinal] != rank:
-        raise ValueError(
-            f"state {key} violates the sector constraint "
-            f"(per-position total {basis.sector})"
-        )
-    return ordinal
-
-
-def index_to_state(basis: FockBasis, ordinal: int) -> tuple[int, ...]:
-    """The ``ordinal``-th state in the declared lexicographic order."""
-    if not 0 <= ordinal < basis.dim:
-        raise IndexError(f"ordinal {ordinal} not in [0, {basis.dim})")
-    return tuple(int(v) for v in basis.occupations[ordinal])

@@ -13,15 +13,16 @@ amplitudes met on the way and ranks the targets by ``searchsorted`` on
 ``FockBasis.ranks``.  The exchange is a sum of quartic words, the generator
 ``E(k,l)`` a sum of two-letter words over positions, and ``C1``, ``C2`` are
 sums and products of cached generators.  All of them conserve every
-per-position total, so a sector's matrix is exactly the restriction of the
-full-space one.  Single ladder letters leave every sector and are built on
-the full space only.  Amplitude products are taken in Python scalar complex
-arithmetic, left to right, once per distinct tuple of met levels: numpy's
-vectorised complex multiply may use fused multiply-adds (FMA), which differ
-in the last bit from scalar and sparse-product arithmetic, and byte-stable
-reports need bit-stable matrices.  Assembled matrices are pruned at
-``DROP_TOL`` and treated as immutable afterwards; building distinct
-operators concurrently is safe.
+per-position total, so a sector's matrix equals the full-space one sliced at
+the sector's ``ranks``; that slice is a test oracle, not a library path.
+Single ladder letters leave every sector and are built on full spaces only.
+Amplitude products are taken in Python scalar complex arithmetic, left to
+right, once per distinct tuple of met levels: numpy's vectorised complex
+multiply may use fused multiply-adds (FMA), which differ in the last bit
+from scalar and sparse-product arithmetic, and byte-stable reports need
+bit-stable matrices.  Assembled matrices are pruned at ``DROP_TOL`` and
+treated as immutable afterwards; building distinct operators concurrently is
+safe.
 
 Operators are untagged: ``ComplexOperator`` holds only its pruned CSR
 matrix, and every builder is handed its basis.  The matrix utilities
@@ -31,7 +32,7 @@ take plain CSR; a caller holding an operator passes its ``.mat``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import mul
 from typing import Sequence, Union
@@ -40,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import FockBasis, SizingError, _radix, enumerate_basis
-from .scalars import GentileOrder, coupling_j, occ_f, occ_g, sqrt_bracket
+from .scalars import GentileOrder, coupling_j, sqrt_bracket
 
 #: Magnitude below which assembled entries are dropped.
 DROP_TOL = 1e-14
@@ -72,9 +73,6 @@ class ComplexOperator:
     @property
     def nnz(self) -> int:
         return self.mat.nnz
-
-    def toarray(self) -> np.ndarray:
-        return self.mat.toarray()
 
 
 def _pruned(mat: Matrix) -> sp.csr_matrix:
@@ -138,41 +136,6 @@ def single_mode_ops(order: GentileOrder) -> SingleModeSet:
 
 
 # ---------------------------------------------------------------------------
-# Restriction
-# ---------------------------------------------------------------------------
-
-
-def _sector_rows(op: ComplexOperator, full_basis: FockBasis, sector_basis: FockBasis) -> np.ndarray:
-    """Full-space ordinals of the sector states; the operator must be full-space."""
-    if full_basis != replace(sector_basis, sector=None):
-        raise ValueError(f"{full_basis.basis_tag} is not the full space of "
-                         f"{sector_basis.basis_tag}")
-    if op.dim != full_basis.dim:
-        raise ValueError(
-            f"operator dim {op.dim} does not match full basis dim {full_basis.dim}"
-        )
-    return sector_basis.ranks
-
-
-def restrict(
-    op: ComplexOperator, full_basis: FockBasis, sector_basis: FockBasis
-) -> ComplexOperator:
-    """Sub-matrix on the sector rows and columns; see :func:`leakage`."""
-    rows = _sector_rows(op, full_basis, sector_basis)
-    return as_operator(op.mat[rows][:, rows])
-
-
-def leakage(op: ComplexOperator, full_basis: FockBasis, sector_basis: FockBasis) -> float:
-    """What :func:`restrict` ignores: the largest entry magnitude coupling
-    sector states to non-sector states, in either direction (0.0 if none).
-    """
-    inside = np.zeros(full_basis.dim, dtype=bool)
-    inside[_sector_rows(op, full_basis, sector_basis)] = True
-    coo = op.mat.tocoo()
-    return float(np.abs(coo.data[inside[coo.row] != inside[coo.col]]).max(initial=0.0))
-
-
-# ---------------------------------------------------------------------------
 # Composite operators
 # ---------------------------------------------------------------------------
 
@@ -199,7 +162,7 @@ def _apply_words(basis: FockBasis, groups: Sequence[Sequence[_Word]]) -> sp.coo_
     """
     n, dim = basis.order.n, basis.dim
     occ, ranks = basis.occupations, basis.ranks
-    amp = [0j] + [sqrt_bracket(level, basis.order) for level in range(1, n + 1)]
+    amp: dict[int, complex] = {}  # the ladder amplitude of each level met so far
     place = _radix(n, basis.modes).tolist()
     diag = np.zeros(dim, dtype=np.complex128)
     rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
@@ -223,10 +186,14 @@ def _apply_words(basis: FockBasis, groups: Sequence[Sequence[_Word]]) -> sp.coo_
         key = met[acts] @ _radix(n, met.shape[1])
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         conj = [[_LETTERS[name][1] for name, _ in word] for word in words]
+        distinct = met[acts[first]].tolist()
+        # Only levels some word meets are evaluated, so a huge order costs nothing.
+        for u in {u for levels in distinct for u in levels} - amp.keys():
+            amp[u] = sqrt_bracket(u, basis.order)
         products = np.array([
             [reduce(mul, [amp[u].conjugate() if c else amp[u] for u, c in zip(levels, flags)])
              for flags in conj]
-            for levels in met[acts[first]].tolist()
+            for levels in distinct
         ], dtype=np.complex128).reshape(-1, len(words))
         weights = products[inverse].T
         if shift == 0:
@@ -349,27 +316,6 @@ def coupling_sum(basis: FockBasis) -> ComplexOperator:
 def total_number(basis: FockBasis) -> ComplexOperator:
     """Diagonal operator counting all particles over all modes."""
     return _diagonal(basis.occupations.sum(axis=1))
-
-
-def position_number(basis: FockBasis, position: int) -> ComplexOperator:
-    """Diagonal operator counting the particles at one position."""
-    if not 1 <= position <= basis.nu:
-        raise ValueError(f"position must be in 1..{basis.nu}, got {position}")
-    sl = slice((position - 1) * basis.m, position * basis.m)
-    return _diagonal(basis.occupations[:, sl].sum(axis=1))
-
-
-def occupation_diag(basis: FockBasis, fn: str, position: int, state: int) -> ComplexOperator:
-    """Diagonal of ``occ_f``/``occ_g`` applied to one mode's occupations."""
-    flat = basis.mode_flat(position, state)
-    occ = basis.occupations[:, flat]
-    if fn == "f":
-        vals = occ_f(occ, basis.order)
-    elif fn == "g":
-        vals = occ_g(occ, basis.order)
-    else:
-        raise ValueError(f"fn must be 'f' or 'g', got {fn!r}")
-    return _diagonal(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,6 @@ class GentileOrder:
         return self.n + 1
 
 
-def bose_proxy() -> GentileOrder:
-    """Order used as the finite stand-in for the Bose limit."""
-    return GentileOrder(BOSE_PROXY_N)
-
-
 def bracket_nu(nu: int, order: GentileOrder) -> complex:
     """q-number ``<nu> = (1 - q**nu)/(1 - q)`` for ``q = exp(i*2*pi/(n+1))``.
 

@@ -15,24 +15,25 @@ A task that raises ``ValueError`` (sizing included) gets ``status="error"``.
 
 A row's space names the one basis its tasks evaluate on: none (``single``,
 the relations of one or two modes, read on their own one- and two-mode
-spaces), the full space (``full``: ``sector_conservation`` measures the
-leakage out of a sector), the task's own subspace (``task``), or its sector
-(``spectral``).  A recipe reads only the operands that fix its residual bit
-for bit: the ladder bracket takes its distinct-mode commutators on the
-two-mode space, and ``generator_commutation`` skips the index tuples that
-are exactly zero or the exact negation of one it reads.  The exchange pairs
-of ``duality_commutation`` differ in the last bit, so it reads them all.
+spaces, which the dimension cap bounds too), the full space (``full``:
+``sector_conservation`` measures the position-total jumps, which bound the
+leakage out of every sector), the task's own subspace (``task``), or its
+sector (``spectral``).  A recipe reads only the operands that fix its
+residual bit for bit: the ladder bracket takes its distinct-mode
+commutators on the two-mode space, and ``generator_commutation`` skips the
+index tuples that are exactly zero or the exact negation of one it reads.
+The exchange pairs of ``duality_commutation`` differ in the last bit, so it
+reads them all.
 Task bases are sized, then built, only in ``_checked_basis`` (for
 ``run_task`` and ``limit_theorem_agreement``), so a sector task never builds
-its full space; ``sector_conservation`` also enumerates the sector it reads
-inside its full space.  Recipes receive their basis built.
+its full space.  Recipes receive their basis built.
 
 The residual of a task is the largest entry magnitude of its sparse
 difference matrices (``operators.max_abs``), read exactly in both modes.
 Diagonal operands (position totals, the occupation-function correction)
 are numpy vectors, never sparse products.  A ``full`` row is evaluated once
-per (full basis, sector) and memoised, so the ``full`` and ``sector:1``
-tasks of one grid point share one evaluation.
+per full basis and memoised, so the ``full`` and every ``sector:T`` task of
+one grid point share one evaluation.
 ``run_task`` is the only place the mode acts: dense mode refuses a task
 whose evaluation dimension is over the dense cap, and sampled mode lifts
 that cap for residual evaluation and gives the same residual.  The spectral
@@ -77,7 +78,6 @@ from .operators import (
     entrywise_real,
     exchange_op,
     hermitian_part,
-    leakage,
     max_abs,
     single_mode_ops,
     total_number,
@@ -195,11 +195,6 @@ def _checked_basis(task: VerificationTask, cap: int, dense_cap: Optional[int]) -
             f"too large for dense evaluation: {space} dim {dim} > cap {dense_cap}"
         )
     return enumerate_basis(task.nu, task.m, GentileOrder(task.n), sector=task.subspace, cap=cap)
-
-
-def _sector_of(task: VerificationTask) -> int:
-    """The task's sector; a full-space task reads the spin sector, ``sector:1``."""
-    return 1 if task.subspace is None else task.subspace
 
 
 @lru_cache(maxsize=64)
@@ -420,25 +415,29 @@ def _total_jumps(op: ComplexOperator, totals: Sequence[np.ndarray]) -> float:
 
 
 @lru_cache(maxsize=64)
-def _sector_conservation(full: FockBasis, sector_total: int) -> tuple[float, str]:
+def _sector_conservation(full: FockBasis) -> tuple[float, str]:
+    """Largest position-total jump of the conserving operators on ``full``.
+
+    A stored entry between states in different sectors changes some integer
+    position total by at least 1, so its jump is at least its magnitude: the
+    jumps bound the leakage onto every sector, and one evaluation per full
+    basis serves every sector task.
+    """
     nu, m = full.nu, full.m
     ops = [exchange_op(i, j, full) for i, j in combinations(range(1, nu + 1), 2)]
     ops += [unitary_generator(s, t, full) for s, t in product(range(1, m + 1), repeat=2)]
     ops += [class_sum(full), casimir_c1(full), casimir_c2(full)]
-
-    # A sector is never larger than its full space, so this cap never refuses.
-    sector = enumerate_basis(nu, m, full.order, sector=sector_total, cap=full.dim)
     totals = [full.occupations[:, i * m:(i + 1) * m].sum(axis=1) for i in range(nu)]
-    residual = max(max(_total_jumps(op, totals), leakage(op, full, sector)) for op in ops)
+    residual = max(_total_jumps(op, totals) for op in ops)
     detail = (
-        f"{len(ops)} operators x {nu} position totals; extra term is the "
-        f"max restriction leakage onto sector:{sector_total}"
+        f"{len(ops)} operators x {nu} position totals; the jumps bound the "
+        "leakage onto every sector"
     )
     return residual, detail
 
 
 def _recipe_sector_conservation(task, full):
-    return [], *_sector_conservation(full, _sector_of(task))
+    return [], *_sector_conservation(full)
 
 
 def _spectrum_match(task, sector):
@@ -538,12 +537,6 @@ CONTESTED: frozenset[IdentityId] = frozenset(
     i for i, row in _IDENTITIES.items() if row.tolerance is None
 )
 
-#: Identities evaluated on the single-mode space only (grid echoes nu/m).
-SINGLE_MODE_IDENTITIES: frozenset[IdentityId] = frozenset(
-    i for i, row in _IDENTITIES.items() if row.space == "single"
-)
-
-
 #: Nominal tolerance echoed on contested verdicts.
 REPORT_TOLERANCE = 1e-10
 
@@ -567,8 +560,12 @@ def run_task(
     sampled = task.mode == "sampled"
     try:
         basis = None
-        if row.space != "single":
-            subspace = {"full": None, "task": task.subspace, "spectral": _sector_of(task)}[row.space]
+        if row.space == "single":
+            modes = 2 if task.identity is IdentityId.LADDER_NBRACKET else 1
+            check_dimension(task.n, 1, modes, None, dimension_cap)
+        else:
+            spectral = 1 if task.subspace is None else task.subspace
+            subspace = {"full": None, "task": task.subspace, "spectral": spectral}[row.space]
             lifted = sampled and row.space != "spectral"
             basis = _checked_basis(
                 replace(task, subspace=subspace), dimension_cap, None if lifted else dense_cap
@@ -656,11 +653,3 @@ def limit_theorem_agreement(nu: int, m: int, subspace: Optional[int] = 1) -> flo
     d_theorem = _theorem_sides(task, basis)
     d_limit, _ = _limit_sides(task, basis)
     return max_abs(d_theorem - d_limit)
-
-
-def single_mode_residuals(order: GentileOrder) -> dict[str, float]:
-    """Residuals of the single-mode ladder-algebra suite, keyed by relation."""
-    return {
-        key: max(max_abs(d) for d in diffs)
-        for key, diffs in _single_mode_diffs(order).items()
-    }

@@ -7,9 +7,11 @@ lines alongside the pytest verdicts.
 import json
 import time
 
+import numpy as np
+
 from gentile import (
+    BOSE_PROXY_N,
     GentileOrder,
-    bose_proxy,
     bracket_nu,
     casimir_c1,
     casimir_c2,
@@ -19,7 +21,6 @@ from gentile import (
     build_hamiltonian,
     enumerate_basis,
     exchange_op,
-    leakage,
     limit_theorem_agreement,
     partitions_of,
     spectrum_casimir,
@@ -28,7 +29,7 @@ from gentile import (
 )
 from gentile.cli import main
 from gentile.operators import max_abs
-from gentile.verifier import single_mode_residuals
+from gentile.verifier import _single_mode_diffs
 
 
 def announce(number, passed, text):
@@ -48,8 +49,8 @@ def test_criterion_1_single_mode_algebra():
     )
     worst = 0.0
     for n in range(1, 9):
-        residuals = single_mode_residuals(GentileOrder(n))
-        worst = max(worst, max(residuals[k] for k in keys))
+        diffs = _single_mode_diffs(GentileOrder(n))
+        worst = max(worst, max(max_abs(d) for k in keys for d in diffs[k]))
     elapsed = time.monotonic() - started
     announce(
         1,
@@ -65,7 +66,7 @@ def test_criterion_2_limit_behavior():
         abs(coupling_j(occupation, fermi) + occupation) < 1e-12
         for occupation in (0, 1)
     )
-    proxy = bose_proxy()
+    proxy = GentileOrder(BOSE_PROXY_N)
     couplings = max(abs(coupling_j(o, proxy) + o) for o in range(4))
     brackets = max(abs(bracket_nu(o, proxy) - o) for o in range(4))
     announce(
@@ -94,8 +95,13 @@ def test_criterion_3_duality_and_conservation():
                 unitary_generator(k, l, full) for k in (1, 2) for l in (1, 2)
             ]
             operators += [casimir_c1(full), casimir_c2(full)]
+            # The sector's rows and columns, as full-space ordinals.
+            inside = np.zeros(full.dim, dtype=bool)
+            inside[sector.ranks] = True
             for op in operators:
-                worst_leakage = max(worst_leakage, leakage(op, full, sector))
+                coo = op.mat.tocoo()
+                crossing = np.abs(coo.data[inside[coo.row] != inside[coo.col]])
+                worst_leakage = max(worst_leakage, crossing.max(initial=0.0))
             for casimir in (casimir_c1(full), casimir_c2(full)):
                 worst_hermiticity = max(
                     worst_hermiticity, max_abs(casimir.mat - casimir.mat.getH())

@@ -8,15 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentile import (
-    GentileOrder,
-    ModeIndex,
-    SizingError,
-    class_sum,
-    enumerate_basis,
-    index_to_state,
-    state_to_index,
-)
+from gentile import GentileOrder, SizingError, class_sum, enumerate_basis
 from gentile.basis import check_dimension
 
 
@@ -101,7 +93,16 @@ class TestDimensions:
 
 
 def all_states(basis):
-    return [index_to_state(basis, i) for i in range(basis.dim)]
+    return [tuple(state) for state in basis.occupations.tolist()]
+
+
+def ordinal(basis, state):
+    """Where the word kernel finds ``state``: its mixed-radix rank located in
+    ``basis.ranks`` by ``searchsorted``; ``None`` if the basis lacks it.
+    """
+    rank = np.ravel_multi_index(state, (basis.order.n + 1,) * basis.modes)
+    found = int(np.searchsorted(basis.ranks, rank))
+    return found if found < basis.dim and basis.ranks[found] == rank else None
 
 
 class TestOrdering:
@@ -125,7 +126,7 @@ class TestOrdering:
                 sector = enumerate_basis(2, m, order, sector=t)
                 filtered = full.occupations[(totals == t).all(axis=1)]
                 np.testing.assert_array_equal(sector.occupations, filtered)
-                positions = [state_to_index(full, s) for s in all_states(sector)]
+                positions = [ordinal(full, s) for s in all_states(sector)]
                 assert positions == sorted(positions)
                 assert list(sector.ranks) == positions
                 assert np.all(np.diff(sector.ranks) > 0)
@@ -154,14 +155,16 @@ class TestValueIdentity:
 
 
 class TestIndexing:
+    """A state's ordinal is its rank's place in ``ranks``; no lookup table."""
+
     def test_zero_state_is_first(self):
         basis = enumerate_basis(2, 2, GentileOrder(1))
-        assert state_to_index(basis, (0, 0, 0, 0)) == 0
+        assert ordinal(basis, (0, 0, 0, 0)) == 0
 
     def test_unary_ladder(self):
         basis = enumerate_basis(1, 1, GentileOrder(2))
-        assert state_to_index(basis, (2,)) == 2
-        assert index_to_state(basis, 0) == (0,)
+        assert ordinal(basis, (2,)) == 2
+        assert all_states(basis) == [(0,), (1,), (2,)]
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -171,35 +174,32 @@ class TestIndexing:
         m = data.draw(st.integers(1, 3))
         sector = data.draw(st.one_of(st.none(), st.integers(0, n * m)))
         basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
-        ordinal = data.draw(st.integers(0, basis.dim - 1))
-        assert state_to_index(basis, index_to_state(basis, ordinal)) == ordinal
+        index = data.draw(st.integers(0, basis.dim - 1))
+        assert ordinal(basis, all_states(basis)[index]) == index
 
     def test_membership_failures(self):
         basis = enumerate_basis(2, 2, GentileOrder(1), sector=1)
-        with pytest.raises(ValueError, match="outside"):
-            state_to_index(basis, (2, 0, 0, 1))
-        with pytest.raises(ValueError, match="sector"):
-            state_to_index(basis, (1, 1, 1, 0))
-        with pytest.raises(ValueError, match="sector"):
-            state_to_index(basis, (1, 0, 0, 0))  # full rank between two sector ranks
-        with pytest.raises(ValueError, match="modes"):
-            state_to_index(basis, (1, 0))
-
-    def test_ordinal_out_of_range(self):
-        basis = enumerate_basis(2, 2, GentileOrder(1), sector=1)
-        with pytest.raises(IndexError):
-            index_to_state(basis, basis.dim)
+        assert ordinal(basis, (1, 1, 1, 0)) is None
+        assert ordinal(basis, (1, 0, 0, 0)) is None  # full rank between two sector ranks
+        assert ordinal(basis, (1, 0, 0, 1)) is not None
 
 
 class TestModeIndex:
+    """``FockBasis.mode_flat`` is position-major: ``(position-1)*m + (state-1)``."""
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_flat_round_trip(self, m):
-        for position in range(1, 4):
-            for state in range(1, m + 1):
-                mode = ModeIndex(position, state)
-                assert ModeIndex.from_flat(mode.flat(m), m) == mode
+        basis = enumerate_basis(3, m, GentileOrder(1), sector=0)
+        flats = [basis.mode_flat(position, state)
+                 for position in range(1, 4) for state in range(1, m + 1)]
+        assert flats == list(range(basis.modes))
+        with pytest.raises(ValueError):
+            basis.mode_flat(4, 1)
+        with pytest.raises(ValueError):
+            basis.mode_flat(1, m + 1)
 
     def test_flat_is_position_major(self):
-        assert ModeIndex(1, 1).flat(3) == 0
-        assert ModeIndex(1, 3).flat(3) == 2
-        assert ModeIndex(2, 1).flat(3) == 3
+        basis = enumerate_basis(2, 3, GentileOrder(1), sector=0)
+        assert basis.mode_flat(1, 1) == 0
+        assert basis.mode_flat(1, 3) == 2
+        assert basis.mode_flat(2, 1) == 3

@@ -1,10 +1,16 @@
 """Command-line surface: exit codes, report files, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gentile.cli import main
 from gentile.operators import class_sum
@@ -380,3 +386,92 @@ class TestOutputHandling:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-report-")]
         assert leftovers == []
         assert read_json(out)["config"]["N"] == 3
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract as a property over argv drawn from the flag grammar
+# ---------------------------------------------------------------------------
+
+#: Seconds any drawn run may take.  Caps are drawn small, so accepted runs
+#: are small too (the largest partition table, N=32, takes about 2 s), and a
+#: refusal takes milliseconds.
+BUDGET_S = 10.0
+
+INTS = st.one_of(st.integers(1, 3), st.integers(-2, 12), st.integers(-10**15, 10**15))
+CAPS = st.one_of(st.just(64), st.integers(-1, 64)).map(str)
+FORMATS = st.sampled_from(["json", "csv", "xml"])
+
+
+def grid_flag():
+    """A value list: integers and ranges, repeats allowed, or malformed text."""
+    item = st.one_of(INTS.map(str), st.tuples(INTS, INTS).map(lambda r: f"{r[0]}..{r[1]}"))
+    return st.one_of(
+        INTS.map(str),
+        st.lists(item, min_size=1, max_size=3).map(",".join),
+        st.sampled_from(["", "..", "2..", "..3", "x", "1,,2", "2,2", "1..3,2", "1.5", "1..2..3"]),
+    )
+
+
+SUBSPACES = st.one_of(
+    INTS.map(lambda t: f"sector:{t}"),
+    st.lists(st.sampled_from(["full", "both", "sector:0", "sector:1", "sector:2", "sector:",
+                              "sector:x", "half"]), min_size=1, max_size=3).map(",".join),
+)
+READINGS = st.lists(st.sampled_from(["entrywise", "hermitian", "both", "real"]),
+                    min_size=1, max_size=2).map(",".join)
+
+
+def command(name, required, optional, switches=()):
+    """``[name, flags...]``: the required flags, any of the optional ones and
+    of the switches, in a drawn order."""
+    flags = st.fixed_dictionaries(required, optional=optional)
+    chosen = st.lists(st.sampled_from(["--no-timestamp", *switches]), unique=True)
+    return st.tuples(flags, chosen).flatmap(lambda fs: st.permutations(
+        [[flag, value] for flag, value in fs[0].items()] + [[s] for s in fs[1]]
+    )).map(lambda parts: [name] + [token for part in parts for token in part])
+
+
+ARGV = st.one_of(
+    command("verify", {"--cap": CAPS}, {
+        "--n": grid_flag(), "--nu": grid_flag(), "--m": grid_flag(), "--subspace": SUBSPACES,
+        "--interpretation": READINGS, "--mode": st.sampled_from(["dense", "sampled", "exact"]),
+        "--k": INTS.map(str), "--seed": INTS.map(str), "--format": FORMATS, "--dense-cap": CAPS,
+    }),
+    command("spectrum", {"--cap": CAPS}, {
+        "--nu": grid_flag(), "--m": grid_flag(), "--n": grid_flag(), "--sector": INTS.map(str),
+        "--variant": st.sampled_from(["raw", "shifted", "both", "none"]), "--format": FORMATS,
+    }, switches=("--compare",)),
+    command("partitions", {}, {
+        "--N": st.one_of(INTS.map(str), st.just("x")), "--m": INTS.map(str), "--format": FORMATS,
+    }),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=ARGV)
+# Refused at once: a dimension multiplied out in full, a table padded to 3000 parts.
+@example(argv=["spectrum", "--nu", "100000", "--m", "2"])
+@example(argv=["partitions", "--N", "2", "--m", "3000"])
+# A composition count looped over every one of m parts.
+@example(argv=["spectrum", "--nu", "2", "--m", "1000000000", "--cap", "4"])
+# Ladder amplitudes listed for every level up to n on a one-state sector.
+@example(argv=["verify", "--n", "10000000", "--nu", "2", "--m", "1", "--subspace", "sector:1",
+               "--cap", "4"])
+# Single-mode spaces built past --cap.
+@example(argv=["verify", "--n", "1000000", "--nu", "2", "--m", "1", "--cap", "4"])
+def test_exit_code_contract(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        started = time.perf_counter()
+        try:
+            code = main(argv + ["--out", os.path.join(tmp, "report")])
+        except SystemExit as exc:  # argparse refuses through exit(3)
+            code = exc.code
+        elapsed = time.perf_counter() - started
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 3:  # argparse names the subcommand: "gentile verify: error: ..."
+        assert err.getvalue().startswith("gentile") and ": error: " in err.getvalue(), argv
+    assert elapsed < BUDGET_S, (argv, elapsed)

@@ -103,7 +103,7 @@ class TestSpectrumEd:
             (pytest.approx(-1.0, abs=1e-10), 1),
             (pytest.approx(1.0, abs=1e-10), 3),
         ]
-        assert clusters == ed_oracle(H.toarray())
+        assert clusters == ed_oracle(H.mat.toarray())
 
     def test_three_spins(self):
         H = build_hamiltonian(3, 2, GentileOrder(1))

@@ -27,19 +27,12 @@ from gentile.operators import (
     casimir_c2,
     class_sum,
     exchange_op,
-    leakage,
     max_abs,
-    occupation_diag,
-    position_number,
     unitary_generator,
 )
 from gentile.reporting import VERDICT_HEADER
-from gentile.verifier import (
-    _IDENTITIES,
-    INTERPRETATIONS,
-    SINGLE_MODE_IDENTITIES,
-    tolerance_for,
-)
+from gentile.scalars import occ_f, occ_g
+from gentile.verifier import _IDENTITIES, INTERPRETATIONS, tolerance_for
 
 
 def make_task(identity, **kwargs):
@@ -240,7 +233,7 @@ class TestGrid:
 
     def test_single_mode_identities_note_grid_echo(self):
         verdict = run_task(make_task(IdentityId.QUARTIC_WORD_BRACKET))
-        assert verdict.task.identity in SINGLE_MODE_IDENTITIES
+        assert _IDENTITIES[verdict.task.identity].space == "single"
         assert "echo" in verdict.detail
 
 
@@ -258,7 +251,6 @@ class TestIdentityTable:
         verdict = run_task(make_task(identity, n=1))
         assert verdict.status != "error", verdict.detail
         assert verdict.detail.endswith(self.ECHO) == (row.space == "single")
-        assert (identity in SINGLE_MODE_IDENTITIES) == (row.space == "single")
 
     @pytest.mark.parametrize("reading, interpretations", [
         ("entrywise", ["entrywise_real"]),
@@ -309,14 +301,20 @@ def subspaces(n, m):
     return [None, *range(n * m + 1)]
 
 
+def occupation_diag(basis, fn, position, state):
+    """``occ_f``/``occ_g`` of one mode's occupations, as a pruned diagonal matrix."""
+    vals = fn(basis.occupations[:, basis.mode_flat(position, state)], basis.order)
+    return as_operator(sp.diags(vals, 0)).mat
+
+
 def correction_oracle(basis, k, l):
     """The occupation-function correction as products of diagonal operators."""
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
     for i in range(1, basis.nu + 1):
-        fl = occupation_diag(basis, "f", i, l).mat
-        gk = occupation_diag(basis, "g", i, k).mat
-        fk = occupation_diag(basis, "f", i, k).mat
-        gl = occupation_diag(basis, "g", i, l).mat
+        fl = occupation_diag(basis, occ_f, i, l)
+        gk = occupation_diag(basis, occ_g, i, k)
+        fk = occupation_diag(basis, occ_f, i, k)
+        gl = occupation_diag(basis, occ_g, i, l)
         total = total + fl @ gk - fk @ gl
     return total
 
@@ -365,6 +363,11 @@ def sliced_leakage(op, full, sector):
     return float(np.abs(vals).max()) if vals.size else 0.0
 
 
+def position_totals(full):
+    """Each position's particle total on every state, one vector per position."""
+    return list(full.occupations.reshape(full.dim, full.nu, full.m).sum(axis=2).T)
+
+
 def conservation_operands(full):
     ops = [exchange_op(i, j, full) for i, j in combinations(range(1, full.nu + 1), 2)]
     ops += [unitary_generator(s, t, full) for s, t in product(range(1, full.m + 1), repeat=2)]
@@ -373,10 +376,9 @@ def conservation_operands(full):
 
 def dense_total_jumps(op, full):
     """``max |A_ij (d_j - d_i)|`` over position totals, on the dense matrix."""
-    dense = op.toarray()
-    totals = full.occupations.reshape(full.dim, full.nu, full.m).sum(axis=2)
+    dense = op.mat.toarray()
     return max(
-        np.abs(dense * (d[None, :] - d[:, None])).max() for d in totals.T
+        np.abs(dense * (d[None, :] - d[:, None])).max() for d in position_totals(full)
     )
 
 
@@ -412,7 +414,7 @@ class TestFastPathOracles:
     def test_sector_conservation_residual_bit_equal(self, n, nu, m):
         full = enumerate_basis(nu, m, GentileOrder(n))
         ops = conservation_operands(full)
-        totals = [position_number(full, i).mat for i in range(1, nu + 1)]
+        totals = [sp.diags(d, 0, format="csr", dtype=np.complex128) for d in position_totals(full)]
         commutators = max(max_abs(op.mat @ t - t @ op.mat) for op in ops for t in totals)
         for sub in subspaces(n, m):
             sector = enumerate_basis(nu, m, full.order, sector=1 if sub is None else sub)
@@ -421,19 +423,25 @@ class TestFastPathOracles:
             assert hex_of(verdict.residual) == oracle.hex(), sub
 
     def test_leakage_equals_sliced_oracle(self, n, nu, m):
-        # Single ladder letters leave every sector, so their leakage is not 0.
+        # The conservation residual reads position-total jumps alone: an entry
+        # that leaves a sector changes some integer total by at least 1, so
+        # adding the sliced leakage onto any sector changes no bit.  Single
+        # ladder letters leave every sector, so their jumps are not 0.
         full = enumerate_basis(nu, m, GentileOrder(n))
+        totals = position_totals(full)
         letters = [_ladder_cached(full, name, flat)
-                   for name in ("a_dag", "b") for flat in (0, full.modes - 1)]
+                   for name in ("a", "b", "a_dag", "b_dag") for flat in range(full.modes)]
+        assert all(verifier._total_jumps(op, totals) > 0.0 for op in letters)
         for sub in range(n * m + 1):
             sector = enumerate_basis(nu, m, full.order, sector=sub)
             for op in conservation_operands(full) + letters:
-                assert leakage(op, full, sector).hex() == sliced_leakage(op, full, sector).hex()
+                jumps = verifier._total_jumps(op, totals)
+                assert max(jumps, sliced_leakage(op, full, sector)).hex() == jumps.hex()
 
 
 class TestFullSpaceMemo:
-    """``full`` rows are evaluated once per (full basis, sector).  A test that
-    patches an operand of such a row clears its cache before and after."""
+    """``full`` rows are evaluated once per full basis.  A test that patches
+    an operand of such a row clears its cache before and after."""
 
     @pytest.fixture
     def fresh_conservation(self):
@@ -443,12 +451,14 @@ class TestFullSpaceMemo:
 
     def test_full_and_sector_tasks_share_one_evaluation(self, fresh_conservation):
         full = run_task(make_task(IdentityId.SECTOR_CONSERVATION, subspace=None))
-        sector = run_task(make_task(IdentityId.SECTOR_CONSERVATION, subspace=1))
+        sectors = [run_task(make_task(IdentityId.SECTOR_CONSERVATION, subspace=t))
+                   for t in range(5)]
         info = verifier._sector_conservation.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 5)
         assert full.status == "pass"
-        assert (hex_of(full.residual), full.status, full.detail) == (
-            hex_of(sector.residual), sector.status, sector.detail)
+        for sector in sectors:
+            assert (hex_of(full.residual), full.status, full.detail) == (
+                hex_of(sector.residual), sector.status, sector.detail)
 
     def test_non_conserving_operand_fails(self, monkeypatch, fresh_conservation):
         monkeypatch.setattr(verifier, "casimir_c2", lambda full: _ladder_cached(full, "a_dag", 0))
@@ -456,11 +466,24 @@ class TestFullSpaceMemo:
         assert verdict.status == "fail"
         assert verdict.residual > 0.0
 
+    @pytest.mark.parametrize("name", ["a", "b", "a_dag", "b_dag"])
+    def test_lone_letter_operand_fails_on_every_subspace(self, name, monkeypatch,
+                                                          fresh_conservation):
+        # A lone letter in place of the exchange: the jumps alone must catch
+        # it, with no sector enumerated, on the full space and on each sector.
+        last = enumerate_basis(2, 2, GentileOrder(2)).modes - 1
+        monkeypatch.setattr(verifier, "exchange_op",
+                            lambda i, j, full: _ladder_cached(full, name, last))
+        for sub in subspaces(2, 2):
+            verdict = run_task(make_task(IdentityId.SECTOR_CONSERVATION, subspace=sub))
+            assert verdict.status == "fail", sub
+            assert verdict.residual >= 1.0, sub
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", ["a_dag", "b"])
     def test_total_jumps_match_dense_commutators(self, n, name):
         full = enumerate_basis(2, 2, GentileOrder(n))
-        totals = [position_number(full, i).mat.diagonal().real for i in (1, 2)]
+        totals = position_totals(full)
         for flat in range(full.modes):
             op = _ladder_cached(full, name, flat)
             expected = dense_total_jumps(op, full)
