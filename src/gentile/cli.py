@@ -17,41 +17,36 @@ import sys
 from collections import Counter
 from datetime import datetime, timezone
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .basis import DEFAULT_DIMENSION_CAP, check_sector, subspace_label
-from .heisenberg import check_spectrum_point, spectrum_report
+from .basis import DEFAULT_DIMENSION_CAP, subspace_label
+from .heisenberg import CONSTANT_CONVENTION, FORMS, check_spectrum_point, spectrum_report
 from .operators import DENSE_EIG_CAP
 from .partitions import partition_count
 from .reporting import (
-    PARTITION_HEADER,
     SPECTRUM_HEADER,
-    VERDICT_HEADER,
     atomic_write,
     csv_bytes,
     float_repr,
     json_bytes,
     partition_label,
     partition_table,
-    partitions_rows,
+    record_table,
     report_payload,
     spectrum_report_dict,
     spectrum_rows,
-    verdict_rows,
 )
 from .scalars import GentileOrder
 from .verifier import (
     CONTESTED,
     INTERPRETATIONS,
+    MAX_TASKS,
     IdentityId,
     expand_tasks,
-    interpretations_for,
     run_grid,
     tolerance_for,
 )
-
-MAX_TASKS = 10**4
 
 #: Largest rows x m**2 a partition table may take; the default --N 32 takes 8.5e6.
 MAX_PARTITION_WORK = 10**7
@@ -65,7 +60,7 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; the contract says 3
-        self.exit(3, f"{self.prog}: error: {message}\n")
+        self.exit(3, f"gentile: error: {message}\n")
 
 
 def _no_repeats(values: list, flag: str, label=str) -> list:
@@ -143,8 +138,9 @@ def _default_out(command: str, fmt: str, given: Optional[str]) -> str:
 
 
 def _write_report(args, out_path: str, config: dict, key: str, records: Sequence[dict],
-                  header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Write the JSON payload or the CSV table, per ``--format``, atomically."""
+                  table: Optional[Callable[[], tuple]] = None) -> None:
+    """Write the JSON payload or the CSV table ``table()`` (by default the records'
+    keys and values, built for CSV only), per ``--format``, atomically."""
     if args.format == "json":
         timestamp = (
             None if args.no_timestamp
@@ -152,7 +148,7 @@ def _write_report(args, out_path: str, config: dict, key: str, records: Sequence
         )
         data = json_bytes(report_payload(config, __version__, key, records, timestamp))
     else:
-        data = csv_bytes(header, rows)
+        data = csv_bytes(*(table() if table else record_table(records)))
     atomic_write(out_path, data)
 
 
@@ -211,27 +207,8 @@ def _cmd_verify(args) -> int:
     ms = _parse_int_list(args.m, "m")
     subspaces = _parse_subspaces(args.subspace)
     interpretations = _parse_interpretations(args.interpretation)
-    # Counted before the grid is built, with the fan-out expand_tasks uses.
-    count = (len(ns) * len(nus) * len(ms) * len(subspaces)
-             * sum(len(interpretations_for(i, interpretations)) for i in IdentityId))
-    if count > MAX_TASKS:
-        raise CliError(f"grid expands to {count} tasks > limit {MAX_TASKS}")
-
-    for n in ns:
-        if n < 1:
-            raise CliError(f"orders must be >= 1, got {n}")
-    for value, name in ((min(nus), "nu"), (min(ms), "m")):
-        if value < 1:
-            raise CliError(f"--{name} must be >= 1")
-
-    # Pre-flight: every sector must exist.  Sizing is per task: a task over
-    # a cap becomes an error verdict, which exits 3 with the report written.
-    for n in ns:
-        for m in ms:
-            for sub in subspaces:
-                if sub is not None:
-                    check_sector(n, m, sub)
-
+    # Sizing is per task: a task over a cap becomes an error verdict, which
+    # exits 3 with the report written.
     tasks = expand_tasks(
         ns=ns, nus=nus, ms=ms, subspaces=subspaces,
         interpretations=interpretations, mode=args.mode, k=args.k, seed=args.seed,
@@ -258,8 +235,7 @@ def _cmd_verify(args) -> int:
         "tolerances": {i.value: tolerance_for(i) for i in IdentityId},
         "contested": sorted(i.value for i in CONTESTED),
     }
-    _write_report(args, out_path, config, "verdicts", [v.record() for v in verdicts],
-                  VERDICT_HEADER, verdict_rows(verdicts))
+    _write_report(args, out_path, config, "verdicts", [v.record() for v in verdicts])
 
     # stdout summary: one line per identity.
     print(f"gentile verify — {len(verdicts)} verdicts — report: {out_path}")
@@ -296,7 +272,7 @@ def _cmd_spectrum(args) -> int:
     if min(nus) < 2:
         raise CliError("spectra need at least two particles (--nu >= 2)")
     variants = ("shifted", "raw") if args.variant == "both" else (args.variant,)
-    forms = ("bose", "fermi", "gentile") if args.compare else ()
+    forms = FORMS if args.compare else ()
 
     if min(ms) < 1:
         raise CliError("--m must be >= 1")
@@ -329,11 +305,11 @@ def _cmd_spectrum(args) -> int:
         "output": out_path,
         "timestamp": not args.no_timestamp,
         "dimension_cap": args.cap,
-        "constant_convention": 0.0,
+        "constant_convention": CONSTANT_CONVENTION,
     }
     _write_report(args, out_path, config, "spectra",
                   [spectrum_report_dict(r) for r in reports],
-                  SPECTRUM_HEADER, spectrum_rows(reports))
+                  lambda: (SPECTRUM_HEADER, spectrum_rows(reports)))
 
     print(f"gentile spectrum — {len(reports)} runs — report: {out_path}")
     for report in reports:
@@ -384,8 +360,7 @@ def _cmd_partitions(args) -> int:
         "output": out_path,
         "timestamp": not args.no_timestamp,
     }
-    _write_report(args, out_path, config, "partitions", table,
-                  PARTITION_HEADER, partitions_rows(table))
+    _write_report(args, out_path, config, "partitions", table)
 
     print(f"gentile partitions — N={args.N}, m={m} — report: {out_path}")
     print(f"{'partition':<16} {'s1':>4} {'s2':>4} {'c2_raw':>7} {'c2_shifted':>11} {'weyl':>5}")

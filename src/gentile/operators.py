@@ -46,7 +46,7 @@ from .scalars import GentileOrder, coupling_j, sqrt_bracket
 #: Magnitude below which assembled entries are dropped.
 DROP_TOL = 1e-14
 
-#: Largest dimension the dense eigensolver will accept.
+#: Default largest dimension sized for a dense solve or dense evaluation.
 DENSE_EIG_CAP = 4096
 
 Matrix = Union[sp.spmatrix, np.ndarray]
@@ -340,7 +340,8 @@ def hermitian_part(mat: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def check_dense_dimension(dim: int, dense_cap: int = DENSE_EIG_CAP) -> None:
-    """Raise ``SizingError`` when a dense eigensolve of ``dim`` exceeds ``dense_cap``."""
+    """Raise ``SizingError`` when a dense eigensolve of ``dim`` exceeds ``dense_cap``;
+    the one dense-cap check, made on a space's size before anything is built on it."""
     if dim > dense_cap:
         raise SizingError(f"dense eigensolve needs dim {dim} > dense cap {dense_cap}")
 
@@ -349,17 +350,15 @@ def eigensolve_hermitian(
     mat: sp.csr_matrix,
     degeneracy_tol: float = 1e-8,
     hermiticity_tol: float = 1e-10,
-    dense_cap: int = DENSE_EIG_CAP,
 ) -> list[tuple[float, int]]:
     """Ascending eigenvalues clustered into (value, multiplicity) pairs.
 
     Consecutive eigenvalues closer than ``degeneracy_tol`` share a cluster;
     cluster values are the cluster means and multiplicities sum to the
-    dimension.  Rejects non-Hermitian input (with the measured asymmetry)
-    and dimensions above ``dense_cap``.
+    dimension.  Rejects non-Hermitian input (with the measured asymmetry); the
+    caller sized ``mat`` with :func:`check_dense_dimension` before building it.
     """
     dim = mat.shape[0]
-    check_dense_dimension(dim, dense_cap)
     asym = max_abs(mat - mat.getH())
     if asym > hermiticity_tol:
         raise NonHermitianError(asym)

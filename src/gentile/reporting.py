@@ -1,10 +1,13 @@
 """Bit-stable JSON/CSV emission for verification grids, spectra, tables.
 
 Numbers serialize as Python's shortest round-trip decimal in both formats,
-so the JSON and CSV views of one run carry identical values.  Files are
-written atomically (temp file in the target directory, then rename).  Row
-and key order are fixed, so reruns with the same inputs are byte-identical
-apart from the optional timestamp field.
+so the JSON and CSV views of one run carry identical values.  The CSV rows
+of ``verify`` and ``partitions`` are the JSON records' values under a header
+of their keys (a partition reads as its label); ``spectrum`` flattens its
+nested records into rows of its own.  Files are written atomically (temp
+file in the target directory, then rename).  Row and key order are fixed,
+so reruns with the same inputs are byte-identical apart from the optional
+timestamp field.
 """
 
 from __future__ import annotations
@@ -18,35 +21,8 @@ from typing import Iterable, Optional, Sequence
 
 from .heisenberg import SpectrumReport
 from .partitions import casimir_sp, casimir_value, weight, weyl_dimension
-from .verifier import Verdict
-
-VERDICT_HEADER = [
-    "identity",
-    "n",
-    "nu",
-    "m",
-    "subspace",
-    "interpretation",
-    "mode",
-    "k",
-    "seed",
-    "residual",
-    "tolerance",
-    "status",
-    "detail",
-]
 
 SPECTRUM_HEADER = ["nu", "m", "n", "source", "eigenvalue", "multiplicity", "partition", "flag"]
-
-PARTITION_HEADER = [
-    "partition",
-    "weight",
-    "s1",
-    "s2",
-    "casimir2_raw",
-    "casimir2_shifted",
-    "weyl_dimension",
-]
 
 
 def float_repr(value: Optional[float]) -> str:
@@ -73,6 +49,15 @@ def csv_bytes(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+def record_table(records: Sequence[dict]) -> tuple[list[str], Iterable[list]]:
+    """CSV header and rows of flat records: the first record's keys, then each
+    record's values, with a ``partition`` rendered by :func:`partition_label`.
+    """
+    return list(records[0]), (
+        [partition_label(v) if k == "partition" else v for k, v in r.items()] for r in records
+    )
+
+
 def report_payload(config: dict, version: str, key: str, records: Sequence[dict],
                    timestamp: Optional[str]) -> dict:
     """JSON report: config, version, optional timestamp, then ``key: records``."""
@@ -96,17 +81,6 @@ def atomic_write(path: str, data: bytes) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
-
-
-# -- verify -----------------------------------------------------------------
-
-
-def verdict_rows(verdicts: Sequence[Verdict]) -> list[list]:
-    return [
-        [float_repr(value) if key in ("residual", "tolerance") else value
-         for key, value in v.record().items()]
-        for v in verdicts
-    ]
 
 
 # -- spectrum ----------------------------------------------------------------
@@ -202,18 +176,3 @@ def partition_table(total: int, m: int) -> list[dict]:
             }
         )
     return table
-
-
-def partitions_rows(table: Sequence[dict]) -> list[list]:
-    return [
-        [
-            partition_label(entry["partition"]),
-            entry["weight"],
-            entry["s1"],
-            entry["s2"],
-            entry["casimir2_raw"],
-            entry["casimir2_shifted"],
-            entry["weyl_dimension"],
-        ]
-        for entry in table
-    ]

@@ -60,8 +60,8 @@ import scipy.sparse as sp
 from .basis import (
     DEFAULT_DIMENSION_CAP,
     FockBasis,
-    SizingError,
     check_dimension,
+    check_sector,
     enumerate_basis,
     subspace_label,
 )
@@ -72,6 +72,7 @@ from .operators import (
     _ladder_cached,
     casimir_c1,
     casimir_c2,
+    check_dense_dimension,
     class_sum,
     coupling_sum,
     eigensolve_hermitian,
@@ -107,6 +108,9 @@ class IdentityId(str, Enum):
 
 
 INTERPRETATIONS = ("entrywise_real", "hermitian_part")
+
+#: Most tasks one grid may expand to.
+MAX_TASKS = 10**4
 
 
 @dataclass(frozen=True)
@@ -189,11 +193,8 @@ def _checked_basis(task: VerificationTask, cap: int, dense_cap: Optional[int]) -
     It is sized before it is enumerated, and must fit ``dense_cap`` if given.
     """
     dim = check_dimension(task.n, task.nu, task.m, task.subspace, cap)
-    if dense_cap is not None and dim > dense_cap:
-        space = "full-space" if task.subspace is None else "sector"
-        raise SizingError(
-            f"too large for dense evaluation: {space} dim {dim} > cap {dense_cap}"
-        )
+    if dense_cap is not None:
+        check_dense_dimension(dim, dense_cap)
     return enumerate_basis(task.nu, task.m, GentileOrder(task.n), sector=task.subspace, cap=cap)
 
 
@@ -360,16 +361,21 @@ def _recipe_duality(task, basis):
     return diffs, 0.0, f"commutators of {len(taus)} exchanges with {len(gens)} generators"
 
 
+def _casimir_side(basis, m):
+    """``C2/2 - (m/2) C1`` on ``basis``, the right side of both relations."""
+    c1 = casimir_c1(basis).mat
+    c2 = casimir_c2(basis).mat
+    return 0.5 * c2 - 0.5 * m * c1
+
+
 def _theorem_sides(task, basis):
     """LHS-RHS matrix of the class-sum / Casimir relation on ``basis``."""
     p_mat = class_sum(basis).mat
     j_mat = coupling_sum(basis).mat
-    c1 = casimir_c1(basis).mat
-    c2 = casimir_c2(basis).mat
     qp = basis.order.q * p_mat
     interp = hermitian_part(qp) if task.interpretation == "hermitian_part" else entrywise_real(qp)
     m = task.m
-    return interp + m * j_mat - (0.5 * c2 - 0.5 * m * c1)
+    return interp + m * j_mat - _casimir_side(basis, m)
 
 
 def _recipe_class_sum_casimir(task, basis):
@@ -384,10 +390,8 @@ def _limit_sides(task, basis):
     sign = -1.0 if task.n == 1 else 1.0
     p_mat = class_sum(basis).mat
     n_mat = total_number(basis).mat
-    c1 = casimir_c1(basis).mat
-    c2 = casimir_c2(basis).mat
     m = task.m
-    return sign * p_mat - m * n_mat - (0.5 * c2 - 0.5 * m * c1), sign
+    return sign * p_mat - m * n_mat - _casimir_side(basis, m), sign
 
 
 def _recipe_limit_relation(task, basis):
@@ -597,17 +601,33 @@ def interpretations_for(identity: IdentityId, interpretations: Sequence[str]) ->
 
 
 def expand_tasks(
-    ns: Iterable[int],
-    nus: Iterable[int],
-    ms: Iterable[int],
-    subspaces: Iterable[Optional[int]],
+    ns: Sequence[int],
+    nus: Sequence[int],
+    ms: Sequence[int],
+    subspaces: Sequence[Optional[int]],
     interpretations: Sequence[str] = INTERPRETATIONS,
     mode: str = "dense",
     k: int = 64,
     seed: int = 42,
     identities: Sequence[IdentityId] = tuple(IdentityId),
 ) -> list[VerificationTask]:
-    """Grid product, fanned out over :func:`interpretations_for`."""
+    """Grid product, fanned out over :func:`interpretations_for`.  Before any task
+    is built, a count over ``MAX_TASKS`` (read off the list lengths, no loop), then
+    an order, ``nu`` or ``m`` below 1, then a sector outside ``0..n*m`` raise ``ValueError``.
+    """
+    count = (len(ns) * len(nus) * len(ms) * len(subspaces)
+             * sum(len(interpretations_for(i, interpretations)) for i in identities))
+    if count > MAX_TASKS:
+        raise ValueError(f"grid expands to {count} tasks > limit {MAX_TASKS}")
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"orders must be >= 1, got {n}")
+    for values, name in ((nus, "nu"), (ms, "m")):
+        if any(value < 1 for value in values):
+            raise ValueError(f"--{name} must be >= 1")
+    for n, m, sub in product(ns, ms, subspaces):
+        if sub is not None:
+            check_sector(n, m, sub)
     return [
         VerificationTask(identity, n, nu, m, sub, interp, mode, k, seed)
         for identity in identities

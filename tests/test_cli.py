@@ -286,7 +286,7 @@ def test_contested_task_error_exits_three_and_keeps_report(tmp_path, capsys):
     assert run_cli(args) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("gentile: error: ") and captured.err.count("\n") == 1
-    assert "sector dim 4 > cap 2" in captured.err
+    assert "dense eigensolve needs dim 4 > dense cap 2" in captured.err
     verdicts = read_json(out)["verdicts"]
     errors = [v for v in verdicts if v["status"] == "error"]
     assert [v["identity"] for v in errors] == ["casimir_spectrum_match"]
@@ -294,6 +294,22 @@ def test_contested_task_error_exits_three_and_keeps_report(tmp_path, capsys):
     assert errors[0]["detail"].startswith("task error (SizingError): ")
     assert {v["status"] for v in verdicts} == {"pass", "report_only", "error"}
     assert "error" in captured.out.splitlines()[1].split()
+
+
+@pytest.mark.parametrize("args, key", [
+    (["verify", "--n", "1", "--nu", "2", "--m", "2"], "verdicts"),
+    (["partitions", "--N", "4", "--m", "3"], "partitions"),
+])
+def test_csv_header_is_the_json_record_keys(args, key, tmp_path, capsys):
+    json_out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
+    assert run_cli(args + ["--out", str(json_out)]) == 0
+    assert run_cli(args + ["--format", "csv", "--out", str(csv_out)]) == 0
+    records = read_json(json_out)[key]
+    with open(csv_out, newline="") as handle:
+        header = next(csv.reader(handle))
+    assert header == list(records[0])
+    assert [list(row) for row in read_csv(csv_out)] == [header] * len(records)
+    capsys.readouterr()
 
 
 class TestGridGuards:
@@ -310,14 +326,20 @@ class TestGridGuards:
              "--subspace repeats full"),
             (["verify", "--subspace", "sector:1,both"], "--subspace repeats sector:1"),
             (["spectrum", "--nu", "2,1..3"], "--nu repeats 2"),
+            # Counted from the list lengths, before a 10**8-step sector loop.
+            (["verify", "--n", "1..10000", "--m", "1..10000", "--subspace", "sector:1"],
+             "grid expands to 3000000000 tasks > limit 10000"),
+            (["verify", "--n", "0..2"], "orders must be >= 1, got 0"),
+            (["verify", "--m", "0,2"], "--m must be >= 1"),
+            (["verify", "--n", "1", "--subspace", "sector:3"], "per-position total 3"),
         ],
     )
     def test_refused_before_the_grid_is_built(self, args, message, monkeypatch, tmp_path,
                                               capsys):
         def refuse(*args, **kwargs):
-            raise AssertionError("expand_tasks called")
+            raise AssertionError("VerificationTask built")
 
-        monkeypatch.setattr("gentile.cli.expand_tasks", refuse)
+        monkeypatch.setattr("gentile.verifier.VerificationTask", refuse)
         assert run_cli(args + ["--out", str(tmp_path / "x.json")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("gentile: error: ") and message in err
@@ -472,6 +494,6 @@ def test_exit_code_contract(argv):
         elapsed = time.perf_counter() - started
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
-    if code == 3:  # argparse names the subcommand: "gentile verify: error: ..."
-        assert err.getvalue().startswith("gentile") and ": error: " in err.getvalue(), argv
+    if code == 3:  # argparse refusals carry the same prefix as every other
+        assert err.getvalue().startswith("gentile: error: "), argv
     assert elapsed < BUDGET_S, (argv, elapsed)

@@ -28,7 +28,7 @@ from gentile import (
     total_number,
     unitary_generator,
 )
-from gentile.operators import _ladder_cached
+from gentile.operators import _ladder_cached, check_dense_dimension
 from gentile.verifier import _single_mode_diffs
 
 
@@ -646,6 +646,10 @@ class TestEigensolver:
         assert err.value.asymmetry == pytest.approx(1.0)
 
     def test_dimension_cap(self):
+        # The one dense-cap comparison; callers size a space with it before
+        # building, and the solve itself takes the matrix it is given.
+        check_dense_dimension(4, dense_cap=4)
+        with pytest.raises(SizingError, match="dense eigensolve needs dim 8 > dense cap 4"):
+            check_dense_dimension(8, dense_cap=4)
         op = as_operator(sp.identity(8, dtype=complex))
-        with pytest.raises(SizingError):
-            eigensolve_hermitian(op.mat, dense_cap=4)
+        assert eigensolve_hermitian(op.mat) == [(1.0, 8)]

@@ -18,7 +18,7 @@ from gentile import (
     run_grid,
     run_task,
 )
-from gentile import GentileOrder, cli, verifier
+from gentile import GentileOrder, verifier
 from gentile.basis import enumerate_basis
 from gentile.operators import (
     _ladder_cached,
@@ -30,7 +30,6 @@ from gentile.operators import (
     max_abs,
     unitary_generator,
 )
-from gentile.reporting import VERDICT_HEADER
 from gentile.scalars import occ_f, occ_g
 from gentile.verifier import _IDENTITIES, INTERPRETATIONS, tolerance_for
 
@@ -170,7 +169,10 @@ class TestVerdict:
         assert [f.name for f in fields(verdict)] == ["task", "residual", "status", "detail"]
         assert verdict.task == task
         assert verdict.tolerance == tolerance_for(task.identity)
-        assert list(verdict.record()) == VERDICT_HEADER
+        assert list(verdict.record()) == [
+            "identity", "n", "nu", "m", "subspace", "interpretation", "mode", "k", "seed",
+            "residual", "tolerance", "status", "detail",
+        ]
 
     @pytest.mark.parametrize("row, col, value", [(0, 1, 1e-3), (0, 0, 1e-9j)])
     def test_non_diagonal_c1_is_a_task_error(self, monkeypatch, row, col, value):
@@ -221,6 +223,66 @@ class TestGrid:
         assert "dense" in verdicts[0].detail
         assert verdicts[0].detail.startswith("task error (SizingError): ")
 
+    @pytest.mark.parametrize("interpretations", [
+        ["entrywise_real"], ["hermitian_part"], list(INTERPRETATIONS),
+    ])
+    def test_count_refused_before_any_task_is_built(self, interpretations, monkeypatch):
+        # The count is the number of tasks the fan-out builds: a limit of
+        # exactly that many builds them, one less refuses before the first.
+        grid = dict(ns=[1, 2], nus=[2], ms=[2], subspaces=[None, 1],
+                    interpretations=interpretations)
+        built = len(expand_tasks(**grid))
+        assert built == 2 * 2 * (len(IdentityId) - 1 + len(interpretations))
+        monkeypatch.setattr(verifier, "MAX_TASKS", built)
+        assert len(expand_tasks(**grid)) == built
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("VerificationTask built")
+
+        monkeypatch.setattr(verifier, "MAX_TASKS", built - 1)
+        monkeypatch.setattr(verifier, "VerificationTask", refuse)
+        with pytest.raises(ValueError, match=f"grid expands to {built} tasks > limit {built - 1}"):
+            expand_tasks(**grid)
+
+    def test_huge_grid_refused_by_its_count(self, monkeypatch):
+        # 10**8 (n, m) pairs: refused from the list lengths, before the
+        # sector loop would visit one of them.
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_sector called")
+
+        monkeypatch.setattr(verifier, "check_sector", refuse)
+        with pytest.raises(ValueError, match="grid expands to 1400000000 tasks > limit 10000"):
+            expand_tasks(ns=range(1, 10**4 + 1), nus=[2], ms=range(1, 10**4 + 1),
+                         subspaces=[1], interpretations=["entrywise_real"])
+
+    def test_spectral_task_solves_under_its_dense_cap(self, monkeypatch):
+        # The 2**13-state sector is over the default dense cap of 4096 and
+        # under the one given: it is sized against that cap and solved under
+        # it.  The solve is stubbed, so no 8192**2 matrix is built.
+        solved = []
+
+        def solve(mat):
+            solved.append(mat.shape)
+            return [(0.0, mat.shape[0])]
+
+        monkeypatch.setattr(verifier, "eigensolve_hermitian", solve)
+        task = VerificationTask(IdentityId.CASIMIR_SPECTRUM, n=1, nu=13, m=2, subspace=1)
+        verdict = run_task(task, dense_cap=10000)
+        assert solved == [(8192, 8192)]
+        assert verdict.status == "report_only", verdict.detail
+        assert "dense cap" not in verdict.detail
+
+    def test_spectral_task_over_its_dense_cap_refused_before_c2(self, monkeypatch):
+        def refuse(basis):
+            raise AssertionError("C2 built")
+
+        monkeypatch.setattr(verifier, "casimir_c2", refuse)
+        task = VerificationTask(IdentityId.CASIMIR_SPECTRUM, n=1, nu=13, m=2, subspace=1)
+        verdict = run_task(task, dense_cap=4096)
+        assert verdict.status == "error" and verdict.residual is None
+        assert verdict.detail == ("task error (SizingError): dense eigensolve needs "
+                                  "dim 8192 > dense cap 4096")
+
     def test_sector_task_never_builds_its_full_space(self):
         # The full space has 2**22 states, over the default cap of 2**20; the
         # sector has 2048, and a sector task is sized and built on it alone.
@@ -251,28 +313,6 @@ class TestIdentityTable:
         verdict = run_task(make_task(identity, n=1))
         assert verdict.status != "error", verdict.detail
         assert verdict.detail.endswith(self.ECHO) == (row.space == "single")
-
-    @pytest.mark.parametrize("reading, interpretations", [
-        ("entrywise", ["entrywise_real"]),
-        ("hermitian", ["hermitian_part"]),
-        ("both", list(INTERPRETATIONS)),
-    ])
-    def test_cli_task_count_is_the_grid(self, reading, interpretations, monkeypatch,
-                                         tmp_path, capsys):
-        # The CLI counts the grid from its lists, before expand_tasks runs;
-        # the count must be what expand_tasks builds.
-        built = len(expand_tasks(ns=[1, 2], nus=[2], ms=[2], subspaces=[None, 1],
-                                 interpretations=interpretations))
-        seen = []
-        monkeypatch.setattr(cli, "run_grid", lambda tasks, **kw: seen.append(len(tasks)) or [])
-        monkeypatch.setattr(cli, "MAX_TASKS", built)
-        args = ["verify", "--n", "1,2", "--nu", "2", "--m", "2", "--subspace", "both",
-                "--interpretation", reading, "--out", str(tmp_path / "v.json")]
-        assert cli.main(args) == 0
-        assert seen == [built]
-        monkeypatch.setattr(cli, "MAX_TASKS", built - 1)
-        assert cli.main(args) == 3
-        assert f"grid expands to {built} tasks > limit {built - 1}" in capsys.readouterr().err
 
 
 class TestInternalConsistency:
