@@ -20,6 +20,13 @@ parts of at most ``n``.  That product is exactly the sub-sequence of the full
 enumeration whose per-position totals all equal ``t``, so sector ranks
 ascend, and a sector is sized by its own dimension.
 
+A state's weight is its total over positions in each internal state,
+``(w_1, ..., w_m)``; ``FockBasis.weights`` labels it by one integer, the
+weight read in base ``nu*n + 1``.  Every operator built here commutes with
+the diagonal generators ``E(k,k)``, so it is block-diagonal in the weight,
+and :func:`largest_weight_block` sizes the largest block before anything is
+enumerated.
+
 Bases are immutable after construction and compare and hash by value,
 ``(nu, m, order, sector)``; concurrent reads are safe.
 """
@@ -76,6 +83,17 @@ class FockBasis:
     def ranks(self) -> np.ndarray:
         """Each state's ordinal in the full space, ascending."""
         return self.occupations @ _radix(self.order.n, self.modes)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Each state's weight label: its per-internal-state totals over
+        positions, a number in base ``nu*n + 1`` (each total is at most
+        ``nu*n``).  The labels order as the weights do lexicographically, and
+        the largest, ``(nu*n+1)**m - 1``, is below the full dimension
+        ``(n+1)**(nu*m)``, which sizing keeps within 64 bits.
+        """
+        totals = self.occupations.reshape(self.dim, self.nu, self.m).sum(axis=1)
+        return totals @ _radix(self.nu * self.order.n, self.m)
 
     def mode_flat(self, position: int, state: int) -> int:
         if not 1 <= position <= self.nu:
@@ -142,6 +160,36 @@ def check_dimension(n: int, nu: int, m: int, sector: Optional[int], cap: int) ->
     if full_dim is None or full_dim > 2**63:
         raise SizingError(f"full-space ranks for (n={n}, nu={nu}, m={m}) overflow 64-bit integers")
     return dim
+
+
+def largest_weight_block(n: int, nu: int, m: int, sector: Optional[int]) -> int:
+    """States in the largest weight block of a basis, without enumerating it.
+
+    On the spin sector (``sector == 1``) a block holds the orderings of its
+    weight, so the largest is the balanced multinomial ``nu!/prod(w_i!)``.
+    Otherwise it is the largest coefficient of ``(sum over c of x**c)**nu``,
+    ``c`` running over one position's occupations (the compositions of the
+    sector, or all of ``0..n`` per state on the full space), multiplied out
+    one position at a time on weight labels.  Call it after
+    :func:`check_dimension`: the work grows with the number of weights, which
+    the dimension bounds.
+    """
+    if sector == 1:
+        q, r = divmod(nu, m)
+        return math.factorial(nu) // (math.factorial(q) ** (m - r) * math.factorial(q + 1) ** r)
+    if sector is None:
+        per_position = np.arange((n + 1) ** m)[:, None] // _radix(n, m) % (n + 1)
+    else:
+        per_position = np.array(_compositions(n, m, sector), dtype=np.int64).reshape(-1, m)
+    steps = per_position @ _radix(nu * n, m)
+    labels, counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for _ in range(nu):
+        labels = (labels[:, None] + steps).ravel()
+        order = np.argsort(labels, kind="stable")
+        labels, counts = labels[order], np.repeat(counts, len(steps))[order]
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        labels, counts = labels[starts], np.add.reduceat(counts, starts)
+    return int(counts.max())
 
 
 def _compositions(n: int, m: int, total: int) -> list[tuple[int, ...]]:

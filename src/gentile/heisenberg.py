@@ -27,7 +27,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .basis import DEFAULT_DIMENSION_CAP, check_dimension, enumerate_basis
+import numpy as np
+
+from .basis import DEFAULT_DIMENSION_CAP, check_dimension, enumerate_basis, largest_weight_block
 from .operators import (
     ComplexOperator,
     check_dense_dimension,
@@ -101,14 +103,19 @@ def build_hamiltonian(
 
 def check_spectrum_point(nu: int, m: int, order: GentileOrder, sector: int, cap: int) -> None:
     """Size one spectrum point without enumerating it: the sector must exist
-    and fit both ``cap`` and the dense solve.
+    and fit ``cap``, and its largest weight block must fit the dense solve.
     """
-    check_dense_dimension(check_dimension(order.n, nu, m, sector, cap))
+    check_dimension(order.n, nu, m, sector, cap)
+    check_dense_dimension(largest_weight_block(order.n, nu, m, sector))
 
 
-def spectrum_ed(hamiltonian: ComplexOperator) -> list[tuple[float, int]]:
-    """Clustered ascending spectrum; rejects non-Hermitian input."""
-    return eigensolve_hermitian(hamiltonian.mat)
+def spectrum_ed(
+    hamiltonian: ComplexOperator, blocks: Optional[np.ndarray] = None
+) -> list[tuple[float, int]]:
+    """Clustered ascending spectrum, solved per block of ``blocks`` (the
+    basis's ``weights``; ``None`` is one block); rejects non-Hermitian input.
+    """
+    return eigensolve_hermitian(hamiltonian.mat, blocks)
 
 
 def spectrum_casimir(
@@ -209,8 +216,8 @@ def spectrum_report(
 ) -> SpectrumReport:
     """Run ED and every requested partition-route prediction side by side."""
     check_spectrum_point(nu, m, order, sector, cap)
-    hamiltonian = build_hamiltonian(nu, m, order, sector=sector, cap=cap)
-    ed = tuple((float(v), int(mult)) for v, mult in spectrum_ed(hamiltonian))
+    basis = enumerate_basis(nu, m, order, sector=sector, cap=cap)
+    ed = tuple((float(v), int(mult)) for v, mult in spectrum_ed(class_sum(basis), basis.weights))
     casimir_blocks = []
     matches = []
     singular = []

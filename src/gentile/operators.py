@@ -28,6 +28,12 @@ Operators are untagged: ``ComplexOperator`` holds only its pruned CSR
 matrix, and every builder is handed its basis.  The matrix utilities
 (``max_abs``, ``entrywise_real``, ``hermitian_part``, ``eigensolve_hermitian``)
 take plain CSR; a caller holding an operator passes its ``.mat``.
+
+Every composite also commutes with the diagonal generators ``E(k,k)``, so it
+is block-diagonal in the weight ``FockBasis.weights``.  The dense eigensolve
+works one weight block at a time, in real arithmetic where the block is
+real, and its dense cap is compared with the largest block
+(``basis.largest_weight_block``), not with the dimension.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import mul
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -340,31 +346,57 @@ def hermitian_part(mat: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def check_dense_dimension(dim: int, dense_cap: int = DENSE_EIG_CAP) -> None:
-    """Raise ``SizingError`` when a dense eigensolve of ``dim`` exceeds ``dense_cap``;
-    the one dense-cap check, made on a space's size before anything is built on it."""
+    """Raise ``SizingError`` when a dense matrix of ``dim`` exceeds ``dense_cap``;
+    the one dense-cap check, made before anything is built.  A blocked solve
+    passes its largest block, a dense evaluation its whole dimension."""
     if dim > dense_cap:
         raise SizingError(f"dense eigensolve needs dim {dim} > dense cap {dense_cap}")
 
 
+def _block_eigvalsh(block: sp.csr_matrix) -> np.ndarray:
+    """Eigenvalues of one Hermitian block, densified alone; a block whose
+    imaginary parts are all exactly 0 is solved in real arithmetic."""
+    if not block.data.imag.any():
+        block = block.real
+    dense = block.toarray()
+    return np.linalg.eigvalsh((dense + dense.conj().T) * 0.5)
+
+
 def eigensolve_hermitian(
     mat: sp.csr_matrix,
+    blocks: Optional[np.ndarray] = None,
     degeneracy_tol: float = 1e-8,
     hermiticity_tol: float = 1e-10,
 ) -> list[tuple[float, int]]:
     """Ascending eigenvalues clustered into (value, multiplicity) pairs.
 
-    Consecutive eigenvalues closer than ``degeneracy_tol`` share a cluster;
-    cluster values are the cluster means and multiplicities sum to the
-    dimension.  Rejects non-Hermitian input (with the measured asymmetry); the
-    caller sized ``mat`` with :func:`check_dense_dimension` before building it.
+    ``blocks`` labels each row (a basis's ``weights``); rows sharing a label
+    form one block, solved on its own, and ``None`` makes the matrix one
+    block.  Consecutive eigenvalues of the sorted union closer than
+    ``degeneracy_tol`` share a cluster; cluster values are the cluster means
+    and multiplicities sum to the dimension.  Rejects non-Hermitian input
+    (with the measured asymmetry) and, with ``ValueError``, any stored entry
+    that couples two blocks.  The caller sized the largest block with
+    :func:`check_dense_dimension` before building ``mat``.
     """
+    mat = sp.csr_matrix(mat)
     dim = mat.shape[0]
     asym = max_abs(mat - mat.getH())
     if asym > hermiticity_tol:
         raise NonHermitianError(asym)
-    dense = mat.toarray()
-    dense = (dense + dense.conj().T) * 0.5
-    eigenvalues = np.linalg.eigvalsh(dense)
+    if blocks is None:
+        blocks = np.zeros(dim, dtype=np.int64)
+    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
+    coupled = np.flatnonzero(blocks[rows] != blocks[mat.indices])
+    if coupled.size:
+        i, j = rows[coupled[0]], mat.indices[coupled[0]]
+        raise ValueError(f"entry ({i}, {j}) couples weight blocks {blocks[i]} and {blocks[j]}")
+    order = np.argsort(blocks, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(blocks[order])) + 1), dim]
+    permuted = mat[order][:, order]
+    eigenvalues = np.sort(np.concatenate([
+        _block_eigvalsh(permuted[start:stop, start:stop]) for start, stop in zip(bounds, bounds[1:])
+    ]))
 
     clusters: list[tuple[float, int]] = []
     start = 0

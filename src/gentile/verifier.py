@@ -37,7 +37,8 @@ one grid point share one evaluation.
 ``run_task`` is the only place the mode acts: dense mode refuses a task
 whose evaluation dimension is over the dense cap, and sampled mode lifts
 that cap for residual evaluation and gives the same residual.  The spectral
-space solves densely, so it keeps the cap in both modes.  ``mode``, ``k``
+space solves densely, one weight block at a time, so it keeps the cap in
+both modes and compares it with its largest weight block.  ``mode``, ``k``
 and ``seed`` are validated and echoed but change no residual.
 
 A ``Verdict`` is its task plus the outcome: residual, status and detail;
@@ -63,6 +64,7 @@ from .basis import (
     check_dimension,
     check_sector,
     enumerate_basis,
+    largest_weight_block,
     subspace_label,
 )
 from .operators import (
@@ -187,14 +189,18 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _checked_basis(task: VerificationTask, cap: int, dense_cap: Optional[int]) -> FockBasis:
+def _checked_basis(
+    task: VerificationTask, cap: int, dense_cap: Optional[int], blocked: bool = False
+) -> FockBasis:
     """The basis of ``task.subspace``: a sector, or the full space.
 
-    It is sized before it is enumerated, and must fit ``dense_cap`` if given.
+    It is sized before it is enumerated, and must fit ``dense_cap`` if given:
+    its largest weight block if it is solved ``blocked``, else its dimension.
     """
-    dim = check_dimension(task.n, task.nu, task.m, task.subspace, cap)
+    args = (task.n, task.nu, task.m, task.subspace)
+    dim = check_dimension(*args, cap)
     if dense_cap is not None:
-        check_dense_dimension(dim, dense_cap)
+        check_dense_dimension(largest_weight_block(*args) if blocked else dim, dense_cap)
     return enumerate_basis(task.nu, task.m, GentileOrder(task.n), sector=task.subspace, cap=cap)
 
 
@@ -452,7 +458,8 @@ def _spectrum_match(task, sector):
     if (c1 - sp.diags(c1_diag)).count_nonzero() or np.abs(c1_diag.imag).max() > 1e-10:
         raise ValueError("C1 is not a real diagonal matrix")
     measured_c1 = sorted({round(v, 9) for v in c1_diag.real.tolist()})
-    measured_c2 = sorted({round(v, 9) for v, _ in eigensolve_hermitian(casimir_c2(sector).mat)})
+    measured_c2 = sorted({round(v, 9) for v, _ in
+                          eigensolve_hermitian(casimir_c2(sector).mat, sector.weights)})
 
     parts = partitions_of(task.nu, task.m)
     report = []
@@ -498,8 +505,8 @@ def _spectrum_match(task, sector):
 class _Identity(NamedTuple):
     """A recipe, a tolerance (``None``: contested) and an evaluation space:
     ``single`` (no basis), ``full``, ``task`` (the task's own subspace) or
-    ``spectral`` (the task's sector, ``sector:1`` for a full-space task, held
-    to the dense cap in both modes).
+    ``spectral`` (the task's sector, ``sector:1`` for a full-space task,
+    whose largest weight block is held to the dense cap in both modes).
     """
 
     recipe: Callable
@@ -571,9 +578,8 @@ def run_task(
             spectral = 1 if task.subspace is None else task.subspace
             subspace = {"full": None, "task": task.subspace, "spectral": spectral}[row.space]
             lifted = sampled and row.space != "spectral"
-            basis = _checked_basis(
-                replace(task, subspace=subspace), dimension_cap, None if lifted else dense_cap
-            )
+            basis = _checked_basis(replace(task, subspace=subspace), dimension_cap,
+                                   None if lifted else dense_cap, row.space == "spectral")
         diffs, extra, detail = row.recipe(task, basis)
         residual = max([extra, *map(max_abs, diffs)])
     except ValueError as exc:  # SizingError included

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentile import GentileOrder, SizingError, class_sum, enumerate_basis
-from gentile.basis import check_dimension
+from gentile.basis import _enumerate_cached, check_dimension, largest_weight_block
 
 
 def count_sector_states(nu, m, n, total):
@@ -203,3 +203,47 @@ class TestModeIndex:
         assert basis.mode_flat(1, 1) == 0
         assert basis.mode_flat(1, 3) == 2
         assert basis.mode_flat(2, 1) == 3
+
+
+def fitting_shapes():
+    """Every ``(n <= 3, nu <= 6, m <= 3, sector)`` that fits the default cap,
+    the full space included."""
+    for n, nu, m in itertools.product(range(1, 4), range(1, 7), range(1, 4)):
+        for sector in [None, *range(n * m + 1)]:
+            try:
+                check_dimension(n, nu, m, sector, 2**20)
+            except SizingError:
+                continue
+            yield n, nu, m, sector
+
+
+class TestWeights:
+    def test_labels_are_the_per_state_totals(self):
+        basis = enumerate_basis(3, 2, GentileOrder(2))
+        totals = [tuple(row.reshape(3, 2).sum(axis=0)) for row in basis.occupations]
+        # base nu*n + 1 = 7, most significant state first
+        assert basis.weights.tolist() == [7 * w1 + w2 for w1, w2 in totals]
+
+    def test_labels_order_as_the_weights(self):
+        basis = enumerate_basis(3, 3, GentileOrder(2), sector=2)
+        totals = basis.occupations.reshape(basis.dim, 3, 3).sum(axis=1)
+        by_label = totals[np.argsort(basis.weights, kind="stable")].tolist()
+        assert by_label == sorted(map(list, totals))
+
+    def test_largest_block_matches_enumeration(self):
+        checked = 0
+        try:
+            for n, nu, m, sector in fitting_shapes():
+                basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
+                largest = np.unique(basis.weights, return_counts=True)[1].max()
+                assert largest_weight_block(n, nu, m, sector) == largest, (n, nu, m, sector)
+                checked += 1
+        finally:  # do not keep the large full spaces cached for later tests
+            _enumerate_cached.cache_clear()
+        assert checked > 300
+
+    @pytest.mark.parametrize("nu, m, expected", [(13, 2, 1716), (15, 2, 6435), (9, 3, 1680)])
+    def test_spin_sector_is_the_balanced_multinomial(self, nu, m, expected):
+        # nu! / prod(w_i!) at the most even weight, at every order
+        for n in (1, 2, 5):
+            assert largest_weight_block(n, nu, m, 1) == expected

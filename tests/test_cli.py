@@ -9,11 +9,12 @@ import tempfile
 import time
 
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gentile.cli import main
-from gentile.operators import class_sum
+from gentile.operators import as_operator, casimir_c2, class_sum
 
 
 def run_cli(args):
@@ -177,9 +178,11 @@ class TestSpectrumCommand:
         assert flagged and all("gentile" in r["source"] for r in flagged)
 
     def test_sizing_exits_three(self, tmp_path, capsys):
+        # 3**10 states; the largest weight block 10!/(4!3!3!) = 4200 is over
+        # the dense cap
         code = run_cli(
             [
-                "spectrum", "--nu", "8", "--m", "3", "--n", "3",
+                "spectrum", "--nu", "10", "--m", "3", "--n", "3",
                 "--out", str(tmp_path / "x.json"),
             ]
         )
@@ -195,25 +198,37 @@ class TestSpectrumCommand:
         capsys.readouterr()
 
     def test_dense_eigensolve_cap_exits_three(self, tmp_path, capsys):
-        # the 2**13-state sector enumerates under the cap but is too large to
-        # solve densely; it is refused before the Hamiltonian is built
+        # the 2**15-state sector enumerates under the cap, but its largest
+        # weight block C(15, 7) = 6435 is too large to solve densely; it is
+        # refused at once, before the Hamiltonian is built
         built = class_sum.cache_info().misses
-        code = run_cli(["spectrum", "--nu", "13", "--m", "2", "--out", str(tmp_path / "x.json")])
+        started = time.perf_counter()
+        code = run_cli(["spectrum", "--nu", "15", "--m", "2", "--out", str(tmp_path / "x.json")])
+        assert time.perf_counter() - started < 1.0
         assert code == 3
         err = capsys.readouterr().err
-        assert "dense eigensolve needs dim 8192 > dense cap 4096" in err
+        assert "dense eigensolve needs dim 6435 > dense cap 4096" in err
         assert class_sum.cache_info().misses == built
         assert not (tmp_path / "x.json").exists()
 
+    def test_sector_over_dense_cap_solved_by_blocks(self, tmp_path, capsys):
+        # 2**13 states, over the dense cap of 4096; the largest weight block
+        # C(13, 6) = 1716 is under it
+        out = tmp_path / "x.json"
+        assert run_cli(["spectrum", "--nu", "13", "--m", "2", "--out", str(out)]) == 0
+        ed = read_json(out)["spectra"][0]["ed"]
+        assert sum(level["multiplicity"] for level in ed) == 2**13
+        capsys.readouterr()
+
     def test_every_point_sized_before_any_solve(self, tmp_path, capsys):
-        # nu=2 fits, nu=13 does not: the whole grid is refused before the
+        # nu=2 fits, nu=15 does not: the whole grid is refused before the
         # first point is built.
         built = class_sum.cache_info().misses
-        code = run_cli(["spectrum", "--nu", "2,13", "--m", "2",
+        code = run_cli(["spectrum", "--nu", "2,15", "--m", "2",
                         "--out", str(tmp_path / "x.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "dense eigensolve needs dim 8192 > dense cap 4096" in err
+        assert "dense eigensolve needs dim 6435 > dense cap 4096" in err
         assert class_sum.cache_info().misses == built
         assert not (tmp_path / "x.json").exists()
 
@@ -278,15 +293,16 @@ def test_library_errors_exit_three(args, message, tmp_path, capsys):
 
 
 def test_contested_task_error_exits_three_and_keeps_report(tmp_path, capsys):
-    # The spectral comparison solves densely, so a dense cap below the sector
-    # dimension makes the contested identity a task error, not a failure.
+    # The spectral comparison solves densely, so a dense cap below its largest
+    # weight block (2 states) makes the contested identity a task error, not
+    # a failure.
     out = tmp_path / "v.json"
-    args = ["verify", "--mode", "sampled", "--dense-cap", "2", "--n", "1", "--nu", "2",
+    args = ["verify", "--mode", "sampled", "--dense-cap", "1", "--n", "1", "--nu", "2",
             "--m", "2", "--subspace", "full", "--no-timestamp", "--out", str(out)]
     assert run_cli(args) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("gentile: error: ") and captured.err.count("\n") == 1
-    assert "dense eigensolve needs dim 4 > dense cap 2" in captured.err
+    assert "dense eigensolve needs dim 2 > dense cap 1" in captured.err
     verdicts = read_json(out)["verdicts"]
     errors = [v for v in verdicts if v["status"] == "error"]
     assert [v["identity"] for v in errors] == ["casimir_spectrum_match"]
@@ -294,6 +310,37 @@ def test_contested_task_error_exits_three_and_keeps_report(tmp_path, capsys):
     assert errors[0]["detail"].startswith("task error (SizingError): ")
     assert {v["status"] for v in verdicts} == {"pass", "report_only", "error"}
     assert "error" in captured.out.splitlines()[1].split()
+
+
+def coupled(build):
+    """``build`` plus a Hermitian pair of entries between states 0 and 1, which
+    on the nu=2, m=2 spin sector have the weights (2, 0) and (1, 1)."""
+    def patched(basis):
+        couple = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(basis.dim, basis.dim))
+        return as_operator(build(basis).mat + couple)
+    return patched
+
+
+def test_block_coupling_refused_by_spectrum(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("gentile.heisenberg.class_sum", coupled(class_sum))
+    out = tmp_path / "x.json"
+    assert run_cli(["spectrum", "--nu", "2", "--m", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gentile: error: entry (0, 1) couples weight blocks")
+    assert not out.exists()
+
+
+def test_block_coupling_is_a_verify_task_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("gentile.verifier.casimir_c2", coupled(casimir_c2))
+    out = tmp_path / "v.json"
+    assert run_cli(["verify", "--n", "1", "--nu", "2", "--m", "2", "--subspace", "sector:1",
+                    "--no-timestamp", "--out", str(out)]) == 3
+    capsys.readouterr()
+    spectral = [v for v in read_json(out)["verdicts"]
+                if v["identity"] == "casimir_spectrum_match"]
+    assert [v["status"] for v in spectral] == ["error"]
+    assert spectral[0]["detail"].startswith(
+        "task error (ValueError): entry (0, 1) couples weight blocks")
 
 
 @pytest.mark.parametrize("args, key", [
@@ -332,6 +379,10 @@ class TestGridGuards:
             (["verify", "--n", "0..2"], "orders must be >= 1, got 0"),
             (["verify", "--m", "0,2"], "--m must be >= 1"),
             (["verify", "--n", "1", "--subspace", "sector:3"], "per-position total 3"),
+            # Every point is sized first; nu=15 is the first whose largest
+            # weight block is over the dense cap.
+            (["spectrum", "--nu", "2..10000", "--m", "2"],
+             "dense eigensolve needs dim 6435 > dense cap 4096"),
         ],
     )
     def test_refused_before_the_grid_is_built(self, args, message, monkeypatch, tmp_path,
@@ -474,6 +525,10 @@ ARGV = st.one_of(
 @given(argv=ARGV)
 # Refused at once: a dimension multiplied out in full, a table padded to 3000 parts.
 @example(argv=["spectrum", "--nu", "100000", "--m", "2"])
+# A sector over the dense cap whose largest weight block fits it, and one whose
+# block does not, refused before any Hamiltonian is built.
+@example(argv=["spectrum", "--nu", "13", "--m", "2"])
+@example(argv=["spectrum", "--nu", "15", "--m", "2"])
 @example(argv=["partitions", "--N", "2", "--m", "3000"])
 # A composition count looped over every one of m parts.
 @example(argv=["spectrum", "--nu", "2", "--m", "1000000000", "--cap", "4"])

@@ -1,5 +1,7 @@
 """Exchange-model solver: ED against the partition route."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +13,7 @@ from gentile import (
     as_operator,
     build_hamiltonian,
     compare_spectra,
+    enumerate_basis,
     spectrum_casimir,
     spectrum_ed,
     spectrum_report,
@@ -18,6 +21,7 @@ from gentile import (
 from gentile import basis
 from gentile.basis import SizingError
 from gentile.operators import max_abs
+from gentile.partitions import partitions_of, weyl_dimension
 
 
 def ed_oracle(matrix):
@@ -223,9 +227,47 @@ class TestSpectrumReport:
         assert all(form != "gentile" for _, form, _ in report.casimir)
 
     def test_oversized_sector_refused_before_enumeration(self):
-        # The sector has 2**18 states: over the dense cap, under the
-        # enumeration cap.  It is refused from its size alone.
+        # The sector has 2**18 states, under the enumeration cap, and its
+        # largest weight block C(18, 9) = 48620 is over the dense cap.  It is
+        # refused from its size alone.
         misses = basis._enumerate_cached.cache_info().misses
-        with pytest.raises(SizingError, match="dense eigensolve needs dim 262144"):
+        with pytest.raises(SizingError, match="dense eigensolve needs dim 48620 > dense cap 4096"):
             spectrum_report(18, 2, GentileOrder(1))
         assert basis._enumerate_cached.cache_info().misses == misses
+
+
+def standard_tableaux(part):
+    """``f^lambda``, the standard Young tableaux of a shape, by the
+    hook-length formula ``N! / prod(hooks)``."""
+    rows = [r for r in part if r]
+    cols = [sum(1 for r in rows if r > j) for j in range(rows[0])] if rows else []
+    hooks = math.prod(rows[i] - j + cols[j] - i - 1
+                      for i in range(len(rows)) for j in range(rows[i]))
+    return math.factorial(sum(rows)) // hooks
+
+
+def content_sum(part):
+    """The class-sum eigenvalue on irrep ``lambda``: sum of ``column - row`` over its boxes."""
+    return sum(j - i for i, r in enumerate(part) for j in range(r))
+
+
+class TestContentSumOracle:
+    @pytest.mark.parametrize("nu, m", [(nu, m) for m in (2, 3) for nu in range(2, 10)])
+    def test_clusters_are_content_sums(self, nu, m):
+        # Schur-Weyl duality on the spin sector: irrep lambda of S_nu meets
+        # the U(m) irrep of the same shape, so the class sum has eigenvalue
+        # content(lambda) with multiplicity f^lambda * dim_U(m)(lambda).
+        expected = {}
+        for part in partitions_of(nu, m):
+            value = content_sum(part)
+            expected[value] = (expected.get(value, 0)
+                               + standard_tableaux(part) * weyl_dimension(part, m))
+        sector = enumerate_basis(nu, m, GentileOrder(1), sector=1)
+        ed = spectrum_ed(build_hamiltonian(nu, m, GentileOrder(1)), sector.weights)
+        assert [mult for _, mult in ed] == [expected[v] for v in sorted(expected)]
+        assert max(abs(value - v) for (value, _), v in zip(ed, sorted(expected))) < 1e-9
+
+    def test_hook_length_formula(self):
+        assert [standard_tableaux(p) for p in [(3,), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1)]] == [
+            1, 2, 1, 5, 5]
+        assert sum(standard_tableaux(p) ** 2 for p in partitions_of(6, 6)) == math.factorial(6)

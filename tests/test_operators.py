@@ -653,3 +653,70 @@ class TestEigensolver:
             check_dense_dimension(8, dense_cap=4)
         op = as_operator(sp.identity(8, dtype=complex))
         assert eigensolve_hermitian(op.mat) == [(1.0, 8)]
+
+
+#: The benchmark's spectrum ladder as (n, m, nu), all on the spin sector.
+LADDER = ([(1, 2, nu) for nu in range(2, 10)] + [(2, 2, nu) for nu in range(2, 6)]
+          + [(1, 3, nu) for nu in range(2, 6)] + [(3, 2, 4)])
+
+#: Further spin-sector points at orders 2 and 3.
+SPIN_POINTS = [(n, m, nu) for n in (2, 3) for m in (2, 3) for nu in (2, 3, 4)]
+
+
+def one_block_complex(mat, tol=1e-8):
+    """The unblocked solve: one complex ``eigvalsh`` of the whole matrix,
+    clustered like :func:`eigensolve_hermitian`."""
+    dense = mat.toarray()
+    values = np.linalg.eigvalsh((dense + dense.conj().T) * 0.5)
+    cuts = [0, *(np.flatnonzero(np.diff(values) >= tol) + 1), len(values)]
+    return [(values[a:b].mean(), b - a) for a, b in zip(cuts, cuts[1:])]
+
+
+def assert_same_clusters(got, expected):
+    assert [mult for _, mult in got] == [mult for _, mult in expected]
+    assert max(abs(a - b) for (a, _), (b, _) in zip(got, expected)) <= 1e-12
+
+
+class TestBlockedEigensolver:
+    @pytest.mark.parametrize("n, m, nu", LADDER + SPIN_POINTS)
+    def test_blocks_match_one_complex_solve(self, n, m, nu):
+        sector = enumerate_basis(nu, m, GentileOrder(n), sector=1)
+        for op in (class_sum(sector), casimir_c2(sector)):
+            assert_same_clusters(eigensolve_hermitian(op.mat, sector.weights),
+                                 one_block_complex(op.mat))
+
+    def test_complex_block_solved_in_complex_arithmetic(self, monkeypatch):
+        mat = sp.csr_matrix(np.array([[1, 2j, 0, 0], [-2j, 3, 0, 0],
+                                      [0, 0, 5, 1 + 1j], [0, 0, 1 - 1j, 2]]))
+        expected = np.linalg.eigvalsh(mat.toarray())
+        seen = []
+        solve = np.linalg.eigvalsh
+
+        def spy(dense):
+            seen.append(dense.dtype)
+            return solve(dense)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        clusters = eigensolve_hermitian(mat, np.array([0, 0, 1, 1]))
+        assert seen == [np.complex128, np.complex128]
+        assert [mult for _, mult in clusters] == [1, 1, 1, 1]
+        np.testing.assert_allclose([v for v, _ in clusters], expected, rtol=0, atol=1e-12)
+
+    def test_real_block_solved_in_real_arithmetic(self, monkeypatch):
+        mat = sp.csr_matrix(np.array([[1, 2j, 0], [-2j, 3, 0], [0, 0, 5]]))
+        seen = []
+        solve = np.linalg.eigvalsh
+
+        def spy(dense):
+            seen.append(dense.dtype)
+            return solve(dense)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        eigensolve_hermitian(mat, np.array([1, 1, 0]))
+        assert seen == [np.float64, np.complex128]  # blocks in label order
+
+    def test_entry_coupling_two_blocks_refused(self):
+        mat = sp.csr_matrix(np.array([[1.0, 0, 0], [0, 2, 0.5], [0, 0.5, 3]], dtype=complex))
+        assert len(eigensolve_hermitian(mat, np.array([0, 0, 0]))) == 3
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) couples weight blocks 0 and 1"):
+            eigensolve_hermitian(mat, np.array([0, 0, 1]))

@@ -256,19 +256,20 @@ class TestGrid:
                          subspaces=[1], interpretations=["entrywise_real"])
 
     def test_spectral_task_solves_under_its_dense_cap(self, monkeypatch):
-        # The 2**13-state sector is over the default dense cap of 4096 and
-        # under the one given: it is sized against that cap and solved under
-        # it.  The solve is stubbed, so no 8192**2 matrix is built.
+        # The 2**13-state sector is over the default dense cap of 4096, and
+        # its largest weight block C(13, 6) = 1716 is under it: it is sized
+        # by that block and solved with the sector's weights.  The solve is
+        # stubbed, so only what it is handed is checked.
         solved = []
 
-        def solve(mat):
-            solved.append(mat.shape)
+        def solve(mat, blocks):
+            solved.append((mat.shape, np.unique(blocks, return_counts=True)[1].max()))
             return [(0.0, mat.shape[0])]
 
         monkeypatch.setattr(verifier, "eigensolve_hermitian", solve)
         task = VerificationTask(IdentityId.CASIMIR_SPECTRUM, n=1, nu=13, m=2, subspace=1)
-        verdict = run_task(task, dense_cap=10000)
-        assert solved == [(8192, 8192)]
+        verdict = run_task(task)
+        assert solved == [((8192, 8192), 1716)]
         assert verdict.status == "report_only", verdict.detail
         assert "dense cap" not in verdict.detail
 
@@ -278,10 +279,10 @@ class TestGrid:
 
         monkeypatch.setattr(verifier, "casimir_c2", refuse)
         task = VerificationTask(IdentityId.CASIMIR_SPECTRUM, n=1, nu=13, m=2, subspace=1)
-        verdict = run_task(task, dense_cap=4096)
+        verdict = run_task(task, dense_cap=1715)
         assert verdict.status == "error" and verdict.residual is None
         assert verdict.detail == ("task error (SizingError): dense eigensolve needs "
-                                  "dim 8192 > dense cap 4096")
+                                  "dim 1716 > dense cap 1715")
 
     def test_sector_task_never_builds_its_full_space(self):
         # The full space has 2**22 states, over the default cap of 2**20; the
