@@ -1,9 +1,9 @@
 """All-pairs exchange Hamiltonian: exact diagonalization vs partition route.
 
 The Hamiltonian is the class sum of pair exchanges on the spin sector (one
-particle per position), built on the sector basis itself; the additive
-constant of the spin-dot rewriting is fixed to zero by convention and
-recorded in every report.
+particle per position), built on the sector basis itself and solved one
+weight block at a time; the additive constant of the spin-dot rewriting is
+fixed to zero by convention and recorded in every report.
 
 The partition route evaluates closed-form Casimir eigenvalues over integer
 partitions of the particle number.  Three forms are available:

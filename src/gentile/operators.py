@@ -52,7 +52,7 @@ from .scalars import GentileOrder, coupling_j, sqrt_bracket
 #: Magnitude below which assembled entries are dropped.
 DROP_TOL = 1e-14
 
-#: Default largest dimension sized for a dense solve or dense evaluation.
+#: Default largest dense matrix: a weight block of a solve, or a dense evaluation's space.
 DENSE_EIG_CAP = 4096
 
 Matrix = Union[sp.spmatrix, np.ndarray]
@@ -359,7 +359,9 @@ def _block_eigvalsh(block: sp.csr_matrix) -> np.ndarray:
     if not block.data.imag.any():
         block = block.real
     dense = block.toarray()
-    return np.linalg.eigvalsh((dense + dense.conj().T) * 0.5)
+    dense += dense.conj().T  # symmetrized in place: one dense copy fewer
+    dense *= 0.5
+    return np.linalg.eigvalsh(dense)
 
 
 def eigensolve_hermitian(
