@@ -165,18 +165,14 @@ def check_dimension(n: int, nu: int, m: int, sector: Optional[int], cap: int) ->
 def largest_weight_block(n: int, nu: int, m: int, sector: Optional[int]) -> int:
     """States in the largest weight block of a basis, without enumerating it.
 
-    On the spin sector (``sector == 1``) a block holds the orderings of its
-    weight, so the largest is the balanced multinomial ``nu!/prod(w_i!)``.
-    Otherwise it is the largest coefficient of ``(sum over c of x**c)**nu``,
-    ``c`` running over one position's occupations (the compositions of the
-    sector, or all of ``0..n`` per state on the full space), multiplied out
-    one position at a time on weight labels.  Call it after
-    :func:`check_dimension`: the work grows with the number of weights, which
-    the dimension bounds.
+    It is the largest coefficient of ``(sum over c of x**c)**nu``, ``c``
+    running over one position's occupations (the compositions of the sector,
+    or all of ``0..n`` per state on the full space), multiplied out one
+    position at a time on weight labels.  On the spin sector (``sector ==
+    1``) a block holds the orderings of its weight, so this is the balanced
+    multinomial ``nu!/prod(w_i!)``.  Call it after :func:`check_dimension`:
+    the work grows with the number of weights, which the dimension bounds.
     """
-    if sector == 1:
-        q, r = divmod(nu, m)
-        return math.factorial(nu) // (math.factorial(q) ** (m - r) * math.factorial(q + 1) ** r)
     if sector is None:
         per_position = np.arange((n + 1) ** m)[:, None] // _radix(n, m) % (n + 1)
     else:

@@ -359,7 +359,7 @@ def _block_eigvalsh(block: sp.csr_matrix) -> np.ndarray:
     if not block.data.imag.any():
         block = block.real
     dense = block.toarray()
-    dense += dense.conj().T  # symmetrized in place: one dense copy fewer
+    dense += dense.conj().T  # in place: the sum takes no third dense array
     dense *= 0.5
     return np.linalg.eigvalsh(dense)
 

@@ -1,6 +1,7 @@
 """Basis enumeration, indexing, and sector filtering."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -242,8 +243,13 @@ class TestWeights:
             _enumerate_cached.cache_clear()
         assert checked > 300
 
-    @pytest.mark.parametrize("nu, m, expected", [(13, 2, 1716), (15, 2, 6435), (9, 3, 1680)])
-    def test_spin_sector_is_the_balanced_multinomial(self, nu, m, expected):
+    def test_spin_sector_is_the_balanced_multinomial(self):
         # nu! / prod(w_i!) at the most even weight, at every order
-        for n in (1, 2, 5):
-            assert largest_weight_block(n, nu, m, 1) == expected
+        assert [largest_weight_block(1, nu, 2, 1) for nu in (12, 13, 15)] == [924, 1716, 6435]
+        for n, nu, m in itertools.product((1, 2, 5), range(1, 16), range(1, 5)):
+            if m**nu > 2**20:
+                continue
+            q, r = divmod(nu, m)
+            balanced = math.factorial(nu) // (math.factorial(q) ** (m - r)
+                                              * math.factorial(q + 1) ** r)
+            assert largest_weight_block(n, nu, m, 1) == balanced, (n, nu, m)

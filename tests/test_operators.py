@@ -685,35 +685,32 @@ class TestBlockedEigensolver:
             assert_same_clusters(eigensolve_hermitian(op.mat, sector.weights),
                                  one_block_complex(op.mat))
 
-    def test_complex_block_solved_in_complex_arithmetic(self, monkeypatch):
+    @pytest.fixture
+    def solved_dtypes(self, monkeypatch):
+        """The dtype of every dense block handed to ``eigvalsh``."""
+        seen, solve = [], np.linalg.eigvalsh
+
+        def spy(dense):
+            seen.append(dense.dtype)
+            return solve(dense)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return seen
+
+    def test_complex_block_solved_in_complex_arithmetic(self, solved_dtypes):
         mat = sp.csr_matrix(np.array([[1, 2j, 0, 0], [-2j, 3, 0, 0],
                                       [0, 0, 5, 1 + 1j], [0, 0, 1 - 1j, 2]]))
         expected = np.linalg.eigvalsh(mat.toarray())
-        seen = []
-        solve = np.linalg.eigvalsh
-
-        def spy(dense):
-            seen.append(dense.dtype)
-            return solve(dense)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        solved_dtypes.clear()
         clusters = eigensolve_hermitian(mat, np.array([0, 0, 1, 1]))
-        assert seen == [np.complex128, np.complex128]
+        assert solved_dtypes == [np.complex128, np.complex128]
         assert [mult for _, mult in clusters] == [1, 1, 1, 1]
         np.testing.assert_allclose([v for v, _ in clusters], expected, rtol=0, atol=1e-12)
 
-    def test_real_block_solved_in_real_arithmetic(self, monkeypatch):
+    def test_real_block_solved_in_real_arithmetic(self, solved_dtypes):
         mat = sp.csr_matrix(np.array([[1, 2j, 0], [-2j, 3, 0], [0, 0, 5]]))
-        seen = []
-        solve = np.linalg.eigvalsh
-
-        def spy(dense):
-            seen.append(dense.dtype)
-            return solve(dense)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         eigensolve_hermitian(mat, np.array([1, 1, 0]))
-        assert seen == [np.float64, np.complex128]  # blocks in label order
+        assert solved_dtypes == [np.float64, np.complex128]  # blocks in label order
 
     def test_entry_coupling_two_blocks_refused(self):
         mat = sp.csr_matrix(np.array([[1.0, 0, 0], [0, 2, 0.5], [0, 0.5, 3]], dtype=complex))
