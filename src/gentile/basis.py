@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -55,6 +55,11 @@ def _radix(n: int, modes: int) -> np.ndarray:
     return (n + 1) ** np.arange(modes - 1, -1, -1, dtype=np.int64)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class FockBasis:
     """Enumerated occupation basis.
@@ -62,7 +67,9 @@ class FockBasis:
     ``sector is None`` means the full product space; an integer ``t`` keeps
     only states whose per-position totals all equal ``t``.  ``occupations``
     is the (dim, nu*m) integer matrix of the enumerated states, read-only,
-    and takes no part in equality.
+    and takes no part in equality.  ``ranks`` and ``weights`` are computed
+    once per basis, on first use, and are read-only too; equality and
+    hashing read the fields only.
     """
 
     nu: int
@@ -79,21 +86,21 @@ class FockBasis:
     def modes(self) -> int:
         return self.nu * self.m
 
-    @property
+    @cached_property
     def ranks(self) -> np.ndarray:
-        """Each state's ordinal in the full space, ascending."""
-        return self.occupations @ _radix(self.order.n, self.modes)
+        """Each state's ordinal in the full space, ascending; read-only."""
+        return _read_only(self.occupations @ _radix(self.order.n, self.modes))
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         """Each state's weight label: its per-internal-state totals over
         positions, a number in base ``nu*n + 1`` (each total is at most
         ``nu*n``).  The labels order as the weights do lexicographically, and
         the largest, ``(nu*n+1)**m - 1``, is below the full dimension
-        ``(n+1)**(nu*m)``, which sizing keeps within 64 bits.
+        ``(n+1)**(nu*m)``, which sizing keeps within 64 bits.  Read-only.
         """
         totals = self.occupations.reshape(self.dim, self.nu, self.m).sum(axis=1)
-        return totals @ _radix(self.nu * self.order.n, self.m)
+        return _read_only(totals @ _radix(self.nu * self.order.n, self.m))
 
     def mode_flat(self, position: int, state: int) -> int:
         if not 1 <= position <= self.nu:
@@ -212,8 +219,7 @@ def _enumerate_cached(nu: int, m: int, order: GentileOrder, sector: Optional[int
         c = len(comps)
         picks = np.arange(c**nu, dtype=np.int64)[:, None] // _radix(c - 1, nu) % c
         occ = comps[picks].reshape(-1, nu * m)
-    occ.setflags(write=False)
-    return FockBasis(nu=nu, m=m, order=order, sector=sector, occupations=occ)
+    return FockBasis(nu=nu, m=m, order=order, sector=sector, occupations=_read_only(occ))
 
 
 def enumerate_basis(

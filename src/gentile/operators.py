@@ -12,17 +12,21 @@ state, so it shifts rows of the occupation array, multiplies the ladder
 amplitudes met on the way and ranks the targets by ``searchsorted`` on
 ``FockBasis.ranks``.  The exchange is a sum of quartic words, the generator
 ``E(k,l)`` a sum of two-letter words over positions, and ``C1``, ``C2`` are
-sums and products of cached generators.  All of them conserve every
-per-position total, so a sector's matrix equals the full-space one sliced at
-the sector's ``ranks``; that slice is a test oracle, not a library path.
-Single ladder letters leave every sector and are built on full spaces only.
-Amplitude products are taken in Python scalar complex arithmetic, left to
-right, once per distinct tuple of met levels: numpy's vectorised complex
-multiply may use fused multiply-adds (FMA), which differ in the last bit
-from scalar and sparse-product arithmetic, and byte-stable reports need
-bit-stable matrices.  Assembled matrices are pruned at ``DROP_TOL`` and
-treated as immutable afterwards; building distinct operators concurrently is
-safe.
+sums and products of cached generators.  The class sum is one kernel pass
+with one term per position pair, not a sum of exchange operators, and it
+keeps their rounding: each pair's diagonal is halved and pruned on its own
+and then added to the running diagonal in pair order, and each off-diagonal
+entry, which no two pairs share, is half the sum of its two words.  All of
+them conserve every per-position total, so a sector's matrix equals the
+full-space one sliced at the sector's ``ranks``; that slice is a test
+oracle, not a library path.  Single ladder letters leave every sector and
+are built on full spaces only.  Amplitude products are taken in Python
+scalar complex arithmetic, left to right, once per distinct tuple of met
+levels in a kernel pass: numpy's vectorised complex multiply may use fused
+multiply-adds (FMA), which differ in the last bit from scalar and
+sparse-product arithmetic, and byte-stable reports need bit-stable
+matrices.  Assembled matrices are pruned at ``DROP_TOL`` and treated as
+immutable afterwards; building distinct operators concurrently is safe.
 
 Operators are untagged: ``ComplexOperator`` holds only its pruned CSR
 matrix, and every builder is handed its basis.  The matrix utilities
@@ -40,8 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import combinations
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,63 +157,97 @@ _LETTERS = {"a_dag": (True, False), "b_dag": (True, True), "b": (False, False), 
 #: A word: its letters ``(name, flat mode)``, written left to right.
 _Word = Sequence[tuple[str, int]]
 
+#: A group: words that differ only in which letters are conjugated.
+_Group = Sequence[_Word]
 
-def _apply_words(basis: FockBasis, groups: Sequence[Sequence[_Word]]) -> sp.coo_matrix:
-    """Sum of words applied to the occupation array of ``basis``.
+
+def _apply_words(
+    basis: FockBasis, terms: Sequence[Sequence[_Group]], scale: Optional[float] = None
+) -> sp.coo_matrix:
+    """Sum of terms of words applied to the occupation array of ``basis``.
 
     A word is a left-to-right list of letters ``(name, flat mode)``; its
-    rightmost letter acts first.  The words of one group differ only in which
-    letters are conjugated, so they act on the same rows and send each to the
-    same target.  Amplitude products are taken left to right, once per
-    distinct tuple of met levels.  A group that returns every state to itself
-    adds to the diagonal as ``(acc + w1) + w2`` in group order; any other
-    group stores ``w1 + w2`` at its targets.  These are the orders of the
-    sparse sum of the words' matrix products, so the result is bit-identical
-    to it.
+    rightmost letter acts first.  The words of one group act on the same rows
+    and send each to the same target; the groups of one term have the same
+    letter names and differ only in modes.  Each term is summed as the sparse
+    sum of its words' matrix products is: a group that returns every state to
+    itself adds to the diagonal as ``(acc + w1) + w2`` in group order, any
+    other group stores ``w1 + w2`` at its targets.  The term is then
+    multiplied by ``scale`` (when given), and its diagonal is pruned at
+    ``DROP_TOL`` and added to the diagonals of the terms before it.  Terms
+    share no off-diagonal entry, so pruning those once, in
+    :func:`as_operator`, prunes each term's.  These are the roundings of
+    summing the terms' pruned matrices one after another, so the pruned
+    result is bit-identical to that sum.
+
+    Amplitude products are taken left to right, once per distinct tuple of
+    met levels in the whole call, found by one ``np.unique`` per term.
     """
     n, dim = basis.order.n, basis.dim
-    occ, ranks = basis.occupations, basis.ranks
-    amp: dict[int, complex] = {}  # the ladder amplitude of each level met so far
+    ranks = basis.ranks
+    columns: dict[int, np.ndarray] = {}  # a contiguous copy of each occupation column read
     place = _radix(n, basis.modes).tolist()
+    amp: dict[int, complex] = {}  # the ladder amplitude of each level met so far
+    products: dict[tuple[int, ...], list[complex]] = {}  # the word products of each level tuple
     diag = np.zeros(dim, dtype=np.complex128)
     rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
-    for words in groups:
-        # The level each letter meets, found from the right: a lowerer meets
-        # the current level, a raiser the level it raises to.  The word acts
-        # where every met level lies in 1..n.
-        current: dict[int, np.ndarray] = {}
-        met = []
-        shift = 0
-        for name, flat in reversed(words[0]):
-            raises = _LETTERS[name][0]
-            level = current.get(flat, occ[:, flat])
-            met.append(level + 1 if raises else level)
-            current[flat] = level + 1 if raises else level - 1
-            shift += place[flat] if raises else -place[flat]
-        met = np.stack(met[::-1], axis=1)
-        acts = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=1))
-        # One base-(n+1) integer per row: its numeric order is the
-        # lexicographic order of the met levels.
-        key = met[acts] @ _radix(n, met.shape[1])
+    for groups in terms:
+        conj = [[_LETTERS[name][1] for name, _ in word] for word in groups[0]]
+        acting, met_rows = [], []
+        for words in groups:
+            # The level each letter meets, found from the right: a lowerer
+            # meets the current level, a raiser the level it raises to.  The
+            # word acts where every met level lies in 1..n.
+            current: dict[int, np.ndarray] = {}
+            met = []
+            acts = np.ones(dim, dtype=bool)
+            shift = 0
+            for name, flat in reversed(words[0]):
+                raises = _LETTERS[name][0]
+                if flat not in columns:
+                    columns[flat] = np.ascontiguousarray(basis.occupations[:, flat])
+                level = current.get(flat, columns[flat])
+                met.append(level + 1 if raises else level)
+                acts &= (met[-1] >= 1) & (met[-1] <= n)
+                current[flat] = level + 1 if raises else level - 1
+                shift += place[flat] if raises else -place[flat]
+            acts = np.flatnonzero(acts)
+            acting.append((acts, shift))
+            met_rows.append(np.stack([level[acts] for level in reversed(met)], axis=1))
+        met = np.concatenate(met_rows)
+        # One integer per row, base (largest met level + 1): its numeric order
+        # is the lexicographic order of the met levels.
+        key = met @ _radix(int(met.max(initial=0)), met.shape[1])
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        conj = [[_LETTERS[name][1] for name, _ in word] for word in words]
-        distinct = met[acts[first]].tolist()
-        # Only levels some word meets are evaluated, so a huge order costs nothing.
-        for u in {u for levels in distinct for u in levels} - amp.keys():
-            amp[u] = sqrt_bracket(u, basis.order)
-        products = np.array([
-            [reduce(mul, [amp[u].conjugate() if c else amp[u] for u, c in zip(levels, flags)])
-             for flags in conj]
-            for levels in distinct
-        ], dtype=np.complex128).reshape(-1, len(words))
-        weights = products[inverse].T
-        if shift == 0:
-            for w in weights:
-                diag[acts] = diag[acts] + w
-        else:
+        distinct = [tuple(levels) for levels in met[first].tolist()]
+        for levels in distinct:
+            if levels not in products:
+                # Only levels some word meets are evaluated, so a huge order costs nothing.
+                for u in set(levels) - amp.keys():
+                    amp[u] = sqrt_bracket(u, basis.order)
+                products[levels] = [
+                    reduce(mul, [amp[u].conjugate() if c else amp[u] for u, c in zip(levels, flags)])
+                    for flags in conj
+                ]
+        weights = np.array([products[levels] for levels in distinct],
+                           dtype=np.complex128).reshape(-1, len(conj))[inverse]
+        term_diag = np.zeros(dim, dtype=np.complex128)
+        start = 0
+        for acts, shift in acting:
+            group = weights[start:start + len(acts)].T
+            start += len(acts)
+            if shift == 0:
+                for w in group:
+                    term_diag[acts] = term_diag[acts] + w
+                continue
+            value = reduce(np.add, group)
             rows.append(np.searchsorted(ranks, ranks[acts] + shift))
             cols.append(acts)
-            vals.append(reduce(np.add, weights))
+            vals.append(value if scale is None else scale * value)
+        if scale is not None:
+            term_diag = scale * term_diag
+        term_diag[np.abs(term_diag) < DROP_TOL] = 0
+        diag += term_diag
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
@@ -220,29 +259,36 @@ def _ladder_cached(basis: FockBasis, name: str, flat: int) -> ComplexOperator:
     """One single-mode ladder matrix (``a``, ``b``, ``a_dag`` or ``b_dag``)
     acting on one flat mode of a full basis, identity on every other mode.
     """
-    return as_operator(_apply_words(basis, [[[(name, flat)]]]))
+    return as_operator(_apply_words(basis, [[[[(name, flat)]]]]))
+
+
+def _exchange_sum(basis: FockBasis, pairs: Iterable[tuple[int, int]]) -> ComplexOperator:
+    """Sum of the exchanges of ``pairs``, built in one kernel pass.
+
+    Each pair ``(i, j)`` is one term: half the sum over internal states
+    ``k, l`` (one group each, in row-major order) of the two quartic words
+    ``a†(i,k) a†(j,l) b(i,l) b(j,k)`` and ``a†(i,k) b†(j,l) b(i,l) a(j,k)``.
+    Both words of one ``(k, l)`` send a state to the same target, which is
+    the state itself only for ``k == l``; two pairs change different
+    positions, so their terms share no off-diagonal entry.
+    """
+    f = basis.mode_flat
+    terms = [
+        [[[("a_dag", f(i, k)), ("a_dag", f(j, l)), ("b", f(i, l)), ("b", f(j, k))],
+          [("a_dag", f(i, k)), ("b_dag", f(j, l)), ("b", f(i, l)), ("a", f(j, k))]]
+         for k in range(1, basis.m + 1) for l in range(1, basis.m + 1)]
+        for i, j in pairs
+    ]
+    # The two quartic words coincide on single-occupancy states, so the raw
+    # sum would exchange with amplitude 2; halving makes each pair's operator
+    # the unit transposition there (tau^2 = 1 on the spin sector).
+    return as_operator(_apply_words(basis, terms, scale=0.5))
 
 
 @lru_cache(maxsize=256)
 def _exchange_cached(basis: FockBasis, i: int, j: int) -> ComplexOperator:
-    """Half the sum over internal states ``k, l`` of the two quartic words
-    ``a†(i,k) a†(j,l) b(i,l) b(j,k)`` and ``a†(i,k) b†(j,l) b(i,l) a(j,k)``.
-
-    Both words of one ``(k, l)`` send a state to the same target, which is
-    the state itself only for ``k == l``; the groups run over ``(k, l)`` in
-    row-major order.
-    """
-    f = basis.mode_flat
-    groups = []
-    for k in range(1, basis.m + 1):
-        for l in range(1, basis.m + 1):
-            ik, jl, il, jk = f(i, k), f(j, l), f(i, l), f(j, k)
-            groups.append([[("a_dag", ik), ("a_dag", jl), ("b", il), ("b", jk)],
-                           [("a_dag", ik), ("b_dag", jl), ("b", il), ("a", jk)]])
-    # The two quartic words coincide on single-occupancy states, so the raw
-    # sum would exchange with amplitude 2; halving makes the operator the
-    # unit transposition there (tau^2 = 1 on the spin sector).
-    return as_operator(0.5 * _apply_words(basis, groups))
+    """The exchange of one pair: the one-term pass of :func:`class_sum`."""
+    return _exchange_sum(basis, [(i, j)])
 
 
 def exchange_op(i: int, j: int, basis: FockBasis) -> ComplexOperator:
@@ -261,15 +307,15 @@ def exchange_op(i: int, j: int, basis: FockBasis) -> ComplexOperator:
 def class_sum(basis: FockBasis) -> ComplexOperator:
     """Sum of all pair exchanges (the transposition-class operator).
 
-    Acts on the full space or on any sector basis.
+    Acts on the full space or on any sector basis.  One kernel pass builds
+    it, one term per pair ``(i, j)`` in ascending order, with the rounding of
+    summing the pruned :func:`exchange_op` matrices in that order: each
+    pair's diagonal is halved and pruned before it is added to the running
+    diagonal, and each off-diagonal entry is ``0.5 * (w1 + w2)``.
     """
     if basis.nu < 2:
         raise ValueError(f"class sum needs at least two positions, got nu={basis.nu}")
-    total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
-    for i in range(1, basis.nu + 1):
-        for j in range(i + 1, basis.nu + 1):
-            total = total + _exchange_cached(basis, i, j).mat
-    return as_operator(total)
+    return _exchange_sum(basis, combinations(range(1, basis.nu + 1), 2))
 
 
 @lru_cache(maxsize=256)
@@ -277,7 +323,7 @@ def _generator_cached(basis: FockBasis, k: int, l: int) -> ComplexOperator:
     f = basis.mode_flat
     groups = [[[("a_dag", f(i, k)), ("b", f(i, l))], [("b_dag", f(i, k)), ("a", f(i, l))]]
               for i in range(1, basis.nu + 1)]
-    return as_operator(_apply_words(basis, groups))
+    return as_operator(_apply_words(basis, [groups]))
 
 
 def unitary_generator(k: int, l: int, basis: FockBasis) -> ComplexOperator:

@@ -154,6 +154,20 @@ class TestValueIdentity:
         assert c == replace(c) and hash(c) == hash(replace(c)) and c is not replace(c)
         assert c != enumerate_basis(2, 2, order)
 
+    def test_ranks_and_weights_computed_once_read_only(self):
+        basis = enumerate_basis(3, 2, GentileOrder(2), sector=1)
+        fresh = replace(basis)
+        for name in ("ranks", "weights"):
+            first = getattr(basis, name)
+            assert getattr(basis, name) is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 0
+            np.testing.assert_array_equal(getattr(fresh, name), first)
+        # the cached arrays take no part in equality or hashing
+        assert basis == replace(basis) and hash(basis) == hash(replace(basis))
+        assert "ranks" not in vars(replace(basis))
+
 
 class TestIndexing:
     """A state's ordinal is its rank's place in ``ranks``; no lookup table."""

@@ -1,7 +1,9 @@
 """Operator kernel: ladder matrices, word application, composites, eigensolver."""
 
 import cmath
+import itertools
 import math
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +30,8 @@ from gentile import (
     total_number,
     unitary_generator,
 )
+from gentile import operators
+from gentile.basis import check_dimension
 from gentile.operators import _ladder_cached, check_dense_dimension
 from gentile.verifier import _single_mode_diffs
 
@@ -717,3 +721,78 @@ class TestBlockedEigensolver:
         assert len(eigensolve_hermitian(mat, np.array([0, 0, 0]))) == 3
         with pytest.raises(ValueError, match=r"entry \(1, 2\) couples weight blocks 0 and 1"):
             eigensolve_hermitian(mat, np.array([0, 0, 1]))
+
+
+def summed_exchanges_oracle(basis):
+    """Reference class sum: the CSR sum of every pair's pruned exchange
+    matrix, in pair order, pruned once more."""
+    total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
+    for i in range(1, basis.nu + 1):
+        for j in range(i + 1, basis.nu + 1):
+            total = total + exchange_op(i, j, basis).mat
+    return as_operator(total)
+
+
+def summed_grid(bound=4096):
+    """The full space and every sector of n 1..5, nu 3..4, m 2..3 with at
+    most ``bound`` states, as (n, nu, m, sector)."""
+    for n, nu, m in itertools.product(range(1, 6), (3, 4), (2, 3)):
+        for sector in (None, *range(n * m + 1)):
+            try:
+                check_dimension(n, nu, m, sector, bound)
+            except SizingError:
+                continue
+            yield n, nu, m, sector
+
+
+class TestClassSumPass:
+    @pytest.mark.parametrize("n, m, nu", LADDER)
+    def test_ladder_matches_summed_exchanges(self, n, m, nu):
+        sector = enumerate_basis(nu, m, GentileOrder(n), sector=1)
+        assert_bit_equal(class_sum(sector), summed_exchanges_oracle(sector))
+
+    def test_grid_matches_summed_exchanges(self):
+        # At (n=2, nu=3, m=2, full) a sum that halves and prunes once, not
+        # pair by pair, differs in the last bits.
+        grid = list(summed_grid())
+        assert (2, 3, 2, None) in grid and len(grid) == 146
+        for n, nu, m, sector in grid:
+            basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
+            assert_bit_equal(class_sum(basis), summed_exchanges_oracle(basis))
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The number of ``as_operator`` calls and the levels handed to
+        ``sqrt_bracket`` while the fixture is active."""
+        seen = {"as_operator": 0, "levels": []}
+        wrap, amplitude = operators.as_operator, operators.sqrt_bracket
+
+        def counting_wrap(mat):
+            seen["as_operator"] += 1
+            return wrap(mat)
+
+        def counting_amplitude(level, order):
+            seen["levels"].append(level)
+            return amplitude(level, order)
+
+        monkeypatch.setattr(operators, "as_operator", counting_wrap)
+        monkeypatch.setattr(operators, "sqrt_bracket", counting_amplitude)
+        return seen
+
+    def test_one_operator_and_one_amplitude_per_level(self, counted):
+        # Every word meets only level 1 on the spin sector.
+        class_sum.__wrapped__(enumerate_basis(9, 2, GentileOrder(1), sector=1))
+        assert counted == {"as_operator": 1, "levels": [1]}
+        counted["as_operator"], counted["levels"] = 0, []
+        class_sum.__wrapped__(enumerate_basis(3, 2, GentileOrder(3)))
+        assert counted["as_operator"] == 1
+        assert sorted(counted["levels"]) == [1, 2, 3]
+
+    def test_huge_order_evaluates_only_met_levels(self, counted):
+        basis = enumerate_basis(2, 1, GentileOrder(10**7), sector=1, cap=4)
+        start = time.perf_counter()
+        op = class_sum.__wrapped__(basis)
+        # Evaluating every level up to n would take minutes.
+        assert time.perf_counter() - start < 0.25
+        assert counted["levels"] == [1]
+        assert op.mat.toarray().tolist() == [[1]]
