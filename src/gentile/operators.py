@@ -168,17 +168,17 @@ def _apply_words(
 
     A word is a left-to-right list of letters ``(name, flat mode)``; its
     rightmost letter acts first.  The words of one group act on the same rows
-    and send each to the same target; the groups of one term have the same
-    letter names and differ only in modes.  Each term is summed as the sparse
-    sum of its words' matrix products is: a group that returns every state to
-    itself adds to the diagonal as ``(acc + w1) + w2`` in group order, any
-    other group stores ``w1 + w2`` at its targets.  The term is then
-    multiplied by ``scale`` (when given), and its diagonal is pruned at
-    ``DROP_TOL`` and added to the diagonals of the terms before it.  Terms
-    share no off-diagonal entry, so pruning those once, in
-    :func:`as_operator`, prunes each term's.  These are the roundings of
-    summing the terms' pruned matrices one after another, so the pruned
-    result is bit-identical to that sum.
+    and send each to the same target; all groups have the same letter names
+    and differ only in modes.  Each term is summed as the sparse sum of its
+    words' matrix products is: a group that returns every state to itself
+    adds to the diagonal as ``(acc + w1) + w2`` in group order, any other
+    group stores ``w1 + w2`` at its targets.  The term is then multiplied by
+    ``scale`` (``None`` multiplies by nothing, which keeps the signed zeros of
+    the words), and its diagonal is pruned at ``DROP_TOL`` and added to the
+    diagonals of the terms before it.  Terms share no off-diagonal entry, so
+    pruning those once, in :func:`as_operator`, prunes each term's.  These
+    are the roundings of summing the terms' pruned matrices one after
+    another, so the pruned result is bit-identical to that sum.
 
     Amplitude products are taken left to right, once per distinct tuple of
     met levels in the whole call, found by one ``np.unique`` per term.
@@ -191,8 +191,8 @@ def _apply_words(
     products: dict[tuple[int, ...], list[complex]] = {}  # the word products of each level tuple
     diag = np.zeros(dim, dtype=np.complex128)
     rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
+    conj = [[_LETTERS[name][1] for name, _ in word] for word in terms[0][0]]
     for groups in terms:
-        conj = [[_LETTERS[name][1] for name, _ in word] for word in groups[0]]
         acting, met_rows = [], []
         for words in groups:
             # The level each letter meets, found from the right: a lowerer
@@ -200,26 +200,29 @@ def _apply_words(
             # word acts where every met level lies in 1..n.
             current: dict[int, np.ndarray] = {}
             met = []
-            acts = np.ones(dim, dtype=bool)
             shift = 0
             for name, flat in reversed(words[0]):
-                raises = _LETTERS[name][0]
                 if flat not in columns:
                     columns[flat] = np.ascontiguousarray(basis.occupations[:, flat])
                 level = current.get(flat, columns[flat])
-                met.append(level + 1 if raises else level)
-                acts &= (met[-1] >= 1) & (met[-1] <= n)
-                current[flat] = level + 1 if raises else level - 1
-                shift += place[flat] if raises else -place[flat]
-            acts = np.flatnonzero(acts)
+                if _LETTERS[name][0]:
+                    current[flat] = level + 1
+                    met.append(current[flat])
+                    shift += place[flat]
+                else:
+                    current[flat] = level - 1
+                    met.append(level)
+                    shift -= place[flat]
+            met = np.stack(met[::-1])  # one row per letter, left to right
+            acts = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=0))
             acting.append((acts, shift))
-            met_rows.append(np.stack([level[acts] for level in reversed(met)], axis=1))
-        met = np.concatenate(met_rows)
-        # One integer per row, base (largest met level + 1): its numeric order
-        # is the lexicographic order of the met levels.
-        key = met @ _radix(int(met.max(initial=0)), met.shape[1])
+            met_rows.append(met[:, acts])
+        met = np.concatenate(met_rows, axis=1)
+        # One integer per acting row, base (largest met level + 1): its numeric
+        # order is the lexicographic order of the met levels.
+        key = _radix(int(met.max(initial=0)), len(met)) @ met
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        distinct = [tuple(levels) for levels in met[first].tolist()]
+        distinct = [tuple(levels) for levels in met[:, first].T.tolist()]
         for levels in distinct:
             if levels not in products:
                 # Only levels some word meets are evaluated, so a huge order costs nothing.
