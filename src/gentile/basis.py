@@ -169,6 +169,7 @@ def check_dimension(n: int, nu: int, m: int, sector: Optional[int], cap: int) ->
     return dim
 
 
+@lru_cache(maxsize=256)
 def largest_weight_block(n: int, nu: int, m: int, sector: Optional[int]) -> int:
     """States in the largest weight block of a basis, without enumerating it.
 
@@ -179,6 +180,8 @@ def largest_weight_block(n: int, nu: int, m: int, sector: Optional[int]) -> int:
     1``) a block holds the orderings of its weight, so this is the balanced
     multinomial ``nu!/prod(w_i!)``.  Call it after :func:`check_dimension`:
     the work grows with the number of weights, which the dimension bounds.
+    It is a pure function of its four integers and is memoized, so a point
+    sized before it is solved is counted once.
     """
     if sector is None:
         per_position = np.arange((n + 1) ** m)[:, None] // _radix(n, m) % (n + 1)

@@ -1,9 +1,12 @@
 """All-pairs exchange Hamiltonian: exact diagonalization vs partition route.
 
 The Hamiltonian is the class sum of pair exchanges on the spin sector (one
-particle per position), built on the sector basis itself and solved one
-weight block at a time; the additive constant of the spin-dot rewriting is
-fixed to zero by convention and recorded in every report.
+particle per position), built on the sector basis itself and solved in
+symmetry-adapted blocks (weight, momentum under the cyclic translation of
+positions, one weight per relabelling orbit; see
+:func:`gentile.operators.eigensolve_hermitian`); the additive constant of
+the spin-dot rewriting is fixed to zero by convention and recorded in every
+report.
 
 The partition route evaluates closed-form Casimir eigenvalues over integer
 partitions of the particle number.  Three forms are available:
@@ -16,20 +19,27 @@ partitions of the particle number.  Three forms are available:
   vanishes (n = 3), which is reported rather than evaluated.
 
 Each C-eigenvalue comes in the two formula variants of
-:mod:`gentile.partitions`.  ``compare_spectra`` matches the exact
-diagonalization against the predictions as multisets, inferring the
-symmetric-group multiplicity factor per partition and the overall sign.
+:mod:`gentile.partitions`; the base ``C2/2 - (m/2) C1`` is computed once per
+variant and each form is read from it.  ``compare_spectra`` matches the
+exact diagonalization against the predictions as multisets, inferring the
+symmetric-group multiplicity factor per partition and the overall sign;
+ties within its tolerance are broken by value and towards ``+1``, never by
+the last bit of a cluster mean.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .basis import DEFAULT_DIMENSION_CAP, check_dimension, enumerate_basis, largest_weight_block
+from .basis import (
+    DEFAULT_DIMENSION_CAP,
+    FockBasis,
+    check_dimension,
+    enumerate_basis,
+    largest_weight_block,
+)
 from .operators import (
     ComplexOperator,
     check_dense_dimension,
@@ -110,12 +120,51 @@ def check_spectrum_point(nu: int, m: int, order: GentileOrder, sector: int, cap:
 
 
 def spectrum_ed(
-    hamiltonian: ComplexOperator, blocks: Optional[np.ndarray] = None
+    hamiltonian: ComplexOperator, basis: Optional[FockBasis] = None
 ) -> list[tuple[float, int]]:
-    """Clustered ascending spectrum, solved per block of ``blocks`` (the
-    basis's ``weights``; ``None`` is one block); rejects non-Hermitian input.
+    """Clustered ascending spectrum of an operator on ``basis``, solved in its
+    symmetry-adapted blocks (``None`` is one block); rejects non-Hermitian
+    input and input that breaks a symmetry of the basis.
     """
-    return eigensolve_hermitian(hamiltonian.mat, blocks)
+    return eigensolve_hermitian(hamiltonian.mat, basis)
+
+
+def _form_energy(
+    form: str, nu: int, m: int, order: Optional[GentileOrder]
+) -> Callable[[float], float]:
+    """The map from a level's base ``C2/2 - (m/2) C1`` to its energy in ``form``."""
+    if form not in FORMS:
+        raise ValueError(f"form must be one of {FORMS}, got {form!r}")
+    if form == "bose":
+        return lambda base: base
+    if form == "fermi":
+        return lambda base: -base
+    if order is None:
+        raise ValueError("the finite-n form needs a GentileOrder")
+    cos2x = math.cos(2.0 * math.pi / (order.n + 1))
+    if abs(cos2x) < 1e-12:
+        raise SingularPrefactorError(
+            f"cos(2*pi/(n+1)) vanishes at n={order.n}; no finite prefactor"
+        )
+    prefactor = 1.0 / cos2x
+    coupling_shift = m * nu * coupling_j(1, order)
+    return lambda base: prefactor * (base - coupling_shift)
+
+
+def _casimir_bases(nu: int, m: int, variant: str) -> list[CasimirLevel]:
+    """Every partition of ``nu`` into at most ``m`` parts with its base
+    ``C2/2 - (m/2) C1`` as the energy (the Bose form), computed once."""
+    levels = []
+    for part in partitions_of(nu, m):
+        c1 = casimir_value(1, part, m, variant)
+        c2 = casimir_value(2, part, m, variant)
+        levels.append(CasimirLevel(part, 0.5 * c2 - 0.5 * m * c1, weyl_dimension(part, m)))
+    return levels
+
+
+def _in_form(bases: Sequence[CasimirLevel], energy: Callable[[float], float]) -> list[CasimirLevel]:
+    return [CasimirLevel(level.partition, float(energy(level.energy)), level.weyl_dim)
+            for level in bases]
 
 
 def spectrum_casimir(
@@ -126,35 +175,46 @@ def spectrum_casimir(
     order: Optional[GentileOrder] = None,
 ) -> list[CasimirLevel]:
     """Predicted levels for every partition of ``nu`` into at most ``m`` parts."""
-    if form not in FORMS:
-        raise ValueError(f"form must be one of {FORMS}, got {form!r}")
-    prefactor = 1.0
-    coupling_shift = 0.0
-    if form == "gentile":
-        if order is None:
-            raise ValueError("the finite-n form needs a GentileOrder")
-        cos2x = math.cos(2.0 * math.pi / (order.n + 1))
-        if abs(cos2x) < 1e-12:
-            raise SingularPrefactorError(
-                f"cos(2*pi/(n+1)) vanishes at n={order.n}; no finite prefactor"
-            )
-        prefactor = 1.0 / cos2x
-        coupling_shift = m * nu * coupling_j(1, order)
-    levels = []
-    for part in partitions_of(nu, m):
-        c1 = casimir_value(1, part, m, variant)
-        c2 = casimir_value(2, part, m, variant)
-        base = 0.5 * c2 - 0.5 * m * c1
-        if form == "bose":
-            energy = base
-        elif form == "fermi":
-            energy = -base
+    energy = _form_energy(form, nu, m, order)
+    return _in_form(_casimir_bases(nu, m, variant), energy)
+
+
+def _signed_match(
+    ed: Sequence[tuple[float, int]],
+    casimir: Sequence[CasimirLevel],
+    variant: str,
+    form: str,
+    sign: int,
+    tol: float,
+) -> SpectrumMatch:
+    """The match of one overall sign: each level takes the lowest-valued ED
+    cluster within ``tol`` of its nearest distance."""
+    deviation = 0.0
+    factors: dict[Partition, float] = {}
+    claimed = 0.0
+    integral = True
+    for level in casimir:
+        target = sign * level.energy
+        distances = [abs(value - target) for value, _ in ed]
+        nearest = min(distances)
+        value, mult = min(pair for pair, distance in zip(ed, distances) if distance - nearest < tol)
+        deviation = max(deviation, abs(value - target))
+        factor = mult / level.weyl_dim
+        if abs(factor - round(factor)) < 1e-9:
+            factor = float(round(factor))
         else:
-            energy = prefactor * (base - coupling_shift)
-        levels.append(
-            CasimirLevel(partition=part, energy=float(energy), weyl_dim=weyl_dimension(part, m))
-        )
-    return levels
+            integral = False
+        factors[level.partition] = factor
+        claimed += level.weyl_dim * factor
+    total_ed = sum(mult for _, mult in ed)
+    return SpectrumMatch(
+        variant=variant,
+        form=form,
+        sign=sign,
+        max_deviation=deviation,
+        factors=factors,
+        matched=deviation < tol and integral and claimed == total_ed,
+    )
 
 
 def compare_spectra(
@@ -169,40 +229,17 @@ def compare_spectra(
     A partition matches when some ED cluster sits within ``tol`` of its
     (possibly sign-flipped) energy and the cluster multiplicity is an integer
     multiple of the partition's irrep dimension -- that integer is the
-    inferred permutation-group multiplicity.  The better sign wins.
+    inferred permutation-group multiplicity.  Among the clusters within
+    ``tol`` of a level's nearest distance, the lowest-valued one is taken.  A
+    matched sign beats an unmatched one; otherwise the smaller maximum
+    deviation wins, and deviations less than ``tol`` apart are a tie, won by
+    ``+1``.  So a level midway between two clusters keeps its factor and
+    sign when a cluster mean moves in its last bits.
     """
-    best: Optional[SpectrumMatch] = None
-    total_ed = sum(mult for _, mult in ed)
-    for sign in (1, -1):
-        deviation = 0.0
-        factors: dict[Partition, float] = {}
-        claimed = 0.0
-        integral = True
-        for level in casimir:
-            target = sign * level.energy
-            value, mult = min(ed, key=lambda pair: abs(pair[0] - target))
-            deviation = max(deviation, abs(value - target))
-            factor = mult / level.weyl_dim
-            if abs(factor - round(factor)) < 1e-9:
-                factor = float(round(factor))
-            else:
-                integral = False
-            factors[level.partition] = factor
-            claimed += level.weyl_dim * factor
-        matched = deviation < tol and integral and claimed == total_ed
-        candidate = SpectrumMatch(
-            variant=variant,
-            form=form,
-            sign=sign,
-            max_deviation=deviation,
-            factors=factors,
-            matched=matched,
-        )
-        rank = (not candidate.matched, candidate.max_deviation, candidate.sign != 1)
-        if best is None or rank < (not best.matched, best.max_deviation, best.sign != 1):
-            best = candidate
-    assert best is not None
-    return best
+    plus, minus = (_signed_match(ed, casimir, variant, form, sign, tol) for sign in (1, -1))
+    if plus.matched != minus.matched:
+        return plus if plus.matched else minus
+    return minus if minus.max_deviation < plus.max_deviation - tol else plus
 
 
 def spectrum_report(
@@ -217,14 +254,15 @@ def spectrum_report(
     """Run ED and every requested partition-route prediction side by side."""
     check_spectrum_point(nu, m, order, sector, cap)
     basis = enumerate_basis(nu, m, order, sector=sector, cap=cap)
-    ed = tuple((float(v), int(mult)) for v, mult in spectrum_ed(class_sum(basis), basis.weights))
+    ed = tuple((float(v), int(mult)) for v, mult in spectrum_ed(class_sum(basis), basis))
     casimir_blocks = []
     matches = []
     singular = []
     for variant in variants:
+        bases = _casimir_bases(nu, m, variant)
         for form in forms:
             try:
-                levels = tuple(spectrum_casimir(nu, m, variant, form, order))
+                levels = tuple(_in_form(bases, _form_energy(form, nu, m, order)))
             except SingularPrefactorError:
                 singular.append((variant, form))
                 continue

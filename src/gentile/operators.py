@@ -34,14 +34,19 @@ matrix, and every builder is handed its basis.  The matrix utilities
 take plain CSR; a caller holding an operator passes its ``.mat``.
 
 Every composite also commutes with the diagonal generators ``E(k,k)``, so it
-is block-diagonal in the weight ``FockBasis.weights``.  The dense eigensolve
-works one weight block at a time, in real arithmetic where the block is
-real, and its dense cap is compared with the largest block
-(``basis.largest_weight_block``), not with the dimension.
+is block-diagonal in the weight ``FockBasis.weights``; the class sum and
+``C2`` also commute with every permutation of positions and of internal
+states.  The dense eigensolve uses all three: it splits each weight block
+by momentum under the cyclic translation of positions, solves one weight
+per orbit of weights under relabelling of the internal states, and solves
+all blocks of one size in one ``eigvalsh`` call, checking each symmetry on
+the matrix first.  Its dense cap is still compared with the largest weight
+block (``basis.largest_weight_block``), not with the dimension.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -402,58 +407,230 @@ def check_dense_dimension(dim: int, dense_cap: int = DENSE_EIG_CAP) -> None:
         raise SizingError(f"dense eigensolve needs dim {dim} > dense cap {dense_cap}")
 
 
-def _block_eigvalsh(block: sp.csr_matrix) -> np.ndarray:
-    """Eigenvalues of one Hermitian block, densified alone; a block whose
-    imaginary parts are all exactly 0 is solved in real arithmetic."""
-    if not block.data.imag.any():
-        block = block.real
-    dense = block.toarray()
-    dense += dense.conj().T  # in place: the sum takes no third dense array
-    dense *= 0.5
-    return np.linalg.eigvalsh(dense)
+def _permutation(basis: FockBasis, moved: np.ndarray) -> np.ndarray:
+    """Row of each state's image, given the images' occupations: the kernel's
+    rank arithmetic, ``searchsorted`` on ``ranks``."""
+    ranks = moved.reshape(basis.dim, -1) @ _radix(basis.order.n, basis.modes)
+    return np.searchsorted(basis.ranks, ranks)
+
+
+def _deviation(
+    mat: sp.csr_matrix, rows: np.ndarray, new_rows: np.ndarray, new_cols: np.ndarray,
+    new_data: np.ndarray,
+) -> float:
+    """Largest entry magnitude of ``M - mat``, where ``M`` holds ``new_data`` at
+    (``new_rows``, ``new_cols``), no two at one place, and ``mat`` is canonical
+    with row indices ``rows``: the value ``max_abs(M - mat)`` gives, found by
+    ``searchsorted`` on the entries' flat positions."""
+    dim = mat.shape[0]
+    places = np.append(rows * dim + mat.indices, dim * dim)  # a sentinel past every place
+    moved = new_rows * dim + new_cols
+    at = np.searchsorted(places, moved)
+    found = places[at] == moved
+    hit = np.zeros(len(places), dtype=bool)
+    hit[at[found]] = True
+    data = np.append(mat.data, 0)
+    return float(max(np.abs(new_data - np.where(found, data[at], 0)).max(initial=0.0),
+                     np.abs(data[~hit]).max(initial=0.0)))
+
+
+def _translation_orbits(translation: np.ndarray, nu: int) -> tuple[np.ndarray, ...]:
+    """Each state's orbit under the translation: its representative (the
+    orbit's lowest row), the power ``s`` with ``T**s`` representative = state,
+    and the orbit's size (the state's period)."""
+    state = np.arange(len(translation))
+    rep, back, period = state.copy(), np.zeros_like(state), np.zeros_like(state)
+    image = state
+    for power in range(1, nu + 1):
+        image = translation[image]
+        period[(period == 0) & (image == state)] = power
+        lower = image < rep
+        rep[lower], back[lower] = image[lower], power
+    return rep, (nu - back) % nu, period
+
+
+def _relabelling_copies(weight: tuple[int, ...]) -> int:
+    """Distinct reorderings of a weight: the weight blocks that share its
+    spectrum under relabelling of the internal states."""
+    copies = math.factorial(len(weight))
+    for value in set(weight):
+        copies //= math.factorial(weight.count(value))
+    return copies
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """The orbits one solve reads: each state's weight label and translation
+    orbit (``rep``, ``shift``, ``period``, see :func:`_translation_orbits`),
+    the translation order ``nu``, the representatives that are solved
+    (``kept``: those of descending weights), and for each of them the weight
+    blocks that share its spectrum (``copies``)."""
+
+    nu: int
+    weights: np.ndarray
+    rep: np.ndarray
+    shift: np.ndarray
+    period: np.ndarray
+    kept: np.ndarray
+    copies: np.ndarray
+
+
+def _symmetry_orbits(
+    mat: sp.csr_matrix, rows: np.ndarray, basis: Optional[FockBasis], tol: float
+) -> _Orbits:
+    """Check that ``mat`` keeps the symmetries of ``basis`` and find its orbits.
+
+    Raises ``ValueError`` for an entry that couples two weight blocks (named
+    by the first such entry) and for a matrix that is not invariant, to
+    within ``tol``, under the translation or under an adjacent relabelling.
+    ``None`` is the trivial group: every state is its own orbit.
+    """
+    dim = mat.shape[0]
+    state = np.arange(dim)
+    if basis is None:
+        zeros, ones = np.zeros(dim, dtype=np.int64), np.ones(dim, dtype=np.int64)
+        return _Orbits(nu=1, weights=zeros, rep=state, shift=zeros, period=ones, kept=state,
+                       copies=ones)
+    weights = basis.weights
+    coupled = np.flatnonzero(weights[rows] != weights[mat.indices])
+    if coupled.size:
+        i, j = rows[coupled[0]], mat.indices[coupled[0]]
+        raise ValueError(f"entry ({i}, {j}) couples weight blocks {weights[i]} and {weights[j]}")
+    occupations = basis.occupations.reshape(dim, basis.nu, basis.m)
+    translation = _permutation(basis, np.roll(occupations, 1, axis=1))
+    symmetries = [("the cyclic translation of positions", translation)]
+    for s in range(1, basis.m):
+        swap = np.arange(basis.m)
+        swap[[s - 1, s]] = s, s - 1
+        symmetries.append((f"relabelling internal states ({s}, {s + 1})",
+                           _permutation(basis, occupations[:, :, swap])))
+    for name, perm in symmetries:
+        deviation = _deviation(mat, rows, perm[rows], perm[mat.indices], mat.data)
+        if deviation > tol:
+            raise ValueError(f"matrix is not invariant under {name} (deviation {deviation:.3e})")
+    rep, shift, period = _translation_orbits(translation, basis.nu)
+    totals = occupations.sum(axis=1)
+    kept = np.flatnonzero((rep == state) & (np.diff(totals, axis=1) <= 0).all(axis=1))
+    _, first, inverse = np.unique(weights[kept], return_index=True, return_inverse=True)
+    copies = np.array([_relabelling_copies(tuple(w)) for w in totals[kept[first]].tolist()],
+                      dtype=np.int64)[inverse]
+    return _Orbits(nu=basis.nu, weights=weights, rep=rep, shift=shift, period=period, kept=kept,
+                   copies=copies)
+
+
+def _momentum_stacks(
+    mat: sp.csr_matrix, rows: np.ndarray, orbits: _Orbits
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (weight, momentum) blocks of ``mat``, as one ``(count, d, d)`` stack
+    per block size ``d`` with the spectrum count of each block.
+
+    A momentum state is a kept representative ``a`` with a momentum ``k``
+    such that ``nu`` divides ``k * p_a``; states are ordered by (weight, k,
+    a) and each (weight, k) is one block.  Each stored entry ``H[a, j]`` of a
+    kept row adds ``sqrt(p_a / p_b) * omega**(k * s_j) * H[a, j]`` to the
+    entry ``(a, b)`` of every block ``k`` where both ``a`` and ``b =
+    rep[j]`` exist, summed by one ``bincount`` over all blocks in entry order.
+    """
+    nu, kept, period = orbits.nu, orbits.kept, orbits.period[orbits.kept]
+    rep_of, k_of = np.nonzero((np.arange(nu) * period[:, None]) % nu == 0)
+    weight_of = orbits.weights[kept][rep_of]
+    order = np.lexsort((rep_of, k_of, weight_of))
+    rep_of, k_of, weight_of = rep_of[order], k_of[order], weight_of[order]
+    starts = np.flatnonzero(np.diff(weight_of * nu + k_of, prepend=-1))
+    sizes = np.diff(starts, append=len(order))
+    block_of = np.repeat(np.arange(len(starts)), sizes)
+    position = np.arange(len(order)) - starts[block_of]
+    # The blocks of one size lie next to each other in one flat array, row-major.
+    by_size = np.argsort(sizes, kind="stable")
+    offsets = np.empty(len(sizes), dtype=np.int64)
+    offsets[by_size] = np.cumsum(sizes[by_size] ** 2) - sizes[by_size] ** 2
+    slot = np.full((len(kept), nu), -1)
+    slot[rep_of, k_of] = np.arange(len(order))
+
+    index = np.full(mat.shape[0], -1)
+    index[kept] = np.arange(len(kept))
+    taken = np.flatnonzero(index[rows] >= 0)  # the entries of the kept rows
+    a, j = index[rows[taken]], mat.indices[taken]
+    b = index[orbits.rep[j]]
+    # omega**t for t in 0..nu-1, exact where it is 0 or +-1.
+    phase = np.exp(2j * np.pi * np.arange(nu) / nu)
+    phase.real[np.abs(phase.real) < 1e-15] = 0
+    phase.imag[np.abs(phase.imag) < 1e-15] = 0
+    source, target = slot[a], slot[b]
+    entry, k = np.nonzero((source >= 0) & (target >= 0))
+    source, target = source[entry, k], target[entry, k]
+    values = (mat.data[taken] * np.sqrt(period[a] / period[b]))[entry]
+    values = values * phase[k * orbits.shift[j][entry] % nu]
+    block = block_of[source]
+    flat = offsets[block] + position[source] * sizes[block] + position[target]
+    total = int(offsets[by_size[-1]] + sizes[by_size[-1]] ** 2)
+    real = np.bincount(flat, weights=values.real, minlength=total)
+    imag = np.bincount(flat, weights=values.imag, minlength=total)
+
+    stacks = []
+    for size in np.unique(sizes).tolist():
+        blocks = by_size[sizes[by_size] == size]
+        span = slice(offsets[blocks[0]], offsets[blocks[-1]] + size * size)
+        stack = real[span].reshape(-1, size, size)
+        if imag[span].any():
+            stack = stack + 1j * imag[span].reshape(-1, size, size)
+        stacks.append((stack, orbits.copies[rep_of[starts[blocks]]]))
+    return stacks
 
 
 def eigensolve_hermitian(
     mat: sp.csr_matrix,
-    blocks: Optional[np.ndarray] = None,
+    basis: Optional[FockBasis] = None,
     degeneracy_tol: float = 1e-8,
     hermiticity_tol: float = 1e-10,
 ) -> list[tuple[float, int]]:
     """Ascending eigenvalues clustered into (value, multiplicity) pairs.
 
-    ``blocks`` labels each row (a basis's ``weights``); rows sharing a label
-    form one block, solved on its own, and ``None`` makes the matrix one
-    block.  Consecutive eigenvalues of the sorted union closer than
-    ``degeneracy_tol`` share a cluster; cluster values are the cluster means
-    and multiplicities sum to the dimension.  Rejects non-Hermitian input
-    (with the measured asymmetry) and, with ``ValueError``, any stored entry
-    that couples two blocks.  The caller sized the largest block with
-    :func:`check_dense_dimension` before building ``mat``.
+    ``mat`` acts on ``basis`` (``None`` makes it one block) and is solved in
+    symmetry-adapted blocks: by weight, by momentum ``k`` under the cyclic
+    translation of positions ``T: i -> i+1``, and once per orbit of weights
+    under relabelling of the internal states.  ``T`` permutes the basis, and
+    its rows are read by the basis's rank arithmetic.  Each translation orbit
+    has a representative (its lowest row ``a``) and a period ``p_a``, and
+    carries momentum ``k`` when ``nu`` divides ``k * p_a``.  The block of
+    weight ``w`` and momentum ``k`` reads the representative rows only::
+
+        H_k[a, b] = sqrt(p_a / p_b) * sum over j in orbit(b) of omega**(k * s_j) * H[a, j]
+
+    with ``omega = exp(2 pi i / nu)`` and ``T**s_j b = j``.  Only weights in
+    descending order are solved; each of their eigenvalues counts once per
+    distinct reordering of the weight.  All blocks of one size are stacked,
+    made Hermitian as ``(B + B^H) / 2``, and solved by one
+    ``np.linalg.eigvalsh`` call, in real arithmetic when the stack's
+    imaginary parts are all exactly 0.  Consecutive eigenvalues of the sorted
+    union closer than ``degeneracy_tol`` share a cluster; cluster values are
+    the count-weighted means and multiplicities sum to the dimension.
+
+    Rejects non-Hermitian input (with the measured asymmetry) and, with
+    ``ValueError``, any stored entry that couples two weight blocks and a
+    matrix that is not invariant under ``T`` or under each adjacent
+    relabelling ``(s, s+1)`` to within ``hermiticity_tol``.  The caller sized
+    the largest weight block with :func:`check_dense_dimension` before
+    building ``mat``.
     """
     mat = sp.csr_matrix(mat)
-    dim = mat.shape[0]
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
     asym = max_abs(mat - mat.getH())
     if asym > hermiticity_tol:
         raise NonHermitianError(asym)
-    if blocks is None:
-        blocks = np.zeros(dim, dtype=np.int64)
-    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
-    coupled = np.flatnonzero(blocks[rows] != blocks[mat.indices])
-    if coupled.size:
-        i, j = rows[coupled[0]], mat.indices[coupled[0]]
-        raise ValueError(f"entry ({i}, {j}) couples weight blocks {blocks[i]} and {blocks[j]}")
-    order = np.argsort(blocks, kind="stable")
-    bounds = [0, *(np.flatnonzero(np.diff(blocks[order])) + 1), dim]
-    permuted = mat[order][:, order]
-    eigenvalues = np.sort(np.concatenate([
-        _block_eigvalsh(permuted[start:stop, start:stop]) for start, stop in zip(bounds, bounds[1:])
-    ]))
-
-    clusters: list[tuple[float, int]] = []
-    start = 0
-    for pos in range(1, dim + 1):
-        if pos == dim or eigenvalues[pos] - eigenvalues[pos - 1] >= degeneracy_tol:
-            block = eigenvalues[start:pos]
-            clusters.append((float(block.mean()), int(block.size)))
-            start = pos
-    return clusters
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    orbits = _symmetry_orbits(mat, rows, basis, hermiticity_tol)
+    eigenvalues, counts = [], []
+    for stack, copies in _momentum_stacks(mat, rows, orbits):
+        stack = (stack + stack.conj().swapaxes(1, 2)) * 0.5
+        eigenvalues.append(np.linalg.eigvalsh(stack).ravel())
+        counts.append(np.repeat(copies, stack.shape[-1]))
+    eigenvalues, counts = np.concatenate(eigenvalues), np.concatenate(counts)
+    order = np.argsort(eigenvalues, kind="stable")
+    eigenvalues, counts = eigenvalues[order], counts[order]
+    cuts = np.flatnonzero(np.diff(eigenvalues, prepend=-np.inf) >= degeneracy_tol)
+    multiplicities = np.add.reduceat(counts, cuts)
+    means = np.add.reduceat(eigenvalues * counts, cuts) / multiplicities
+    return list(zip(means.tolist(), multiplicities.tolist()))

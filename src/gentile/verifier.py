@@ -37,8 +37,9 @@ one grid point share one evaluation.
 ``run_task`` is the only place the mode acts: dense mode refuses a task
 whose evaluation dimension is over the dense cap, and sampled mode lifts
 that cap for residual evaluation and gives the same residual.  The spectral
-space solves densely, one weight block at a time, so it keeps the cap in
-both modes and compares it with its largest weight block.  ``mode``, ``k``
+space solves densely, in the (weight, momentum) blocks of
+``operators.eigensolve_hermitian``, so it keeps the cap in both modes and
+compares it with its largest weight block.  ``mode``, ``k``
 and ``seed`` are validated and echoed but change no residual.
 
 A ``Verdict`` is its task plus the outcome: residual, status and detail;
@@ -459,7 +460,7 @@ def _spectrum_match(task, sector):
         raise ValueError("C1 is not a real diagonal matrix")
     measured_c1 = sorted({round(v, 9) for v in c1_diag.real.tolist()})
     measured_c2 = sorted({round(v, 9) for v, _ in
-                          eigensolve_hermitian(casimir_c2(sector).mat, sector.weights)})
+                          eigensolve_hermitian(casimir_c2(sector).mat, sector)})
 
     parts = partitions_of(task.nu, task.m)
     report = []

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from gentile.basis import largest_weight_block
 from gentile.cli import main
 from gentile.operators import as_operator, casimir_c2, class_sum
 
@@ -319,6 +320,17 @@ def coupled(build):
         couple = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(basis.dim, basis.dim))
         return as_operator(build(basis).mat + couple)
     return patched
+
+
+def test_spectrum_sizes_each_point_once(tmp_path, capsys):
+    # The pre-flight sizes each point and spectrum_report reuses the count.
+    largest_weight_block.cache_clear()
+    out = tmp_path / "s.json"
+    assert run_cli(["spectrum", "--nu", "2..4", "--m", "2", "--no-timestamp",
+                    "--out", str(out)]) == 0
+    capsys.readouterr()
+    info = largest_weight_block.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
 
 
 def test_block_coupling_refused_by_spectrum(monkeypatch, tmp_path, capsys):

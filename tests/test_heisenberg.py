@@ -18,10 +18,12 @@ from gentile import (
     spectrum_ed,
     spectrum_report,
 )
-from gentile import basis
+from gentile import basis, heisenberg
 from gentile.basis import SizingError
+from gentile.heisenberg import FORMS, CasimirLevel
 from gentile.operators import max_abs
-from gentile.partitions import partitions_of, weyl_dimension
+from gentile.partitions import VARIANTS, casimir_value, partitions_of, weyl_dimension
+from gentile.scalars import coupling_j
 
 
 def ed_oracle(matrix):
@@ -177,6 +179,47 @@ class TestSpectrumCasimir:
         with pytest.raises(ValueError):
             spectrum_casimir(2, 2, "shifted", "classical")
 
+    @pytest.mark.parametrize("nu, m", [(nu, m) for nu in range(1, 9) for m in (1, 2, 3)])
+    def test_levels_bit_identical_to_per_form_evaluation(self, nu, m):
+        # Each form is read from the base C2/2 - (m/2) C1 computed once per
+        # variant, and gives the bits that evaluating both Casimir values per
+        # form gave, the sign of a zero included.
+        def per_form(variant, form, order):
+            levels = []
+            for part in partitions_of(nu, m):
+                c1 = casimir_value(1, part, m, variant)
+                c2 = casimir_value(2, part, m, variant)
+                base = 0.5 * c2 - 0.5 * m * c1
+                if form == "bose":
+                    energy = base
+                elif form == "fermi":
+                    energy = -base
+                else:
+                    prefactor = 1.0 / math.cos(2.0 * math.pi / (order.n + 1))
+                    energy = prefactor * (base - m * nu * coupling_j(1, order))
+                levels.append((part, float(energy).hex(), weyl_dimension(part, m)))
+            return levels
+
+        for order in (GentileOrder(1), GentileOrder(2), GentileOrder(4)):
+            for variant in VARIANTS:
+                for form in FORMS:
+                    got = spectrum_casimir(nu, m, variant, form, order)
+                    assert [(l.partition, l.energy.hex(), l.weyl_dim) for l in got] == \
+                        per_form(variant, form, order), (order.n, variant, form)
+
+    def test_report_evaluates_each_level_once_per_variant(self, monkeypatch):
+        calls = []
+
+        def counted(p, part, m, variant):
+            calls.append((p, variant))
+            return casimir_value(p, part, m, variant)
+
+        monkeypatch.setattr(heisenberg, "casimir_value", counted)
+        report = spectrum_report(4, 2, GentileOrder(2))
+        assert len(calls) == 2 * 2 * len(partitions_of(4, 2))  # variants x (C1, C2) x partitions
+        for variant, form, levels in report.casimir:
+            assert levels == tuple(spectrum_casimir(4, 2, variant, form, GentileOrder(2)))
+
 
 class TestCompareSpectra:
     def test_exact_match_two_spins(self):
@@ -198,6 +241,20 @@ class TestCompareSpectra:
         match = compare_spectra(ed, spectrum_casimir(3, 2, "shifted", "bose"))
         assert match.matched
         assert match.factors == {(3, 0): 1.0, (2, 1): 2.0}
+
+    @pytest.mark.parametrize("moved", [0, 1, 2])
+    @pytest.mark.parametrize("direction", [-math.inf, math.inf])
+    def test_midway_level_keeps_factor_and_sign(self, moved, direction):
+        # The level at 1.0 lies midway between the clusters at 0.0 and 2.0,
+        # and its sign-flipped target -1.0 midway between -2.0 and 0.0, so
+        # both signs deviate by 1.0.  The lowest cluster within tol of the
+        # nearest distance is taken and a tie goes to +1, so moving any
+        # cluster by one ulp changes neither the factor nor the sign.
+        ed = [(-2.0, 2), (0.0, 6), (2.0, 2)]
+        ed[moved] = (math.nextafter(ed[moved][0], direction), ed[moved][1])
+        match = compare_spectra(ed, [CasimirLevel(partition=(1, 0), energy=1.0, weyl_dim=2)])
+        assert (match.sign, match.factors, match.matched) == (1, {(1, 0): 3.0}, False)
+        assert abs(match.max_deviation - 1.0) < 1e-15
 
     def test_raw_variant_reports_deviation(self):
         ed = [(-1.0, 1), (1.0, 3)]
@@ -263,7 +320,7 @@ class TestContentSumOracle:
             expected[value] = (expected.get(value, 0)
                                + standard_tableaux(part) * weyl_dimension(part, m))
         sector = enumerate_basis(nu, m, GentileOrder(1), sector=1)
-        ed = spectrum_ed(build_hamiltonian(nu, m, GentileOrder(1)), sector.weights)
+        ed = spectrum_ed(build_hamiltonian(nu, m, GentileOrder(1)), sector)
         assert [mult for _, mult in ed] == [expected[v] for v in sorted(expected)]
         assert max(abs(value - v) for (value, _), v in zip(ed, sorted(expected))) < 1e-9
 

@@ -681,46 +681,120 @@ def assert_same_clusters(got, expected):
     assert max(abs(a - b) for (a, _), (b, _) in zip(got, expected)) <= 1e-12
 
 
+def oracle_grid(bound=1024):
+    """The spin sector and the full space of n 1..3, nu 2..6, m 1..3 with at
+    most ``bound`` states, as (n, nu, m, sector)."""
+    for n, nu, m in itertools.product((1, 2, 3), range(2, 7), (1, 2, 3)):
+        for sector in (1, None):
+            if check_dimension(n, nu, m, sector, cap=2**40) <= bound:
+                yield n, nu, m, sector
+
+
 class TestBlockedEigensolver:
     @pytest.mark.parametrize("n, m, nu", LADDER + SPIN_POINTS)
     def test_blocks_match_one_complex_solve(self, n, m, nu):
         sector = enumerate_basis(nu, m, GentileOrder(n), sector=1)
         for op in (class_sum(sector), casimir_c2(sector)):
-            assert_same_clusters(eigensolve_hermitian(op.mat, sector.weights),
-                                 one_block_complex(op.mat))
+            assert_same_clusters(eigensolve_hermitian(op.mat, sector), one_block_complex(op.mat))
+
+    @pytest.mark.parametrize("n, nu, m, sector", list(oracle_grid()))
+    def test_symmetry_blocks_match_dense_oracle(self, n, nu, m, sector):
+        # Every Hermitian class sum and C2 of the grid solves as the dense
+        # eigvalsh of the whole matrix does; the non-Hermitian ones (the
+        # full spaces of n >= 2) are refused before any block is formed.
+        basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
+        for op in (class_sum(basis), casimir_c2(basis)):
+            if max_abs(op.mat - op.mat.getH()) > 1e-10:
+                with pytest.raises(NonHermitianError):
+                    eigensolve_hermitian(op.mat, basis)
+                continue
+            assert_same_clusters(eigensolve_hermitian(op.mat, basis), one_block_complex(op.mat))
 
     @pytest.fixture
-    def solved_dtypes(self, monkeypatch):
-        """The dtype of every dense block handed to ``eigvalsh``."""
+    def solved(self, monkeypatch):
+        """The dtype and shape of every stack handed to ``eigvalsh``."""
         seen, solve = [], np.linalg.eigvalsh
 
         def spy(dense):
-            seen.append(dense.dtype)
+            seen.append((dense.dtype, dense.shape))
             return solve(dense)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         return seen
 
-    def test_complex_block_solved_in_complex_arithmetic(self, solved_dtypes):
+    def test_complex_block_solved_in_complex_arithmetic(self, solved):
         mat = sp.csr_matrix(np.array([[1, 2j, 0, 0], [-2j, 3, 0, 0],
                                       [0, 0, 5, 1 + 1j], [0, 0, 1 - 1j, 2]]))
         expected = np.linalg.eigvalsh(mat.toarray())
-        solved_dtypes.clear()
-        clusters = eigensolve_hermitian(mat, np.array([0, 0, 1, 1]))
-        assert solved_dtypes == [np.complex128, np.complex128]
+        solved.clear()
+        clusters = eigensolve_hermitian(mat)
+        assert solved == [(np.complex128, (1, 4, 4))]
         assert [mult for _, mult in clusters] == [1, 1, 1, 1]
         np.testing.assert_allclose([v for v, _ in clusters], expected, rtol=0, atol=1e-12)
+        # Momentum k = 1, 2 of the nu=3 orbit (2,1) carry phases omega**k.
+        spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
+        solved.clear()
+        eigensolve_hermitian(class_sum(spin).mat, spin)
+        assert solved == [(np.complex128, (4, 1, 1))]
 
-    def test_real_block_solved_in_real_arithmetic(self, solved_dtypes):
-        mat = sp.csr_matrix(np.array([[1, 2j, 0], [-2j, 3, 0], [0, 0, 5]]))
-        eigensolve_hermitian(mat, np.array([1, 1, 0]))
-        assert solved_dtypes == [np.float64, np.complex128]  # blocks in label order
+    def test_real_block_solved_in_real_arithmetic(self, solved):
+        mat = sp.csr_matrix(np.array([[1, 2, 0], [2, 3, 0], [0, 0, 5]], dtype=complex))
+        eigensolve_hermitian(mat)
+        # At nu=2 the phases are +-1, exactly: weight (2,0) at k=0 and the
+        # orbit of (1,1) at k=0, 1; the weight (0,2) is not solved.
+        spin = enumerate_basis(2, 2, GentileOrder(1), sector=1)
+        eigensolve_hermitian(class_sum(spin).mat, spin)
+        assert solved == [(np.float64, (1, 3, 3)), (np.float64, (3, 1, 1))]
+
+    def test_one_call_per_block_size(self, solved):
+        # nu=6, m=3: 729 states, whose momentum blocks come in several
+        # sizes; each size is solved by exactly one stacked call.
+        spin = enumerate_basis(6, 3, GentileOrder(1), sector=1)
+        eigensolve_hermitian(class_sum(spin).mat, spin)
+        sizes = [shape[-1] for _, shape in solved]
+        assert sizes == sorted(set(sizes)) and len(sizes) > 1
+        assert all(shape[1] == shape[2] for _, shape in solved)
+
+    def test_nine_spins_solved_in_blocks_of_at_most_14(self, solved):
+        # The largest weight block, (5,4), holds C(9,4) = 126 states in 14
+        # translation orbits of 9, so no momentum block is larger than 14.
+        spin = enumerate_basis(9, 2, GentileOrder(1), sector=1)
+        clusters = eigensolve_hermitian(class_sum(spin).mat, spin)
+        assert max(shape[-1] for _, shape in solved) == 14
+        assert sum(mult for _, mult in clusters) == 512
+
+    def test_relabelling_twins_solved_once(self, solved):
+        # m=2: only weights w1 >= w2 are solved, and (w1, w2) counts for its
+        # twin (w2, w1) too.
+        spin = enumerate_basis(8, 2, GentileOrder(1), sector=1)
+        clusters = eigensolve_hermitian(class_sum(spin).mat, spin)
+        solved_states = sum(count * size for _, (count, size, _) in solved)
+        assert solved_states == sum(math.comb(8, w) for w in range(5))
+        assert sum(mult for _, mult in clusters) == 256
 
     def test_entry_coupling_two_blocks_refused(self):
-        mat = sp.csr_matrix(np.array([[1.0, 0, 0], [0, 2, 0.5], [0, 0.5, 3]], dtype=complex))
-        assert len(eigensolve_hermitian(mat, np.array([0, 0, 0]))) == 3
-        with pytest.raises(ValueError, match=r"entry \(1, 2\) couples weight blocks 0 and 1"):
-            eigensolve_hermitian(mat, np.array([0, 0, 1]))
+        # The nu=2, m=2 spin sector has the weights (0,2), (1,1), (1,1), (2,0),
+        # labelled 2, 4, 4, 6.
+        spin = enumerate_basis(2, 2, GentileOrder(1), sector=1)
+        mat = sp.csr_matrix(np.array([[1.0, 0.5, 0, 0], [0.5, 2, 0, 0], [0, 0, 2, 0],
+                                      [0, 0, 0, 1]], dtype=complex))
+        assert len(eigensolve_hermitian(mat)) == 4
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) couples weight blocks 2 and 4"):
+            eigensolve_hermitian(mat, spin)
+
+    def test_single_exchange_breaks_translation(self):
+        spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
+        tau = exchange_op(1, 2, spin).mat
+        with pytest.raises(ValueError, match="not invariant under the cyclic translation"):
+            eigensolve_hermitian(tau, spin)
+        assert eigensolve_hermitian(tau) == [(-1.0, 2), (1.0, 6)]
+
+    def test_diagonal_generator_breaks_relabelling(self):
+        spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
+        e11 = unitary_generator(1, 1, spin).mat
+        with pytest.raises(ValueError, match=r"relabelling internal states \(1, 2\)"):
+            eigensolve_hermitian(e11, spin)
+        assert [mult for _, mult in eigensolve_hermitian(e11)] == [1, 3, 3, 1]
 
 
 def summed_exchanges_oracle(basis):

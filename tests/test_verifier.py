@@ -258,12 +258,12 @@ class TestGrid:
     def test_spectral_task_solves_under_its_dense_cap(self, monkeypatch):
         # The 2**13-state sector is over the default dense cap of 4096, and
         # its largest weight block C(13, 6) = 1716 is under it: it is sized
-        # by that block and solved with the sector's weights.  The solve is
+        # by that block and solved on the sector's basis.  The solve is
         # stubbed, so only what it is handed is checked.
         solved = []
 
-        def solve(mat, blocks):
-            solved.append((mat.shape, np.unique(blocks, return_counts=True)[1].max()))
+        def solve(mat, basis):
+            solved.append((mat.shape, np.unique(basis.weights, return_counts=True)[1].max()))
             return [(0.0, mat.shape[0])]
 
         monkeypatch.setattr(verifier, "eigensolve_hermitian", solve)
