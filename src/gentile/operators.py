@@ -530,9 +530,14 @@ def _momentum_stacks(
     kept row adds ``sqrt(p_a / p_b) * omega**(k * s_j) * H[a, j]`` to the
     entry ``(a, b)`` of every block ``k`` where both ``a`` and ``b =
     rep[j]`` exist, summed by one ``bincount`` over all blocks in entry order.
+    A matrix whose imaginary parts are all exactly 0 has ``H_(nu-k)`` equal
+    to the conjugate of ``H_k``, with the same spectrum, so only ``k <= nu/2``
+    is formed and a block with ``0 < k < nu/2`` counts twice.
     """
     nu, kept, period = orbits.nu, orbits.kept, orbits.period[orbits.kept]
-    rep_of, k_of = np.nonzero((np.arange(nu) * period[:, None]) % nu == 0)
+    real_matrix = not mat.data.imag.any()
+    momenta = np.arange(nu // 2 + 1 if real_matrix else nu)
+    rep_of, k_of = np.nonzero((momenta * period[:, None]) % nu == 0)
     weight_of = orbits.weights[kept][rep_of]
     order = np.lexsort((rep_of, k_of, weight_of))
     rep_of, k_of, weight_of = rep_of[order], k_of[order], weight_of[order]
@@ -544,7 +549,7 @@ def _momentum_stacks(
     by_size = np.argsort(sizes, kind="stable")
     offsets = np.empty(len(sizes), dtype=np.int64)
     offsets[by_size] = np.cumsum(sizes[by_size] ** 2) - sizes[by_size] ** 2
-    slot = np.full((len(kept), nu), -1)
+    slot = np.full((len(kept), len(momenta)), -1)
     slot[rep_of, k_of] = np.arange(len(order))
 
     index = np.full(mat.shape[0], -1)
@@ -567,6 +572,8 @@ def _momentum_stacks(
     real = np.bincount(flat, weights=values.real, minlength=total)
     imag = np.bincount(flat, weights=values.imag, minlength=total)
 
+    paired = real_matrix & (k_of[starts] > 0) & (2 * k_of[starts] != nu)
+    counts = orbits.copies[rep_of[starts]] * np.where(paired, 2, 1)
     stacks = []
     for size in np.unique(sizes).tolist():
         blocks = by_size[sizes[by_size] == size]
@@ -574,7 +581,7 @@ def _momentum_stacks(
         stack = real[span].reshape(-1, size, size)
         if imag[span].any():
             stack = stack + 1j * imag[span].reshape(-1, size, size)
-        stacks.append((stack, orbits.copies[rep_of[starts[blocks]]]))
+        stacks.append((stack, counts[blocks]))
     return stacks
 
 
@@ -599,7 +606,9 @@ def eigensolve_hermitian(
 
     with ``omega = exp(2 pi i / nu)`` and ``T**s_j b = j``.  Only weights in
     descending order are solved; each of their eigenvalues counts once per
-    distinct reordering of the weight.  All blocks of one size are stacked,
+    distinct reordering of the weight.  A real matrix has ``H_(nu-k)`` equal
+    to the conjugate of ``H_k``, so only ``k <= nu/2`` is solved there and
+    counts for both.  All blocks of one size are stacked,
     made Hermitian as ``(B + B^H) / 2``, and solved by one
     ``np.linalg.eigvalsh`` call, in real arithmetic when the stack's
     imaginary parts are all exactly 0.  Consecutive eigenvalues of the sorted

@@ -681,6 +681,33 @@ def assert_same_clusters(got, expected):
     assert max(abs(a - b) for (a, _), (b, _) in zip(got, expected)) <= 1e-12
 
 
+def momentum_states(nu, m, momenta=None):
+    """Momentum states of the descending weights of the spin sector, ``k`` in
+    ``momenta`` (default ``0..nu/2``), counted from the rotation orbits of
+    its label strings."""
+    momenta = range(nu // 2 + 1) if momenta is None else momenta
+    seen, count = set(), 0
+    for labels in itertools.product(range(m), repeat=nu):
+        if labels in seen:
+            continue
+        orbit = {labels[s:] + labels[:s] for s in range(nu)}
+        seen |= orbit
+        weight = [labels.count(label) for label in range(m)]
+        if weight == sorted(weight, reverse=True):
+            count += sum(1 for k in momenta if k * len(orbit) % nu == 0)
+    return count
+
+
+def translation_matrix(basis):
+    """The permutation matrix of ``T: i -> i+1`` on ``basis``, from its
+    occupation tuples."""
+    index = {tuple(row): i for i, row in enumerate(basis.occupations.tolist())}
+    m = basis.m
+    images = [index[tuple(row[-m:] + row[:-m])] for row in basis.occupations.tolist()]
+    return sp.csr_matrix((np.ones(basis.dim), (images, np.arange(basis.dim))),
+                         shape=(basis.dim, basis.dim))
+
+
 def oracle_grid(bound=1024):
     """The spin sector and the full space of n 1..3, nu 2..6, m 1..3 with at
     most ``bound`` states, as (n, nu, m, sector)."""
@@ -731,11 +758,11 @@ class TestBlockedEigensolver:
         assert solved == [(np.complex128, (1, 4, 4))]
         assert [mult for _, mult in clusters] == [1, 1, 1, 1]
         np.testing.assert_allclose([v for v, _ in clusters], expected, rtol=0, atol=1e-12)
-        # Momentum k = 1, 2 of the nu=3 orbit (2,1) carry phases omega**k.
+        # Momentum k = 1 of the nu=3 orbit (2,1) carries the phase omega.
         spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
         solved.clear()
         eigensolve_hermitian(class_sum(spin).mat, spin)
-        assert solved == [(np.complex128, (4, 1, 1))]
+        assert solved == [(np.complex128, (3, 1, 1))]
 
     def test_real_block_solved_in_real_arithmetic(self, solved):
         mat = sp.csr_matrix(np.array([[1, 2, 0], [2, 3, 0], [0, 0, 5]], dtype=complex))
@@ -763,14 +790,29 @@ class TestBlockedEigensolver:
         assert max(shape[-1] for _, shape in solved) == 14
         assert sum(mult for _, mult in clusters) == 512
 
-    def test_relabelling_twins_solved_once(self, solved):
-        # m=2: only weights w1 >= w2 are solved, and (w1, w2) counts for its
-        # twin (w2, w1) too.
-        spin = enumerate_basis(8, 2, GentileOrder(1), sector=1)
+    @pytest.mark.parametrize("nu, m", [(8, 2), (6, 3)])
+    def test_one_weight_per_relabelling_orbit_and_half_the_momenta(self, solved, nu, m):
+        # Only descending weights are solved, and for a real matrix only
+        # momenta k <= nu/2: the eigenvalues solved are the momentum states
+        # counted from the rotation orbits of the spin configurations.
+        spin = enumerate_basis(nu, m, GentileOrder(1), sector=1)
         clusters = eigensolve_hermitian(class_sum(spin).mat, spin)
-        solved_states = sum(count * size for _, (count, size, _) in solved)
-        assert solved_states == sum(math.comb(8, w) for w in range(5))
-        assert sum(mult for _, mult in clusters) == 256
+        assert sum(count * size for _, (count, size, _) in solved) == momentum_states(nu, m)
+        assert sum(mult for _, mult in clusters) == m**nu
+
+    @pytest.mark.parametrize("nu, m", [(3, 2), (4, 2), (5, 2), (6, 2), (4, 3)])
+    def test_complex_translation_invariant_matrix(self, solved, nu, m):
+        # i (T - T^T) is Hermitian, complex and commutes with every symmetry
+        # of the basis; its momentum blocks are not conjugate in pairs, so
+        # every k is solved.
+        spin = enumerate_basis(nu, m, GentileOrder(1), sector=1)
+        shift = translation_matrix(spin)
+        mat = sp.csr_matrix(class_sum(spin).mat + 1j * (shift - shift.T))
+        expected = one_block_complex(mat)
+        solved.clear()
+        assert_same_clusters(eigensolve_hermitian(mat, spin), expected)
+        assert sum(count * size for _, (count, size, _) in solved) == \
+            momentum_states(nu, m, range(nu))
 
     def test_entry_coupling_two_blocks_refused(self):
         # The nu=2, m=2 spin sector has the weights (0,2), (1,1), (1,1), (2,0),
