@@ -163,6 +163,7 @@ def _casimir_bases(nu: int, m: int, variant: str) -> list[CasimirLevel]:
 
 
 def _in_form(bases: Sequence[CasimirLevel], energy: Callable[[float], float]) -> list[CasimirLevel]:
+    """The levels of ``bases`` with each base mapped to its energy by ``energy``."""
     return [CasimirLevel(level.partition, float(energy(level.energy)), level.weyl_dim)
             for level in bases]
 

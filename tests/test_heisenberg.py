@@ -283,6 +283,16 @@ class TestSpectrumReport:
         assert ("raw", "gentile") in report.singular_forms
         assert all(form != "gentile" for _, form, _ in report.casimir)
 
+    @pytest.mark.parametrize("nu", [12, 13, 14])
+    def test_large_spin_points_match_the_bose_form(self, nu):
+        # The 2**12..2**14-state spin sectors, solved in momentum blocks of
+        # at most 80, 132 and 246 states, match the shifted Bose form and not
+        # the raw one.
+        report = spectrum_report(nu, 2, GentileOrder(1), forms=("bose",))
+        assert [(match.variant, match.matched) for match in report.matches] == [
+            ("shifted", True), ("raw", False)]
+        assert sum(mult for _, mult in report.ed_spectrum) == 2**nu
+
     def test_oversized_sector_refused_before_enumeration(self):
         # The sector has 2**18 states, under the enumeration cap, and its
         # largest weight block C(18, 9) = 48620 is over the dense cap.  It is
