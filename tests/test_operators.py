@@ -814,6 +814,20 @@ class TestBlockedEigensolver:
         assert sum(count * size for _, (count, size, _) in solved) == \
             momentum_states(nu, m, range(nu))
 
+    def test_non_canonical_input_solved_like_its_canonical_form(self):
+        # Each stored entry split into two halves and every row's entries
+        # reversed: duplicates and unsorted indices, the same matrix.
+        spin = enumerate_basis(4, 2, GentileOrder(1), sector=1)
+        mat = class_sum(spin).mat
+        halves = [np.concatenate([mat.data[a:b][::-1] / 2] * 2) for a, b in
+                  zip(mat.indptr, mat.indptr[1:])]
+        cols = [np.concatenate([mat.indices[a:b][::-1]] * 2) for a, b in
+                zip(mat.indptr, mat.indptr[1:])]
+        split = sp.csr_matrix((np.concatenate(halves), np.concatenate(cols), 2 * mat.indptr),
+                              shape=mat.shape)
+        assert not split.has_canonical_format
+        assert eigensolve_hermitian(split, spin) == eigensolve_hermitian(mat, spin)
+
     def test_entry_coupling_two_blocks_refused(self):
         # The nu=2, m=2 spin sector has the weights (0,2), (1,1), (1,1), (2,0),
         # labelled 2, 4, 4, 6.
