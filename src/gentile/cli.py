@@ -164,7 +164,8 @@ def _build_parser() -> _Parser:
     verify.add_argument("--subspace", default="both", help="full, sector:T, or both")
     verify.add_argument("--interpretation", default="both",
                         help="entrywise, hermitian, or both (class-sum relation)")
-    verify.add_argument("--mode", default="dense", choices=["dense", "sampled"])
+    verify.add_argument("--mode", default="dense", choices=["dense", "sampled"],
+                        help="echoed in the report; both modes give the same exact residuals")
     verify.add_argument("--k", type=int, default=64,
                         help="sampled mode: validated (>= 32) and echoed; residuals are exact")
     verify.add_argument("--seed", type=int, default=42, help="echoed in the report")
@@ -172,7 +173,8 @@ def _build_parser() -> _Parser:
     verify.add_argument("--out", default=None)
     verify.add_argument("--no-timestamp", action="store_true")
     verify.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP)
-    verify.add_argument("--dense-cap", type=int, default=DENSE_EIG_CAP)
+    verify.add_argument("--dense-cap", type=int, default=DENSE_EIG_CAP,
+                        help="largest weight block casimir_spectrum_match may solve densely")
 
     spectrum = sub.add_parser("spectrum", help="exchange-model spectra")
     spectrum.add_argument("--nu", required=True, help="particle counts")

@@ -19,8 +19,10 @@ and then added to the running diagonal in pair order, and each off-diagonal
 entry, which no two pairs share, is half the sum of its two words.  All of
 them conserve every per-position total, so a sector's matrix equals the
 full-space one sliced at the sector's ``ranks``; that slice is a test
-oracle, not a library path.  Single ladder letters leave every sector and
-are built on full spaces only.  Amplitude products are taken in Python
+oracle, not a library path.  The kernel checks that every target is a state
+of its basis and raises ``ValueError`` naming the first word that leaves
+it, so a single ladder letter, which leaves every sector it acts on, is
+built on full spaces only.  Amplitude products are taken in Python
 scalar complex arithmetic, left to right, once per distinct tuple of met
 levels in a kernel pass: numpy's vectorised complex multiply may use fused
 multiply-adds (FMA), which differ in the last bit from scalar and
@@ -56,13 +58,13 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import FockBasis, SizingError, _radix, enumerate_basis
+from .basis import FockBasis, SizingError, _radix, enumerate_basis, subspace_label
 from .scalars import GentileOrder, coupling_j, sqrt_bracket
 
 #: Magnitude below which assembled entries are dropped.
 DROP_TOL = 1e-14
 
-#: Default largest dense matrix: a weight block of a solve, or a dense evaluation's space.
+#: Default largest dense matrix: the largest weight block of a solve.
 DENSE_EIG_CAP = 4096
 
 Matrix = Union[sp.spmatrix, np.ndarray]
@@ -183,7 +185,8 @@ def _apply_words(
     diagonals of the terms before it.  Terms share no off-diagonal entry, so
     pruning those once, in :func:`as_operator`, prunes each term's.  These
     are the roundings of summing the terms' pruned matrices one after
-    another, so the pruned result is bit-identical to that sum.
+    another, so the pruned result is bit-identical to that sum.  A target
+    that is not a state of ``basis`` raises ``ValueError`` naming its word.
 
     Amplitude products are taken left to right, once per distinct tuple of
     met levels in the whole call, found by one ``np.unique`` per term.
@@ -196,6 +199,7 @@ def _apply_words(
     products: dict[tuple[int, ...], list[complex]] = {}  # the word products of each level tuple
     diag = np.zeros(dim, dtype=np.complex128)
     rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
+    targets, moved = [], []  # each off-diagonal group's target ranks, and its first word
     conj = [[_LETTERS[name][1] for name, _ in word] for word in terms[0][0]]
     for groups in terms:
         acting, met_rows = [], []
@@ -220,7 +224,7 @@ def _apply_words(
                     shift -= place[flat]
             met = np.stack(met[::-1])  # one row per letter, left to right
             acts = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=0))
-            acting.append((acts, shift))
+            acting.append((acts, shift, words[0]))
             met_rows.append(met[:, acts])
         met = np.concatenate(met_rows, axis=1)
         # One integer per acting row, base (largest met level + 1): its numeric
@@ -241,7 +245,7 @@ def _apply_words(
                            dtype=np.complex128).reshape(-1, len(conj))[inverse]
         term_diag = np.zeros(dim, dtype=np.complex128)
         start = 0
-        for acts, shift in acting:
+        for acts, shift, word in acting:
             group = weights[start:start + len(acts)].T
             start += len(acts)
             if shift == 0:
@@ -249,17 +253,27 @@ def _apply_words(
                     term_diag[acts] = term_diag[acts] + w
                 continue
             value = reduce(np.add, group)
-            rows.append(np.searchsorted(ranks, ranks[acts] + shift))
+            targets.append(ranks[acts] + shift)
+            rows.append(np.searchsorted(ranks, targets[-1]))
             cols.append(acts)
             vals.append(value if scale is None else scale * value)
+            moved.append(word)
         if scale is not None:
             term_diag = scale * term_diag
         term_diag[np.abs(term_diag) < DROP_TOL] = 0
         diag += term_diag
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    if targets:
+        # Closure: every target is a basis state.  A target past the last rank
+        # has the insertion index dim, so the index is clipped before the gather.
+        found = ranks[np.minimum(rows[dim:], dim - 1)]
+        missing = np.flatnonzero(found != np.concatenate(targets))
+        if missing.size:
+            group = np.searchsorted(np.cumsum([len(t) for t in targets]), missing[0], "right")
+            letters = " ".join(f"{name}({flat})" for name, flat in moved[group])
+            raise ValueError(f"word {letters} leaves the {subspace_label(basis.sector)} basis "
+                             f"from its state {cols[dim + missing[0]]}")
+    return sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=(dim, dim))
 
 
 @lru_cache(maxsize=256)
@@ -401,8 +415,8 @@ def hermitian_part(mat: sp.csr_matrix) -> sp.csr_matrix:
 
 def check_dense_dimension(dim: int, dense_cap: int = DENSE_EIG_CAP) -> None:
     """Raise ``SizingError`` when a dense matrix of ``dim`` exceeds ``dense_cap``;
-    the one dense-cap check, made before anything is built.  A blocked solve
-    passes its largest block, a dense evaluation its whole dimension."""
+    the one dense-cap check, made on a solve's largest weight block before
+    anything is built."""
     if dim > dense_cap:
         raise SizingError(f"dense eigensolve needs dim {dim} > dense cap {dense_cap}")
 

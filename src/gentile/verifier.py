@@ -13,34 +13,28 @@ and nothing else.  Identities split into two sets:
 
 A task that raises ``ValueError`` (sizing included) gets ``status="error"``.
 
-A row's space names the one basis its tasks evaluate on: none (``single``,
-the relations of one or two modes, read on their own one- and two-mode
-spaces, which the dimension cap bounds too), the full space (``full``:
-``sector_conservation`` measures the position-total jumps, which bound the
-leakage out of every sector), the task's own subspace (``task``), or its
-sector (``spectral``).  A recipe reads only the operands that fix its
-residual bit for bit: the ladder bracket takes its distinct-mode
-commutators on the two-mode space, and ``generator_commutation`` skips the
-index tuples that are exactly zero or the exact negation of one it reads.
-The exchange pairs of ``duality_commutation`` differ in the last bit, so it
-reads them all.
-Task bases are sized, then built, only in ``_checked_basis`` (for
-``run_task`` and ``limit_theorem_agreement``), so a sector task never builds
-its full space.  Recipes receive their basis built.
+A row's space names the one basis its tasks evaluate on, never larger than
+the task's own: none (``single``, the relations of one or two modes, read
+on their own one- and two-mode spaces, which the dimension cap bounds too),
+the task's own subspace (``task``), or its sector (``spectral``).  On a
+sector, the word kernel's closure check keeps every operand in the sector.
+A recipe reads only the operands that fix its residual bit for bit: the
+ladder bracket takes its distinct-mode commutators on the two-mode space,
+and ``generator_commutation`` skips the index tuples that are exactly zero
+or the exact negation of one it reads.  The exchange pairs of
+``duality_commutation`` differ in the last bit, so it reads them all.  Task
+bases are sized, then built, only in ``_checked_basis`` (for ``run_task``
+and ``limit_theorem_agreement``), so a sector task never builds its full
+space.  Recipes receive their basis built.
 
 The residual of a task is the largest entry magnitude of its sparse
 difference matrices (``operators.max_abs``), read exactly in both modes.
 Diagonal operands (position totals, the occupation-function correction)
-are numpy vectors, never sparse products.  A ``full`` row is evaluated once
-per full basis and memoised, so the ``full`` and every ``sector:T`` task of
-one grid point share one evaluation.
-``run_task`` is the only place the mode acts: dense mode refuses a task
-whose evaluation dimension is over the dense cap, and sampled mode lifts
-that cap for residual evaluation and gives the same residual.  The spectral
-space solves densely, in the (weight, momentum) blocks of
-``operators.eigensolve_hermitian``, so it keeps the cap in both modes and
-compares it with its largest weight block.  ``mode``, ``k``
-and ``seed`` are validated and echoed but change no residual.
+are numpy vectors, never sparse products.  The spectral space is the one
+dense solve, in the (weight, momentum) blocks of
+``operators.eigensolve_hermitian``, so it alone is held to the dense cap,
+compared with its largest weight block.  ``mode``, ``k`` and ``seed`` are
+validated and echoed but change no residual.
 
 A ``Verdict`` is its task plus the outcome: residual, status and detail;
 its tolerance follows from the identity.  Tasks are independent; verdict
@@ -190,18 +184,16 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _checked_basis(
-    task: VerificationTask, cap: int, dense_cap: Optional[int], blocked: bool = False
-) -> FockBasis:
+def _checked_basis(task: VerificationTask, cap: int, dense_cap: Optional[int] = None) -> FockBasis:
     """The basis of ``task.subspace``: a sector, or the full space.
 
-    It is sized before it is enumerated, and must fit ``dense_cap`` if given:
-    its largest weight block if it is solved ``blocked``, else its dimension.
+    It is sized before it is enumerated.  A basis that is solved densely is
+    given ``dense_cap``, and its largest weight block must fit it.
     """
     args = (task.n, task.nu, task.m, task.subspace)
-    dim = check_dimension(*args, cap)
+    check_dimension(*args, cap)
     if dense_cap is not None:
-        check_dense_dimension(largest_weight_block(*args) if blocked else dim, dense_cap)
+        check_dense_dimension(largest_weight_block(*args), dense_cap)
     return enumerate_basis(task.nu, task.m, GentileOrder(task.n), sector=task.subspace, cap=cap)
 
 
@@ -425,30 +417,26 @@ def _total_jumps(op: ComplexOperator, totals: Sequence[np.ndarray]) -> float:
                for d in totals)
 
 
-@lru_cache(maxsize=64)
-def _sector_conservation(full: FockBasis) -> tuple[float, str]:
-    """Largest position-total jump of the conserving operators on ``full``.
+def _recipe_sector_conservation(task, basis):
+    """Largest position-total jump of the conserving operators on ``basis``.
 
-    A stored entry between states in different sectors changes some integer
-    position total by at least 1, so its jump is at least its magnitude: the
-    jumps bound the leakage onto every sector, and one evaluation per full
-    basis serves every sector task.
+    On the full space, a stored entry between states in different sectors
+    changes some integer position total by at least 1, so its jump is at
+    least its magnitude: the jumps bound the leakage onto every sector.  On
+    a sector every state has the same position totals, so the jumps are 0 by
+    construction; the word kernel's closure check is the evidence there.
     """
-    nu, m = full.nu, full.m
-    ops = [exchange_op(i, j, full) for i, j in combinations(range(1, nu + 1), 2)]
-    ops += [unitary_generator(s, t, full) for s, t in product(range(1, m + 1), repeat=2)]
-    ops += [class_sum(full), casimir_c1(full), casimir_c2(full)]
-    totals = [full.occupations[:, i * m:(i + 1) * m].sum(axis=1) for i in range(nu)]
+    nu, m = basis.nu, basis.m
+    ops = [exchange_op(i, j, basis) for i, j in combinations(range(1, nu + 1), 2)]
+    ops += [unitary_generator(s, t, basis) for s, t in product(range(1, m + 1), repeat=2)]
+    ops += [class_sum(basis), casimir_c1(basis), casimir_c2(basis)]
+    totals = [basis.occupations[:, i * m:(i + 1) * m].sum(axis=1) for i in range(nu)]
     residual = max(_total_jumps(op, totals) for op in ops)
-    detail = (
-        f"{len(ops)} operators x {nu} position totals; the jumps bound the "
-        "leakage onto every sector"
-    )
-    return residual, detail
-
-
-def _recipe_sector_conservation(task, full):
-    return [], *_sector_conservation(full)
+    detail = "the jumps bound the leakage onto every sector" if basis.sector is None else (
+        f"built on sector:{basis.sector}, where every state has the same position totals, so "
+        "the jumps are 0 by construction; the word kernel's closure check, which refuses any "
+        "word that leaves the sector, is the evidence")
+    return [], residual, f"{len(ops)} operators x {nu} position totals; {detail}"
 
 
 def _spectrum_match(task, sector):
@@ -505,9 +493,9 @@ def _spectrum_match(task, sector):
 
 class _Identity(NamedTuple):
     """A recipe, a tolerance (``None``: contested) and an evaluation space:
-    ``single`` (no basis), ``full``, ``task`` (the task's own subspace) or
-    ``spectral`` (the task's sector, ``sector:1`` for a full-space task,
-    whose largest weight block is held to the dense cap in both modes).
+    ``single`` (no basis), ``task`` (the task's own subspace) or ``spectral``
+    (the task's sector, ``sector:1`` for a full-space task, whose largest
+    weight block is held to the dense cap).
     """
 
     recipe: Callable
@@ -535,7 +523,7 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
     IdentityId.CLASS_SUM_CASIMIR: _Identity(_recipe_class_sum_casimir, None, "task"),
     IdentityId.LIMIT_RELATION: _Identity(_recipe_limit_relation, None, "task"),
     IdentityId.CASIMIR_HERMITICITY: _Identity(_recipe_casimir_hermiticity, 1e-10, "task"),
-    IdentityId.SECTOR_CONSERVATION: _Identity(_recipe_sector_conservation, 1e-10, "full"),
+    IdentityId.SECTOR_CONSERVATION: _Identity(_recipe_sector_conservation, 1e-10, "task"),
     IdentityId.CASIMIR_SPECTRUM: _Identity(_spectrum_match, None, "spectral"),
 }
 
@@ -564,23 +552,20 @@ def run_task(
 ) -> Verdict:
     """Evaluate one task and classify the residual.
 
-    It builds the basis of the identity's space, and it is the one place
-    ``task.mode`` acts: sampled mode lifts the dense cap, except on the
-    spectral space, which solves densely in both modes.
+    It builds the basis of the identity's space; only the spectral space,
+    the one dense solve, is held to ``dense_cap``.
     """
     row = _IDENTITIES[task.identity]
-    sampled = task.mode == "sampled"
     try:
         basis = None
         if row.space == "single":
             modes = 2 if task.identity is IdentityId.LADDER_NBRACKET else 1
             check_dimension(task.n, 1, modes, None, dimension_cap)
+        elif row.space == "task":
+            basis = _checked_basis(task, dimension_cap)
         else:
-            spectral = 1 if task.subspace is None else task.subspace
-            subspace = {"full": None, "task": task.subspace, "spectral": spectral}[row.space]
-            lifted = sampled and row.space != "spectral"
-            basis = _checked_basis(replace(task, subspace=subspace), dimension_cap,
-                                   None if lifted else dense_cap, row.space == "spectral")
+            spectral = replace(task, subspace=1 if task.subspace is None else task.subspace)
+            basis = _checked_basis(spectral, dimension_cap, dense_cap)
         diffs, extra, detail = row.recipe(task, basis)
         residual = max([extra, *map(max_abs, diffs)])
     except ValueError as exc:  # SizingError included
@@ -595,8 +580,6 @@ def run_task(
             status = "fail"
         if row.space == "single":
             detail += "; nu/m/subspace echo the grid point only"
-        elif row.space == "spectral" and sampled:
-            detail += "; spectral comparison always solves densely"
     return Verdict(task, residual, status, detail)
 
 
@@ -676,7 +659,7 @@ def limit_theorem_agreement(nu: int, m: int, subspace: Optional[int] = 1) -> flo
         subspace=subspace,
         interpretation="entrywise_real",
     )
-    basis = _checked_basis(task, DEFAULT_DIMENSION_CAP, DENSE_EIG_CAP)
+    basis = _checked_basis(task, DEFAULT_DIMENSION_CAP)
     d_theorem = _theorem_sides(task, basis)
     d_limit, _ = _limit_sides(task, basis)
     return max_abs(d_theorem - d_limit)

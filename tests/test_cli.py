@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from gentile import basis as basis_module
 from gentile.basis import largest_weight_block
 from gentile.cli import main
 from gentile.operators import as_operator, casimir_c2, class_sum
@@ -98,27 +99,36 @@ class TestVerifyCommand:
         )
 
     def test_dense_over_cap_exits_three(self, tmp_path, capsys):
+        # The spin sector of nu=3, m=2 has weight blocks of 3 states.
         code = run_cli(
             [
-                "verify", "--n", "4", "--nu", "3", "--m", "2",
+                "verify", "--n", "4", "--nu", "3", "--m", "2", "--dense-cap", "2",
                 "--out", str(tmp_path / "x.json"),
             ]
         )
         assert code == 3
         assert "dense" in capsys.readouterr().err
 
-    def test_sector_tasks_sized_by_their_sector(self, tmp_path, capsys):
-        # The full space (2**14 states) is over the dense cap, the sector (128)
-        # is not: only the full-space identity becomes a task error.
+    def test_sector_tasks_sized_by_their_sector(self, tmp_path, capsys, monkeypatch):
+        # Every row of a sector:1 grid runs on the 128-state sector, never on
+        # the full space (2**14 states): the only full spaces enumerated are
+        # the one- and two-mode spaces of the single-mode relations.
+        enumerated = []
+        real = basis_module._enumerate_cached
+
+        def recording(nu, m, order, sector):
+            enumerated.append((nu, sector))
+            return real(nu, m, order, sector)
+
+        monkeypatch.setattr(basis_module, "_enumerate_cached", recording)
         out = tmp_path / "v.json"
         code = run_cli(["verify", "--n", "1", "--nu", "7", "--m", "2", "--subspace",
                         "sector:1", "--no-timestamp", "--out", str(out)])
-        assert code == 3
-        assert "dense" in capsys.readouterr().err
+        assert code == 0, capsys.readouterr().err
+        assert (7, 1) in enumerated
+        assert {nu for nu, sector in enumerated if sector is None} <= {1}
         verdicts = read_json(out)["verdicts"]
-        errors = {v["identity"] for v in verdicts if v["status"] == "error"}
-        assert errors == {"sector_conservation"}
-        assert all(v["residual"] is not None for v in verdicts if v["status"] != "error")
+        assert all(v["residual"] is not None for v in verdicts)
 
     def test_bad_subspace_exits_three(self, tmp_path, capsys):
         code = run_cli(["verify", "--subspace", "half", "--out", str(tmp_path / "x")])

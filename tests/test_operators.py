@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import re
 import time
 from functools import lru_cache
 
@@ -12,6 +13,7 @@ import scipy.sparse as sp
 
 from gentile import (
     GentileOrder,
+    IdentityId,
     NonHermitianError,
     SizingError,
     as_operator,
@@ -28,9 +30,11 @@ from gentile import (
     single_mode_ops,
     sqrt_bracket,
     total_number,
+    VerificationTask,
+    run_task,
     unitary_generator,
 )
-from gentile import operators
+from gentile import operators, verifier
 from gentile.basis import check_dimension
 from gentile.operators import _ladder_cached, check_dense_dimension
 from gentile.verifier import _single_mode_diffs
@@ -252,6 +256,59 @@ def test_word_application_matches_kron_oracle(n, nu, m):
             assert np.array_equal(op.indptr, ref.indptr)
             assert np.array_equal(op.indices, ref.indices)
             assert np.array_equal(op.data, ref.data)
+
+
+def misplaced_exchange(basis, i, j):
+    """The exchange of ``(i, j)`` with ``b(j,l)`` in place of ``b(i,l)`` in both
+    words: each word moves a particle from position ``j`` to position ``i``."""
+    f = basis.mode_flat
+    terms = [[[[("a_dag", f(i, k)), ("a_dag", f(j, l)), ("b", f(j, l)), ("b", f(j, k))],
+               [("a_dag", f(i, k)), ("b_dag", f(j, l)), ("b", f(j, l)), ("a", f(j, k))]]
+              for k in range(1, basis.m + 1) for l in range(1, basis.m + 1)]]
+    return as_operator(operators._apply_words(basis, terms, scale=0.5))
+
+
+class TestClosureCheck:
+    """The word kernel refuses a word whose target leaves its basis, and names it."""
+
+    @pytest.mark.parametrize("n, nu, m", list(itertools.product((1, 2, 3), repeat=3)))
+    def test_every_letter_refused_on_sectors_it_acts_on(self, n, nu, m):
+        # A letter changes one position's total.  A lowerer acts on every
+        # sector but sector:0, a raiser on every sector but sector:n*m (every
+        # mode at n); on that one it acts on no state and is the zero operator.
+        for t in range(n * m + 1):
+            sector = enumerate_basis(nu, m, GentileOrder(n), sector=t)
+            for name, flat in itertools.product(("a", "b", "a_dag", "b_dag"), range(nu * m)):
+                if t == (n * m if name.endswith("dag") else 0):
+                    assert _ladder_cached(sector, name, flat).nnz == 0
+                    continue
+                message = re.escape(f"word {name}({flat}) leaves the sector:{t} basis")
+                with pytest.raises(ValueError, match=message):
+                    _ladder_cached(sector, name, flat)
+
+    @pytest.mark.parametrize("n, nu, m", [p for p in ORACLE_GRID if p[0] * p[2] >= 2])
+    def test_misplaced_exchange_letter(self, n, nu, m, monkeypatch):
+        # The misplaced word lowers position j twice and raises position i:
+        # it acts where j holds two particles and i has room, which on a
+        # sector means 2 <= t < n*m.  Those sectors refuse it, on the others
+        # it is the zero operator, and on the full space it is built and
+        # sector_conservation fails.
+        monkeypatch.setattr(verifier, "exchange_op", lambda i, j, b: misplaced_exchange(b, i, j))
+        word = r"word a_dag\(\d+\) a_dag\(\d+\) b\(\d+\) b\(\d+\)"
+        for t in range(n * m + 1):
+            sector = enumerate_basis(nu, m, GentileOrder(n), sector=t)
+            verdict = run_task(VerificationTask(IdentityId.SECTOR_CONSERVATION, n, nu, m, t))
+            if 2 <= t < n * m:
+                with pytest.raises(ValueError, match=f"{word} leaves the sector:{t} basis"):
+                    misplaced_exchange(sector, 1, 2)
+                assert verdict.status == "error", verdict.detail
+                assert re.search(f"{word} leaves the sector:{t} basis", verdict.detail)
+            else:
+                assert misplaced_exchange(sector, 1, 2).nnz == 0
+                assert verdict.status == "pass", verdict.detail
+        verdict = run_task(VerificationTask(IdentityId.SECTOR_CONSERVATION, n, nu, m, None))
+        assert verdict.status == "fail"
+        assert verdict.residual > 0.0
 
 
 class TestSingleMode:
