@@ -18,16 +18,13 @@ from .heisenberg import (
     SingularPrefactorError,
     SpectrumMatch,
     SpectrumReport,
-    build_hamiltonian,
     compare_spectra,
     spectrum_casimir,
-    spectrum_ed,
     spectrum_report,
 )
 from .operators import (
     DENSE_EIG_CAP,
     DROP_TOL,
-    ComplexOperator,
     NonHermitianError,
     SingleModeSet,
     as_operator,

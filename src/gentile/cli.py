@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success (contested residuals never fail a run), 2 when a
 guaranteed identity misses its tolerance, 3 on sizing or configuration
-errors, which covers every ``ValueError`` the library raises and every
-``verify`` verdict with ``status="error"`` (whose report is still written).
+errors, which covers every ``ValueError`` the library raises, a report that
+cannot be written, and every ``verify`` verdict with ``status="error"``
+(whose report is still written).
 Reports land in ``--out`` or, by default, in the directory named by the
 ``GENTILE_OUTPUT_DIR`` environment variable (falling back to the working
 directory).
@@ -149,7 +150,10 @@ def _write_report(args, out_path: str, config: dict, key: str, records: Sequence
         data = json_bytes(report_payload(config, __version__, key, records, timestamp))
     else:
         data = csv_bytes(*(table() if table else record_table(records)))
-    atomic_write(out_path, data)
+    try:
+        atomic_write(out_path, data)
+    except OSError as exc:
+        raise CliError(f"cannot write report {out_path}: {exc}") from None
 
 
 def _build_parser() -> _Parser:

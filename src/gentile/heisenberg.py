@@ -35,17 +35,11 @@ from typing import Callable, Optional, Sequence
 
 from .basis import (
     DEFAULT_DIMENSION_CAP,
-    FockBasis,
     check_dimension,
     enumerate_basis,
     largest_weight_block,
 )
-from .operators import (
-    ComplexOperator,
-    check_dense_dimension,
-    class_sum,
-    eigensolve_hermitian,
-)
+from .operators import check_dense_dimension, class_sum, eigensolve_hermitian
 from .partitions import Partition, casimir_value, partitions_of, weyl_dimension
 from .scalars import GentileOrder, coupling_j
 
@@ -94,39 +88,12 @@ class SpectrumReport:
     singular_forms: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
 
-def build_hamiltonian(
-    nu: int,
-    m: int,
-    order: GentileOrder,
-    sector: int = 1,
-    cap: int = DEFAULT_DIMENSION_CAP,
-) -> ComplexOperator:
-    """Class sum of exchanges on the fixed-total sector.
-
-    Only the sector is enumerated, so ``cap`` bounds the sector's dimension
-    (the number of compositions of ``sector`` into ``m`` parts of at most
-    ``n``, to the power ``nu``), not the full space's.  Raises
-    ``SizingError`` above it.
-    """
-    return class_sum(enumerate_basis(nu, m, order, sector=sector, cap=cap))
-
-
 def check_spectrum_point(nu: int, m: int, order: GentileOrder, sector: int, cap: int) -> None:
     """Size one spectrum point without enumerating it: the sector must exist
     and fit ``cap``, and its largest weight block must fit the dense solve.
     """
     check_dimension(order.n, nu, m, sector, cap)
     check_dense_dimension(largest_weight_block(order.n, nu, m, sector))
-
-
-def spectrum_ed(
-    hamiltonian: ComplexOperator, basis: Optional[FockBasis] = None
-) -> list[tuple[float, int]]:
-    """Clustered ascending spectrum of an operator on ``basis``, solved in its
-    symmetry-adapted blocks (``None`` is one block); rejects non-Hermitian
-    input and input that breaks a symmetry of the basis.
-    """
-    return eigensolve_hermitian(hamiltonian.mat, basis)
 
 
 def _form_energy(
@@ -255,7 +222,7 @@ def spectrum_report(
     """Run ED and every requested partition-route prediction side by side."""
     check_spectrum_point(nu, m, order, sector, cap)
     basis = enumerate_basis(nu, m, order, sector=sector, cap=cap)
-    ed = tuple((float(v), int(mult)) for v, mult in spectrum_ed(class_sum(basis), basis))
+    ed = tuple(eigensolve_hermitian(class_sum(basis), basis))
     casimir_blocks = []
     matches = []
     singular = []

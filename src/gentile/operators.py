@@ -27,13 +27,9 @@ scalar complex arithmetic, left to right, once per distinct tuple of met
 levels in a kernel pass: numpy's vectorised complex multiply may use fused
 multiply-adds (FMA), which differ in the last bit from scalar and
 sparse-product arithmetic, and byte-stable reports need bit-stable
-matrices.  Assembled matrices are pruned at ``DROP_TOL`` and treated as
-immutable afterwards; building distinct operators concurrently is safe.
-
-Operators are untagged: ``ComplexOperator`` holds only its pruned CSR
-matrix, and every builder is handed its basis.  The matrix utilities
-(``max_abs``, ``entrywise_real``, ``hermitian_part``, ``eigensolve_hermitian``)
-take plain CSR; a caller holding an operator passes its ``.mat``.
+matrices.  Every builder returns plain complex CSR, pruned at ``DROP_TOL``
+by :func:`as_operator`; cached matrices are shared, so they are read-only
+afterwards, and building distinct operators concurrently is safe.
 
 Every composite also commutes with the diagonal generators ``E(k,k)``, so it
 is block-diagonal in the weight ``FockBasis.weights``; the class sum and
@@ -78,23 +74,12 @@ class NonHermitianError(ValueError):
         self.asymmetry = asymmetry
 
 
-@dataclass(frozen=True)
-class ComplexOperator:
-    """Sparse complex square matrix, pruned at ``DROP_TOL``."""
-
-    mat: sp.csr_matrix
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self.mat.nnz
-
-
-def _pruned(mat: Matrix) -> sp.csr_matrix:
+def as_operator(mat: Matrix) -> sp.csr_matrix:
+    """A square matrix as complex CSR with duplicates summed, entries below
+    ``DROP_TOL`` in magnitude dropped and indices sorted."""
     out = sp.csr_matrix(mat, dtype=np.complex128)
+    if out.shape[0] != out.shape[1]:
+        raise ValueError(f"operator must be square, got shape {out.shape}")
     out.sum_duplicates()
     if out.nnz:
         mask = np.abs(out.data) < DROP_TOL
@@ -103,14 +88,6 @@ def _pruned(mat: Matrix) -> sp.csr_matrix:
             out.eliminate_zeros()
     out.sort_indices()
     return out
-
-
-def as_operator(mat: Matrix) -> ComplexOperator:
-    """Wrap a square matrix as a pruned operator."""
-    out = _pruned(mat)
-    if out.shape[0] != out.shape[1]:
-        raise ValueError(f"operator must be square, got shape {out.shape}")
-    return ComplexOperator(mat=out)
 
 
 def max_abs(mat: Matrix) -> float:
@@ -147,7 +124,7 @@ def single_mode_ops(order: GentileOrder) -> SingleModeSet:
     word kernel on the one-mode space.
     """
     mode = enumerate_basis(1, 1, order)
-    letters = {name: _ladder_cached(mode, name, 0).mat for name in _LETTERS}
+    letters = {name: _ladder_cached(mode, name, 0) for name in _LETTERS}
     num = sp.diags(np.arange(order.n + 1, dtype=np.float64), 0, format="csr",
                    dtype=np.complex128)
     return SingleModeSet(**letters, num=num)
@@ -277,14 +254,14 @@ def _apply_words(
 
 
 @lru_cache(maxsize=256)
-def _ladder_cached(basis: FockBasis, name: str, flat: int) -> ComplexOperator:
+def _ladder_cached(basis: FockBasis, name: str, flat: int) -> sp.csr_matrix:
     """One single-mode ladder matrix (``a``, ``b``, ``a_dag`` or ``b_dag``)
     acting on one flat mode of a full basis, identity on every other mode.
     """
     return as_operator(_apply_words(basis, [[[[(name, flat)]]]]))
 
 
-def _exchange_sum(basis: FockBasis, pairs: Iterable[tuple[int, int]]) -> ComplexOperator:
+def _exchange_sum(basis: FockBasis, pairs: Iterable[tuple[int, int]]) -> sp.csr_matrix:
     """Sum of the exchanges of ``pairs``, built in one kernel pass.
 
     Each pair ``(i, j)`` is one term: half the sum over internal states
@@ -308,12 +285,12 @@ def _exchange_sum(basis: FockBasis, pairs: Iterable[tuple[int, int]]) -> Complex
 
 
 @lru_cache(maxsize=256)
-def _exchange_cached(basis: FockBasis, i: int, j: int) -> ComplexOperator:
+def _exchange_cached(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
     """The exchange of one pair: the one-term pass of :func:`class_sum`."""
     return _exchange_sum(basis, [(i, j)])
 
 
-def exchange_op(i: int, j: int, basis: FockBasis) -> ComplexOperator:
+def exchange_op(i: int, j: int, basis: FockBasis) -> sp.csr_matrix:
     """Exchange of the particles at positions ``i`` and ``j`` (both 1-based).
 
     Acts on the full space or on any sector basis.
@@ -326,7 +303,7 @@ def exchange_op(i: int, j: int, basis: FockBasis) -> ComplexOperator:
 
 
 @lru_cache(maxsize=64)
-def class_sum(basis: FockBasis) -> ComplexOperator:
+def class_sum(basis: FockBasis) -> sp.csr_matrix:
     """Sum of all pair exchanges (the transposition-class operator).
 
     Acts on the full space or on any sector basis.  One kernel pass builds
@@ -341,14 +318,14 @@ def class_sum(basis: FockBasis) -> ComplexOperator:
 
 
 @lru_cache(maxsize=256)
-def _generator_cached(basis: FockBasis, k: int, l: int) -> ComplexOperator:
+def _generator_cached(basis: FockBasis, k: int, l: int) -> sp.csr_matrix:
     f = basis.mode_flat
     groups = [[[("a_dag", f(i, k)), ("b", f(i, l))], [("b_dag", f(i, k)), ("a", f(i, l))]]
               for i in range(1, basis.nu + 1)]
     return as_operator(_apply_words(basis, [groups]))
 
 
-def unitary_generator(k: int, l: int, basis: FockBasis) -> ComplexOperator:
+def unitary_generator(k: int, l: int, basis: FockBasis) -> sp.csr_matrix:
     """Generator E(k, l): state-l to state-k transfer summed over positions,
     the words ``a†(i,k) b(i,l)`` and ``b†(i,k) a(i,l)`` at every position.
 
@@ -360,34 +337,34 @@ def unitary_generator(k: int, l: int, basis: FockBasis) -> ComplexOperator:
 
 
 @lru_cache(maxsize=64)
-def casimir_c1(basis: FockBasis) -> ComplexOperator:
+def casimir_c1(basis: FockBasis) -> sp.csr_matrix:
     """First-order Casimir: sum of the diagonal generators, on any basis."""
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
     for l in range(1, basis.m + 1):
-        total = total + _generator_cached(basis, l, l).mat
+        total = total + _generator_cached(basis, l, l)
     return as_operator(total)
 
 
 @lru_cache(maxsize=64)
-def casimir_c2(basis: FockBasis) -> ComplexOperator:
+def casimir_c2(basis: FockBasis) -> sp.csr_matrix:
     """Second-order Casimir: sum over k, l of E(k,l) E(l,k), on any basis."""
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
     for k in range(1, basis.m + 1):
         for l in range(1, basis.m + 1):
-            total = total + _generator_cached(basis, k, l).mat @ _generator_cached(basis, l, k).mat
+            total = total + _generator_cached(basis, k, l) @ _generator_cached(basis, l, k)
     return as_operator(total)
 
 
-def _diagonal(vals: np.ndarray) -> ComplexOperator:
+def _diagonal(vals: np.ndarray) -> sp.csr_matrix:
     return as_operator(sp.diags(vals, 0, format="csr", dtype=np.complex128))
 
 
-def coupling_sum(basis: FockBasis) -> ComplexOperator:
+def coupling_sum(basis: FockBasis) -> sp.csr_matrix:
     """Diagonal operator whose eigenvalue is the summed coupling weight."""
     return _diagonal(coupling_j(basis.occupations, basis.order).sum(axis=1))
 
 
-def total_number(basis: FockBasis) -> ComplexOperator:
+def total_number(basis: FockBasis) -> sp.csr_matrix:
     """Diagonal operator counting all particles over all modes."""
     return _diagonal(basis.occupations.sum(axis=1))
 
@@ -401,11 +378,11 @@ def entrywise_real(mat: sp.csr_matrix) -> sp.csr_matrix:
     """Real part of every stored entry, in the fixed occupation basis."""
     out = mat.copy()
     out.data = out.data.real.astype(np.complex128)
-    return _pruned(out)
+    return as_operator(out)
 
 
 def hermitian_part(mat: sp.csr_matrix) -> sp.csr_matrix:
-    return _pruned((mat + mat.getH()) * 0.5)
+    return as_operator((mat + mat.getH()) * 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import os
-import tempfile
+import uuid
 from typing import Iterable, Optional, Sequence
 
 from .heisenberg import SpectrumReport
@@ -69,10 +69,13 @@ def report_payload(config: dict, version: str, key: str, records: Sequence[dict]
 
 
 def atomic_write(path: str, data: bytes) -> None:
-    """Write-temp-then-rename so readers never observe a partial file."""
+    """Write-temp-then-rename so readers never observe a partial file.  The
+    temp file is created as ``open`` creates one, with mode 0o666 under the
+    process umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
+    tmp_path = os.path.join(directory, f".tmp-report-{uuid.uuid4().hex}")
+    fd = os.open(tmp_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

@@ -65,7 +65,6 @@ from .basis import (
 from .operators import (
     DENSE_EIG_CAP,
     DROP_TOL,
-    ComplexOperator,
     _ladder_cached,
     casimir_c1,
     casimir_c2,
@@ -266,8 +265,8 @@ def _ladder_nbracket(order: GentileOrder) -> float:
     two-mode space for both orders of the pair; no statement has a sector.
     """
     pair = enumerate_basis(1, 2, order)
-    lower = [_ladder_cached(pair, "b", flat).mat for flat in (0, 1)]
-    raiser = [_ladder_cached(pair, "a_dag", flat).mat for flat in (0, 1)]
+    lower = [_ladder_cached(pair, "b", flat) for flat in (0, 1)]
+    raiser = [_ladder_cached(pair, "a_dag", flat) for flat in (0, 1)]
     diffs = _single_mode_diffs(order)["nbracket_unit"] + tuple(
         lower[f1] @ raiser[f2] - raiser[f2] @ lower[f1] for f1, f2 in ((0, 1), (1, 0))
     )
@@ -323,7 +322,7 @@ def _occupation_correction(basis: FockBasis, k: int, l: int) -> sp.csr_matrix:
 def _recipe_generator_commutation(task, basis):
     m = task.m
     states = range(1, m + 1)
-    ident = {(k, l): unitary_generator(k, l, basis).mat for k, l in product(states, repeat=2)}
+    ident = {(k, l): unitary_generator(k, l, basis) for k, l in product(states, repeat=2)}
     products = {(a, b): ident[a] @ ident[b] for a, b in permutations(ident, 2)}
 
     # The residual is the maximum over all m**4 tuples, read off fewer of
@@ -353,24 +352,21 @@ def _recipe_generator_commutation(task, basis):
 
 
 def _recipe_duality(task, basis):
-    taus = [exchange_op(i, j, basis).mat for i, j in combinations(range(1, task.nu + 1), 2)]
-    gens = [unitary_generator(s, t, basis).mat
-            for s, t in product(range(1, task.m + 1), repeat=2)]
+    taus = [exchange_op(i, j, basis) for i, j in combinations(range(1, task.nu + 1), 2)]
+    gens = [unitary_generator(s, t, basis) for s, t in product(range(1, task.m + 1), repeat=2)]
     diffs = [tau @ gen - gen @ tau for tau in taus for gen in gens]
     return diffs, 0.0, f"commutators of {len(taus)} exchanges with {len(gens)} generators"
 
 
 def _casimir_side(basis, m):
     """``C2/2 - (m/2) C1`` on ``basis``, the right side of both relations."""
-    c1 = casimir_c1(basis).mat
-    c2 = casimir_c2(basis).mat
-    return 0.5 * c2 - 0.5 * m * c1
+    return 0.5 * casimir_c2(basis) - 0.5 * m * casimir_c1(basis)
 
 
 def _theorem_sides(task, basis):
     """LHS-RHS matrix of the class-sum / Casimir relation on ``basis``."""
-    p_mat = class_sum(basis).mat
-    j_mat = coupling_sum(basis).mat
+    p_mat = class_sum(basis)
+    j_mat = coupling_sum(basis)
     qp = basis.order.q * p_mat
     interp = hermitian_part(qp) if task.interpretation == "hermitian_part" else entrywise_real(qp)
     m = task.m
@@ -387,8 +383,8 @@ def _recipe_class_sum_casimir(task, basis):
 
 def _limit_sides(task, basis):
     sign = -1.0 if task.n == 1 else 1.0
-    p_mat = class_sum(basis).mat
-    n_mat = total_number(basis).mat
+    p_mat = class_sum(basis)
+    n_mat = total_number(basis)
     m = task.m
     return sign * p_mat - m * n_mat - _casimir_side(basis, m), sign
 
@@ -400,19 +396,19 @@ def _recipe_limit_relation(task, basis):
 
 
 def _recipe_casimir_hermiticity(task, basis):
-    c1 = casimir_c1(basis).mat
-    c2 = casimir_c2(basis).mat
+    c1 = casimir_c1(basis)
+    c2 = casimir_c2(basis)
     diffs = [c1 - c1.getH(), c2 - c2.getH()]
     return diffs, 0.0, "adjoint comparison of both Casimir operators"
 
 
-def _total_jumps(op: ComplexOperator, totals: Sequence[np.ndarray]) -> float:
+def _total_jumps(op: sp.csr_matrix, totals: Sequence[np.ndarray]) -> float:
     """Largest entry of the commutators of ``op`` with the position totals.
 
     A total ``d`` is diagonal, so ``[A, diag(d)]`` has the entries
     ``A_ij (d_j - d_i)`` on the stored entries of ``A``.
     """
-    coo = op.mat.tocoo()
+    coo = op.tocoo()
     return max(float(np.abs(coo.data * (d[coo.col] - d[coo.row])).max(initial=0.0))
                for d in totals)
 
@@ -442,13 +438,13 @@ def _recipe_sector_conservation(task, basis):
 def _spectrum_match(task, sector):
     # C1 is diagonal: its spectrum is its diagonal, checked real to the
     # eigensolver's hermiticity tolerance.
-    c1 = casimir_c1(sector).mat
+    c1 = casimir_c1(sector)
     c1_diag = c1.diagonal()
     if (c1 - sp.diags(c1_diag)).count_nonzero() or np.abs(c1_diag.imag).max() > 1e-10:
         raise ValueError("C1 is not a real diagonal matrix")
     measured_c1 = sorted({round(v, 9) for v in c1_diag.real.tolist()})
     measured_c2 = sorted({round(v, 9) for v, _ in
-                          eigensolve_hermitian(casimir_c2(sector).mat, sector)})
+                          eigensolve_hermitian(casimir_c2(sector), sector)})
 
     parts = partitions_of(task.nu, task.m)
     report = []

@@ -328,7 +328,7 @@ def coupled(build):
     on the nu=2, m=2 spin sector have the weights (2, 0) and (1, 1)."""
     def patched(basis):
         couple = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(basis.dim, basis.dim))
-        return as_operator(build(basis).mat + couple)
+        return as_operator(build(basis) + couple)
     return patched
 
 
@@ -481,6 +481,44 @@ class TestOutputHandling:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-report-")]
         assert leftovers == []
         assert read_json(out)["config"]["N"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "1", "--nu", "2", "--m", "2", "--subspace", "sector:1"],
+        ["spectrum", "--nu", "2", "--m", "2"],
+        ["partitions", "--N", "3", "--m", "2"],
+    ])
+    def test_unwritable_report_exits_three(self, argv, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        # A report under a regular file, onto a directory (the temp file is
+        # written, then the rename fails), and under an output dir that is a file.
+        for extra, path in ((["--out", str(blocker / "x.json")], str(blocker / "x.json")),
+                            (["--out", str(folder)], str(folder)),
+                            ([], str(blocker))):
+            if not extra:
+                monkeypatch.setenv("GENTILE_OUTPUT_DIR", str(blocker))
+            assert run_cli(argv + extra) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("gentile: error: cannot write report ") and path in err
+            assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["file", "folder"]
+        assert os.listdir(folder) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+    def test_report_mode_follows_umask(self, umask, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        previous = os.umask(umask)
+        try:
+            assert run_cli(["partitions", "--N", "3", "--m", "2", "--out", str(out)]) == 0
+            assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+            # A rewrite gives the same mode, as a plain open() would.
+            assert run_cli(["partitions", "--N", "3", "--m", "2", "--out", str(out)]) == 0
+            assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+        finally:
+            os.umask(previous)
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ from gentile import (
     NonHermitianError,
     SingularPrefactorError,
     as_operator,
-    build_hamiltonian,
+    class_sum,
     compare_spectra,
+    eigensolve_hermitian,
     enumerate_basis,
     spectrum_casimir,
-    spectrum_ed,
     spectrum_report,
 )
 from gentile import basis, heisenberg
@@ -40,7 +40,7 @@ def ed_oracle(matrix):
 
 class TestHamiltonian:
     def test_two_spin_matrix(self):
-        H = build_hamiltonian(2, 2, GentileOrder(1))
+        H = class_sum(enumerate_basis(2, 2, GentileOrder(1), sector=1))
         swap = np.array(
             [
                 [1, 0, 0, 0],
@@ -50,7 +50,7 @@ class TestHamiltonian:
             ],
             dtype=complex,
         )
-        assert max_abs(H.mat - swap) < 1e-12
+        assert max_abs(H - swap) < 1e-12
 
     @pytest.mark.parametrize(
         "nu,m,n",
@@ -60,66 +60,66 @@ class TestHamiltonian:
         ],
     )
     def test_hermitian_and_complete(self, nu, m, n):
-        H = build_hamiltonian(nu, m, GentileOrder(n))
-        assert max_abs(H.mat - H.mat.getH()) < 1e-10
-        clusters = spectrum_ed(H)
+        H = class_sum(enumerate_basis(nu, m, GentileOrder(n), sector=1))
+        assert max_abs(H - H.getH()) < 1e-10
+        clusters = eigensolve_hermitian(H)
         assert sum(mult for _, mult in clusters) == m**nu
         assert all(isinstance(v, float) for v, _ in clusters)
 
     @pytest.mark.slow
     def test_largest_point_under_cap(self):
-        H = build_hamiltonian(4, 3, GentileOrder(2))
-        clusters = spectrum_ed(H)
+        H = class_sum(enumerate_basis(4, 3, GentileOrder(2), sector=1))
+        clusters = eigensolve_hermitian(H)
         assert sum(mult for _, mult in clusters) == 81
 
     def test_sector_built_without_full_space(self):
         # the full space 2**22 is over the default cap; only the sector is built
-        H = build_hamiltonian(11, 2, GentileOrder(1))
-        assert H.dim == 2**11
-        assert max_abs(H.mat - H.mat.getH()) == 0.0
+        H = class_sum(enumerate_basis(11, 2, GentileOrder(1), sector=1))
+        assert H.shape[0] == 2**11
+        assert max_abs(H - H.getH()) == 0.0
         # an exchange fixes a state iff both positions hold the same internal
         # state, so the diagonal counts same-state pairs; bit p of the ordinal
         # is 1 where position p holds state 1
         ones = np.array([bin(s).count("1") for s in range(2**11)])
         same_pairs = (ones * (ones - 1) + (11 - ones) * (10 - ones)) / 2
-        np.testing.assert_array_equal(H.mat.diagonal().real, same_pairs)
+        np.testing.assert_array_equal(H.diagonal().real, same_pairs)
 
     def test_trace_conservation(self):
-        H = build_hamiltonian(3, 2, GentileOrder(1))
-        clusters = spectrum_ed(H)
+        H = class_sum(enumerate_basis(3, 2, GentileOrder(1), sector=1))
+        clusters = eigensolve_hermitian(H)
         total = sum(v * mult for v, mult in clusters)
-        assert total == pytest.approx(H.mat.diagonal().sum().real, abs=1e-9)
+        assert total == pytest.approx(H.diagonal().sum().real, abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_sector_hamiltonian_is_order_independent(self, n):
-        reference = build_hamiltonian(3, 2, GentileOrder(1))
-        other = build_hamiltonian(3, 2, GentileOrder(n))
-        assert max_abs(reference.mat - other.mat) < 1e-12
+        reference = class_sum(enumerate_basis(3, 2, GentileOrder(1), sector=1))
+        other = class_sum(enumerate_basis(3, 2, GentileOrder(n), sector=1))
+        assert max_abs(reference - other) < 1e-12
 
     def test_single_position_rejected(self):
         with pytest.raises(ValueError):
-            build_hamiltonian(1, 2, GentileOrder(1))
+            class_sum(enumerate_basis(1, 2, GentileOrder(1), sector=1))
 
 
 class TestSpectrumEd:
     def test_singlet_triplet(self):
-        H = build_hamiltonian(2, 2, GentileOrder(1))
-        clusters = spectrum_ed(H)
+        H = class_sum(enumerate_basis(2, 2, GentileOrder(1), sector=1))
+        clusters = eigensolve_hermitian(H)
         assert clusters == [
             (pytest.approx(-1.0, abs=1e-10), 1),
             (pytest.approx(1.0, abs=1e-10), 3),
         ]
-        assert clusters == ed_oracle(H.mat.toarray())
+        assert clusters == ed_oracle(H.toarray())
 
     def test_three_spins(self):
-        H = build_hamiltonian(3, 2, GentileOrder(1))
-        clusters = spectrum_ed(H)
+        H = class_sum(enumerate_basis(3, 2, GentileOrder(1), sector=1))
+        clusters = eigensolve_hermitian(H)
         assert [(round(v, 9), mult) for v, mult in clusters] == [(0.0, 4), (3.0, 4)]
 
     def test_rejects_non_hermitian(self):
         bad = as_operator(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
         with pytest.raises(NonHermitianError):
-            spectrum_ed(bad)
+            eigensolve_hermitian(bad)
 
 
 class TestSpectrumCasimir:
@@ -155,8 +155,8 @@ class TestSpectrumCasimir:
             ((2, 0, 0), 1.0, 6),
             ((1, 1, 0), -1.0, 3),
         ]
-        H = build_hamiltonian(2, 3, GentileOrder(1))
-        assert compare_spectra(spectrum_ed(H), levels, "shifted", "bose").matched
+        H = class_sum(enumerate_basis(2, 3, GentileOrder(1), sector=1))
+        assert compare_spectra(eigensolve_hermitian(H), levels, "shifted", "bose").matched
 
     def test_finite_order_form(self):
         order = GentileOrder(2)
@@ -330,7 +330,7 @@ class TestContentSumOracle:
             expected[value] = (expected.get(value, 0)
                                + standard_tableaux(part) * weyl_dimension(part, m))
         sector = enumerate_basis(nu, m, GentileOrder(1), sector=1)
-        ed = spectrum_ed(build_hamiltonian(nu, m, GentileOrder(1)), sector)
+        ed = eigensolve_hermitian(class_sum(sector), sector)
         assert [mult for _, mult in ed] == [expected[v] for v in sorted(expected)]
         assert max(abs(value - v) for (value, _), v in zip(ed, sorted(expected))) < 1e-9
 

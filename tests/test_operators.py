@@ -51,16 +51,16 @@ def restrict(op, sector):
 
     A sector's ranks are its full-space ordinals, so this is a slice.
     """
-    return as_operator(op.mat[sector.ranks][:, sector.ranks])
+    return as_operator(op[sector.ranks][:, sector.ranks])
 
 
 def leakage(op, sector):
     """What :func:`restrict` ignores: the largest entry magnitude coupling
     sector states to non-sector states, in either direction (0.0 if none).
     """
-    inside = np.zeros(op.dim, dtype=bool)
+    inside = np.zeros(op.shape[0], dtype=bool)
     inside[sector.ranks] = True
-    coo = op.mat.tocoo()
+    coo = op.tocoo()
     return float(np.abs(coo.data[inside[coo.row] != inside[coo.col]]).max(initial=0.0))
 
 
@@ -126,8 +126,8 @@ def entrywise_letters(order):
         b[level - 1, level] = amp
         a[level - 1, level] = amp.conjugate()
     a, b = a.tocsr(), b.tocsr()
-    return {"a": a, "b": b, "a_dag": as_operator(a.getH()).mat,
-            "b_dag": as_operator(b.getH()).mat}
+    return {"a": a, "b": b, "a_dag": as_operator(a.getH()),
+            "b_dag": as_operator(b.getH())}
 
 
 @lru_cache(maxsize=32)
@@ -174,7 +174,7 @@ def kron_class_sum_oracle(full):
     total = sp.csr_matrix((full.dim, full.dim), dtype=np.complex128)
     for i in range(1, full.nu + 1):
         for j in range(i + 1, full.nu + 1):
-            total = total + kron_exchange_oracle(full, i, j).mat
+            total = total + kron_exchange_oracle(full, i, j)
     return as_operator(total)
 
 
@@ -192,7 +192,7 @@ def kron_generator_oracle(full, k, l):
 def kron_casimir_oracles(full):
     """Reference C1 and C2 from the reference generators."""
     gens = {
-        (k, l): kron_generator_oracle(full, k, l).mat
+        (k, l): kron_generator_oracle(full, k, l)
         for k in range(1, full.m + 1)
         for l in range(1, full.m + 1)
     }
@@ -210,11 +210,6 @@ def assert_csr_bit_equal(mat, ref):
     assert np.array_equal(mat.indptr, ref.indptr)
     assert np.array_equal(mat.indices, ref.indices)
     assert np.array_equal(mat.data.view(np.uint64), ref.data.view(np.uint64))
-
-
-def assert_bit_equal(op, ref):
-    """Same sparsity pattern, same bit pattern of every entry."""
-    assert_csr_bit_equal(op.mat, ref.mat)
 
 
 #: (n, nu, m) with a full space of at most 4096 states.
@@ -242,17 +237,17 @@ def test_word_application_matches_kron_oracle(n, nu, m):
               for k in range(1, m + 1) for l in range(1, m + 1)]
     cases += zip((casimir_c1, casimir_c2), kron_casimir_oracles(full))
     for build, ref in cases:
-        assert_bit_equal(build(full), ref)
+        assert_csr_bit_equal(build(full), ref)
     for t in range(n * m + 1):
         sector = enumerate_basis(nu, m, order, sector=t)
         for build, ref in cases:
-            assert_bit_equal(build(sector), restrict(ref, sector))
+            assert_csr_bit_equal(build(sector), restrict(ref, sector))
     # One-letter words: the conjugated letters carry -0.0 imaginary parts
     # where the Kronecker product gives +0.0, so compare values, not bits.
     emb = kron_mode_ops(full)
     for name in ("a", "b", "a_dag", "b_dag"):
         for flat in range(full.modes):
-            op, ref = _ladder_cached(full, name, flat).mat, emb[name][flat]
+            op, ref = _ladder_cached(full, name, flat), emb[name][flat]
             assert np.array_equal(op.indptr, ref.indptr)
             assert np.array_equal(op.indices, ref.indices)
             assert np.array_equal(op.data, ref.data)
@@ -373,14 +368,14 @@ class TestEmbedding:
         basis = enumerate_basis(2, 2, order)
         eye = sp.identity(2, dtype=complex, format="csr")
         embedded = kron_embed(eye, 1, 2, basis)
-        assert max_abs(embedded.mat - sp.identity(basis.dim, dtype=complex)) == 0.0
+        assert max_abs(embedded - sp.identity(basis.dim, dtype=complex)) == 0.0
 
     def test_number_embedding_is_occupation_diagonal(self):
         order = GentileOrder(2)
         basis = enumerate_basis(2, 2, order)
         ops = single_mode_ops(order)
         embedded = kron_embed(ops.num, 1, 1, basis)
-        diag = embedded.mat.diagonal().real
+        diag = embedded.diagonal().real
         np.testing.assert_array_equal(diag, basis.occupations[:, 0])
 
     def test_different_modes_commute(self):
@@ -389,7 +384,7 @@ class TestEmbedding:
         ops = single_mode_ops(order)
         first = kron_embed(ops.a, 1, 1, basis)
         second = kron_embed(ops.a, 2, 2, basis)
-        assert max_abs(first.mat @ second.mat - second.mat @ first.mat) == 0.0
+        assert max_abs(first @ second - second @ first) == 0.0
 
     def test_shape_and_sector_rejection(self):
         order = GentileOrder(2)
@@ -416,7 +411,7 @@ class TestRestriction:
         eye = as_operator(sp.identity(full.dim, dtype=complex))
         assert leakage(eye, sector) == 0.0
         result = restrict(eye, sector)
-        assert max_abs(result.mat - sp.identity(sector.dim, dtype=complex)) == 0.0
+        assert max_abs(result - sp.identity(sector.dim, dtype=complex)) == 0.0
 
     def test_generator_has_no_leakage(self):
         order = GentileOrder(1)
@@ -447,14 +442,14 @@ class TestRestriction:
         order = GentileOrder(2)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        c2_restricted = restrict(casimir_c2(full), sector).mat
+        c2_restricted = restrict(casimir_c2(full), sector)
         rebuilt = None
         for k in (1, 2):
             for l in (1, 2):
                 assert leakage(unitary_generator(k, l, full), sector) == 0.0
                 kl = restrict(unitary_generator(k, l, full), sector)
                 lk = restrict(unitary_generator(l, k, full), sector)
-                term = kl.mat @ lk.mat
+                term = kl @ lk
                 rebuilt = term if rebuilt is None else rebuilt + term
         assert max_abs(c2_restricted - rebuilt) < 1e-12
 
@@ -467,11 +462,11 @@ class TestExchange:
         assert leakage(exchange_op(1, 2, full), sector) < 1e-12
         tau = restrict(exchange_op(1, 2, full), sector)
         oracle = swap_matrix_oracle(sector, 1, 2)
-        assert max_abs(tau.mat - oracle) < 1e-12
+        assert max_abs(tau - oracle) < 1e-12
         # spot: (pos1 state1, pos2 state2) -> (pos1 state2, pos2 state1)
         src = ordinal(sector, (1, 0, 0, 1))
         dst = ordinal(sector, (0, 1, 1, 0))
-        assert tau.mat[dst, src] == pytest.approx(1.0, abs=1e-12)
+        assert tau[dst, src] == pytest.approx(1.0, abs=1e-12)
 
     def test_same_state_is_fixed_point(self):
         order = GentileOrder(1)
@@ -479,7 +474,7 @@ class TestExchange:
         sector = enumerate_basis(2, 2, order, sector=1)
         tau = restrict(exchange_op(1, 2, full), sector)
         both_first = ordinal(sector, (1, 0, 1, 0))
-        column = tau.mat[:, both_first].toarray().ravel()
+        column = tau[:, both_first].toarray().ravel()
         assert column[both_first] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(np.delete(column, both_first)).max() < 1e-12
 
@@ -488,14 +483,14 @@ class TestExchange:
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         tau = restrict(exchange_op(1, 2, full), sector)
-        assert max_abs(tau.mat @ tau.mat - sp.identity(sector.dim, dtype=complex)) < 1e-12
+        assert max_abs(tau @ tau - sp.identity(sector.dim, dtype=complex)) < 1e-12
 
     def test_exchange_spectrum(self):
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         tau = restrict(exchange_op(1, 2, full), sector)
-        assert eigensolve_hermitian(tau.mat) == [
+        assert eigensolve_hermitian(tau) == [
             (pytest.approx(-1.0, abs=1e-10), 1),
             (pytest.approx(1.0, abs=1e-10), 3),
         ]
@@ -510,7 +505,7 @@ class TestExchange:
         sector = enumerate_basis(2, 2, order, sector=1)
         tau = restrict(exchange_op(1, 2, full), sector)
         oracle = swap_matrix_oracle(sector, 1, 2)
-        assert max_abs(tau.mat - oracle) < 1e-12
+        assert max_abs(tau - oracle) < 1e-12
 
     def test_argument_validation(self):
         order = GentileOrder(1)
@@ -524,7 +519,7 @@ class TestExchange:
             exchange_op(1, 3, full)
         # sectors are a supported input: built directly, equal to the
         # restriction of the full-space oracle
-        assert_bit_equal(
+        assert_csr_bit_equal(
             exchange_op(1, 2, sector), restrict(kron_exchange_oracle(full, 1, 2), sector)
         )
 
@@ -533,24 +528,24 @@ class TestClassSum:
     def test_two_positions_single_pair(self):
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
-        assert max_abs(class_sum(full).mat - exchange_op(1, 2, full).mat) == 0.0
+        assert max_abs(class_sum(full) - exchange_op(1, 2, full)) == 0.0
 
     def test_three_positions_sum(self):
         order = GentileOrder(1)
         full = enumerate_basis(3, 2, order)
         expected = (
-            exchange_op(1, 2, full).mat
-            + exchange_op(1, 3, full).mat
-            + exchange_op(2, 3, full).mat
+            exchange_op(1, 2, full)
+            + exchange_op(1, 3, full)
+            + exchange_op(2, 3, full)
         )
-        assert max_abs(class_sum(full).mat - expected) == 0.0
+        assert max_abs(class_sum(full) - expected) == 0.0
 
     def test_three_position_spectrum(self):
         order = GentileOrder(1)
         full = enumerate_basis(3, 2, order)
         sector = enumerate_basis(3, 2, order, sector=1)
         restricted = restrict(class_sum(full), sector)
-        clusters = eigensolve_hermitian(restricted.mat)
+        clusters = eigensolve_hermitian(restricted)
         assert [(round(v, 9), mult) for v, mult in clusters] == [(0.0, 4), (3.0, 4)]
 
     def test_single_position_rejected(self):
@@ -569,14 +564,14 @@ class TestGenerators:
         gen = unitary_generator(1, 2, full)
         src = ordinal(full, (0, 1))
         dst = ordinal(full, (1, 0))
-        assert gen.mat[dst, src] == pytest.approx(2.0, abs=1e-12)
+        assert gen[dst, src] == pytest.approx(2.0, abs=1e-12)
 
     def test_diagonal_generator_hermitian(self):
         order = GentileOrder(2)
         full = enumerate_basis(2, 2, order)
         for k in (1, 2):
             gen = unitary_generator(k, k, full)
-            assert max_abs(gen.mat - gen.mat.getH()) < 1e-12
+            assert max_abs(gen - gen.getH()) < 1e-12
 
     def test_state_bounds(self):
         order = GentileOrder(1)
@@ -592,13 +587,13 @@ class TestCasimirs:
         order = GentileOrder(2)
         full = enumerate_basis(2, 2, order)
         for op in (casimir_c1(full), casimir_c2(full)):
-            assert max_abs(op.mat - op.mat.getH()) < 1e-12
+            assert max_abs(op - op.getH()) < 1e-12
 
     def test_single_state_second_order(self):
         order = GentileOrder(2)
         full = enumerate_basis(2, 1, order)
         gen = unitary_generator(1, 1, full)
-        assert max_abs(casimir_c2(full).mat - gen.mat @ gen.mat) == 0.0
+        assert max_abs(casimir_c2(full) - gen @ gen) == 0.0
 
     def test_commutes_with_generators_on_sector(self):
         order = GentileOrder(1)
@@ -608,7 +603,7 @@ class TestCasimirs:
         for k in (1, 2):
             for l in (1, 2):
                 gen = restrict(unitary_generator(k, l, full), sector)
-                assert max_abs(c2.mat @ gen.mat - gen.mat @ c2.mat) < 1e-10
+                assert max_abs(c2 @ gen - gen @ c2) < 1e-10
 
     def test_sector_spectrum_reflects_doubling(self):
         # measured second-order values are 4x the shifted irrep eigenvalues
@@ -617,7 +612,7 @@ class TestCasimirs:
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         c2 = restrict(casimir_c2(full), sector)
-        clusters = eigensolve_hermitian(c2.mat)
+        clusters = eigensolve_hermitian(c2)
         assert [(round(v, 9), mult) for v, mult in clusters] == [(8.0, 1), (24.0, 3)]
 
 
@@ -626,22 +621,22 @@ class TestDiagonalOperators:
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         vacuum = ordinal(full, (0, 0, 0, 0))
-        j_diag = coupling_sum(full).mat.diagonal().real
+        j_diag = coupling_sum(full).diagonal().real
         assert j_diag[vacuum] == 0.0
         sector = enumerate_basis(2, 2, order, sector=1)
         restricted = restrict(coupling_sum(full), sector)
-        np.testing.assert_allclose(restricted.mat.diagonal().real, -2.0, atol=1e-12)
+        np.testing.assert_allclose(restricted.diagonal().real, -2.0, atol=1e-12)
 
     def test_coupling_sum_is_diagonal(self):
         order = GentileOrder(2)
         full = enumerate_basis(2, 2, order)
-        mat = coupling_sum(full).mat.tocoo()
+        mat = coupling_sum(full).tocoo()
         assert np.all(mat.row == mat.col)
 
     def test_total_and_position_numbers(self):
         order = GentileOrder(2)
         full = enumerate_basis(2, 2, order)
-        totals = total_number(full).mat.diagonal().real
+        totals = total_number(full).diagonal().real
         np.testing.assert_array_equal(totals, full.occupations.sum(axis=1))
         positions = full.occupations.reshape(full.dim, full.nu, full.m).sum(axis=2)
         np.testing.assert_array_equal(positions.sum(axis=1), totals)
@@ -652,13 +647,13 @@ class TestMatrixUtilities:
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         tau = exchange_op(1, 2, full)
-        assert max_abs(tau.mat @ tau.mat - tau.mat @ tau.mat) == 0.0
+        assert max_abs(tau @ tau - tau @ tau) == 0.0
 
     def test_hermitian_part_fixed_point(self):
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         c1 = casimir_c1(full)
-        assert max_abs(hermitian_part(c1.mat) - c1.mat) < 1e-14
+        assert max_abs(hermitian_part(c1) - c1) < 1e-14
 
     def test_n_bracket_of_ladder_is_identity(self):
         for n in range(1, 6):
@@ -676,34 +671,59 @@ class TestMatrixUtilities:
         mat = sp.csr_matrix(np.array([[1.0, 1e-16], [0.0, 1.0]], dtype=complex))
         op = as_operator(mat)
         assert op.nnz == 2
-        assert all(abs(v) >= 1e-14 for v in op.mat.data)
+        assert all(abs(v) >= 1e-14 for v in op.data)
+
+
+BUILDERS = {
+    "exchange_op": lambda basis: exchange_op(1, 2, basis),
+    "class_sum": class_sum,
+    "unitary_generator": lambda basis: unitary_generator(1, 2, basis),
+    "casimir_c1": casimir_c1,
+    "casimir_c2": casimir_c2,
+    "coupling_sum": coupling_sum,
+    "total_number": total_number,
+}
+
+
+@pytest.mark.parametrize("n, nu, m", [(1, 2, 2), (2, 3, 2), (1, 2, 3)])
+@pytest.mark.parametrize("sector", [None, 1], ids=["full", "sector1"])
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builder_returns_pruned_canonical_csr(name, sector, n, nu, m):
+    """Every public builder returns its matrix as complex128 CSR in canonical
+    form, with sorted indices and no stored entry below ``DROP_TOL``."""
+    basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
+    op = BUILDERS[name](basis)
+    assert type(op) is sp.csr_matrix
+    assert op.dtype == np.complex128 and op.shape == (basis.dim, basis.dim)
+    assert op.has_canonical_format and op.has_sorted_indices
+    assert np.abs(op.data).min(initial=np.inf) >= operators.DROP_TOL
 
 
 class TestEigensolver:
     def test_identity(self):
         op = as_operator(sp.identity(4, dtype=complex))
-        assert eigensolve_hermitian(op.mat) == [(1.0, 4)]
+        assert eigensolve_hermitian(op) == [(1.0, 4)]
 
     def test_two_level_diagonal(self):
         op = as_operator(sp.diags([0.0, 1.0], 0, dtype=complex))
-        assert eigensolve_hermitian(op.mat) == [(0.0, 1), (1.0, 1)]
+        assert eigensolve_hermitian(op) == [(0.0, 1), (1.0, 1)]
 
     def test_degeneracy_clustering(self):
         op = as_operator(sp.diags([0.0, 1e-9], 0, dtype=complex))
-        clusters = eigensolve_hermitian(op.mat, degeneracy_tol=1e-8)
+        clusters = eigensolve_hermitian(op, degeneracy_tol=1e-8)
         assert len(clusters) == 1 and clusters[0][1] == 2
 
     def test_multiplicities_sum_to_dim(self):
         order = GentileOrder(1)
         full = enumerate_basis(3, 2, order)
         sector = enumerate_basis(3, 2, order, sector=1)
-        clusters = eigensolve_hermitian(restrict(class_sum(full), sector).mat)
+        clusters = eigensolve_hermitian(restrict(class_sum(full), sector))
         assert sum(mult for _, mult in clusters) == sector.dim
 
     def test_non_hermitian_rejected(self):
         mat = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(NonHermitianError) as err:
-            eigensolve_hermitian(as_operator(mat).mat)
+            eigensolve_hermitian(as_operator(mat))
         assert err.value.asymmetry == pytest.approx(1.0)
 
     def test_dimension_cap(self):
@@ -713,7 +733,7 @@ class TestEigensolver:
         with pytest.raises(SizingError, match="dense eigensolve needs dim 8 > dense cap 4"):
             check_dense_dimension(8, dense_cap=4)
         op = as_operator(sp.identity(8, dtype=complex))
-        assert eigensolve_hermitian(op.mat) == [(1.0, 8)]
+        assert eigensolve_hermitian(op) == [(1.0, 8)]
 
 
 #: The benchmark's spectrum ladder as (n, m, nu), all on the spin sector.
@@ -779,7 +799,7 @@ class TestBlockedEigensolver:
     def test_blocks_match_one_complex_solve(self, n, m, nu):
         sector = enumerate_basis(nu, m, GentileOrder(n), sector=1)
         for op in (class_sum(sector), casimir_c2(sector)):
-            assert_same_clusters(eigensolve_hermitian(op.mat, sector), one_block_complex(op.mat))
+            assert_same_clusters(eigensolve_hermitian(op, sector), one_block_complex(op))
 
     @pytest.mark.parametrize("n, nu, m, sector", list(oracle_grid()))
     def test_symmetry_blocks_match_dense_oracle(self, n, nu, m, sector):
@@ -788,11 +808,11 @@ class TestBlockedEigensolver:
         # full spaces of n >= 2) are refused before any block is formed.
         basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
         for op in (class_sum(basis), casimir_c2(basis)):
-            if max_abs(op.mat - op.mat.getH()) > 1e-10:
+            if max_abs(op - op.getH()) > 1e-10:
                 with pytest.raises(NonHermitianError):
-                    eigensolve_hermitian(op.mat, basis)
+                    eigensolve_hermitian(op, basis)
                 continue
-            assert_same_clusters(eigensolve_hermitian(op.mat, basis), one_block_complex(op.mat))
+            assert_same_clusters(eigensolve_hermitian(op, basis), one_block_complex(op))
 
     @pytest.fixture
     def solved(self, monkeypatch):
@@ -818,7 +838,7 @@ class TestBlockedEigensolver:
         # Momentum k = 1 of the nu=3 orbit (2,1) carries the phase omega.
         spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
         solved.clear()
-        eigensolve_hermitian(class_sum(spin).mat, spin)
+        eigensolve_hermitian(class_sum(spin), spin)
         assert solved == [(np.complex128, (3, 1, 1))]
 
     def test_real_block_solved_in_real_arithmetic(self, solved):
@@ -827,14 +847,14 @@ class TestBlockedEigensolver:
         # At nu=2 the phases are +-1, exactly: weight (2,0) at k=0 and the
         # orbit of (1,1) at k=0, 1; the weight (0,2) is not solved.
         spin = enumerate_basis(2, 2, GentileOrder(1), sector=1)
-        eigensolve_hermitian(class_sum(spin).mat, spin)
+        eigensolve_hermitian(class_sum(spin), spin)
         assert solved == [(np.float64, (1, 3, 3)), (np.float64, (3, 1, 1))]
 
     def test_one_call_per_block_size(self, solved):
         # nu=6, m=3: 729 states, whose momentum blocks come in several
         # sizes; each size is solved by exactly one stacked call.
         spin = enumerate_basis(6, 3, GentileOrder(1), sector=1)
-        eigensolve_hermitian(class_sum(spin).mat, spin)
+        eigensolve_hermitian(class_sum(spin), spin)
         sizes = [shape[-1] for _, shape in solved]
         assert sizes == sorted(set(sizes)) and len(sizes) > 1
         assert all(shape[1] == shape[2] for _, shape in solved)
@@ -843,7 +863,7 @@ class TestBlockedEigensolver:
         # The largest weight block, (5,4), holds C(9,4) = 126 states in 14
         # translation orbits of 9, so no momentum block is larger than 14.
         spin = enumerate_basis(9, 2, GentileOrder(1), sector=1)
-        clusters = eigensolve_hermitian(class_sum(spin).mat, spin)
+        clusters = eigensolve_hermitian(class_sum(spin), spin)
         assert max(shape[-1] for _, shape in solved) == 14
         assert sum(mult for _, mult in clusters) == 512
 
@@ -853,7 +873,7 @@ class TestBlockedEigensolver:
         # momenta k <= nu/2: the eigenvalues solved are the momentum states
         # counted from the rotation orbits of the spin configurations.
         spin = enumerate_basis(nu, m, GentileOrder(1), sector=1)
-        clusters = eigensolve_hermitian(class_sum(spin).mat, spin)
+        clusters = eigensolve_hermitian(class_sum(spin), spin)
         assert sum(count * size for _, (count, size, _) in solved) == momentum_states(nu, m)
         assert sum(mult for _, mult in clusters) == m**nu
 
@@ -864,7 +884,7 @@ class TestBlockedEigensolver:
         # every k is solved.
         spin = enumerate_basis(nu, m, GentileOrder(1), sector=1)
         shift = translation_matrix(spin)
-        mat = sp.csr_matrix(class_sum(spin).mat + 1j * (shift - shift.T))
+        mat = sp.csr_matrix(class_sum(spin) + 1j * (shift - shift.T))
         expected = one_block_complex(mat)
         solved.clear()
         assert_same_clusters(eigensolve_hermitian(mat, spin), expected)
@@ -875,7 +895,7 @@ class TestBlockedEigensolver:
         # Each stored entry split into two halves and every row's entries
         # reversed: duplicates and unsorted indices, the same matrix.
         spin = enumerate_basis(4, 2, GentileOrder(1), sector=1)
-        mat = class_sum(spin).mat
+        mat = class_sum(spin)
         halves = [np.concatenate([mat.data[a:b][::-1] / 2] * 2) for a, b in
                   zip(mat.indptr, mat.indptr[1:])]
         cols = [np.concatenate([mat.indices[a:b][::-1]] * 2) for a, b in
@@ -897,14 +917,14 @@ class TestBlockedEigensolver:
 
     def test_single_exchange_breaks_translation(self):
         spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
-        tau = exchange_op(1, 2, spin).mat
+        tau = exchange_op(1, 2, spin)
         with pytest.raises(ValueError, match="not invariant under the cyclic translation"):
             eigensolve_hermitian(tau, spin)
         assert eigensolve_hermitian(tau) == [(-1.0, 2), (1.0, 6)]
 
     def test_diagonal_generator_breaks_relabelling(self):
         spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
-        e11 = unitary_generator(1, 1, spin).mat
+        e11 = unitary_generator(1, 1, spin)
         with pytest.raises(ValueError, match=r"relabelling internal states \(1, 2\)"):
             eigensolve_hermitian(e11, spin)
         assert [mult for _, mult in eigensolve_hermitian(e11)] == [1, 3, 3, 1]
@@ -916,7 +936,7 @@ def summed_exchanges_oracle(basis):
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
     for i in range(1, basis.nu + 1):
         for j in range(i + 1, basis.nu + 1):
-            total = total + exchange_op(i, j, basis).mat
+            total = total + exchange_op(i, j, basis)
     return as_operator(total)
 
 
@@ -936,7 +956,7 @@ class TestClassSumPass:
     @pytest.mark.parametrize("n, m, nu", LADDER)
     def test_ladder_matches_summed_exchanges(self, n, m, nu):
         sector = enumerate_basis(nu, m, GentileOrder(n), sector=1)
-        assert_bit_equal(class_sum(sector), summed_exchanges_oracle(sector))
+        assert_csr_bit_equal(class_sum(sector), summed_exchanges_oracle(sector))
 
     def test_grid_matches_summed_exchanges(self):
         # At (n=2, nu=3, m=2, full) a sum that halves and prunes once, not
@@ -945,7 +965,7 @@ class TestClassSumPass:
         assert (2, 3, 2, None) in grid and len(grid) == 146
         for n, nu, m, sector in grid:
             basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
-            assert_bit_equal(class_sum(basis), summed_exchanges_oracle(basis))
+            assert_csr_bit_equal(class_sum(basis), summed_exchanges_oracle(basis))
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -982,4 +1002,4 @@ class TestClassSumPass:
         # Evaluating every level up to n would take minutes.
         assert time.perf_counter() - start < 0.25
         assert counted["levels"] == [1]
-        assert op.mat.toarray().tolist() == [[1]]
+        assert op.toarray().tolist() == [[1]]

@@ -180,8 +180,8 @@ class TestVerdict:
 
         def skewed(basis):
             op = real_c1(basis)
-            extra = sp.csr_matrix(([value], ([row], [col])), shape=op.mat.shape)
-            return as_operator(op.mat + extra)
+            extra = sp.csr_matrix(([value], ([row], [col])), shape=op.shape)
+            return as_operator(op + extra)
 
         monkeypatch.setattr(verifier, "casimir_c1", skewed)
         verdict = run_task(make_task(IdentityId.CASIMIR_SPECTRUM, n=1))
@@ -346,7 +346,7 @@ def subspaces(n, m):
 def occupation_diag(basis, fn, position, state):
     """``occ_f``/``occ_g`` of one mode's occupations, as a pruned diagonal matrix."""
     vals = fn(basis.occupations[:, basis.mode_flat(position, state)], basis.order)
-    return as_operator(sp.diags(vals, 0)).mat
+    return as_operator(sp.diags(vals, 0))
 
 
 def correction_oracle(basis, k, l):
@@ -364,7 +364,7 @@ def correction_oracle(basis, k, l):
 def generator_commutation_oracle(basis):
     """Two generator products per index tuple, diagonal-operator correction."""
     states = range(1, basis.m + 1)
-    e = {(k, l): unitary_generator(k, l, basis).mat for k, l in product(states, repeat=2)}
+    e = {(k, l): unitary_generator(k, l, basis) for k, l in product(states, repeat=2)}
     residual = 0.0
     for k, l, p, q in product(states, repeat=4):
         d = e[k, l] @ e[p, q] - e[p, q] @ e[k, l]
@@ -384,8 +384,8 @@ def ladder_nbracket_oracle(full):
     eye = sp.identity(full.dim, dtype=np.complex128, format="csr")
     residual = 0.0
     for f1, f2 in product(range(full.modes), repeat=2):
-        lower = _ladder_cached(full, "b", f1).mat
-        raiser = _ladder_cached(full, "a_dag", f2).mat
+        lower = _ladder_cached(full, "b", f1)
+        raiser = _ladder_cached(full, "a_dag", f2)
         if f1 == f2:
             diff = lower @ raiser - q * (raiser @ lower) - eye
         else:
@@ -399,8 +399,8 @@ def sliced_leakage(op, full, sector):
     rows = sector.ranks
     outside = np.ones(full.dim, dtype=bool)
     outside[rows] = False
-    into = op.mat[:, rows].tocoo()
-    out_of = op.mat[rows, :].tocoo()
+    into = op[:, rows].tocoo()
+    out_of = op[rows, :].tocoo()
     vals = np.concatenate([into.data[outside[into.row]], out_of.data[outside[out_of.col]]])
     return float(np.abs(vals).max()) if vals.size else 0.0
 
@@ -418,7 +418,7 @@ def conservation_operands(full):
 
 def dense_total_jumps(op, full):
     """``max |A_ij (d_j - d_i)|`` over position totals, on the dense matrix."""
-    dense = op.mat.toarray()
+    dense = op.toarray()
     return max(
         np.abs(dense * (d[None, :] - d[:, None])).max() for d in position_totals(full)
     )
@@ -460,7 +460,7 @@ class TestFastPathOracles:
             basis = enumerate_basis(nu, m, GentileOrder(n), sector=sub)
             totals = [sp.diags(d, 0, format="csr", dtype=np.complex128)
                       for d in position_totals(basis)]
-            oracle = max(max_abs(op.mat @ t - t @ op.mat)
+            oracle = max(max_abs(op @ t - t @ op)
                          for op in conservation_operands(basis) for t in totals)
             verdict = run_task(VerificationTask(IdentityId.SECTOR_CONSERVATION, n, nu, m, sub))
             assert hex_of(verdict.residual) == oracle.hex(), sub
@@ -547,7 +547,7 @@ class TestReducedEvaluations:
             op = real(basis, name, flat)
             if (basis.nu, basis.m, name, flat) != (1, 2, "a_dag", 1):
                 return op
-            mat = op.mat.copy()
+            mat = op.copy()
             mat.data[0] += 1e-3
             return as_operator(mat)
 
@@ -564,7 +564,7 @@ class TestReducedEvaluations:
 
         def perturbed(k, l, basis):
             op = real(k, l, basis)
-            return as_operator(op.mat * (1.0 + 1e-3)) if (k, l) == (2, 1) else op
+            return as_operator(op * (1.0 + 1e-3)) if (k, l) == (2, 1) else op
 
         monkeypatch.setattr(verifier, "unitary_generator", perturbed)
         monkeypatch.setitem(globals(), "unitary_generator", perturbed)
@@ -577,10 +577,10 @@ class TestReducedEvaluations:
         # At (n=3, nu=3, m=2, full) the pairs' residuals differ in the last
         # bit, and the verdict reads the largest, pair (1,3)'s.
         basis = enumerate_basis(3, 2, GentileOrder(3))
-        gens = [unitary_generator(s, t, basis).mat for s, t in product((1, 2), repeat=2)]
+        gens = [unitary_generator(s, t, basis) for s, t in product((1, 2), repeat=2)]
         per_pair = {}
         for i, j in combinations((1, 2, 3), 2):
-            tau = exchange_op(i, j, basis).mat
+            tau = exchange_op(i, j, basis)
             per_pair[i, j] = max(max_abs(tau @ g - g @ tau) for g in gens)
         assert {pair: value.hex() for pair, value in per_pair.items()} == {
             (1, 2): "0x1.4e7ae9144f0fep+2",
