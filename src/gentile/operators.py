@@ -75,9 +75,12 @@ class NonHermitianError(ValueError):
 
 
 def as_operator(mat: Matrix) -> sp.csr_matrix:
-    """A square matrix as complex CSR with duplicates summed, entries below
-    ``DROP_TOL`` in magnitude dropped and indices sorted."""
-    out = sp.csr_matrix(mat, dtype=np.complex128)
+    """A square matrix as a new complex CSR with duplicates summed, entries
+    below ``DROP_TOL`` in magnitude dropped and indices sorted; ``mat`` is
+    left as it was."""
+    # A CSR argument is the one input whose arrays sp.csr_matrix shares, and
+    # the steps below work in place.
+    out = sp.csr_matrix(mat, dtype=np.complex128, copy=sp.issparse(mat) and mat.format == "csr")
     if out.shape[0] != out.shape[1]:
         raise ValueError(f"operator must be square, got shape {out.shape}")
     out.sum_duplicates()
@@ -104,18 +107,17 @@ def max_abs(mat: Matrix) -> float:
 
 @dataclass(frozen=True)
 class SingleModeSet:
-    """The five (n+1) x (n+1) single-mode matrices.
+    """The four (n+1) x (n+1) single-mode ladder letters.
 
     ``a`` is the entrywise conjugate of ``b``; the daggered pair are the true
-    adjoints.  ``num`` is diag(0..n).  The raiser column at the top state is
-    structurally absent, so truncation is exact.
+    adjoints.  The raiser column at the top state is structurally absent, so
+    truncation is exact.
     """
 
     a: sp.csr_matrix
     b: sp.csr_matrix
     a_dag: sp.csr_matrix
     b_dag: sp.csr_matrix
-    num: sp.csr_matrix
 
 
 @lru_cache(maxsize=64)
@@ -124,10 +126,7 @@ def single_mode_ops(order: GentileOrder) -> SingleModeSet:
     word kernel on the one-mode space.
     """
     mode = enumerate_basis(1, 1, order)
-    letters = {name: _ladder_cached(mode, name, 0) for name in _LETTERS}
-    num = sp.diags(np.arange(order.n + 1, dtype=np.float64), 0, format="csr",
-                   dtype=np.complex128)
-    return SingleModeSet(**letters, num=num)
+    return SingleModeSet(**{name: _ladder_cached(mode, name, 0) for name in _LETTERS})
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +375,7 @@ def total_number(basis: FockBasis) -> sp.csr_matrix:
 
 def entrywise_real(mat: sp.csr_matrix) -> sp.csr_matrix:
     """Real part of every stored entry, in the fixed occupation basis."""
-    out = mat.copy()
-    out.data = out.data.real.astype(np.complex128)
-    return as_operator(out)
+    return as_operator(sp.csr_matrix((mat.data.real, mat.indices, mat.indptr), mat.shape))
 
 
 def hermitian_part(mat: sp.csr_matrix) -> sp.csr_matrix:

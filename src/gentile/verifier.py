@@ -28,13 +28,12 @@ and ``limit_theorem_agreement``), so a sector task never builds its full
 space.  Recipes receive their basis built.
 
 The residual of a task is the largest entry magnitude of its sparse
-difference matrices (``operators.max_abs``), read exactly in both modes.
+difference matrices (``operators.max_abs``), read exactly.
 Diagonal operands (position totals, the occupation-function correction)
 are numpy vectors, never sparse products.  The spectral space is the one
 dense solve, in the (weight, momentum) blocks of
 ``operators.eigensolve_hermitian``, so it alone is held to the dense cap,
-compared with its largest weight block.  ``mode``, ``k`` and ``seed`` are
-validated and echoed but change no residual.
+compared with its largest weight block.
 
 A ``Verdict`` is its task plus the outcome: residual, status and detail;
 its tolerance follows from the identity.  Tasks are independent; verdict
@@ -125,15 +124,8 @@ class VerificationTask:
     m: int
     subspace: Optional[int] = None
     interpretation: str = "not_applicable"
-    mode: str = "dense"
-    k: int = 64
-    seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.mode not in ("dense", "sampled"):
-            raise ValueError(f"mode must be dense or sampled, got {self.mode!r}")
-        if self.mode == "sampled" and self.k < 32:
-            raise ValueError(f"sampled mode requires k >= 32, got {self.k}")
         if self.interpretation not in INTERPRETATIONS + ("not_applicable",):
             raise ValueError(f"unknown interpretation {self.interpretation!r}")
 
@@ -157,7 +149,7 @@ class Verdict:
 
     def sort_key(self):
         t = self.task
-        return (t.identity.value, t.n, t.nu, t.m, t.subspace_label, t.interpretation, t.mode)
+        return (t.identity.value, t.n, t.nu, t.m, t.subspace_label, t.interpretation)
 
     def record(self) -> dict:
         t = self.task
@@ -168,9 +160,6 @@ class Verdict:
             "m": t.m,
             "subspace": t.subspace_label,
             "interpretation": t.interpretation,
-            "mode": t.mode,
-            "k": t.k,
-            "seed": t.seed,
             "residual": self.residual,
             "tolerance": self.tolerance,
             "status": self.status,
@@ -592,9 +581,6 @@ def expand_tasks(
     ms: Sequence[int],
     subspaces: Sequence[Optional[int]],
     interpretations: Sequence[str] = INTERPRETATIONS,
-    mode: str = "dense",
-    k: int = 64,
-    seed: int = 42,
     identities: Sequence[IdentityId] = tuple(IdentityId),
 ) -> list[VerificationTask]:
     """Grid product, fanned out over :func:`interpretations_for`.  Before any task
@@ -615,7 +601,7 @@ def expand_tasks(
         if sub is not None:
             check_sector(n, m, sub)
     return [
-        VerificationTask(identity, n, nu, m, sub, interp, mode, k, seed)
+        VerificationTask(identity, n, nu, m, sub, interp)
         for identity in identities
         for n, nu, m, sub in product(ns, nus, ms, subspaces)
         for interp in interpretations_for(identity, interpretations)
@@ -633,10 +619,8 @@ def run_grid(
     return verdicts
 
 
-def default_grid_tasks(mode: str = "dense", k: int = 64, seed: int = 42) -> list[VerificationTask]:
-    return expand_tasks(
-        ns=(1, 2, 3), nus=(2, 3), ms=(2,), subspaces=(None, 1), mode=mode, k=k, seed=seed
-    )
+def default_grid_tasks() -> list[VerificationTask]:
+    return expand_tasks(ns=(1, 2, 3), nus=(2, 3), ms=(2,), subspaces=(None, 1))
 
 
 def limit_theorem_agreement(nu: int, m: int, subspace: Optional[int] = 1) -> float:

@@ -17,6 +17,7 @@ from gentile import basis as basis_module
 from gentile.basis import largest_weight_block
 from gentile.cli import main
 from gentile.operators import as_operator, casimir_c2, class_sum
+from gentile.reporting import csv_bytes, json_bytes
 
 
 def run_cli(args):
@@ -97,6 +98,35 @@ class TestVerifyCommand:
         assert all(
             v["mode"] == "sampled" for v in read_json(out)["verdicts"]
         )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_mode_k_seed_only_echoed(self, fmt, tmp_path, monkeypatch, capsys):
+        # The report of --mode sampled --k 64 --seed 7, with the echoed values
+        # set back to their defaults, is the plain report byte for byte.
+        monkeypatch.chdir(tmp_path)
+        out = ["--format", fmt, "--no-timestamp", "--out", f"v.{fmt}"]
+        assert run_cli(["verify", *out]) == 0
+        plain = (tmp_path / f"v.{fmt}").read_bytes()
+        assert run_cli(["verify", "--mode", "sampled", "--k", "64", "--seed", "7", *out]) == 0
+        echoed = (tmp_path / f"v.{fmt}").read_text()
+        defaults = {"mode": "dense", "k": 64, "seed": 42}
+        keys = ["identity", "n", "nu", "m", "subspace", "interpretation", "mode", "k", "seed",
+                "residual", "tolerance", "status", "detail"]
+        if fmt == "json":
+            payload = json.loads(echoed)
+            records = payload["verdicts"]
+            assert all(list(record) == keys for record in records)
+            assert {r["mode"] for r in records} == {"sampled"} and payload["config"]["seed"] == 7
+            for record in [payload["config"], *records]:
+                record.update(defaults)
+            assert json_bytes(payload) == plain
+        else:
+            header, *rows = csv.reader(io.StringIO(echoed))
+            assert header == keys
+            assert {tuple(row[6:9]) for row in rows} == {("sampled", "64", "7")}
+            rows = [row[:6] + ["dense", "64", "42"] + row[9:] for row in rows]
+            assert csv_bytes(header, rows) == plain
+        capsys.readouterr()
 
     def test_dense_over_cap_exits_three(self, tmp_path, capsys):
         # The spin sector of nu=3, m=2 has weight blocks of 3 states.

@@ -132,11 +132,10 @@ def entrywise_letters(order):
 
 @lru_cache(maxsize=32)
 def kron_mode_ops(full):
-    """Every single-mode matrix embedded at every flat mode of a full basis."""
-    mats = dict(entrywise_letters(full.order), num=single_mode_ops(full.order).num)
+    """Every ladder letter embedded at every flat mode of a full basis."""
     return {
         name: [kron_embed_flat(mat, f, full) for f in range(full.modes)]
-        for name, mat in mats.items()
+        for name, mat in entrywise_letters(full.order).items()
     }
 
 
@@ -332,8 +331,6 @@ class TestSingleMode:
         assert max_abs(ops.a - ops.b.conjugate()) == 0.0
         assert max_abs(ops.a_dag - ops.a.getH()) == 0.0
         assert max_abs(ops.b_dag - ops.b.getH()) == 0.0
-        num = ops.num.toarray()
-        assert np.array_equal(num, np.diag(np.arange(n + 1)))
         # raiser column at the top state is structurally empty
         assert ops.a_dag[:, n].nnz == 0
 
@@ -373,8 +370,7 @@ class TestEmbedding:
     def test_number_embedding_is_occupation_diagonal(self):
         order = GentileOrder(2)
         basis = enumerate_basis(2, 2, order)
-        ops = single_mode_ops(order)
-        embedded = kron_embed(ops.num, 1, 1, basis)
+        embedded = kron_embed(sp.diags(np.arange(order.n + 1.0)), 1, 1, basis)
         diag = embedded.diagonal().real
         np.testing.assert_array_equal(diag, basis.occupations[:, 0])
 
@@ -672,6 +668,39 @@ class TestMatrixUtilities:
         op = as_operator(mat)
         assert op.nnz == 2
         assert all(abs(v) >= 1e-14 for v in op.data)
+
+    @pytest.mark.parametrize("kind", ["complex_csr", "real_unsorted_csr", "csr_array", "coo",
+                                      "dense"])
+    def test_as_operator_leaves_its_argument_as_it_was(self, kind):
+        # Each argument has an entry to prune; the real CSR also has row 0
+        # unsorted, so sorting its indices in place, with its data left in
+        # place, would move the 1.0 at (0, 0) to (0, 1).
+        entries = ([2.0, 1.0, 1e-16], [1, 0, 1], [0, 2, 3])
+        mat = {
+            "complex_csr": sp.csr_matrix(np.array([[1.0, 1e-16], [0.0, 1.0]], dtype=complex)),
+            "real_unsorted_csr": sp.csr_matrix(entries, shape=(2, 2)),
+            "csr_array": sp.csr_array(entries, shape=(2, 2), dtype=complex),
+            "coo": sp.coo_matrix(([1.0, 1e-16, 2.0], ([0, 0, 0], [0, 1, 1])), shape=(2, 2)),
+            "dense": np.array([[1.0, 2.0], [1e-16, 0.0]]),
+        }[kind]
+        dense = mat.toarray() if sp.issparse(mat) else mat.copy()
+        held = stored_arrays(mat)
+        saved = [array.copy() for array in held]
+        op = as_operator(mat)
+        np.testing.assert_array_equal(op.toarray(), np.where(np.abs(dense) < 1e-14, 0, dense))
+        for before, after in zip(saved, held):
+            np.testing.assert_array_equal(after, before)
+        assert not any(np.shares_memory(out, array)
+                       for out in (op.data, op.indices, op.indptr) for array in held)
+        np.testing.assert_array_equal(mat.toarray() if sp.issparse(mat) else mat, dense)
+
+
+def stored_arrays(mat):
+    """The arrays a dense or sparse matrix keeps its entries in."""
+    if not sp.issparse(mat):
+        return [mat]
+    names = ("data", "row", "col") if mat.format == "coo" else ("data", "indices", "indptr")
+    return [getattr(mat, name) for name in names]
 
 
 BUILDERS = {

@@ -41,13 +41,7 @@ def make_task(identity, **kwargs):
 
 
 class TestTaskValidation:
-    def test_sampled_needs_enough_vectors(self):
-        with pytest.raises(ValueError):
-            make_task(IdentityId.LADDER_NBRACKET, mode="sampled", k=8)
-
-    def test_mode_and_interpretation_checked(self):
-        with pytest.raises(ValueError):
-            make_task(IdentityId.LADDER_NBRACKET, mode="exact")
+    def test_interpretation_checked(self):
         with pytest.raises(ValueError):
             make_task(IdentityId.CLASS_SUM_CASIMIR, interpretation="imaginary")
 
@@ -104,24 +98,8 @@ class TestContestedIdentities:
 
 
 class TestSampledMode:
-    @pytest.mark.parametrize(
-        "identity",
-        [
-            IdentityId.CLASS_SUM_CASIMIR,
-            IdentityId.GENERATOR_COMMUTATION,
-            IdentityId.LIMIT_RELATION,
-            IdentityId.SECTOR_CONSERVATION,
-        ],
-    )
-    def test_sampled_bounded_by_dense(self, identity):
-        dense = run_task(make_task(identity, n=1))
-        sampled = run_task(make_task(identity, n=1, mode="sampled", k=64, seed=42))
-        assert sampled.residual <= dense.residual + 1e-10
-
-    def test_sampled_is_deterministic(self):
-        first = run_task(make_task(IdentityId.CLASS_SUM_CASIMIR, mode="sampled"))
-        second = run_task(make_task(IdentityId.CLASS_SUM_CASIMIR, mode="sampled"))
-        assert first.residual == second.residual
+    """A residual is the exact largest entry: a planted one-entry defect
+    reads in full, whatever the size of its matrix."""
 
     @staticmethod
     def plant(monkeypatch, identity, dim, value):
@@ -134,41 +112,30 @@ class TestSampledMode:
     @pytest.mark.parametrize("dim", [16, 256, 4096])
     def test_single_entry_defect_measured_exactly(self, monkeypatch, dim):
         self.plant(monkeypatch, IdentityId.LADDER_NBRACKET, dim, 1e-8)
-        verdict = run_task(make_task(IdentityId.LADDER_NBRACKET, mode="sampled"))
+        verdict = run_task(make_task(IdentityId.LADDER_NBRACKET))
         assert verdict.residual == 1e-8
         assert verdict.status == "fail"
 
     def test_guaranteed_identity_at_its_tolerance_fails(self, monkeypatch):
         identity = IdentityId.SECTOR_CONSERVATION
         self.plant(monkeypatch, identity, 4096, tolerance_for(identity))
-        verdict = run_task(make_task(identity, mode="sampled"))
+        verdict = run_task(make_task(identity))
         assert verdict.residual == tolerance_for(identity)
         assert verdict.status == "fail"
-
-    def test_sampled_equals_dense_on_default_grid(self):
-        # The mode changes nothing but the echo.
-        sampled = run_grid(default_grid_tasks("sampled"))
-        dense = run_grid(default_grid_tasks("dense"))
-        assert len(sampled) == len(dense)
-        for s, d in zip(sampled, dense):
-            assert s.sort_key()[:-1] == d.sort_key()[:-1]
-            assert (None if s.residual is None else s.residual.hex()) == (
-                None if d.residual is None else d.residual.hex()
-            ), s.sort_key()
-            assert s.status == d.status, s.sort_key()
-            assert s.tolerance == d.tolerance, s.sort_key()
-            assert s.detail == d.detail, s.sort_key()
 
 
 class TestVerdict:
     def test_verdict_is_its_task_plus_outcome(self):
         task = make_task(IdentityId.OCCUPATION_FUNCTIONS)
         verdict = run_task(task)
+        assert [f.name for f in fields(task)] == [
+            "identity", "n", "nu", "m", "subspace", "interpretation",
+        ]
         assert [f.name for f in fields(verdict)] == ["task", "residual", "status", "detail"]
         assert verdict.task == task
         assert verdict.tolerance == tolerance_for(task.identity)
         assert list(verdict.record()) == [
-            "identity", "n", "nu", "m", "subspace", "interpretation", "mode", "k", "seed",
+            "identity", "n", "nu", "m", "subspace", "interpretation",
             "residual", "tolerance", "status", "detail",
         ]
 
