@@ -10,25 +10,30 @@ Every multi-mode operator is built by one word kernel, on the full space or
 directly on a sector: a word of ladder letters maps a state to at most one
 state, so it shifts rows of the occupation array, multiplies the ladder
 amplitudes met on the way and ranks the targets by ``searchsorted`` on
-``FockBasis.ranks``.  The exchange is a sum of quartic words, the generator
-``E(k,l)`` a sum of two-letter words over positions, and ``C1``, ``C2`` are
-sums and products of cached generators.  The class sum is one kernel pass
-with one term per position pair, not a sum of exchange operators, and it
-keeps their rounding: each pair's diagonal is halved and pruned on its own
-and then added to the running diagonal in pair order, and each off-diagonal
-entry, which no two pairs share, is half the sum of its two words.  All of
-them conserve every per-position total, so a sector's matrix equals the
-full-space one sliced at the sector's ``ranks``; that slice is a test
+``FockBasis.ranks``.  A builder gives the kernel its words as arrays: the
+letter names of the words of one group, and a ``(terms, groups, letters)``
+integer array of flat modes ``(i-1)*m + (k-1)``.  The exchange is a sum of
+quartic words, the generator ``E(k,l)`` a sum of two-letter words over
+positions, and ``C1``, ``C2`` are sums and products of cached generators.
+The class sum is one kernel pass with one term per position pair, and it
+keeps the rounding of summing the exchange operators: each pair's diagonal
+is halved and pruned on its own and then added to the running diagonal in
+pair order, and each off-diagonal entry, which no two pairs share, is half
+the sum of its two words.  The kernel applies all groups of a chunk of whole
+terms at once, and one ``bincount`` adds each term's diagonal in input
+order, group then word, which are the sequential sums bit for bit.  All
+composites conserve every per-position total, so a sector's matrix equals
+the full-space one sliced at the sector's ``ranks``; that slice is a test
 oracle, not a library path.  The kernel checks that every target is a state
 of its basis and raises ``ValueError`` naming the first word that leaves
 it, so a single ladder letter, which leaves every sector it acts on, is
-built on full spaces only.  Amplitude products are taken in Python
-scalar complex arithmetic, left to right, once per distinct tuple of met
-levels in a kernel pass: numpy's vectorised complex multiply may use fused
-multiply-adds (FMA), which differ in the last bit from scalar and
-sparse-product arithmetic, and byte-stable reports need bit-stable
-matrices.  Every builder returns plain complex CSR, pruned at ``DROP_TOL``
-by :func:`as_operator`; cached matrices are shared, so they are read-only
+built on full spaces only.  Amplitude products are taken in Python scalar
+complex arithmetic, left to right, once per distinct tuple of met levels in
+a chunk: numpy's vectorised complex multiply may use fused multiply-adds
+(FMA), which differ in the last bit from scalar and sparse-product
+arithmetic, and byte-stable reports need bit-stable matrices.  Every
+builder returns plain complex CSR, pruned at ``DROP_TOL`` by
+:func:`as_operator`; cached matrices are shared, so they are read-only
 afterwards, and building distinct operators concurrently is safe.
 
 Every composite also commutes with the diagonal generators ``E(k,k)``, so it
@@ -137,119 +142,118 @@ def single_mode_ops(order: GentileOrder) -> SingleModeSet:
 #: Each letter name as (raises, takes the conjugate ``b`` amplitude).
 _LETTERS = {"a_dag": (True, False), "b_dag": (True, True), "b": (False, False), "a": (False, True)}
 
-#: A word: its letters ``(name, flat mode)``, written left to right.
-_Word = Sequence[tuple[str, int]]
+#: Met levels (groups times letters times basis states) that one kernel
+#: chunk of whole terms may hold; a larger term is a chunk of its own.
+_CHUNK = 2**16
 
-#: A group: words that differ only in which letters are conjugated.
-_Group = Sequence[_Word]
+
+def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``values``, integers in ``0..size-1``, ascending,
+    and each entry's index among them: from a table of ``size`` flags, unless
+    that is larger than both ``values`` and a chunk."""
+    if size > max(values.size, _CHUNK):
+        return np.unique(values, return_inverse=True)
+    seen = np.zeros(size, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[values]
 
 
 def _apply_words(
-    basis: FockBasis, terms: Sequence[Sequence[_Group]], scale: Optional[float] = None
+    basis: FockBasis, words: Sequence[Sequence[str]], modes: np.ndarray,
+    scale: Optional[float] = None,
 ) -> sp.coo_matrix:
     """Sum of terms of words applied to the occupation array of ``basis``.
 
-    A word is a left-to-right list of letters ``(name, flat mode)``; its
-    rightmost letter acts first.  The words of one group act on the same rows
-    and send each to the same target; all groups have the same letter names
-    and differ only in modes.  Each term is summed as the sparse sum of its
-    words' matrix products is: a group that returns every state to itself
-    adds to the diagonal as ``(acc + w1) + w2`` in group order, any other
-    group stores ``w1 + w2`` at its targets.  The term is then multiplied by
-    ``scale`` (``None`` multiplies by nothing, which keeps the signed zeros of
-    the words), and its diagonal is pruned at ``DROP_TOL`` and added to the
-    diagonals of the terms before it.  Terms share no off-diagonal entry, so
-    pruning those once, in :func:`as_operator`, prunes each term's.  These
-    are the roundings of summing the terms' pruned matrices one after
-    another, so the pruned result is bit-identical to that sum.  A target
-    that is not a state of ``basis`` raises ``ValueError`` naming its word.
+    ``words`` names the letters of each word of a group, left to right, so
+    the rightmost letter acts first; the words differ only in which letters
+    take the conjugate amplitude, so they act on the same rows and send each
+    to the same target.  ``modes[t, g]`` holds the flat mode of each letter
+    in group ``g`` of term ``t``.  A group that returns every state to itself
+    adds to its term's diagonal as ``(acc + w1) + w2``, in group order; any
+    other group stores ``w1 + w2`` at its targets.  Each term is multiplied
+    by ``scale`` (``None`` keeps the signed zeros of the words), and its
+    diagonal is pruned at ``DROP_TOL`` and added to the diagonals of the
+    terms before it.  Terms share no off-diagonal entry, so pruning those
+    once, in :func:`as_operator`, prunes each term's: the pruned result is
+    bit-identical to summing the terms' pruned matrices one after another.
 
-    Amplitude products are taken left to right, once per distinct tuple of
-    met levels in the whole call, found by one ``np.unique`` per term.
+    Whole terms are taken in chunks of at most ``_CHUNK`` met levels (a
+    larger term is a chunk alone), each in one array pass.  The level every
+    letter meets is gathered from a contiguous copy of the occupation
+    columns, in the smallest integer type that holds ``n + letters + 1``: a
+    lowerer meets the level the letters to its right on its mode leave, a
+    raiser the level it raises to.  A word acts where every met level lies
+    in 1..n.  One ``bincount`` per real and imaginary part sums each term's
+    diagonal in input order, group then word, so its sums are the
+    sequential ones above.  A target that is not a state of ``basis`` raises
+    ``ValueError`` naming the first word of the first such group.
     """
-    n, dim = basis.order.n, basis.dim
-    ranks = basis.ranks
-    columns: dict[int, np.ndarray] = {}  # a contiguous copy of each occupation column read
-    place = _radix(n, basis.modes).tolist()
+    n, dim, ranks = basis.order.n, basis.dim, basis.ranks
+    terms, groups, length = modes.shape
+    raises = np.array([_LETTERS[name][0] for name in words[0]])
+    conj = [[_LETTERS[name][1] for name in word] for word in words]
+    step = np.where(raises, 1, -1)
+    shift = (step * _radix(n, basis.modes)[modes]).sum(axis=-1).reshape(-1)
+    # Each letter's met level less its column's level: the steps of the
+    # letters to its right on the same mode, plus one for a raiser.
+    level_type = np.min_scalar_type(-(n + length + 1))
+    same_mode = modes[..., :, None] == modes[..., None, :]
+    offset = (np.triu(same_mode, 1) @ step + raises).astype(level_type)
+    used, column = _distinct(modes, basis.modes)
+    columns = np.ascontiguousarray(basis.occupations[:, used].T, dtype=level_type)
     amp: dict[int, complex] = {}  # the ladder amplitude of each level met so far
-    products: dict[tuple[int, ...], list[complex]] = {}  # the word products of each level tuple
     diag = np.zeros(dim, dtype=np.complex128)
     rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
-    targets, moved = [], []  # each off-diagonal group's target ranks, and its first word
-    conj = [[_LETTERS[name][1] for name, _ in word] for word in terms[0][0]]
-    for groups in terms:
-        acting, met_rows = [], []
-        for words in groups:
-            # The level each letter meets, found from the right: a lowerer
-            # meets the current level, a raiser the level it raises to.  The
-            # word acts where every met level lies in 1..n.
-            current: dict[int, np.ndarray] = {}
-            met = []
-            shift = 0
-            for name, flat in reversed(words[0]):
-                if flat not in columns:
-                    columns[flat] = np.ascontiguousarray(basis.occupations[:, flat])
-                level = current.get(flat, columns[flat])
-                if _LETTERS[name][0]:
-                    current[flat] = level + 1
-                    met.append(current[flat])
-                    shift += place[flat]
-                else:
-                    current[flat] = level - 1
-                    met.append(level)
-                    shift -= place[flat]
-            met = np.stack(met[::-1])  # one row per letter, left to right
-            acts = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=0))
-            acting.append((acts, shift, words[0]))
-            met_rows.append(met[:, acts])
-        met = np.concatenate(met_rows, axis=1)
+    per_chunk = max(1, _CHUNK // (groups * length * dim))
+    for first in range(0, terms, per_chunk):
+        met = columns[column[first:first + per_chunk]]  # (terms, groups, letters, states)
+        met += offset[first:first + per_chunk, ..., None]
+        at = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=2))
+        group, row = np.divmod(at, dim)  # group: the index in the chunk, term-major
         # One integer per acting row, base (largest met level + 1): its numeric
         # order is the lexicographic order of the met levels.
-        key = _radix(int(met.max(initial=0)), len(met)) @ met
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        distinct = [tuple(levels) for levels in met[:, first].T.tolist()]
-        for levels in distinct:
-            if levels not in products:
-                # Only levels some word meets are evaluated, so a huge order costs nothing.
-                for u in set(levels) - amp.keys():
-                    amp[u] = sqrt_bracket(u, basis.order)
-                products[levels] = [
-                    reduce(mul, [amp[u].conjugate() if c else amp[u] for u, c in zip(levels, flags)])
-                    for flags in conj
-                ]
-        weights = np.array([products[levels] for levels in distinct],
-                           dtype=np.complex128).reshape(-1, len(conj))[inverse]
-        term_diag = np.zeros(dim, dtype=np.complex128)
-        start = 0
-        for acts, shift, word in acting:
-            group = weights[start:start + len(acts)].T
-            start += len(acts)
-            if shift == 0:
-                for w in group:
-                    term_diag[acts] = term_diag[acts] + w
-                continue
-            value = reduce(np.add, group)
-            targets.append(ranks[acts] + shift)
-            rows.append(np.searchsorted(ranks, targets[-1]))
-            cols.append(acts)
-            vals.append(value if scale is None else scale * value)
-            moved.append(word)
+        base = min(n, int(met.max())) + 1
+        key = np.zeros(len(at), dtype=np.int64)
+        for letter in range(length):
+            key = key * base + met.reshape(-1)[at + (group * (length - 1) + letter) * dim]
+        distinct, inverse = _distinct(key, base**length)
+        table = []
+        for levels in (distinct[:, None] // _radix(base - 1, length) % base).tolist():
+            # Only levels some word meets are evaluated, so a huge order costs nothing.
+            for u in set(levels) - amp.keys():
+                amp[u] = sqrt_bracket(u, basis.order)
+            table.append([reduce(mul, [amp[u].conjugate() if c else amp[u]
+                                       for u, c in zip(levels, flags)]) for flags in conj])
+        table = np.array(table, dtype=np.complex128).reshape(-1, len(conj))
+        moves = shift[first * groups + group]
+        here = moves == 0
+        index = np.repeat(group[here] // groups * dim + row[here], len(conj))
+        weights = np.take(table, inverse[here], axis=0)
+        term_diag = np.stack([np.bincount(index, part.reshape(-1), len(met) * dim)
+                              for part in (weights.real, weights.imag)], axis=-1)
+        term_diag = term_diag.view(np.complex128).reshape(-1, dim)
         if scale is not None:
             term_diag = scale * term_diag
         term_diag[np.abs(term_diag) < DROP_TOL] = 0
-        diag += term_diag
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    if targets:
+        for values in term_diag:
+            diag += values
+        away = ~here
+        source, target = row[away], ranks[row[away]] + moves[away]
+        found = np.searchsorted(ranks, target)
         # Closure: every target is a basis state.  A target past the last rank
         # has the insertion index dim, so the index is clipped before the gather.
-        found = ranks[np.minimum(rows[dim:], dim - 1)]
-        missing = np.flatnonzero(found != np.concatenate(targets))
+        missing = np.flatnonzero(ranks[np.minimum(found, dim - 1)] != target)
         if missing.size:
-            group = np.searchsorted(np.cumsum([len(t) for t in targets]), missing[0], "right")
-            letters = " ".join(f"{name}({flat})" for name, flat in moved[group])
+            word = modes.reshape(-1, length)[first * groups + group[away][missing[0]]]
+            letters = " ".join(f"{name}({flat})" for name, flat in zip(words[0], word.tolist()))
             raise ValueError(f"word {letters} leaves the {subspace_label(basis.sector)} basis "
-                             f"from its state {cols[dim + missing[0]]}")
-    return sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=(dim, dim))
+                             f"from its state {source[missing[0]]}")
+        value = reduce(np.add, table.T)
+        rows.append(found)
+        cols.append(source)
+        vals.append((value if scale is None else scale * value)[inverse[away]])
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(dim, dim))
 
 
 @lru_cache(maxsize=256)
@@ -257,7 +261,7 @@ def _ladder_cached(basis: FockBasis, name: str, flat: int) -> sp.csr_matrix:
     """One single-mode ladder matrix (``a``, ``b``, ``a_dag`` or ``b_dag``)
     acting on one flat mode of a full basis, identity on every other mode.
     """
-    return as_operator(_apply_words(basis, [[[[(name, flat)]]]]))
+    return as_operator(_apply_words(basis, [[name]], np.array([[[flat]]])))
 
 
 def _exchange_sum(basis: FockBasis, pairs: Iterable[tuple[int, int]]) -> sp.csr_matrix:
@@ -270,17 +274,15 @@ def _exchange_sum(basis: FockBasis, pairs: Iterable[tuple[int, int]]) -> sp.csr_
     the state itself only for ``k == l``; two pairs change different
     positions, so their terms share no off-diagonal entry.
     """
-    f = basis.mode_flat
-    terms = [
-        [[[("a_dag", f(i, k)), ("a_dag", f(j, l)), ("b", f(i, l)), ("b", f(j, k))],
-          [("a_dag", f(i, k)), ("b_dag", f(j, l)), ("b", f(i, l)), ("a", f(j, k))]]
-         for k in range(1, basis.m + 1) for l in range(1, basis.m + 1)]
-        for i, j in pairs
-    ]
+    m = basis.m
+    words = [("a_dag", "a_dag", "b", "b"), ("a_dag", "b_dag", "b", "a")]
+    i, j = ((np.array(list(pairs)).T - 1) * m)[:, :, None]
+    k, l = np.divmod(np.arange(m * m), m)
+    modes = np.stack([i + k, j + l, i + l, j + k], axis=-1)
     # The two quartic words coincide on single-occupancy states, so the raw
     # sum would exchange with amplitude 2; halving makes each pair's operator
     # the unit transposition there (tau^2 = 1 on the spin sector).
-    return as_operator(_apply_words(basis, terms, scale=0.5))
+    return as_operator(_apply_words(basis, words, modes, scale=0.5))
 
 
 @lru_cache(maxsize=256)
@@ -318,10 +320,8 @@ def class_sum(basis: FockBasis) -> sp.csr_matrix:
 
 @lru_cache(maxsize=256)
 def _generator_cached(basis: FockBasis, k: int, l: int) -> sp.csr_matrix:
-    f = basis.mode_flat
-    groups = [[[("a_dag", f(i, k)), ("b", f(i, l))], [("b_dag", f(i, k)), ("a", f(i, l))]]
-              for i in range(1, basis.nu + 1)]
-    return as_operator(_apply_words(basis, [groups]))
+    modes = np.arange(basis.nu)[:, None] * basis.m + [k - 1, l - 1]
+    return as_operator(_apply_words(basis, [("a_dag", "b"), ("b_dag", "a")], modes[None]))
 
 
 def unitary_generator(k: int, l: int, basis: FockBasis) -> sp.csr_matrix:

@@ -252,14 +252,18 @@ def test_word_application_matches_kron_oracle(n, nu, m):
             assert np.array_equal(op.data, ref.data)
 
 
+#: The letters of the two quartic words of one exchange group.
+EXCHANGE_WORDS = [("a_dag", "a_dag", "b", "b"), ("a_dag", "b_dag", "b", "a")]
+
+
 def misplaced_exchange(basis, i, j):
     """The exchange of ``(i, j)`` with ``b(j,l)`` in place of ``b(i,l)`` in both
     words: each word moves a particle from position ``j`` to position ``i``."""
-    f = basis.mode_flat
-    terms = [[[[("a_dag", f(i, k)), ("a_dag", f(j, l)), ("b", f(j, l)), ("b", f(j, k))],
-               [("a_dag", f(i, k)), ("b_dag", f(j, l)), ("b", f(j, l)), ("a", f(j, k))]]
-              for k in range(1, basis.m + 1) for l in range(1, basis.m + 1)]]
-    return as_operator(operators._apply_words(basis, terms, scale=0.5))
+    m = basis.m
+    i, j = (i - 1) * m, (j - 1) * m
+    k, l = np.divmod(np.arange(m * m), m)
+    modes = np.stack([i + k, j + l, j + l, j + k], axis=-1)[None]
+    return as_operator(operators._apply_words(basis, EXCHANGE_WORDS, modes, scale=0.5))
 
 
 class TestClosureCheck:
