@@ -210,8 +210,8 @@ def _apply_words(
         met += offset[first:first + per_chunk, ..., None]
         at = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=2))
         group, row = np.divmod(at, dim)  # group: the index in the chunk, term-major
-        # One integer per acting row, base (largest met level + 1): its numeric
-        # order is the lexicographic order of the met levels.
+        # One integer per acting row: its met levels as digits in base (the
+        # largest level an acting letter can meet + 1).
         base = min(n, int(met.max())) + 1
         key = np.zeros(len(at), dtype=np.int64)
         for letter in range(length):

@@ -9,6 +9,7 @@ must be named by the same message.
 """
 
 import itertools
+import math
 import re
 from functools import reduce
 from operator import mul
@@ -206,11 +207,12 @@ def test_builders_bit_equal_to_nested_oracle(n, nu, m, monkeypatch):
 @pytest.mark.parametrize("n, nu, m, sector", [(2, 3, 3, None), (1, 12, 2, 1), (30, 2, 2, 28)])
 def test_large_builders_bit_equal_to_nested_oracle(n, nu, m, sector, monkeypatch):
     # The class sums of the first two spaces span several whole-term chunks.
-    # The third meets levels up to 30, so the 31**4 level tuples of four
-    # letters are too many for a flag table and are sorted instead.
+    # The third meets levels up to 30: its 31**4 tuples of four met levels
+    # outnumber both a chunk and its class sum's group-rows, so they are
+    # sorted, not flagged in a table.
     basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
-    chunks = nu * (nu - 1) // 2 * m * m * 4 * basis.dim / operators._CHUNK
-    assert chunks > 2 or 31**4 > max(operators._CHUNK, basis.dim * m * m)
+    levels = math.comb(nu, 2) * m * m * 4 * basis.dim  # the class sum's met levels
+    assert levels > 2 * operators._CHUNK or 31**4 > max(operators._CHUNK, levels)
     assert_builders_match_oracle(basis, monkeypatch)
 
 
