@@ -102,12 +102,17 @@ class FockBasis:
         totals = self.occupations.reshape(self.dim, self.nu, self.m).sum(axis=1)
         return _read_only(totals @ _radix(self.nu * self.order.n, self.m))
 
+    def flat_modes(self, positions, states):
+        """The flat modes of 1-based ``positions`` and ``states``, integers or
+        integer arrays that broadcast; the caller keeps them in range."""
+        return (positions - 1) * self.m + (states - 1)
+
     def mode_flat(self, position: int, state: int) -> int:
         if not 1 <= position <= self.nu:
             raise ValueError(f"position must be in 1..{self.nu}, got {position}")
         if not 1 <= state <= self.m:
             raise ValueError(f"state must be in 1..{self.m}, got {state}")
-        return (position - 1) * self.m + (state - 1)
+        return self.flat_modes(position, state)
 
 
 def subspace_label(sector: Optional[int]) -> str:

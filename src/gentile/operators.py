@@ -147,17 +147,6 @@ _LETTERS = {"a_dag": (True, False), "b_dag": (True, True), "b": (False, False), 
 _CHUNK = 2**16
 
 
-def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of ``values``, integers in ``0..size-1``, ascending,
-    and each entry's index among them: from a table of ``size`` flags, unless
-    that is larger than both ``values`` and a chunk."""
-    if size > max(values.size, _CHUNK):
-        return np.unique(values, return_inverse=True)
-    seen = np.zeros(size, dtype=bool)
-    seen[values] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[values]
-
-
 def _apply_words(
     basis: FockBasis, words: Sequence[Sequence[str]], modes: np.ndarray,
     scale: Optional[float] = None,
@@ -199,7 +188,8 @@ def _apply_words(
     level_type = np.min_scalar_type(-(n + length + 1))
     same_mode = modes[..., :, None] == modes[..., None, :]
     offset = (np.triu(same_mode, 1) @ step + raises).astype(level_type)
-    used, column = _distinct(modes, basis.modes)
+    used, column = np.unique(modes, return_inverse=True)
+    column = column.reshape(modes.shape)
     columns = np.ascontiguousarray(basis.occupations[:, used].T, dtype=level_type)
     amp: dict[int, complex] = {}  # the ladder amplitude of each level met so far
     diag = np.zeros(dim, dtype=np.complex128)
@@ -216,7 +206,7 @@ def _apply_words(
         key = np.zeros(len(at), dtype=np.int64)
         for letter in range(length):
             key = key * base + met.reshape(-1)[at + (group * (length - 1) + letter) * dim]
-        distinct, inverse = _distinct(key, base**length)
+        distinct, inverse = np.unique(key, return_inverse=True)
         table = []
         for levels in (distinct[:, None] // _radix(base - 1, length) % base).tolist():
             # Only levels some word meets are evaluated, so a huge order costs nothing.
@@ -274,11 +264,11 @@ def _exchange_sum(basis: FockBasis, pairs: Iterable[tuple[int, int]]) -> sp.csr_
     the state itself only for ``k == l``; two pairs change different
     positions, so their terms share no off-diagonal entry.
     """
-    m = basis.m
     words = [("a_dag", "a_dag", "b", "b"), ("a_dag", "b_dag", "b", "a")]
-    i, j = ((np.array(list(pairs)).T - 1) * m)[:, :, None]
-    k, l = np.divmod(np.arange(m * m), m)
-    modes = np.stack([i + k, j + l, i + l, j + k], axis=-1)
+    i, j = np.array(list(pairs)).T[:, :, None]
+    k, l = np.indices((basis.m, basis.m)).reshape(2, -1) + 1
+    f = basis.flat_modes
+    modes = np.stack([f(i, k), f(j, l), f(i, l), f(j, k)], axis=-1)
     # The two quartic words coincide on single-occupancy states, so the raw
     # sum would exchange with amplitude 2; halving makes each pair's operator
     # the unit transposition there (tau^2 = 1 on the spin sector).
@@ -320,7 +310,7 @@ def class_sum(basis: FockBasis) -> sp.csr_matrix:
 
 @lru_cache(maxsize=256)
 def _generator_cached(basis: FockBasis, k: int, l: int) -> sp.csr_matrix:
-    modes = np.arange(basis.nu)[:, None] * basis.m + [k - 1, l - 1]
+    modes = basis.flat_modes(np.arange(1, basis.nu + 1)[:, None], np.array([k, l]))
     return as_operator(_apply_words(basis, [("a_dag", "b"), ("b_dag", "a")], modes[None]))
 
 

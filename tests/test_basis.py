@@ -219,6 +219,13 @@ class TestModeIndex:
         assert basis.mode_flat(1, 3) == 2
         assert basis.mode_flat(2, 1) == 3
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_flat_modes_broadcast_like_mode_flat(self, m):
+        basis = enumerate_basis(3, m, GentileOrder(1), sector=0)
+        positions, states = np.arange(1, 4)[:, None], np.arange(1, m + 1)
+        want = [[basis.mode_flat(p, s) for s in range(1, m + 1)] for p in range(1, 4)]
+        assert basis.flat_modes(positions, states).tolist() == want
+
 
 def fitting_shapes():
     """Every ``(n <= 3, nu <= 6, m <= 3, sector)`` that fits the default cap,

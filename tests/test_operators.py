@@ -259,10 +259,9 @@ EXCHANGE_WORDS = [("a_dag", "a_dag", "b", "b"), ("a_dag", "b_dag", "b", "a")]
 def misplaced_exchange(basis, i, j):
     """The exchange of ``(i, j)`` with ``b(j,l)`` in place of ``b(i,l)`` in both
     words: each word moves a particle from position ``j`` to position ``i``."""
-    m = basis.m
-    i, j = (i - 1) * m, (j - 1) * m
-    k, l = np.divmod(np.arange(m * m), m)
-    modes = np.stack([i + k, j + l, j + l, j + k], axis=-1)[None]
+    k, l = np.indices((basis.m, basis.m)).reshape(2, -1) + 1
+    f = basis.flat_modes
+    modes = np.stack([f(i, k), f(j, l), f(j, l), f(j, k)], axis=-1)[None]
     return as_operator(operators._apply_words(basis, EXCHANGE_WORDS, modes, scale=0.5))
 
 

@@ -206,13 +206,11 @@ def test_builders_bit_equal_to_nested_oracle(n, nu, m, monkeypatch):
 
 @pytest.mark.parametrize("n, nu, m, sector", [(2, 3, 3, None), (1, 12, 2, 1), (30, 2, 2, 28)])
 def test_large_builders_bit_equal_to_nested_oracle(n, nu, m, sector, monkeypatch):
-    # The class sums of the first two spaces span several whole-term chunks.
-    # The third meets levels up to 30: its 31**4 tuples of four met levels
-    # outnumber both a chunk and its class sum's group-rows, so they are
-    # sorted, not flagged in a table.
+    # The class sums of the first two spaces span several whole-term chunks;
+    # the third meets levels up to 30, far above those of a small order.
     basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
     levels = math.comb(nu, 2) * m * m * 4 * basis.dim  # the class sum's met levels
-    assert levels > 2 * operators._CHUNK or 31**4 > max(operators._CHUNK, levels)
+    assert levels > 2 * operators._CHUNK or n == 30
     assert_builders_match_oracle(basis, monkeypatch)
 
 
@@ -236,9 +234,10 @@ def test_misplaced_exchange_refused_like_oracle(n, nu, m):
         basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
         pairs = list(itertools.combinations(range(1, nu + 1), 2))
         terms = nested_exchange_words(basis, pairs, lambda i, j, k, l: basis.mode_flat(j, l))
-        i, j = ((np.array(pairs).T - 1) * m)[:, :, None]
-        k, l = np.divmod(np.arange(m * m), m)
-        modes = np.stack([i + k, j + l, j + l, j + k], axis=-1)
+        i, j = np.array(pairs).T[:, :, None]
+        k, l = np.indices((m, m)).reshape(2, -1) + 1
+        f = basis.flat_modes
+        modes = np.stack([f(i, k), f(j, l), f(j, l), f(j, k)], axis=-1)
         got = refusal(lambda: as_operator(
             operators._apply_words(basis, EXCHANGE_WORDS, modes, scale=0.5)))
         want = refusal(lambda: as_operator(nested_apply_words(basis, terms, scale=0.5)))
