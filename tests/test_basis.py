@@ -200,7 +200,8 @@ class TestIndexing:
 
 
 class TestModeIndex:
-    """``FockBasis.mode_flat`` is position-major: ``(position-1)*m + (state-1)``."""
+    """``FockBasis.mode_flat`` is position-major: ``(position-1)*m + (state-1)``,
+    and ``flat_modes`` is its array form."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_flat_round_trip(self, m):
@@ -208,6 +209,8 @@ class TestModeIndex:
         flats = [basis.mode_flat(position, state)
                  for position in range(1, 4) for state in range(1, m + 1)]
         assert flats == list(range(basis.modes))
+        positions, states = np.arange(1, 4)[:, None], np.arange(1, m + 1)
+        assert basis.flat_modes(positions, states).reshape(-1).tolist() == flats
         with pytest.raises(ValueError):
             basis.mode_flat(4, 1)
         with pytest.raises(ValueError):
@@ -218,13 +221,6 @@ class TestModeIndex:
         assert basis.mode_flat(1, 1) == 0
         assert basis.mode_flat(1, 3) == 2
         assert basis.mode_flat(2, 1) == 3
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_flat_modes_broadcast_like_mode_flat(self, m):
-        basis = enumerate_basis(3, m, GentileOrder(1), sector=0)
-        positions, states = np.arange(1, 4)[:, None], np.arange(1, m + 1)
-        want = [[basis.mode_flat(p, s) for s in range(1, m + 1)] for p in range(1, 4)]
-        assert basis.flat_modes(positions, states).tolist() == want
 
 
 def fitting_shapes():
