@@ -188,15 +188,13 @@ def _apply_words(
     level_type = np.min_scalar_type(-(n + length + 1))
     same_mode = modes[..., :, None] == modes[..., None, :]
     offset = (np.triu(same_mode, 1) @ step + raises).astype(level_type)
-    used, column = np.unique(modes, return_inverse=True)
-    column = column.reshape(modes.shape)
-    columns = np.ascontiguousarray(basis.occupations[:, used].T, dtype=level_type)
+    columns = np.ascontiguousarray(basis.occupations.T, dtype=level_type)
     amp: dict[int, complex] = {}  # the ladder amplitude of each level met so far
     diag = np.zeros(dim, dtype=np.complex128)
     rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
     per_chunk = max(1, _CHUNK // (groups * length * dim))
     for first in range(0, terms, per_chunk):
-        met = columns[column[first:first + per_chunk]]  # (terms, groups, letters, states)
+        met = columns[modes[first:first + per_chunk]]  # (terms, groups, letters, states)
         met += offset[first:first + per_chunk, ..., None]
         at = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=2))
         group, row = np.divmod(at, dim)  # group: the index in the chunk, term-major
