@@ -12,9 +12,10 @@ state, so it shifts rows of the occupation array, multiplies the ladder
 amplitudes met on the way and ranks the targets by ``searchsorted`` on
 ``FockBasis.ranks``.  A builder gives the kernel its words as arrays: the
 letter names of the words of one group, and a ``(terms, groups, letters)``
-integer array of flat modes ``(i-1)*m + (k-1)``.  The exchange is a sum of
-quartic words, the generator ``E(k,l)`` a sum of two-letter words over
-positions, and ``C1``, ``C2`` are sums and products of cached generators.
+integer array of flat modes from ``FockBasis.flat_modes``.  The exchange is
+a sum of quartic words, the generator ``E(k,l)`` a sum of two-letter words
+over positions, and ``C1``, ``C2`` are sums and products of cached
+generators.
 The class sum is one kernel pass with one term per position pair, and it
 keeps the rounding of summing the exchange operators: each pair's diagonal
 is halved and pruned on its own and then added to the running diagonal in
