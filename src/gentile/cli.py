@@ -13,6 +13,9 @@ directory).
 from __future__ import annotations
 
 import argparse
+# argparse's gettext imports locale when it builds the first parser, and every
+# call builds one, so it loads here with the other modules, at start-up.
+import locale  # noqa: F401
 import os
 import sys
 from collections import Counter

@@ -33,9 +33,12 @@ complex arithmetic, left to right, once per distinct tuple of met levels in
 a chunk: numpy's vectorised complex multiply may use fused multiply-adds
 (FMA), which differ in the last bit from scalar and sparse-product
 arithmetic, and byte-stable reports need bit-stable matrices.  Every
-builder returns plain complex CSR, pruned at ``DROP_TOL`` by
-:func:`as_operator`; cached matrices are shared, so they are read-only
-afterwards, and building distinct operators concurrently is safe.
+builder returns a :class:`CSR`, the module's own canonical complex CSR
+type on numpy alone, pruned at ``DROP_TOL`` by :func:`as_operator`.  Its
+sums, differences, scalar multiples and products round exactly as the
+compiled CSR kernels the tests hold them to, and its arrays are read-only,
+so a cached matrix shared between callers cannot be changed by one of them,
+and building distinct operators concurrently is safe.
 
 Every composite also commutes with the diagonal generators ``E(k,k)``, so it
 is block-diagonal in the weight ``FockBasis.weights``; the class sum and
@@ -55,10 +58,10 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from numbers import Number
+from typing import Any, Iterable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import FockBasis, SizingError, _radix, enumerate_basis, subspace_label
 from .scalars import GentileOrder, coupling_j, sqrt_bracket
@@ -69,8 +72,6 @@ DROP_TOL = 1e-14
 #: Default largest dense matrix: the largest weight block of a solve.
 DENSE_EIG_CAP = 4096
 
-Matrix = Union[sp.spmatrix, np.ndarray]
-
 
 class NonHermitianError(ValueError):
     """Raised when a Hermitian contract is violated; carries the asymmetry."""
@@ -80,30 +81,217 @@ class NonHermitianError(ValueError):
         self.asymmetry = asymmetry
 
 
-def as_operator(mat: Matrix) -> sp.csr_matrix:
-    """A square matrix as a new complex CSR with duplicates summed, entries
-    below ``DROP_TOL`` in magnitude dropped and indices sorted; ``mat`` is
-    left as it was."""
-    # A CSR argument is the one input whose arrays sp.csr_matrix shares, and
-    # the steps below work in place.
-    out = sp.csr_matrix(mat, dtype=np.complex128, copy=sp.issparse(mat) and mat.format == "csr")
-    if out.shape[0] != out.shape[1]:
-        raise ValueError(f"operator must be square, got shape {out.shape}")
-    out.sum_duplicates()
-    if out.nnz:
-        mask = np.abs(out.data) < DROP_TOL
-        if mask.any():
-            out.data[mask] = 0
-            out.eliminate_zeros()
-    out.sort_indices()
-    return out
+class CSR:
+    """An immutable complex matrix in canonical CSR form.
+
+    Row ``i`` stores its entries at ``indptr[i]:indptr[i + 1]`` of
+    ``indices`` (columns, strictly ascending) and ``data`` (``complex128``).
+    The three arrays are read-only, so an operator that a cache hands out
+    cannot be changed by its caller.  The arithmetic is bit for bit that of
+    the classic compiled CSR kernels, which the tests hold it to:
+
+    * ``A + B`` and ``A - B`` are elementwise on the union of the stored
+      places, an absent entry reading ``0 + 0j``, and drop exact zeros;
+    * ``A @ B`` sums each output entry from 0 in ascending inner index, each
+      complex product formed from separate real multiplies (no fused
+      multiply-add), and drops exact zeros;
+    * ``c * A`` multiplies the stored entries by the scalar ``c`` and keeps
+      every place;
+    * ``A.getH()`` is the conjugate transpose.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+    __array_ufunc__ = None  # a numpy scalar on the left defers to __rmul__
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 shape: tuple[int, int]):
+        """Take canonical ``int64``, ``int64`` and ``complex128`` arrays as
+        they are, uncopied, and make them read-only."""
+        for name, array in (("indptr", indptr), ("indices", indices), ("data", data)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "shape", (int(shape[0]), int(shape[1])))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CSR is immutable: cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"<{self.shape[0]}x{self.shape[1]} complex CSR, {self.nnz} stored entries>"
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), self.indptr[1:] - self.indptr[:-1])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out[self.rows(), self.indices] = self.data
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        rows = self.rows()
+        on = rows == self.indices
+        out = np.zeros(min(self.shape), dtype=np.complex128)
+        out[rows[on]] = self.data[on]
+        return out
+
+    def getH(self) -> CSR:
+        """The conjugate transpose: each column, in ascending row order, as a row."""
+        order = np.argsort(self.indices, kind="stable")
+        counts = np.bincount(self.indices, minlength=self.shape[1])
+        return CSR(np.concatenate(([0], np.cumsum(counts))), self.rows()[order],
+                   self.data.conj()[order], self.shape[::-1])
+
+    def _places(self) -> np.ndarray:
+        """The flat place ``row * columns + column`` of each stored entry, ascending."""
+        return self.rows() * self.shape[1] + self.indices
+
+    def _merge(self, other, op) -> CSR:
+        if not isinstance(other, CSR):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
+        if np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices,
+                                                                         other.indices):
+            return _nonzero(self._places(), op(self.data, other.data), self.shape)
+        # A stable merge of the two place lists: a place stored in both has its
+        # entry of ``self`` first, which takes op(a, b); its second copy is dropped.
+        places = np.concatenate((self._places(), other._places()))
+        order = np.argsort(places, kind="stable")
+        places = places[order]
+        values = np.concatenate((op(self.data, 0), op(0, other.data)))[order]
+        shared = np.flatnonzero(places[1:] == places[:-1])
+        values[shared] = op(self.data[order[shared]], other.data[order[shared + 1] - self.nnz])
+        values[shared + 1] = 0
+        return _nonzero(places, values, self.shape)
+
+    def __add__(self, other) -> CSR:
+        return self._merge(other, np.add)
+
+    def __sub__(self, other) -> CSR:
+        return self._merge(other, np.subtract)
+
+    def __mul__(self, scalar) -> CSR:
+        if not isinstance(scalar, Number):
+            return NotImplemented
+        return CSR(self.indptr, self.indices, self.data * scalar, self.shape)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other) -> CSR:
+        if not isinstance(other, CSR):
+            return NotImplemented
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"cannot multiply shapes {self.shape} and {other.shape}")
+        shape = (self.shape[0], other.shape[1])
+        # Every product a[i, j] * b[j, k], by entry of ``self`` (so by row, then
+        # ascending j) and along row j of ``other``: entry e of ``self`` meets
+        # entries ``right`` of ``other``.
+        starts = other.indptr[self.indices]
+        counts = other.indptr[self.indices + 1] - starts
+        ends = counts.cumsum()
+        right = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+        places = np.repeat(self.rows() * shape[1], counts) + other.indices[right]
+        # A stable sort by place keeps the products of one output entry in
+        # that order; ``slot`` is each product's output entry.
+        order = np.argsort(places, kind="stable")
+        places = places[order]
+        fresh = np.empty(len(places), dtype=bool)
+        fresh[:1] = True
+        np.not_equal(places[1:], places[:-1], out=fresh[1:])
+        slot = np.empty(len(places), dtype=np.int64)
+        slot[order] = fresh.cumsum() - 1
+        places = places[fresh]
+        a, b = np.repeat(self.data, counts), other.data[right]
+        values = np.empty(len(places), dtype=np.complex128)
+        values.real = np.bincount(slot, a.real * b.real - a.imag * b.imag, len(places))
+        values.imag = np.bincount(slot, a.real * b.imag + a.imag * b.real, len(places))
+        return _nonzero(places, values, shape)
+
+
+#: A matrix argument: a :class:`CSR`, a dense 2-D array, or any other sparse
+#: matrix with a ``tocoo()`` method, read by duck typing.
+Matrix = Union[CSR, np.ndarray, Any]
+
+
+def _from_places(places: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> CSR:
+    """The CSR with ``values`` at the ascending, distinct flat ``places``."""
+    rows = places // shape[1]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return CSR(indptr, places - rows * shape[1], values, shape)
+
+
+def _nonzero(places: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> CSR:
+    """:func:`_from_places` without the exact zeros."""
+    keep = values != 0
+    if not keep.all():
+        places, values = places.compress(keep), values.compress(keep)
+    return _from_places(places, values, shape)
+
+
+def _coo(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> CSR:
+    """The CSR of triplets: one stable sort by place, and the values of a
+    place stored more than once summed in input order."""
+    places = np.asarray(rows, dtype=np.int64) * shape[1] + cols
+    order = np.argsort(places, kind="stable")
+    places, values = places[order], np.asarray(values, dtype=np.complex128)[order]
+    first = np.flatnonzero(np.diff(places, prepend=-1))
+    if len(first) < len(places):
+        slot = np.cumsum(np.diff(places, prepend=-1) != 0) - 1
+        summed = np.empty(len(first), dtype=np.complex128)
+        summed.real = np.bincount(slot, values.real, len(first))
+        summed.imag = np.bincount(slot, values.imag, len(first))
+        places, values = places[first], summed
+    return _from_places(places, values, shape)
+
+
+def _as_csr(mat: Matrix) -> CSR:
+    """``mat`` as a CSR with every stored entry kept, duplicates summed."""
+    if isinstance(mat, CSR):
+        return mat
+    if hasattr(mat, "tocoo"):
+        coo = mat.tocoo()
+        return _coo(coo.row, coo.col, coo.data, coo.shape)
+    dense = np.atleast_2d(np.asarray(mat))
+    rows, cols = np.nonzero(dense)
+    return _coo(rows, cols, dense[rows, cols], dense.shape)
+
+
+def zero_operator(dim: int) -> CSR:
+    """The ``dim`` x ``dim`` matrix with no stored entry."""
+    return CSR(np.zeros(dim + 1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+               np.zeros(0, dtype=np.complex128), (dim, dim))
+
+
+def diagonal_operator(values: np.ndarray) -> CSR:
+    """The diagonal matrix of ``values``, every nonzero one stored as it is."""
+    values = np.asarray(values, dtype=np.complex128)
+    rows = np.flatnonzero(values)
+    return _from_places(rows * (len(values) + 1), values[rows], (len(values), len(values)))
+
+
+def as_operator(mat: Matrix) -> CSR:
+    """A square matrix as a canonical complex CSR with duplicates summed and
+    entries below ``DROP_TOL`` in magnitude dropped; ``mat`` is left as it
+    was."""
+    mat = _as_csr(mat)
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"operator must be square, got shape {mat.shape}")
+    keep = ~(np.abs(mat.data) < DROP_TOL)
+    if keep.all():
+        return mat
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return CSR(kept[mat.indptr], mat.indices[keep], mat.data[keep], mat.shape)
 
 
 def max_abs(mat: Matrix) -> float:
     """Largest entry magnitude (0.0 for an empty matrix)."""
-    if not isinstance(mat, sp.csr_matrix):
-        mat = sp.csr_matrix(mat)
-    return float(np.abs(mat.data).max(initial=0.0))
+    data = np.asarray(mat) if isinstance(mat, np.ndarray) else _as_csr(mat).data
+    return float(np.abs(data).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +308,10 @@ class SingleModeSet:
     truncation is exact.
     """
 
-    a: sp.csr_matrix
-    b: sp.csr_matrix
-    a_dag: sp.csr_matrix
-    b_dag: sp.csr_matrix
+    a: CSR
+    b: CSR
+    a_dag: CSR
+    b_dag: CSR
 
 
 @lru_cache(maxsize=64)
@@ -151,7 +339,7 @@ _CHUNK = 2**16
 def _apply_words(
     basis: FockBasis, words: Sequence[Sequence[str]], modes: np.ndarray,
     scale: Optional[float] = None,
-) -> sp.coo_matrix:
+) -> CSR:
     """Sum of terms of words applied to the occupation array of ``basis``.
 
     ``words`` names the letters of each word of a group, left to right, so
@@ -241,19 +429,18 @@ def _apply_words(
         rows.append(found)
         cols.append(source)
         vals.append((value if scale is None else scale * value)[inverse[away]])
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(dim, dim))
+    return _coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (dim, dim))
 
 
 @lru_cache(maxsize=256)
-def _ladder_cached(basis: FockBasis, name: str, flat: int) -> sp.csr_matrix:
+def _ladder_cached(basis: FockBasis, name: str, flat: int) -> CSR:
     """One single-mode ladder matrix (``a``, ``b``, ``a_dag`` or ``b_dag``)
     acting on one flat mode of a full basis, identity on every other mode.
     """
     return as_operator(_apply_words(basis, [[name]], np.array([[[flat]]])))
 
 
-def _exchange_sum(basis: FockBasis, pairs: Iterable[tuple[int, int]]) -> sp.csr_matrix:
+def _exchange_sum(basis: FockBasis, pairs: Iterable[tuple[int, int]]) -> CSR:
     """Sum of the exchanges of ``pairs``, built in one kernel pass.
 
     Each pair ``(i, j)`` is one term: half the sum over internal states
@@ -275,12 +462,12 @@ def _exchange_sum(basis: FockBasis, pairs: Iterable[tuple[int, int]]) -> sp.csr_
 
 
 @lru_cache(maxsize=256)
-def _exchange_cached(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
+def _exchange_cached(basis: FockBasis, i: int, j: int) -> CSR:
     """The exchange of one pair: the one-term pass of :func:`class_sum`."""
     return _exchange_sum(basis, [(i, j)])
 
 
-def exchange_op(i: int, j: int, basis: FockBasis) -> sp.csr_matrix:
+def exchange_op(i: int, j: int, basis: FockBasis) -> CSR:
     """Exchange of the particles at positions ``i`` and ``j`` (both 1-based).
 
     Acts on the full space or on any sector basis.
@@ -293,7 +480,7 @@ def exchange_op(i: int, j: int, basis: FockBasis) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=64)
-def class_sum(basis: FockBasis) -> sp.csr_matrix:
+def class_sum(basis: FockBasis) -> CSR:
     """Sum of all pair exchanges (the transposition-class operator).
 
     Acts on the full space or on any sector basis.  One kernel pass builds
@@ -308,12 +495,12 @@ def class_sum(basis: FockBasis) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=256)
-def _generator_cached(basis: FockBasis, k: int, l: int) -> sp.csr_matrix:
+def _generator_cached(basis: FockBasis, k: int, l: int) -> CSR:
     modes = basis.flat_modes(np.arange(1, basis.nu + 1)[:, None], np.array([k, l]))
     return as_operator(_apply_words(basis, [("a_dag", "b"), ("b_dag", "a")], modes[None]))
 
 
-def unitary_generator(k: int, l: int, basis: FockBasis) -> sp.csr_matrix:
+def unitary_generator(k: int, l: int, basis: FockBasis) -> CSR:
     """Generator E(k, l): state-l to state-k transfer summed over positions,
     the words ``a†(i,k) b(i,l)`` and ``b†(i,k) a(i,l)`` at every position.
 
@@ -325,36 +512,32 @@ def unitary_generator(k: int, l: int, basis: FockBasis) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=64)
-def casimir_c1(basis: FockBasis) -> sp.csr_matrix:
+def casimir_c1(basis: FockBasis) -> CSR:
     """First-order Casimir: sum of the diagonal generators, on any basis."""
-    total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
+    total = zero_operator(basis.dim)
     for l in range(1, basis.m + 1):
         total = total + _generator_cached(basis, l, l)
     return as_operator(total)
 
 
 @lru_cache(maxsize=64)
-def casimir_c2(basis: FockBasis) -> sp.csr_matrix:
+def casimir_c2(basis: FockBasis) -> CSR:
     """Second-order Casimir: sum over k, l of E(k,l) E(l,k), on any basis."""
-    total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
+    total = zero_operator(basis.dim)
     for k in range(1, basis.m + 1):
         for l in range(1, basis.m + 1):
             total = total + _generator_cached(basis, k, l) @ _generator_cached(basis, l, k)
     return as_operator(total)
 
 
-def _diagonal(vals: np.ndarray) -> sp.csr_matrix:
-    return as_operator(sp.diags(vals, 0, format="csr", dtype=np.complex128))
-
-
-def coupling_sum(basis: FockBasis) -> sp.csr_matrix:
+def coupling_sum(basis: FockBasis) -> CSR:
     """Diagonal operator whose eigenvalue is the summed coupling weight."""
-    return _diagonal(coupling_j(basis.occupations, basis.order).sum(axis=1))
+    return as_operator(diagonal_operator(coupling_j(basis.occupations, basis.order).sum(axis=1)))
 
 
-def total_number(basis: FockBasis) -> sp.csr_matrix:
+def total_number(basis: FockBasis) -> CSR:
     """Diagonal operator counting all particles over all modes."""
-    return _diagonal(basis.occupations.sum(axis=1))
+    return as_operator(diagonal_operator(basis.occupations.sum(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +545,14 @@ def total_number(basis: FockBasis) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 
 
-def entrywise_real(mat: sp.csr_matrix) -> sp.csr_matrix:
+def entrywise_real(mat: Matrix) -> CSR:
     """Real part of every stored entry, in the fixed occupation basis."""
-    return as_operator(sp.csr_matrix((mat.data.real, mat.indices, mat.indptr), mat.shape))
+    mat = _as_csr(mat)
+    return as_operator(CSR(mat.indptr, mat.indices, mat.data.real.astype(np.complex128),
+                           mat.shape))
 
 
-def hermitian_part(mat: sp.csr_matrix) -> sp.csr_matrix:
+def hermitian_part(mat: CSR) -> CSR:
     return as_operator((mat + mat.getH()) * 0.5)
 
 
@@ -392,7 +577,7 @@ def _permutation(basis: FockBasis, moved: np.ndarray) -> np.ndarray:
 
 
 def _deviation(
-    mat: sp.csr_matrix, rows: np.ndarray, new_rows: np.ndarray, new_cols: np.ndarray,
+    mat: CSR, rows: np.ndarray, new_rows: np.ndarray, new_cols: np.ndarray,
     new_data: np.ndarray,
 ) -> float:
     """Largest entry magnitude of ``M - mat``, where ``M`` holds ``new_data`` at
@@ -453,7 +638,7 @@ class _Orbits:
 
 
 def _symmetry_orbits(
-    mat: sp.csr_matrix, rows: np.ndarray, basis: Optional[FockBasis], tol: float
+    mat: CSR, rows: np.ndarray, basis: Optional[FockBasis], tol: float
 ) -> _Orbits:
     """Check that ``mat`` keeps the symmetries of ``basis`` and find its orbits.
 
@@ -496,7 +681,7 @@ def _symmetry_orbits(
 
 
 def _momentum_stacks(
-    mat: sp.csr_matrix, rows: np.ndarray, orbits: _Orbits
+    mat: CSR, rows: np.ndarray, orbits: _Orbits
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (weight, momentum) blocks of ``mat``, as one ``(count, d, d)`` stack
     per block size ``d`` with the spectrum count of each block.
@@ -552,7 +737,7 @@ def _momentum_stacks(
     paired = real_matrix & (k_of[starts] > 0) & (2 * k_of[starts] != nu)
     counts = orbits.copies[rep_of[starts]] * np.where(paired, 2, 1)
     stacks = []
-    for size in np.unique(sizes).tolist():
+    for size in sorted(set(sizes.tolist())):
         blocks = by_size[sizes[by_size] == size]
         span = slice(offsets[blocks[0]], offsets[blocks[-1]] + size * size)
         stack = real[span].reshape(-1, size, size)
@@ -563,7 +748,7 @@ def _momentum_stacks(
 
 
 def eigensolve_hermitian(
-    mat: sp.csr_matrix,
+    mat: CSR,
     basis: Optional[FockBasis] = None,
     degeneracy_tol: float = 1e-8,
     hermiticity_tol: float = 1e-10,
@@ -599,14 +784,11 @@ def eigensolve_hermitian(
     the largest weight block with :func:`check_dense_dimension` before
     building ``mat``.
     """
-    mat = sp.csr_matrix(mat)
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
-    asym = max_abs(mat - mat.getH())
+    mat = _as_csr(mat)
+    rows = mat.rows()
+    asym = _deviation(mat, rows, mat.indices, rows, mat.data.conj())
     if asym > hermiticity_tol:
         raise NonHermitianError(asym)
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     orbits = _symmetry_orbits(mat, rows, basis, hermiticity_tol)
     eigenvalues, counts = [], []
     for stack, copies in _momentum_stacks(mat, rows, orbits):

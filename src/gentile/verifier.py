@@ -50,7 +50,6 @@ from itertools import combinations, permutations, product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import (
     DEFAULT_DIMENSION_CAP,
@@ -62,6 +61,7 @@ from .basis import (
     subspace_label,
 )
 from .operators import (
+    CSR,
     DENSE_EIG_CAP,
     DROP_TOL,
     _ladder_cached,
@@ -70,6 +70,7 @@ from .operators import (
     check_dense_dimension,
     class_sum,
     coupling_sum,
+    diagonal_operator,
     eigensolve_hermitian,
     entrywise_real,
     exchange_op,
@@ -186,19 +187,19 @@ def _checked_basis(task: VerificationTask, cap: int, dense_cap: Optional[int] = 
 
 
 @lru_cache(maxsize=64)
-def _single_mode_diffs(order: GentileOrder) -> dict[str, tuple[sp.csr_matrix, ...]]:
+def _single_mode_diffs(order: GentileOrder) -> dict[str, tuple]:
     """Difference matrices of every single-mode relation, keyed by relation.
 
-    ``top_state_annihilation`` is the raiser column at the top state, which
-    must vanish identically.  The result is cached and shared: read only.
+    ``top_state_annihilation`` holds the raiser's stored entries in the column
+    of the top state, which must vanish identically.  The result is cached and shared: read only.
     """
     ops = single_mode_ops(order)
     q = order.q
     phase = np.exp(1j * order.x)
-    eye = sp.identity(order.n + 1, dtype=np.complex128, format="csr")
     levels = np.arange(order.n + 1)
-    diag_g = sp.diags(occ_g(levels, order), 0, dtype=np.complex128, format="csr")
-    diag_f = sp.diags(occ_f(levels, order), 0, dtype=np.complex128, format="csr")
+    eye = diagonal_operator(np.ones(order.n + 1))
+    diag_g = diagonal_operator(occ_g(levels, order))
+    diag_f = diagonal_operator(occ_f(levels, order))
 
     def self_brackets(qq):
         return (
@@ -219,7 +220,7 @@ def _single_mode_diffs(order: GentileOrder) -> dict[str, tuple[sp.csr_matrix, ..
         ),
         "raiser_lowerer_diag": (ops.a_dag @ ops.a - diag_g,),
         "ladder_gap_diag": (ops.a @ ops.a_dag - ops.a_dag @ ops.a - diag_f,),
-        "top_state_annihilation": (ops.a_dag[:, order.n],),
+        "top_state_annihilation": (ops.a_dag.data[ops.a_dag.indices == order.n],),
         "self_bracket_plain": self_brackets(1.0),
         "self_bracket_deformed": self_brackets(q),
         "quartic_word_bracket": (
@@ -292,7 +293,7 @@ def _recipe_occupation_functions(task, basis):
     return diffs["raiser_lowerer_diag"] + diffs["ladder_gap_diag"], top_col, detail
 
 
-def _occupation_correction(basis: FockBasis, k: int, l: int) -> sp.csr_matrix:
+def _occupation_correction(basis: FockBasis, k: int, l: int) -> CSR:
     """Diagonal ``sum_i f(i,l) g(i,k) - f(i,k) g(i,l)`` of ``occ_f``/``occ_g``
     at each position's modes, summed over positions in order.
     """
@@ -305,7 +306,7 @@ def _occupation_correction(basis: FockBasis, k: int, l: int) -> sp.csr_matrix:
     total = np.zeros(basis.dim)
     for i in range(1, basis.nu + 1):
         total = total + occ(occ_f, i, l) * occ(occ_g, i, k) - occ(occ_f, i, k) * occ(occ_g, i, l)
-    return sp.diags(total, 0, format="csr", dtype=np.complex128)
+    return diagonal_operator(total)
 
 
 def _recipe_generator_commutation(task, basis):
@@ -391,14 +392,14 @@ def _recipe_casimir_hermiticity(task, basis):
     return diffs, 0.0, "adjoint comparison of both Casimir operators"
 
 
-def _total_jumps(op: sp.csr_matrix, totals: Sequence[np.ndarray]) -> float:
+def _total_jumps(op: CSR, totals: Sequence[np.ndarray]) -> float:
     """Largest entry of the commutators of ``op`` with the position totals.
 
     A total ``d`` is diagonal, so ``[A, diag(d)]`` has the entries
     ``A_ij (d_j - d_i)`` on the stored entries of ``A``.
     """
-    coo = op.tocoo()
-    return max(float(np.abs(coo.data * (d[coo.col] - d[coo.row])).max(initial=0.0))
+    rows = op.rows()
+    return max(float(np.abs(op.data * (d[op.indices] - d[rows])).max(initial=0.0))
                for d in totals)
 
 
@@ -429,7 +430,7 @@ def _spectrum_match(task, sector):
     # eigensolver's hermiticity tolerance.
     c1 = casimir_c1(sector)
     c1_diag = c1.diagonal()
-    if (c1 - sp.diags(c1_diag)).count_nonzero() or np.abs(c1_diag.imag).max() > 1e-10:
+    if (c1 - diagonal_operator(c1_diag)).nnz or np.abs(c1_diag.imag).max() > 1e-10:
         raise ValueError("C1 is not a real diagonal matrix")
     measured_c1 = sorted({round(v, 9) for v in c1_diag.real.tolist()})
     measured_c2 = sorted({round(v, 9) for v, _ in

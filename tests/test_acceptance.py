@@ -99,8 +99,7 @@ def test_criterion_3_duality_and_conservation():
             inside = np.zeros(full.dim, dtype=bool)
             inside[sector.ranks] = True
             for op in operators:
-                coo = op.tocoo()
-                crossing = np.abs(coo.data[inside[coo.row] != inside[coo.col]])
+                crossing = np.abs(op.data[inside[op.rows()] != inside[op.indices]])
                 worst_leakage = max(worst_leakage, crossing.max(initial=0.0))
             for casimir in (casimir_c1(full), casimir_c2(full)):
                 worst_hermiticity = max(

@@ -50,7 +50,7 @@ class TestHamiltonian:
             ],
             dtype=complex,
         )
-        assert max_abs(H - swap) < 1e-12
+        assert max_abs(H.toarray() - swap) < 1e-12
 
     @pytest.mark.parametrize(
         "nu,m,n",

@@ -36,8 +36,9 @@ from gentile import (
 )
 from gentile import operators, verifier
 from gentile.basis import check_dimension
-from gentile.operators import _ladder_cached, check_dense_dimension
+from gentile.operators import CSR, _ladder_cached, check_dense_dimension
 from gentile.verifier import _single_mode_diffs
+from scipy_oracle import to_scipy
 
 
 def ordinal(basis, state):
@@ -51,7 +52,7 @@ def restrict(op, sector):
 
     A sector's ranks are its full-space ordinals, so this is a slice.
     """
-    return as_operator(op[sector.ranks][:, sector.ranks])
+    return as_operator(to_scipy(op)[sector.ranks][:, sector.ranks])
 
 
 def leakage(op, sector):
@@ -60,7 +61,7 @@ def leakage(op, sector):
     """
     inside = np.zeros(op.shape[0], dtype=bool)
     inside[sector.ranks] = True
-    coo = op.tocoo()
+    coo = to_scipy(op).tocoo()
     return float(np.abs(coo.data[inside[coo.row] != inside[coo.col]]).max(initial=0.0))
 
 
@@ -92,7 +93,7 @@ def kron_embed_flat(op, flat, basis):
     d = basis.order.n + 1
     left = d**flat
     right = d ** (basis.modes - 1 - flat)
-    out = sp.csr_matrix(op, dtype=np.complex128)
+    out = to_scipy(op).astype(np.complex128)
     if left > 1:
         out = sp.kron(sp.identity(left, dtype=np.complex128, format="csr"), out, format="csr")
     if right > 1:
@@ -105,7 +106,7 @@ def kron_embed(op, position, state, basis):
     if basis.sector is not None:
         raise ValueError("embedding requires a full-space basis")
     d = basis.order.n + 1
-    mat = sp.csr_matrix(op)
+    mat = to_scipy(op)
     if mat.shape != (d, d):
         raise ValueError(f"single-mode operator must be {d}x{d}, got {mat.shape}")
     flat = basis.mode_flat(position, state)
@@ -173,7 +174,7 @@ def kron_class_sum_oracle(full):
     total = sp.csr_matrix((full.dim, full.dim), dtype=np.complex128)
     for i in range(1, full.nu + 1):
         for j in range(i + 1, full.nu + 1):
-            total = total + kron_exchange_oracle(full, i, j)
+            total = total + to_scipy(kron_exchange_oracle(full, i, j))
     return as_operator(total)
 
 
@@ -191,7 +192,7 @@ def kron_generator_oracle(full, k, l):
 def kron_casimir_oracles(full):
     """Reference C1 and C2 from the reference generators."""
     gens = {
-        (k, l): kron_generator_oracle(full, k, l)
+        (k, l): to_scipy(kron_generator_oracle(full, k, l))
         for k in range(1, full.m + 1)
         for l in range(1, full.m + 1)
     }
@@ -326,16 +327,16 @@ class TestSingleMode:
 
     def test_order_two_amplitude(self):
         ops = single_mode_ops(GentileOrder(2))
-        assert ops.a[1, 2] == pytest.approx(cmath.exp(-1j * math.pi / 6), abs=1e-12)
+        assert ops.a.toarray()[1, 2] == pytest.approx(cmath.exp(-1j * math.pi / 6), abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_structural_invariants(self, n):
         ops = single_mode_ops(GentileOrder(n))
-        assert max_abs(ops.a - ops.b.conjugate()) == 0.0
+        assert max_abs(to_scipy(ops.a) - to_scipy(ops.b).conjugate()) == 0.0
         assert max_abs(ops.a_dag - ops.a.getH()) == 0.0
         assert max_abs(ops.b_dag - ops.b.getH()) == 0.0
         # raiser column at the top state is structurally empty
-        assert ops.a_dag[:, n].nnz == 0
+        assert to_scipy(ops.a_dag)[:, n].nnz == 0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_ladder_algebra_suite(self, n):
@@ -368,7 +369,7 @@ class TestEmbedding:
         basis = enumerate_basis(2, 2, order)
         eye = sp.identity(2, dtype=complex, format="csr")
         embedded = kron_embed(eye, 1, 2, basis)
-        assert max_abs(embedded - sp.identity(basis.dim, dtype=complex)) == 0.0
+        assert max_abs(to_scipy(embedded) - sp.identity(basis.dim, dtype=complex)) == 0.0
 
     def test_number_embedding_is_occupation_diagonal(self):
         order = GentileOrder(2)
@@ -410,7 +411,7 @@ class TestRestriction:
         eye = as_operator(sp.identity(full.dim, dtype=complex))
         assert leakage(eye, sector) == 0.0
         result = restrict(eye, sector)
-        assert max_abs(result - sp.identity(sector.dim, dtype=complex)) == 0.0
+        assert max_abs(to_scipy(result) - sp.identity(sector.dim, dtype=complex)) == 0.0
 
     def test_generator_has_no_leakage(self):
         order = GentileOrder(1)
@@ -461,11 +462,11 @@ class TestExchange:
         assert leakage(exchange_op(1, 2, full), sector) < 1e-12
         tau = restrict(exchange_op(1, 2, full), sector)
         oracle = swap_matrix_oracle(sector, 1, 2)
-        assert max_abs(tau - oracle) < 1e-12
+        assert max_abs(to_scipy(tau) - oracle) < 1e-12
         # spot: (pos1 state1, pos2 state2) -> (pos1 state2, pos2 state1)
         src = ordinal(sector, (1, 0, 0, 1))
         dst = ordinal(sector, (0, 1, 1, 0))
-        assert tau[dst, src] == pytest.approx(1.0, abs=1e-12)
+        assert tau.toarray()[dst, src] == pytest.approx(1.0, abs=1e-12)
 
     def test_same_state_is_fixed_point(self):
         order = GentileOrder(1)
@@ -473,7 +474,7 @@ class TestExchange:
         sector = enumerate_basis(2, 2, order, sector=1)
         tau = restrict(exchange_op(1, 2, full), sector)
         both_first = ordinal(sector, (1, 0, 1, 0))
-        column = tau[:, both_first].toarray().ravel()
+        column = tau.toarray()[:, both_first]
         assert column[both_first] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(np.delete(column, both_first)).max() < 1e-12
 
@@ -482,7 +483,7 @@ class TestExchange:
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         tau = restrict(exchange_op(1, 2, full), sector)
-        assert max_abs(tau @ tau - sp.identity(sector.dim, dtype=complex)) < 1e-12
+        assert max_abs(to_scipy(tau @ tau) - sp.identity(sector.dim, dtype=complex)) < 1e-12
 
     def test_exchange_spectrum(self):
         order = GentileOrder(1)
@@ -504,7 +505,7 @@ class TestExchange:
         sector = enumerate_basis(2, 2, order, sector=1)
         tau = restrict(exchange_op(1, 2, full), sector)
         oracle = swap_matrix_oracle(sector, 1, 2)
-        assert max_abs(tau - oracle) < 1e-12
+        assert max_abs(to_scipy(tau) - oracle) < 1e-12
 
     def test_argument_validation(self):
         order = GentileOrder(1)
@@ -553,6 +554,14 @@ class TestClassSum:
         with pytest.raises(ValueError):
             class_sum(full)
 
+    @pytest.mark.parametrize("nu, m", [(nu, m) for nu in range(2, 6) for m in (1, 2, 3)])
+    def test_spin_sector_class_sum_free_of_order(self, nu, m):
+        # Every letter meets only levels 0 and 1 on sector:1, so the class sum
+        # there, and with it the spectrum, is the same matrix at every order.
+        ref = class_sum(enumerate_basis(nu, m, GentileOrder(1), sector=1))
+        for n in (2, 3, 4):
+            assert_csr_bit_equal(class_sum(enumerate_basis(nu, m, GentileOrder(n), sector=1)), ref)
+
 
 class TestGenerators:
     def test_transfer_amplitude_is_two(self):
@@ -563,7 +572,7 @@ class TestGenerators:
         gen = unitary_generator(1, 2, full)
         src = ordinal(full, (0, 1))
         dst = ordinal(full, (1, 0))
-        assert gen[dst, src] == pytest.approx(2.0, abs=1e-12)
+        assert gen.toarray()[dst, src] == pytest.approx(2.0, abs=1e-12)
 
     def test_diagonal_generator_hermitian(self):
         order = GentileOrder(2)
@@ -629,7 +638,7 @@ class TestDiagonalOperators:
     def test_coupling_sum_is_diagonal(self):
         order = GentileOrder(2)
         full = enumerate_basis(2, 2, order)
-        mat = coupling_sum(full).tocoo()
+        mat = to_scipy(coupling_sum(full)).tocoo()
         assert np.all(mat.row == mat.col)
 
     def test_total_and_position_numbers(self):
@@ -659,7 +668,7 @@ class TestMatrixUtilities:
             order = GentileOrder(n)
             ops = single_mode_ops(order)
             bracket = ops.b @ ops.a_dag - order.q * (ops.a_dag @ ops.b)
-            assert max_abs(bracket - sp.identity(n + 1, dtype=complex)) < 1e-12
+            assert max_abs(to_scipy(bracket) - sp.identity(n + 1, dtype=complex)) < 1e-12
 
     def test_entrywise_operations(self):
         mat = sp.csr_matrix(np.array([[1 + 2j, 0], [0, -3j]]))
@@ -724,9 +733,9 @@ def test_builder_returns_pruned_canonical_csr(name, sector, n, nu, m):
     form, with sorted indices and no stored entry below ``DROP_TOL``."""
     basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
     op = BUILDERS[name](basis)
-    assert type(op) is sp.csr_matrix
-    assert op.dtype == np.complex128 and op.shape == (basis.dim, basis.dim)
-    assert op.has_canonical_format and op.has_sorted_indices
+    assert type(op) is CSR
+    assert op.data.dtype == np.complex128 and op.shape == (basis.dim, basis.dim)
+    assert to_scipy(op).has_canonical_format and to_scipy(op).has_sorted_indices
     assert np.abs(op.data).min(initial=np.inf) >= operators.DROP_TOL
 
 
@@ -915,7 +924,7 @@ class TestBlockedEigensolver:
         # every k is solved.
         spin = enumerate_basis(nu, m, GentileOrder(1), sector=1)
         shift = translation_matrix(spin)
-        mat = sp.csr_matrix(class_sum(spin) + 1j * (shift - shift.T))
+        mat = to_scipy(class_sum(spin)) + 1j * (shift - shift.T)
         expected = one_block_complex(mat)
         solved.clear()
         assert_same_clusters(eigensolve_hermitian(mat, spin), expected)
@@ -967,7 +976,7 @@ def summed_exchanges_oracle(basis):
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
     for i in range(1, basis.nu + 1):
         for j in range(i + 1, basis.nu + 1):
-            total = total + exchange_op(i, j, basis)
+            total = total + to_scipy(exchange_op(i, j, basis))
     return as_operator(total)
 
 

@@ -20,6 +20,7 @@ from gentile import (
 )
 from gentile import GentileOrder, verifier
 from gentile.basis import enumerate_basis
+from scipy_oracle import to_scipy
 from gentile.operators import (
     _ladder_cached,
     as_operator,
@@ -148,7 +149,7 @@ class TestVerdict:
         def skewed(basis):
             op = real_c1(basis)
             extra = sp.csr_matrix(([value], ([row], [col])), shape=op.shape)
-            return as_operator(op + extra)
+            return as_operator(to_scipy(op) + extra)
 
         monkeypatch.setattr(verifier, "casimir_c1", skewed)
         verdict = run_task(make_task(IdentityId.CASIMIR_SPECTRUM, n=1))
@@ -313,7 +314,7 @@ def subspaces(n, m):
 def occupation_diag(basis, fn, position, state):
     """``occ_f``/``occ_g`` of one mode's occupations, as a pruned diagonal matrix."""
     vals = fn(basis.occupations[:, basis.mode_flat(position, state)], basis.order)
-    return as_operator(sp.diags(vals, 0))
+    return to_scipy(as_operator(sp.diags(vals, 0)))
 
 
 def correction_oracle(basis, k, l):
@@ -331,7 +332,7 @@ def correction_oracle(basis, k, l):
 def generator_commutation_oracle(basis):
     """Two generator products per index tuple, diagonal-operator correction."""
     states = range(1, basis.m + 1)
-    e = {(k, l): unitary_generator(k, l, basis) for k, l in product(states, repeat=2)}
+    e = {(k, l): to_scipy(unitary_generator(k, l, basis)) for k, l in product(states, repeat=2)}
     residual = 0.0
     for k, l, p, q in product(states, repeat=4):
         d = e[k, l] @ e[p, q] - e[p, q] @ e[k, l]
@@ -351,8 +352,8 @@ def ladder_nbracket_oracle(full):
     eye = sp.identity(full.dim, dtype=np.complex128, format="csr")
     residual = 0.0
     for f1, f2 in product(range(full.modes), repeat=2):
-        lower = _ladder_cached(full, "b", f1)
-        raiser = _ladder_cached(full, "a_dag", f2)
+        lower = to_scipy(_ladder_cached(full, "b", f1))
+        raiser = to_scipy(_ladder_cached(full, "a_dag", f2))
         if f1 == f2:
             diff = lower @ raiser - q * (raiser @ lower) - eye
         else:
@@ -366,8 +367,8 @@ def sliced_leakage(op, full, sector):
     rows = sector.ranks
     outside = np.ones(full.dim, dtype=bool)
     outside[rows] = False
-    into = op[:, rows].tocoo()
-    out_of = op[rows, :].tocoo()
+    into = to_scipy(op)[:, rows].tocoo()
+    out_of = to_scipy(op)[rows, :].tocoo()
     vals = np.concatenate([into.data[outside[into.row]], out_of.data[outside[out_of.col]]])
     return float(np.abs(vals).max()) if vals.size else 0.0
 
@@ -427,7 +428,7 @@ class TestFastPathOracles:
             basis = enumerate_basis(nu, m, GentileOrder(n), sector=sub)
             totals = [sp.diags(d, 0, format="csr", dtype=np.complex128)
                       for d in position_totals(basis)]
-            oracle = max(max_abs(op @ t - t @ op)
+            oracle = max(max_abs(to_scipy(op) @ t - t @ to_scipy(op))
                          for op in conservation_operands(basis) for t in totals)
             verdict = run_task(VerificationTask(IdentityId.SECTOR_CONSERVATION, n, nu, m, sub))
             assert hex_of(verdict.residual) == oracle.hex(), sub
@@ -514,7 +515,7 @@ class TestReducedEvaluations:
             op = real(basis, name, flat)
             if (basis.nu, basis.m, name, flat) != (1, 2, "a_dag", 1):
                 return op
-            mat = op.copy()
+            mat = to_scipy(op)
             mat.data[0] += 1e-3
             return as_operator(mat)
 
