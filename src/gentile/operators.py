@@ -115,9 +115,6 @@ class CSR:
     def __setattr__(self, name, value):
         raise AttributeError(f"CSR is immutable: cannot set {name!r}")
 
-    def __repr__(self) -> str:
-        return f"<{self.shape[0]}x{self.shape[1]} complex CSR, {self.nnz} stored entries>"
-
     @property
     def nnz(self) -> int:
         return len(self.data)
@@ -154,9 +151,6 @@ class CSR:
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shapes {self.shape} and {other.shape} differ")
-        if np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices,
-                                                                         other.indices):
-            return _nonzero(self._places(), op(self.data, other.data), self.shape)
         # A stable merge of the two place lists: a place stored in both has its
         # entry of ``self`` first, which takes op(a, b); its second copy is dropped.
         places = np.concatenate((self._places(), other._places()))

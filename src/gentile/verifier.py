@@ -190,8 +190,9 @@ def _checked_basis(task: VerificationTask, cap: int, dense_cap: Optional[int] = 
 def _single_mode_diffs(order: GentileOrder) -> dict[str, tuple]:
     """Difference matrices of every single-mode relation, keyed by relation.
 
-    ``top_state_annihilation`` holds the raiser's stored entries in the column
-    of the top state, which must vanish identically.  The result is cached and shared: read only.
+    ``top_state_annihilation`` holds the raiser's stored entries in the
+    column of the top state, which must vanish identically.  The result is
+    cached and shared: read only.
     """
     ops = single_mode_ops(order)
     q = order.q
