@@ -233,13 +233,13 @@ def _coo(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[in
     places = np.asarray(rows, dtype=np.int64) * shape[1] + cols
     order = np.argsort(places, kind="stable")
     places, values = places[order], np.asarray(values, dtype=np.complex128)[order]
-    first = np.flatnonzero(np.diff(places, prepend=-1))
-    if len(first) < len(places):
-        slot = np.cumsum(np.diff(places, prepend=-1) != 0) - 1
-        summed = np.empty(len(first), dtype=np.complex128)
-        summed.real = np.bincount(slot, values.real, len(first))
-        summed.imag = np.bincount(slot, values.imag, len(first))
-        places, values = places[first], summed
+    fresh = np.diff(places, prepend=-1) != 0
+    if not fresh.all():
+        slot = fresh.cumsum() - 1
+        summed = np.empty(slot[-1] + 1, dtype=np.complex128)
+        summed.real = np.bincount(slot, values.real, len(summed))
+        summed.imag = np.bincount(slot, values.imag, len(summed))
+        places, values = places[fresh], summed
     return _from_places(places, values, shape)
 
 
