@@ -9,6 +9,7 @@ Casimir eigenvalues over integer partitions.
 
 from .basis import (
     DEFAULT_DIMENSION_CAP,
+    DENSE_EIG_CAP,
     FockBasis,
     SizingError,
     enumerate_basis,
@@ -23,7 +24,6 @@ from .heisenberg import (
     spectrum_report,
 )
 from .operators import (
-    DENSE_EIG_CAP,
     DROP_TOL,
     NonHermitianError,
     SingleModeSet,

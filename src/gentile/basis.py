@@ -25,7 +25,10 @@ A state's weight is its total over positions in each internal state,
 weight read in base ``nu*n + 1``.  Every operator built here commutes with
 the diagonal generators ``E(k,k)``, so it is block-diagonal in the weight,
 and :func:`largest_weight_block` sizes the largest block before anything is
-enumerated.
+enumerated.  This module owns all sizing: :func:`check_dimension` holds a
+space to a dimension cap and, for a dense solve, its largest weight block to
+a dense cap, and :func:`enumerate_basis` sizes every basis with it before
+enumerating it.
 
 Bases are immutable after construction and compare and hash by value,
 ``(nu, m, order, sector)``; concurrent reads are safe.
@@ -44,6 +47,9 @@ from .scalars import GentileOrder
 
 #: Largest enumeration a basis build will attempt.
 DEFAULT_DIMENSION_CAP = 2**20
+
+#: Default largest dense matrix: the largest weight block of a solve.
+DENSE_EIG_CAP = 4096
 
 
 class SizingError(ValueError):
@@ -148,7 +154,9 @@ def _capped_power(base: int, exp: int, cap: int) -> Optional[int]:
     return value
 
 
-def check_dimension(n: int, nu: int, m: int, sector: Optional[int], cap: int) -> int:
+def check_dimension(
+    n: int, nu: int, m: int, sector: Optional[int], cap: int, dense_cap: Optional[int] = None
+) -> int:
     """Dimension of the full space, ``(n+1)**(nu*m)``, or of a sector,
     ``(#compositions)**nu``, computed before any enumeration.
 
@@ -157,7 +165,10 @@ def check_dimension(n: int, nu: int, m: int, sector: Optional[int], cap: int) ->
     before its last factor is reported as more than ``cap``.  Raises
     ``ValueError`` for a sector outside ``0..n*m``, and ``SizingError`` when
     the dimension exceeds ``cap`` or when full-space ranks
-    (``(n+1)**(nu*m)`` values) would overflow 64-bit integers.
+    (``(n+1)**(nu*m)`` values) would overflow 64-bit integers.  A space that
+    is solved densely is given ``dense_cap``; once its dimension fits, its
+    :func:`largest_weight_block` must fit ``dense_cap`` too, or
+    ``SizingError`` is raised.  This is the one dense-cap check.
     """
     if sector is None:
         base, exp, space = n + 1, nu * m, "full space"
@@ -171,6 +182,10 @@ def check_dimension(n: int, nu: int, m: int, sector: Optional[int], cap: int) ->
     full_dim = _capped_power(n + 1, nu * m, 2**63)
     if full_dim is None or full_dim > 2**63:
         raise SizingError(f"full-space ranks for (n={n}, nu={nu}, m={m}) overflow 64-bit integers")
+    if dense_cap is not None:
+        block = largest_weight_block(n, nu, m, sector)
+        if block > dense_cap:
+            raise SizingError(f"dense eigensolve needs dim {block} > dense cap {dense_cap}")
     return dim
 
 
@@ -183,10 +198,10 @@ def largest_weight_block(n: int, nu: int, m: int, sector: Optional[int]) -> int:
     or all of ``0..n`` per state on the full space), multiplied out one
     position at a time on weight labels.  On the spin sector (``sector ==
     1``) a block holds the orderings of its weight, so this is the balanced
-    multinomial ``nu!/prod(w_i!)``.  Call it after :func:`check_dimension`:
-    the work grows with the number of weights, which the dimension bounds.
-    It is a pure function of its four integers and is memoized, so a point
-    sized before it is solved is counted once.
+    multinomial ``nu!/prod(w_i!)``.  :func:`check_dimension` calls it once
+    the dimension fits: the work grows with the number of weights, which the
+    dimension bounds.  It is a pure function of its four integers and is
+    memoized, so a point sized before it is solved is counted once.
     """
     if sector is None:
         per_position = np.arange((n + 1) ** m)[:, None] // _radix(n, m) % (n + 1)
@@ -236,14 +251,17 @@ def enumerate_basis(
     order: GentileOrder,
     sector: Optional[int] = None,
     cap: int = DEFAULT_DIMENSION_CAP,
+    dense_cap: Optional[int] = None,
 ) -> FockBasis:
     """Enumerate the occupation basis, optionally restricted to a sector.
 
-    Raises ``SizingError`` when the basis's own dimension (the full space's,
-    or the sector's) exceeds ``cap`` and ``ValueError`` for inconsistent
-    parameters.
+    The basis is sized by :func:`check_dimension` first, so a refused space
+    is never enumerated: ``SizingError`` when its own dimension (the full
+    space's, or the sector's) exceeds ``cap`` or, for a basis that is solved
+    densely, when its largest weight block exceeds ``dense_cap``, and
+    ``ValueError`` for inconsistent parameters.
     """
     if nu < 1 or m < 1:
         raise ValueError(f"need nu >= 1 and m >= 1, got nu={nu}, m={m}")
-    check_dimension(order.n, nu, m, sector, cap)
+    check_dimension(order.n, nu, m, sector, cap, dense_cap)
     return _enumerate_cached(nu, m, order, sector)

@@ -24,9 +24,8 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .basis import DEFAULT_DIMENSION_CAP, subspace_label
-from .heisenberg import CONSTANT_CONVENTION, FORMS, check_spectrum_point, spectrum_report
-from .operators import DENSE_EIG_CAP
+from .basis import DEFAULT_DIMENSION_CAP, DENSE_EIG_CAP, check_dimension, subspace_label
+from .heisenberg import CONSTANT_CONVENTION, FORMS, spectrum_report
 from .partitions import partition_count
 from .reporting import (
     SPECTRUM_HEADER,
@@ -293,7 +292,7 @@ def _cmd_spectrum(args) -> int:
     orders = [GentileOrder(n) for n in ns]
     # Size every point before solving any; nothing is enumerated here.
     for nu, m, order in product(nus, ms, orders):
-        check_spectrum_point(nu, m, order, args.sector, args.cap)
+        check_dimension(order.n, nu, m, args.sector, args.cap, DENSE_EIG_CAP)
 
     reports = [
         spectrum_report(

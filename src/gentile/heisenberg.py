@@ -33,13 +33,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .basis import (
-    DEFAULT_DIMENSION_CAP,
-    check_dimension,
-    enumerate_basis,
-    largest_weight_block,
-)
-from .operators import check_dense_dimension, class_sum, eigensolve_hermitian
+from .basis import DEFAULT_DIMENSION_CAP, DENSE_EIG_CAP, enumerate_basis
+from .operators import class_sum, eigensolve_hermitian
 from .partitions import Partition, casimir_value, partitions_of, weyl_dimension
 from .scalars import GentileOrder, coupling_j
 
@@ -47,6 +42,9 @@ from .scalars import GentileOrder, coupling_j
 CONSTANT_CONVENTION = 0.0
 
 FORMS = ("bose", "fermi", "gentile")
+
+#: Largest distance at which a predicted level matches an ED cluster.
+MATCH_TOL = 1e-9
 
 
 class SingularPrefactorError(ValueError):
@@ -86,14 +84,6 @@ class SpectrumReport:
     casimir: tuple[tuple[str, str, tuple[CasimirLevel, ...]], ...]
     matches: tuple[SpectrumMatch, ...]
     singular_forms: tuple[tuple[str, str], ...] = field(default_factory=tuple)
-
-
-def check_spectrum_point(nu: int, m: int, order: GentileOrder, sector: int, cap: int) -> None:
-    """Size one spectrum point without enumerating it: the sector must exist
-    and fit ``cap``, and its largest weight block must fit the dense solve.
-    """
-    check_dimension(order.n, nu, m, sector, cap)
-    check_dense_dimension(largest_weight_block(order.n, nu, m, sector))
 
 
 def _form_energy(
@@ -153,10 +143,9 @@ def _signed_match(
     variant: str,
     form: str,
     sign: int,
-    tol: float,
 ) -> SpectrumMatch:
     """The match of one overall sign: each level takes the lowest-valued ED
-    cluster within ``tol`` of its nearest distance."""
+    cluster within ``MATCH_TOL`` of its nearest distance."""
     deviation = 0.0
     factors: dict[Partition, float] = {}
     claimed = 0.0
@@ -165,7 +154,8 @@ def _signed_match(
         target = sign * level.energy
         distances = [abs(value - target) for value, _ in ed]
         nearest = min(distances)
-        value, mult = min(pair for pair, distance in zip(ed, distances) if distance - nearest < tol)
+        value, mult = min(pair for pair, distance in zip(ed, distances)
+                          if distance - nearest < MATCH_TOL)
         deviation = max(deviation, abs(value - target))
         factor = mult / level.weyl_dim
         if abs(factor - round(factor)) < 1e-9:
@@ -181,7 +171,7 @@ def _signed_match(
         sign=sign,
         max_deviation=deviation,
         factors=factors,
-        matched=deviation < tol and integral and claimed == total_ed,
+        matched=deviation < MATCH_TOL and integral and claimed == total_ed,
     )
 
 
@@ -190,24 +180,23 @@ def compare_spectra(
     casimir: Sequence[CasimirLevel],
     variant: str = "shifted",
     form: str = "bose",
-    tol: float = 1e-9,
 ) -> SpectrumMatch:
     """Match predicted levels to ED clusters, trying both overall signs.
 
-    A partition matches when some ED cluster sits within ``tol`` of its
-    (possibly sign-flipped) energy and the cluster multiplicity is an integer
-    multiple of the partition's irrep dimension -- that integer is the
-    inferred permutation-group multiplicity.  Among the clusters within
-    ``tol`` of a level's nearest distance, the lowest-valued one is taken.  A
-    matched sign beats an unmatched one; otherwise the smaller maximum
-    deviation wins, and deviations less than ``tol`` apart are a tie, won by
-    ``+1``.  So a level midway between two clusters keeps its factor and
-    sign when a cluster mean moves in its last bits.
+    A partition matches when some ED cluster sits within ``MATCH_TOL`` of
+    its (possibly sign-flipped) energy and the cluster multiplicity is an
+    integer multiple of the partition's irrep dimension -- that integer is
+    the inferred permutation-group multiplicity.  Among the clusters within
+    ``MATCH_TOL`` of a level's nearest distance, the lowest-valued one is
+    taken.  A matched sign beats an unmatched one; otherwise the smaller
+    maximum deviation wins, and deviations less than ``MATCH_TOL`` apart are
+    a tie, won by ``+1``.  So a level midway between two clusters keeps its
+    factor and sign when a cluster mean moves in its last bits.
     """
-    plus, minus = (_signed_match(ed, casimir, variant, form, sign, tol) for sign in (1, -1))
+    plus, minus = (_signed_match(ed, casimir, variant, form, sign) for sign in (1, -1))
     if plus.matched != minus.matched:
         return plus if plus.matched else minus
-    return minus if minus.max_deviation < plus.max_deviation - tol else plus
+    return minus if minus.max_deviation < plus.max_deviation - MATCH_TOL else plus
 
 
 def spectrum_report(
@@ -219,9 +208,12 @@ def spectrum_report(
     forms: Sequence[str] = FORMS,
     cap: int = DEFAULT_DIMENSION_CAP,
 ) -> SpectrumReport:
-    """Run ED and every requested partition-route prediction side by side."""
-    check_spectrum_point(nu, m, order, sector, cap)
-    basis = enumerate_basis(nu, m, order, sector=sector, cap=cap)
+    """Run ED and every requested partition-route prediction side by side.
+
+    The sector is sized before it is enumerated: its dimension against
+    ``cap``, then its largest weight block against ``DENSE_EIG_CAP``.
+    """
+    basis = enumerate_basis(nu, m, order, sector=sector, cap=cap, dense_cap=DENSE_EIG_CAP)
     ed = tuple(eigensolve_hermitian(class_sum(basis), basis))
     casimir_blocks = []
     matches = []

@@ -48,7 +48,7 @@ by momentum under the cyclic translation of positions, solves one weight
 per orbit of weights under relabelling of the internal states, and solves
 all blocks of one size in one ``eigvalsh`` call, checking each symmetry on
 the matrix first.  Its dense cap is still compared with the largest weight
-block (``basis.largest_weight_block``), not with the dimension.
+block, not with the dimension, by ``basis.check_dimension``.
 """
 
 from __future__ import annotations
@@ -63,14 +63,17 @@ from typing import Any, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .basis import FockBasis, SizingError, _radix, enumerate_basis, subspace_label
+from .basis import FockBasis, _radix, enumerate_basis, subspace_label
 from .scalars import GentileOrder, coupling_j, sqrt_bracket
 
 #: Magnitude below which assembled entries are dropped.
 DROP_TOL = 1e-14
 
-#: Default largest dense matrix: the largest weight block of a solve.
-DENSE_EIG_CAP = 4096
+#: Eigenvalues of a solve closer than this share a cluster.
+DEGENERACY_TOL = 1e-8
+
+#: Largest asymmetry, and largest deviation under a symmetry, a solve accepts.
+HERMITICITY_TOL = 1e-10
 
 
 class NonHermitianError(ValueError):
@@ -555,14 +558,6 @@ def hermitian_part(mat: CSR) -> CSR:
 # ---------------------------------------------------------------------------
 
 
-def check_dense_dimension(dim: int, dense_cap: int = DENSE_EIG_CAP) -> None:
-    """Raise ``SizingError`` when a dense matrix of ``dim`` exceeds ``dense_cap``;
-    the one dense-cap check, made on a solve's largest weight block before
-    anything is built."""
-    if dim > dense_cap:
-        raise SizingError(f"dense eigensolve needs dim {dim} > dense cap {dense_cap}")
-
-
 def _permutation(basis: FockBasis, moved: np.ndarray) -> np.ndarray:
     """Row of each state's image, given the images' occupations: the kernel's
     rank arithmetic, ``searchsorted`` on ``ranks``."""
@@ -631,14 +626,13 @@ class _Orbits:
     copies: np.ndarray
 
 
-def _symmetry_orbits(
-    mat: CSR, rows: np.ndarray, basis: Optional[FockBasis], tol: float
-) -> _Orbits:
+def _symmetry_orbits(mat: CSR, rows: np.ndarray, basis: Optional[FockBasis]) -> _Orbits:
     """Check that ``mat`` keeps the symmetries of ``basis`` and find its orbits.
 
     Raises ``ValueError`` for an entry that couples two weight blocks (named
     by the first such entry) and for a matrix that is not invariant, to
-    within ``tol``, under the translation or under an adjacent relabelling.
+    within ``HERMITICITY_TOL``, under the translation or under an adjacent
+    relabelling.
     ``None`` is the trivial group: every state is its own orbit.
     """
     dim = mat.shape[0]
@@ -662,7 +656,7 @@ def _symmetry_orbits(
                            _permutation(basis, occupations[:, :, swap])))
     for name, perm in symmetries:
         deviation = _deviation(mat, rows, perm[rows], perm[mat.indices], mat.data)
-        if deviation > tol:
+        if deviation > HERMITICITY_TOL:
             raise ValueError(f"matrix is not invariant under {name} (deviation {deviation:.3e})")
     rep, shift, period = _translation_orbits(translation, basis.nu)
     totals = occupations.sum(axis=1)
@@ -741,12 +735,7 @@ def _momentum_stacks(
     return stacks
 
 
-def eigensolve_hermitian(
-    mat: CSR,
-    basis: Optional[FockBasis] = None,
-    degeneracy_tol: float = 1e-8,
-    hermiticity_tol: float = 1e-10,
-) -> list[tuple[float, int]]:
+def eigensolve_hermitian(mat: CSR, basis: Optional[FockBasis] = None) -> list[tuple[float, int]]:
     """Ascending eigenvalues clustered into (value, multiplicity) pairs.
 
     ``mat`` acts on ``basis`` (``None`` makes it one block) and is solved in
@@ -768,22 +757,22 @@ def eigensolve_hermitian(
     made Hermitian as ``(B + B^H) / 2``, and solved by one
     ``np.linalg.eigvalsh`` call, in real arithmetic when the stack's
     imaginary parts are all exactly 0.  Consecutive eigenvalues of the sorted
-    union closer than ``degeneracy_tol`` share a cluster; cluster values are
+    union closer than ``DEGENERACY_TOL`` share a cluster; cluster values are
     the count-weighted means and multiplicities sum to the dimension.
 
     Rejects non-Hermitian input (with the measured asymmetry) and, with
     ``ValueError``, any stored entry that couples two weight blocks and a
     matrix that is not invariant under ``T`` or under each adjacent
-    relabelling ``(s, s+1)`` to within ``hermiticity_tol``.  The caller sized
-    the largest weight block with :func:`check_dense_dimension` before
-    building ``mat``.
+    relabelling ``(s, s+1)`` to within ``HERMITICITY_TOL``.  The caller sized
+    the largest weight block with ``basis.check_dimension`` before building
+    ``mat``.
     """
     mat = _as_csr(mat)
     rows = mat.rows()
     asym = _deviation(mat, rows, mat.indices, rows, mat.data.conj())
-    if asym > hermiticity_tol:
+    if asym > HERMITICITY_TOL:
         raise NonHermitianError(asym)
-    orbits = _symmetry_orbits(mat, rows, basis, hermiticity_tol)
+    orbits = _symmetry_orbits(mat, rows, basis)
     eigenvalues, counts = [], []
     for stack, copies in _momentum_stacks(mat, rows, orbits):
         stack = (stack + stack.conj().swapaxes(1, 2)) * 0.5
@@ -792,7 +781,7 @@ def eigensolve_hermitian(
     eigenvalues, counts = np.concatenate(eigenvalues), np.concatenate(counts)
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues, counts = eigenvalues[order], counts[order]
-    cuts = np.flatnonzero(np.diff(eigenvalues, prepend=-np.inf) >= degeneracy_tol)
+    cuts = np.flatnonzero(np.diff(eigenvalues, prepend=-np.inf) >= DEGENERACY_TOL)
     multiplicities = np.add.reduceat(counts, cuts)
     means = np.add.reduceat(eigenvalues * counts, cuts) / multiplicities
     return list(zip(means.tolist(), multiplicities.tolist()))

@@ -20,7 +20,7 @@ import uuid
 from typing import Iterable, Optional, Sequence
 
 from .heisenberg import SpectrumReport
-from .partitions import casimir_sp, casimir_value, weight, weyl_dimension
+from .partitions import casimir_sp, casimir_value, partitions_of, weight, weyl_dimension
 
 SPECTRUM_HEADER = ["nu", "m", "n", "source", "eigenvalue", "multiplicity", "partition", "flag"]
 
@@ -163,8 +163,6 @@ def spectrum_rows(reports: Sequence[SpectrumReport]) -> list[list]:
 
 
 def partition_table(total: int, m: int) -> list[dict]:
-    from .partitions import partitions_of
-
     table = []
     for part in partitions_of(total, m):
         table.append(

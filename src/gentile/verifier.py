@@ -14,18 +14,18 @@ and nothing else.  Identities split into two sets:
 A task that raises ``ValueError`` (sizing included) gets ``status="error"``.
 
 A row's space names the one basis its tasks evaluate on, never larger than
-the task's own: none (``single``, the relations of one or two modes, read
-on their own one- and two-mode spaces, which the dimension cap bounds too),
-the task's own subspace (``task``), or its sector (``spectral``).  On a
-sector, the word kernel's closure check keeps every operand in the sector.
+the task's own: the one- or two-mode full space (``single``, the relations
+of one or two modes, whatever the grid point), the task's own subspace
+(``task``), or its sector (``spectral``).  On a sector, the word kernel's
+closure check keeps every operand in the sector.
 A recipe reads only the operands that fix its residual bit for bit: the
 ladder bracket takes its distinct-mode commutators on the two-mode space,
 and ``generator_commutation`` skips the index tuples that are exactly zero
 or the exact negation of one it reads.  The exchange pairs of
-``duality_commutation`` differ in the last bit, so it reads them all.  Task
-bases are sized, then built, only in ``_checked_basis`` (for ``run_task``
-and ``limit_theorem_agreement``), so a sector task never builds its full
-space.  Recipes receive their basis built.
+``duality_commutation`` differ in the last bit, so it reads them all.
+``run_task`` and ``limit_theorem_agreement`` build each basis with one
+``enumerate_basis`` call, which sizes it first, so a sector task never
+builds its full space.  Recipes receive their basis built.
 
 The residual of a task is the largest entry magnitude of its sparse
 difference matrices (``operators.max_abs``), read exactly.
@@ -53,21 +53,19 @@ import numpy as np
 
 from .basis import (
     DEFAULT_DIMENSION_CAP,
+    DENSE_EIG_CAP,
     FockBasis,
-    check_dimension,
     check_sector,
     enumerate_basis,
-    largest_weight_block,
     subspace_label,
 )
 from .operators import (
     CSR,
-    DENSE_EIG_CAP,
     DROP_TOL,
+    HERMITICITY_TOL,
     _ladder_cached,
     casimir_c1,
     casimir_c2,
-    check_dense_dimension,
     class_sum,
     coupling_sum,
     diagonal_operator,
@@ -171,19 +169,6 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # Operand assembly
 # ---------------------------------------------------------------------------
-
-
-def _checked_basis(task: VerificationTask, cap: int, dense_cap: Optional[int] = None) -> FockBasis:
-    """The basis of ``task.subspace``: a sector, or the full space.
-
-    It is sized before it is enumerated.  A basis that is solved densely is
-    given ``dense_cap``, and its largest weight block must fit it.
-    """
-    args = (task.n, task.nu, task.m, task.subspace)
-    check_dimension(*args, cap)
-    if dense_cap is not None:
-        check_dense_dimension(largest_weight_block(*args), dense_cap)
-    return enumerate_basis(task.nu, task.m, GentileOrder(task.n), sector=task.subspace, cap=cap)
 
 
 @lru_cache(maxsize=64)
@@ -427,11 +412,10 @@ def _recipe_sector_conservation(task, basis):
 
 
 def _spectrum_match(task, sector):
-    # C1 is diagonal: its spectrum is its diagonal, checked real to the
-    # eigensolver's hermiticity tolerance.
+    # C1 is diagonal: its spectrum is its diagonal, which must be real.
     c1 = casimir_c1(sector)
     c1_diag = c1.diagonal()
-    if (c1 - diagonal_operator(c1_diag)).nnz or np.abs(c1_diag.imag).max() > 1e-10:
+    if (c1 - diagonal_operator(c1_diag)).nnz or np.abs(c1_diag.imag).max() > HERMITICITY_TOL:
         raise ValueError("C1 is not a real diagonal matrix")
     measured_c1 = sorted({round(v, 9) for v in c1_diag.real.tolist()})
     measured_c2 = sorted({round(v, 9) for v, _ in
@@ -480,9 +464,9 @@ def _spectrum_match(task, sector):
 
 class _Identity(NamedTuple):
     """A recipe, a tolerance (``None``: contested) and an evaluation space:
-    ``single`` (no basis), ``task`` (the task's own subspace) or ``spectral``
-    (the task's sector, ``sector:1`` for a full-space task, whose largest
-    weight block is held to the dense cap).
+    ``single`` (the one- or two-mode full space), ``task`` (the task's own
+    subspace) or ``spectral`` (the task's sector, ``sector:1`` for a
+    full-space task, whose largest weight block is held to the dense cap).
     """
 
     recipe: Callable
@@ -539,20 +523,17 @@ def run_task(
 ) -> Verdict:
     """Evaluate one task and classify the residual.
 
-    It builds the basis of the identity's space; only the spectral space,
-    the one dense solve, is held to ``dense_cap``.
+    It builds the basis of the identity's space, held to ``dimension_cap``;
+    only the spectral space, the one dense solve, is held to ``dense_cap``.
     """
     row = _IDENTITIES[task.identity]
+    nu, m, sector, dense = task.nu, task.m, task.subspace, None
+    if row.space == "single":
+        nu, m, sector = 1, (2 if task.identity is IdentityId.LADDER_NBRACKET else 1), None
+    elif row.space == "spectral":
+        sector, dense = (1 if sector is None else sector), dense_cap
     try:
-        basis = None
-        if row.space == "single":
-            modes = 2 if task.identity is IdentityId.LADDER_NBRACKET else 1
-            check_dimension(task.n, 1, modes, None, dimension_cap)
-        elif row.space == "task":
-            basis = _checked_basis(task, dimension_cap)
-        else:
-            spectral = replace(task, subspace=1 if task.subspace is None else task.subspace)
-            basis = _checked_basis(spectral, dimension_cap, dense_cap)
+        basis = enumerate_basis(nu, m, GentileOrder(task.n), sector, dimension_cap, dense)
         diffs, extra, detail = row.recipe(task, basis)
         residual = max([extra, *map(max_abs, diffs)])
     except ValueError as exc:  # SizingError included
@@ -641,7 +622,7 @@ def limit_theorem_agreement(nu: int, m: int, subspace: Optional[int] = 1) -> flo
         subspace=subspace,
         interpretation="entrywise_real",
     )
-    basis = _checked_basis(task, DEFAULT_DIMENSION_CAP)
+    basis = enumerate_basis(nu, m, GentileOrder(1), sector=subspace)
     d_theorem = _theorem_sides(task, basis)
     d_limit, _ = _limit_sides(task, basis)
     return max_abs(d_theorem - d_limit)

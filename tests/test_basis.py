@@ -223,6 +223,29 @@ class TestModeIndex:
         assert basis.mode_flat(2, 1) == 3
 
 
+class TestDenseCap:
+    # The n=1, nu=2, m=3 full space has 64 states and a largest weight block
+    # of 2**3 = 8.
+    def test_refused_point_is_never_enumerated(self):
+        order = GentileOrder(1)
+        _enumerate_cached.cache_clear()
+        with pytest.raises(SizingError, match=r"^dense eigensolve needs dim 8 > dense cap 4$"):
+            enumerate_basis(2, 3, order, cap=64, dense_cap=4)
+        assert _enumerate_cached.cache_info().misses == 0
+        assert enumerate_basis(2, 3, order, cap=64, dense_cap=8).dim == 64
+        assert _enumerate_cached.cache_info().misses == 1
+
+    def test_dimension_refusals_come_first(self):
+        # Over both caps, the dimension is named; a one-state sector whose
+        # full-space ranks overflow is refused for that, not for its block.
+        with pytest.raises(SizingError, match=r"^full space .* has dimension 64 > cap 63$"):
+            enumerate_basis(2, 3, GentileOrder(1), cap=63, dense_cap=4)
+        with pytest.raises(SizingError, match="overflow"):
+            enumerate_basis(20, 2, GentileOrder(2), sector=0, dense_cap=0)
+        with pytest.raises(ValueError, match=r"per-position total 7 not in \[0, n\*m=6\]"):
+            check_dimension(2, 2, 3, 7, 2**20, dense_cap=0)
+
+
 def fitting_shapes():
     """Every ``(n <= 3, nu <= 6, m <= 3, sector)`` that fits the default cap,
     the full space included."""

@@ -458,6 +458,7 @@ class TestGridGuards:
             raise AssertionError("partitions_of called")
 
         monkeypatch.setattr("gentile.partitions.partitions_of", refuse)
+        monkeypatch.setattr("gentile.reporting.partitions_of", refuse)
         assert run_cli(["partitions", "--N", total, "--out", str(tmp_path / "x.json")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("gentile: error: ") and "more than 10000 rows" in err

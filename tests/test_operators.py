@@ -36,7 +36,7 @@ from gentile import (
 )
 from gentile import operators, verifier
 from gentile.basis import check_dimension
-from gentile.operators import CSR, _ladder_cached, check_dense_dimension
+from gentile.operators import CSR, _ladder_cached
 from gentile.verifier import _single_mode_diffs
 from scipy_oracle import to_scipy
 
@@ -750,7 +750,7 @@ class TestEigensolver:
 
     def test_degeneracy_clustering(self):
         op = as_operator(sp.diags([0.0, 1e-9], 0, dtype=complex))
-        clusters = eigensolve_hermitian(op, degeneracy_tol=1e-8)
+        clusters = eigensolve_hermitian(op)
         assert len(clusters) == 1 and clusters[0][1] == 2
 
     def test_multiplicities_sum_to_dim(self):
@@ -767,11 +767,12 @@ class TestEigensolver:
         assert err.value.asymmetry == pytest.approx(1.0)
 
     def test_dimension_cap(self):
-        # The one dense-cap comparison; callers size a space with it before
-        # building, and the solve itself takes the matrix it is given.
-        check_dense_dimension(4, dense_cap=4)
+        # The one dense-cap comparison is the basis's sizing, made before
+        # anything is built: the n=1, nu=2, m=3 full space has 64 states and a
+        # largest weight block of 2**3 = 8.  The solve takes the matrix it is given.
+        assert check_dimension(1, 2, 3, None, 2**20, dense_cap=8) == 64
         with pytest.raises(SizingError, match="dense eigensolve needs dim 8 > dense cap 4"):
-            check_dense_dimension(8, dense_cap=4)
+            check_dimension(1, 2, 3, None, 2**20, dense_cap=4)
         op = as_operator(sp.identity(8, dtype=complex))
         assert eigensolve_hermitian(op) == [(1.0, 8)]
 

@@ -253,6 +253,18 @@ class TestGrid:
         assert verdict.detail == ("task error (SizingError): dense eigensolve needs "
                                   "dim 1716 > dense cap 1715")
 
+    def test_spectral_task_on_sector_zero_keeps_its_sector(self):
+        # sector:0 is a task's own sector, not the full space's default
+        # sector:1: its one state is a weight block of 1, while the nu=2,
+        # m=2 spin sector's largest block (2 states) is over a dense cap of 1.
+        spectral = dict(identity=IdentityId.CASIMIR_SPECTRUM, n=1, nu=2, m=2)
+        own = run_task(VerificationTask(**spectral, subspace=0), dense_cap=1)
+        assert own.status == "report_only", own.detail
+        assert own.detail.startswith("C2 measured [0.0]")
+        full = run_task(VerificationTask(**spectral, subspace=None), dense_cap=1)
+        assert full.detail == ("task error (SizingError): dense eigensolve needs "
+                               "dim 2 > dense cap 1")
+
     def test_sector_task_never_builds_its_full_space(self):
         # The full space has 2**22 states, over the default cap of 2**20; the
         # sector has 2048, and a sector task is sized and built on it alone.
