@@ -26,7 +26,6 @@ from .heisenberg import (
 from .operators import (
     DROP_TOL,
     NonHermitianError,
-    SingleModeSet,
     as_operator,
     casimir_c1,
     casimir_c2,
@@ -37,7 +36,6 @@ from .operators import (
     exchange_op,
     hermitian_part,
     max_abs,
-    single_mode_ops,
     total_number,
     unitary_generator,
 )

@@ -63,8 +63,8 @@ from typing import Any, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .basis import FockBasis, _radix, enumerate_basis, subspace_label
-from .scalars import GentileOrder, coupling_j, sqrt_bracket
+from .basis import FockBasis, _radix, subspace_label
+from .scalars import coupling_j, sqrt_bracket
 
 #: Magnitude below which assembled entries are dropped.
 DROP_TOL = 1e-14
@@ -289,35 +289,6 @@ def max_abs(mat: Matrix) -> float:
     """Largest entry magnitude (0.0 for an empty matrix)."""
     data = np.asarray(mat) if isinstance(mat, np.ndarray) else _as_csr(mat).data
     return float(np.abs(data).max(initial=0.0))
-
-
-# ---------------------------------------------------------------------------
-# Single-mode ladder matrices
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SingleModeSet:
-    """The four (n+1) x (n+1) single-mode ladder letters.
-
-    ``a`` is the entrywise conjugate of ``b``; the daggered pair are the true
-    adjoints.  The raiser column at the top state is structurally absent, so
-    truncation is exact.
-    """
-
-    a: CSR
-    b: CSR
-    a_dag: CSR
-    b_dag: CSR
-
-
-@lru_cache(maxsize=64)
-def single_mode_ops(order: GentileOrder) -> SingleModeSet:
-    """The single-mode ladder matrices of a Gentile order: each letter of the
-    word kernel on the one-mode space.
-    """
-    mode = enumerate_basis(1, 1, order)
-    return SingleModeSet(**{name: _ladder_cached(mode, name, 0) for name in _LETTERS})
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,20 @@ and nothing else.  Identities split into two sets:
 A task that raises ``ValueError`` (sizing included) gets ``status="error"``.
 
 A row's space names the one basis its tasks evaluate on, never larger than
-the task's own: the one- or two-mode full space (``single``, the relations
-of one or two modes, whatever the grid point), the task's own subspace
-(``task``), or its sector (``spectral``).  On a sector, the word kernel's
-closure check keeps every operand in the sector.
+the task's own: the one-mode or two-mode full space (``one_mode``,
+``two_mode``: the relations of one or two modes, whatever the grid point),
+the task's own subspace (``task``), or its sector (``spectral``).  On a
+sector, the word kernel's closure check keeps every operand in the sector.
+``run_task`` is the one place that turns a task into a basis: one
+``enumerate_basis`` call sizes it under the task's caps first, so a sector
+task never builds its full space and the dimension cap reaches every
+space, the single-mode ones included.  Every recipe evaluates on the basis
+it is given and reads ``n``, ``nu``, ``m`` and the order from it.
 A recipe reads only the operands that fix its residual bit for bit: the
-ladder bracket takes its distinct-mode commutators on the two-mode space,
-and ``generator_commutation`` skips the index tuples that are exactly zero
-or the exact negation of one it reads.  The exchange pairs of
+ladder bracket takes all three of its brackets on the two-mode space, and
+``generator_commutation`` skips the index tuples that are exactly zero or
+the exact negation of one it reads.  The exchange pairs of
 ``duality_commutation`` differ in the last bit, so it reads them all.
-``run_task`` and ``limit_theorem_agreement`` build each basis with one
-``enumerate_basis`` call, which sizes it first, so a sector task never
-builds its full space.  Recipes receive their basis built.
 
 The residual of a task is the largest entry magnitude of its sparse
 difference matrices (``operators.max_abs``), read exactly.
@@ -43,7 +45,7 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -74,7 +76,6 @@ from .operators import (
     exchange_op,
     hermitian_part,
     max_abs,
-    single_mode_ops,
     total_number,
     unitary_generator,
 )
@@ -172,41 +173,39 @@ class Verdict:
 
 
 @lru_cache(maxsize=64)
-def _single_mode_diffs(order: GentileOrder) -> dict[str, tuple]:
-    """Difference matrices of every single-mode relation, keyed by relation.
+def _single_mode_diffs(basis: FockBasis) -> dict[str, tuple]:
+    """Difference matrices of every single-mode relation on the one-mode
+    space ``basis``, keyed by relation.
 
     ``top_state_annihilation`` holds the raiser's stored entries in the
     column of the top state, which must vanish identically.  The result is
     cached and shared: read only.
     """
-    ops = single_mode_ops(order)
+    a, b, a_dag, b_dag = (_ladder_cached(basis, name, 0) for name in ("a", "b", "a_dag", "b_dag"))
+    order = basis.order
     q = order.q
     phase = np.exp(1j * order.x)
     levels = np.arange(order.n + 1)
-    eye = diagonal_operator(np.ones(order.n + 1))
     diag_g = diagonal_operator(occ_g(levels, order))
     diag_f = diagonal_operator(occ_f(levels, order))
 
     def self_brackets(qq):
         return (
-            ops.b @ ops.b_dag - qq * (ops.b_dag @ ops.b) - diag_f,
-            ops.a @ ops.a_dag - qq * (ops.a_dag @ ops.a) - diag_f,
+            b @ b_dag - qq * (b_dag @ b) - diag_f,
+            a @ a_dag - qq * (a_dag @ a) - diag_f,
         )
 
-    up_ab = ops.a_dag @ ops.b_dag @ ops.a_dag @ ops.b_dag
-    up_ba = ops.b_dag @ ops.a_dag @ ops.b_dag @ ops.a_dag
-    dn_ab = ops.a @ ops.b @ ops.a @ ops.b
-    dn_ba = ops.b @ ops.a @ ops.b @ ops.a
+    up_ab = a_dag @ b_dag @ a_dag @ b_dag
+    up_ba = b_dag @ a_dag @ b_dag @ a_dag
+    dn_ab = a @ b @ a @ b
+    dn_ba = b @ a @ b @ a
     return {
-        "nbracket_unit": (ops.b @ ops.a_dag - q * (ops.a_dag @ ops.b) - eye,),
-        "annihilator_pair_phase": (ops.a @ ops.b - phase * (ops.b @ ops.a),),
-        "creator_pair_phase": (ops.a_dag @ ops.b_dag - phase * (ops.b_dag @ ops.a_dag),),
-        "creator_pair_phase_double_angle": (
-            ops.a_dag @ ops.b_dag - phase * phase * (ops.b_dag @ ops.a_dag),
-        ),
-        "raiser_lowerer_diag": (ops.a_dag @ ops.a - diag_g,),
-        "ladder_gap_diag": (ops.a @ ops.a_dag - ops.a_dag @ ops.a - diag_f,),
-        "top_state_annihilation": (ops.a_dag.data[ops.a_dag.indices == order.n],),
+        "annihilator_pair_phase": (a @ b - phase * (b @ a),),
+        "creator_pair_phase": (a_dag @ b_dag - phase * (b_dag @ a_dag),),
+        "creator_pair_phase_double_angle": (a_dag @ b_dag - phase * phase * (b_dag @ a_dag),),
+        "raiser_lowerer_diag": (a_dag @ a - diag_g,),
+        "ladder_gap_diag": (a @ a_dag - a_dag @ a - diag_f,),
+        "top_state_annihilation": (a_dag.data[a_dag.indices == order.n],),
         "self_bracket_plain": self_brackets(1.0),
         "self_bracket_deformed": self_brackets(q),
         "quartic_word_bracket": (
@@ -226,26 +225,27 @@ def _single_mode(key: str, detail: str) -> Callable:
     """Recipe reading one single-mode relation, with a fixed detail."""
 
     def recipe(task, basis):
-        return _single_mode_diffs(GentileOrder(task.n))[key], 0.0, detail
+        return _single_mode_diffs(basis)[key], 0.0, detail
 
     return recipe
 
 
 @lru_cache(maxsize=64)
-def _ladder_nbracket(order: GentileOrder) -> float:
-    """Residual of the same-mode bracket and of both distinct-mode commutators.
+def _ladder_nbracket(pair: FockBasis) -> float:
+    """Residual of the same-mode bracket and of both distinct-mode
+    commutators, all on the two-mode space ``pair``.
 
-    The bracket of one mode's letters is the single-mode relation.  Letters
+    The deformed bracket of one mode's letters minus the identity is the
+    single-mode relation; the other mode only repeats its entries.  Letters
     on distinct modes commute exactly under the tensor embedding, so the
-    deformed bracket reduces to the plain commutator, which is taken on the
-    two-mode space for both orders of the pair; no statement has a sector.
+    deformed bracket reduces to the plain commutator, taken for both orders
+    of the pair; no statement has a sector.
     """
-    pair = enumerate_basis(1, 2, order)
     lower = [_ladder_cached(pair, "b", flat) for flat in (0, 1)]
     raiser = [_ladder_cached(pair, "a_dag", flat) for flat in (0, 1)]
-    diffs = _single_mode_diffs(order)["nbracket_unit"] + tuple(
-        lower[f1] @ raiser[f2] - raiser[f2] @ lower[f1] for f1, f2 in ((0, 1), (1, 0))
-    )
+    eye = diagonal_operator(np.ones(pair.dim))
+    diffs = [lower[0] @ raiser[0] - pair.order.q * (raiser[0] @ lower[0]) - eye]
+    diffs += [lower[f1] @ raiser[f2] - raiser[f2] @ lower[f1] for f1, f2 in ((0, 1), (1, 0))]
     return max(map(max_abs, diffs))
 
 
@@ -253,13 +253,13 @@ def _recipe_ladder_nbracket(task, basis):
     detail = (
         "same-mode deformed bracket minus identity; distinct modes checked "
         "with the plain commutator (tensor embedding, no inter-mode phases); "
-        "evaluated on the one- and two-mode spaces"
+        "evaluated on the two-mode space"
     )
-    return [], _ladder_nbracket(GentileOrder(task.n)), detail
+    return [], _ladder_nbracket(basis), detail
 
 
 def _recipe_creator_phase(task, basis):
-    diffs = _single_mode_diffs(GentileOrder(task.n))
+    diffs = _single_mode_diffs(basis)
     double = max_abs(diffs["creator_pair_phase_double_angle"][0])
     detail = (
         "single-mode relation; asserted phase exp(i*pi/(n+1)), the adjoint of "
@@ -270,7 +270,7 @@ def _recipe_creator_phase(task, basis):
 
 
 def _recipe_occupation_functions(task, basis):
-    diffs = _single_mode_diffs(GentileOrder(task.n))
+    diffs = _single_mode_diffs(basis)
     top_col = max_abs(diffs["top_state_annihilation"][0])
     detail = (
         "raiser-lowerer diagonal vs occ_g; ladder gap vs occ_f; extra term is "
@@ -296,7 +296,7 @@ def _occupation_correction(basis: FockBasis, k: int, l: int) -> CSR:
 
 
 def _recipe_generator_commutation(task, basis):
-    m = task.m
+    m = basis.m
     states = range(1, m + 1)
     ident = {(k, l): unitary_generator(k, l, basis) for k, l in product(states, repeat=2)}
     products = {(a, b): ident[a] @ ident[b] for a, b in permutations(ident, 2)}
@@ -328,46 +328,44 @@ def _recipe_generator_commutation(task, basis):
 
 
 def _recipe_duality(task, basis):
-    taus = [exchange_op(i, j, basis) for i, j in combinations(range(1, task.nu + 1), 2)]
-    gens = [unitary_generator(s, t, basis) for s, t in product(range(1, task.m + 1), repeat=2)]
+    taus = [exchange_op(i, j, basis) for i, j in combinations(range(1, basis.nu + 1), 2)]
+    gens = [unitary_generator(s, t, basis) for s, t in product(range(1, basis.m + 1), repeat=2)]
     diffs = [tau @ gen - gen @ tau for tau in taus for gen in gens]
     return diffs, 0.0, f"commutators of {len(taus)} exchanges with {len(gens)} generators"
 
 
-def _casimir_side(basis, m):
+def _casimir_side(basis):
     """``C2/2 - (m/2) C1`` on ``basis``, the right side of both relations."""
-    return 0.5 * casimir_c2(basis) - 0.5 * m * casimir_c1(basis)
+    return 0.5 * casimir_c2(basis) - 0.5 * basis.m * casimir_c1(basis)
 
 
-def _theorem_sides(task, basis):
+def _theorem_sides(basis, interpretation):
     """LHS-RHS matrix of the class-sum / Casimir relation on ``basis``."""
     p_mat = class_sum(basis)
     j_mat = coupling_sum(basis)
     qp = basis.order.q * p_mat
-    interp = hermitian_part(qp) if task.interpretation == "hermitian_part" else entrywise_real(qp)
-    m = task.m
-    return interp + m * j_mat - _casimir_side(basis, m)
+    interp = hermitian_part(qp) if interpretation == "hermitian_part" else entrywise_real(qp)
+    return interp + basis.m * j_mat - _casimir_side(basis)
 
 
 def _recipe_class_sum_casimir(task, basis):
-    if task.interpretation == "not_applicable":
-        task = replace(task, interpretation="entrywise_real")
-    diff = _theorem_sides(task, basis)
-    detail = f"real-part reading: {task.interpretation}"
-    return [diff], 0.0, detail
+    interpretation = task.interpretation
+    if interpretation == "not_applicable":
+        interpretation = "entrywise_real"
+    diff = _theorem_sides(basis, interpretation)
+    return [diff], 0.0, f"real-part reading: {interpretation}"
 
 
-def _limit_sides(task, basis):
-    sign = -1.0 if task.n == 1 else 1.0
+def _limit_sides(basis):
+    sign = -1.0 if basis.order.n == 1 else 1.0
     p_mat = class_sum(basis)
     n_mat = total_number(basis)
-    m = task.m
-    return sign * p_mat - m * n_mat - _casimir_side(basis, m), sign
+    return sign * p_mat - basis.m * n_mat - _casimir_side(basis), sign
 
 
 def _recipe_limit_relation(task, basis):
-    diff, sign = _limit_sides(task, basis)
-    label = "max-occupation-1 limit" if task.n == 1 else "large-n reading"
+    diff, sign = _limit_sides(basis)
+    label = "max-occupation-1 limit" if basis.order.n == 1 else "large-n reading"
     return [diff], 0.0, f"sign {sign:+.0f} ({label})"
 
 
@@ -421,11 +419,12 @@ def _spectrum_match(task, sector):
     measured_c2 = sorted({round(v, 9) for v, _ in
                           eigensolve_hermitian(casimir_c2(sector), sector)})
 
-    parts = partitions_of(task.nu, task.m)
+    nu, m = sector.nu, sector.m
+    parts = partitions_of(nu, m)
     report = []
     best: tuple[float, str] | None = None
     for variant in VARIANTS:
-        pred_c2 = sorted({float(casimir_value(2, p, task.m, variant)) for p in parts})
+        pred_c2 = sorted({float(casimir_value(2, p, m, variant)) for p in parts})
         if len(pred_c2) == len(measured_c2):
             dev = max(abs(a - b) for a, b in zip(measured_c2, pred_c2))
             note = f"{variant}: predicted {pred_c2}, deviation {dev!r}"
@@ -444,7 +443,7 @@ def _spectrum_match(task, sector):
                 f"{variant}: predicted {pred_c2} has {len(pred_c2)} distinct "
                 f"values vs measured {len(measured_c2)}"
             )
-    pred_c1 = float(task.nu)
+    pred_c1 = float(nu)
     dev_c1 = max(abs(v - pred_c1) for v in measured_c1)
     residual = best[0] if best is not None else None
     detail = (
@@ -464,9 +463,10 @@ def _spectrum_match(task, sector):
 
 class _Identity(NamedTuple):
     """A recipe, a tolerance (``None``: contested) and an evaluation space:
-    ``single`` (the one- or two-mode full space), ``task`` (the task's own
-    subspace) or ``spectral`` (the task's sector, ``sector:1`` for a
-    full-space task, whose largest weight block is held to the dense cap).
+    ``one_mode`` or ``two_mode`` (that full space, whatever the grid point),
+    ``task`` (the task's own subspace) or ``spectral`` (the task's sector,
+    ``sector:1`` for a full-space task, whose largest weight block is held to
+    the dense cap).
     """
 
     recipe: Callable
@@ -474,22 +474,26 @@ class _Identity(NamedTuple):
     space: str
 
 
+#: The single-mode spaces, each with its number of modes.
+_MODE_SPACES = {"one_mode": 1, "two_mode": 2}
+
 _SELF_BRACKET = "single-mode {} of each ladder with its own adjoint vs occ_f"
 
 _IDENTITIES: dict[IdentityId, _Identity] = {
-    IdentityId.LADDER_NBRACKET: _Identity(_recipe_ladder_nbracket, 1e-10, "single"),
+    IdentityId.LADDER_NBRACKET: _Identity(_recipe_ladder_nbracket, 1e-10, "two_mode"),
     IdentityId.ANNIHILATOR_PAIR_PHASE: _Identity(_single_mode(
-        "annihilator_pair_phase", "single-mode relation; phase exp(i*pi/(n+1))"), 1e-10, "single"),
-    IdentityId.CREATOR_PAIR_PHASE: _Identity(_recipe_creator_phase, 1e-10, "single"),
-    IdentityId.OCCUPATION_FUNCTIONS: _Identity(_recipe_occupation_functions, 1e-12, "single"),
+        "annihilator_pair_phase", "single-mode relation; phase exp(i*pi/(n+1))"), 1e-10,
+        "one_mode"),
+    IdentityId.CREATOR_PAIR_PHASE: _Identity(_recipe_creator_phase, 1e-10, "one_mode"),
+    IdentityId.OCCUPATION_FUNCTIONS: _Identity(_recipe_occupation_functions, 1e-12, "one_mode"),
     IdentityId.GENERATOR_COMMUTATION: _Identity(_recipe_generator_commutation, None, "task"),
     IdentityId.SELF_BRACKET_PLAIN: _Identity(_single_mode(
-        "self_bracket_plain", _SELF_BRACKET.format("plain commutator")), 1e-12, "single"),
+        "self_bracket_plain", _SELF_BRACKET.format("plain commutator")), 1e-12, "one_mode"),
     IdentityId.SELF_BRACKET_DEFORMED: _Identity(_single_mode(
-        "self_bracket_deformed", _SELF_BRACKET.format("deformed bracket")), None, "single"),
+        "self_bracket_deformed", _SELF_BRACKET.format("deformed bracket")), None, "one_mode"),
     IdentityId.QUARTIC_WORD_BRACKET: _Identity(_single_mode(
         "quartic_word_bracket", "single-mode deformed brackets of the alternating quartic words"),
-        None, "single"),
+        None, "one_mode"),
     IdentityId.DUALITY_COMMUTATION: _Identity(_recipe_duality, None, "task"),
     IdentityId.CLASS_SUM_CASIMIR: _Identity(_recipe_class_sum_casimir, None, "task"),
     IdentityId.LIMIT_RELATION: _Identity(_recipe_limit_relation, None, "task"),
@@ -527,9 +531,10 @@ def run_task(
     only the spectral space, the one dense solve, is held to ``dense_cap``.
     """
     row = _IDENTITIES[task.identity]
+    modes = _MODE_SPACES.get(row.space)
     nu, m, sector, dense = task.nu, task.m, task.subspace, None
-    if row.space == "single":
-        nu, m, sector = 1, (2 if task.identity is IdentityId.LADDER_NBRACKET else 1), None
+    if modes is not None:
+        nu, m, sector = 1, modes, None
     elif row.space == "spectral":
         sector, dense = (1 if sector is None else sector), dense_cap
     try:
@@ -546,7 +551,7 @@ def run_task(
             status = "pass"
         else:
             status = "fail"
-        if row.space == "single":
+        if modes is not None:
             detail += "; nu/m/subspace echo the grid point only"
     return Verdict(task, residual, status, detail)
 
@@ -614,15 +619,6 @@ def limit_theorem_agreement(nu: int, m: int, subspace: Optional[int] = 1) -> flo
     expression there (the coupling sum reduces to minus the total number), so
     they must agree whatever the shared residual is worth.
     """
-    task = VerificationTask(
-        identity=IdentityId.CLASS_SUM_CASIMIR,
-        n=1,
-        nu=nu,
-        m=m,
-        subspace=subspace,
-        interpretation="entrywise_real",
-    )
     basis = enumerate_basis(nu, m, GentileOrder(1), sector=subspace)
-    d_theorem = _theorem_sides(task, basis)
-    d_limit, _ = _limit_sides(task, basis)
-    return max_abs(d_theorem - d_limit)
+    d_limit, _ = _limit_sides(basis)
+    return max_abs(_theorem_sides(basis, "entrywise_real") - d_limit)

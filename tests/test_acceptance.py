@@ -29,7 +29,7 @@ from gentile import (
 )
 from gentile.cli import main
 from gentile.operators import max_abs
-from gentile.verifier import _single_mode_diffs
+from gentile.verifier import _ladder_nbracket, _single_mode_diffs
 
 
 def announce(number, passed, text):
@@ -40,7 +40,6 @@ def announce(number, passed, text):
 def test_criterion_1_single_mode_algebra():
     started = time.monotonic()
     keys = (
-        "nbracket_unit",
         "annihilator_pair_phase",
         "creator_pair_phase",
         "raiser_lowerer_diag",
@@ -49,8 +48,10 @@ def test_criterion_1_single_mode_algebra():
     )
     worst = 0.0
     for n in range(1, 9):
-        diffs = _single_mode_diffs(GentileOrder(n))
-        worst = max(worst, max(max_abs(d) for k in keys for d in diffs[k]))
+        order = GentileOrder(n)
+        diffs = _single_mode_diffs(enumerate_basis(1, 1, order))
+        worst = max(worst, _ladder_nbracket(enumerate_basis(1, 2, order)),
+                    max(max_abs(d) for k in keys for d in diffs[k]))
     elapsed = time.monotonic() - started
     announce(
         1,

@@ -6,6 +6,7 @@ import math
 import re
 import time
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from gentile import (
     exchange_op,
     hermitian_part,
     max_abs,
-    single_mode_ops,
     sqrt_bracket,
     total_number,
     VerificationTask,
@@ -37,7 +37,7 @@ from gentile import (
 from gentile import operators, verifier
 from gentile.basis import check_dimension
 from gentile.operators import CSR, _ladder_cached
-from gentile.verifier import _single_mode_diffs
+from gentile.verifier import _ladder_nbracket, _single_mode_diffs
 from scipy_oracle import to_scipy
 
 
@@ -65,9 +65,17 @@ def leakage(op, sector):
     return float(np.abs(coo.data[inside[coo.row] != inside[coo.col]]).max(initial=0.0))
 
 
+def mode_letters(order):
+    """The four single-mode ladder letters: the word kernel's on the one-mode space."""
+    mode = enumerate_basis(1, 1, order)
+    return SimpleNamespace(**{name: _ladder_cached(mode, name, 0)
+                              for name in ("a", "b", "a_dag", "b_dag")})
+
+
 def single_mode_residuals(order):
     """Residuals of the single-mode ladder-algebra suite, keyed by relation."""
-    return {key: max(map(max_abs, diffs)) for key, diffs in _single_mode_diffs(order).items()}
+    diffs = _single_mode_diffs(enumerate_basis(1, 1, order))
+    return {key: max(map(max_abs, d)) for key, d in diffs.items()}
 
 
 def swap_matrix_oracle(sector_basis, i, j):
@@ -117,7 +125,7 @@ def kron_embed(op, position, state, basis):
 def entrywise_letters(order):
     """The four single-mode ladder letters, assigned entry by entry.
 
-    An oracle for ``single_mode_ops``, independent of the word kernel.
+    An oracle for :func:`mode_letters`, independent of the word kernel.
     """
     d = order.n + 1
     b = sp.lil_matrix((d, d), dtype=np.complex128)
@@ -315,23 +323,23 @@ class TestSingleMode:
         # Bit for bit: the word kernel on the one-mode space assigns the
         # same amplitudes, conjugates and adjoints as entrywise assignment.
         order = GentileOrder(n)
-        ops, ref = single_mode_ops(order), entrywise_letters(order)
+        ops, ref = mode_letters(order), entrywise_letters(order)
         for name in ("a", "b", "a_dag", "b_dag"):
             assert_csr_bit_equal(getattr(ops, name), ref[name])
 
     def test_fermi_like_matrices(self):
-        ops = single_mode_ops(GentileOrder(1))
+        ops = mode_letters(GentileOrder(1))
         a = ops.a.toarray()
         assert a[0, 1] == 1.0 + 0j
         assert np.count_nonzero(a) == 1
 
     def test_order_two_amplitude(self):
-        ops = single_mode_ops(GentileOrder(2))
+        ops = mode_letters(GentileOrder(2))
         assert ops.a.toarray()[1, 2] == pytest.approx(cmath.exp(-1j * math.pi / 6), abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_structural_invariants(self, n):
-        ops = single_mode_ops(GentileOrder(n))
+        ops = mode_letters(GentileOrder(n))
         assert max_abs(to_scipy(ops.a) - to_scipy(ops.b).conjugate()) == 0.0
         assert max_abs(ops.a_dag - ops.a.getH()) == 0.0
         assert max_abs(ops.b_dag - ops.b.getH()) == 0.0
@@ -341,8 +349,8 @@ class TestSingleMode:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_ladder_algebra_suite(self, n):
         residuals = single_mode_residuals(GentileOrder(n))
+        assert _ladder_nbracket(enumerate_basis(1, 2, GentileOrder(n))) < 1e-12
         for key in (
-            "nbracket_unit",
             "annihilator_pair_phase",
             "creator_pair_phase",
             "raiser_lowerer_diag",
@@ -381,7 +389,7 @@ class TestEmbedding:
     def test_different_modes_commute(self):
         order = GentileOrder(1)
         basis = enumerate_basis(2, 2, order)
-        ops = single_mode_ops(order)
+        ops = mode_letters(order)
         first = kron_embed(ops.a, 1, 1, basis)
         second = kron_embed(ops.a, 2, 2, basis)
         assert max_abs(first @ second - second @ first) == 0.0
@@ -398,7 +406,7 @@ class TestEmbedding:
     def test_embedded_ladder_entry_count(self):
         order = GentileOrder(2)
         basis = enumerate_basis(2, 2, order)
-        ops = single_mode_ops(order)
+        ops = mode_letters(order)
         embedded = kron_embed(ops.a, 2, 1, basis)
         assert embedded.nnz <= basis.dim
 
@@ -423,7 +431,7 @@ class TestRestriction:
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        ops = single_mode_ops(order)
+        ops = mode_letters(order)
         lone = kron_embed(ops.a, 1, 1, full)
         assert leakage(lone, sector) > 0.0
 
@@ -666,7 +674,7 @@ class TestMatrixUtilities:
     def test_n_bracket_of_ladder_is_identity(self):
         for n in range(1, 6):
             order = GentileOrder(n)
-            ops = single_mode_ops(order)
+            ops = mode_letters(order)
             bracket = ops.b @ ops.a_dag - order.q * (ops.a_dag @ ops.b)
             assert max_abs(to_scipy(bracket) - sp.identity(n + 1, dtype=complex)) < 1e-12
 

@@ -18,8 +18,8 @@ from gentile import (
     run_grid,
     run_task,
 )
-from gentile import GentileOrder, verifier
-from gentile.basis import enumerate_basis
+from gentile import GentileOrder, basis as basis_module, verifier
+from gentile.basis import DEFAULT_DIMENSION_CAP, enumerate_basis
 from scipy_oracle import to_scipy
 from gentile.operators import (
     _ladder_cached,
@@ -277,7 +277,7 @@ class TestGrid:
 
     def test_single_mode_identities_note_grid_echo(self):
         verdict = run_task(make_task(IdentityId.QUARTIC_WORD_BRACKET))
-        assert _IDENTITIES[verdict.task.identity].space == "single"
+        assert _IDENTITIES[verdict.task.identity].space == "one_mode"
         assert "echo" in verdict.detail
 
 
@@ -290,11 +290,64 @@ class TestIdentityTable:
         assert (identity in GUARANTEED) != (identity in CONTESTED)
         assert set(GUARANTEED) | CONTESTED == set(IdentityId)
         row = _IDENTITIES[identity]
-        assert row.space in ("single", "task", "spectral")
+        assert row.space in ("one_mode", "two_mode", "task", "spectral")
         assert GUARANTEED.get(identity) == row.tolerance
         verdict = run_task(make_task(identity, n=1))
         assert verdict.status != "error", verdict.detail
-        assert verdict.detail.endswith(self.ECHO) == (row.space == "single")
+        assert verdict.detail.endswith(self.ECHO) == (row.space in ("one_mode", "two_mode"))
+
+
+#: The single-mode relations, each with the modes of the full space it runs on.
+SINGLE_MODE_ROWS = {
+    IdentityId.LADDER_NBRACKET: 2,
+    IdentityId.ANNIHILATOR_PAIR_PHASE: 1,
+    IdentityId.CREATOR_PAIR_PHASE: 1,
+    IdentityId.OCCUPATION_FUNCTIONS: 1,
+    IdentityId.SELF_BRACKET_PLAIN: 1,
+    IdentityId.SELF_BRACKET_DEFORMED: 1,
+    IdentityId.QUARTIC_WORD_BRACKET: 1,
+}
+
+
+class TestSingleModeSizing:
+    """A single-mode relation evaluates on the one space ``run_task`` sized,
+    under the task's own cap: no recipe sizes a space of its own."""
+
+    @pytest.fixture
+    def sized(self, monkeypatch):
+        calls = []
+        real = basis_module.check_dimension
+
+        def spy(n, nu, m, sector, cap, dense_cap=None):
+            calls.append((nu, m, sector, cap))
+            return real(n, nu, m, sector, cap, dense_cap)
+
+        monkeypatch.setattr(basis_module, "check_dimension", spy)
+        verifier._single_mode_diffs.cache_clear()
+        verifier._ladder_nbracket.cache_clear()
+        yield calls
+        verifier._single_mode_diffs.cache_clear()
+        verifier._ladder_nbracket.cache_clear()
+
+    @pytest.mark.parametrize("identity", list(SINGLE_MODE_ROWS))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_every_space_held_to_the_task_cap(self, identity, n, sized):
+        cap = DEFAULT_DIMENSION_CAP + 1
+        verdict = run_task(VerificationTask(identity, n, 3, 2, 1), dimension_cap=cap)
+        assert verdict.status != "error", verdict.detail
+        assert sized == [(1, SINGLE_MODE_ROWS[identity], None, cap)]
+
+    def test_lowered_cap_refuses_the_two_mode_space(self, sized):
+        # At n=2 the one-mode space has 3 states and the two-mode space 9.
+        for identity, modes in SINGLE_MODE_ROWS.items():
+            verdict = run_task(VerificationTask(identity, 2, 2, 2, None), dimension_cap=3)
+            if modes == 1:
+                assert verdict.status != "error", verdict.detail
+            else:
+                assert (verdict.status, verdict.residual) == ("error", None)
+                assert verdict.detail == ("task error (SizingError): full space for "
+                                          "(n=2, nu=1, m=2) has dimension 9 > cap 3")
+        assert {cap for *_, cap in sized} == {3}
 
 
 class TestInternalConsistency:
