@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -332,6 +333,18 @@ def test_library_errors_exit_three(args, message, tmp_path, capsys):
     assert err.startswith("gentile: error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_every_exit_hands_the_frozen_objects_back(tmp_path, capsys):
+    # A call freezes what exists before it and must unfreeze it on every way
+    # out, or a process calling main repeatedly could never free its cycles.
+    frozen = gc.get_freeze_count()
+    assert run_cli(["partitions", "--N", "3", "--m", "2", "--out", str(tmp_path / "p.json")]) == 0
+    assert run_cli(["verify", "--n", "0", "--out", str(tmp_path / "x.json")]) == 3
+    with pytest.raises(SystemExit):
+        run_cli(["verify", "--no-such-flag"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
 
 
 def test_contested_task_error_exits_three_and_keeps_report(tmp_path, capsys):
