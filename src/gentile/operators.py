@@ -40,6 +40,20 @@ compiled CSR kernels the tests hold them to, and its arrays are read-only,
 so a cached matrix shared between callers cannot be changed by one of them,
 and building distinct operators concurrently is safe.
 
+A signed sum of matrices and products, ``t0 ± t1 ± ...``, is one
+:func:`signed_sum` pass with the bits of the chain of ``+``, ``-`` and ``@``
+it replaces.  Its rounding contract: the products are enumerated in ``@``'s
+order by the one helper ``@`` uses, and each output entry of a product is
+summed from 0 by ``bincount``; a matrix term's stored values are scattered
+by assignment, since a ``bincount`` would turn a ``-0.0`` part into
+``+0.0``; the first term is taken as it is and each later one applied by
+``np.add`` or ``np.subtract``, an exact complex zero between two terms
+becomes ``0 + 0j`` (the entry a merge drops), and the exact zeros of the
+result are dropped.  A scalar multiplies a matrix before it enters and
+never a product's sum, which a complex scale may round differently (the FMA
+note above).  :func:`commutator` is the two-term case, and the Casimirs
+start from the zero matrix, which keeps the rounding of ``0 + x``.
+
 Every composite also commutes with the diagonal generators ``E(k,k)``, so it
 is block-diagonal in the weight ``FockBasis.weights``; the class sum and
 ``C2`` also commute with every permutation of positions and of internal
@@ -181,32 +195,103 @@ class CSR:
     def __matmul__(self, other) -> CSR:
         if not isinstance(other, CSR):
             return NotImplemented
-        if self.shape[1] != other.shape[0]:
-            raise ValueError(f"cannot multiply shapes {self.shape} and {other.shape}")
-        shape = (self.shape[0], other.shape[1])
-        # Every product a[i, j] * b[j, k], by entry of ``self`` (so by row, then
-        # ascending j) and along row j of ``other``: entry e of ``self`` meets
-        # entries ``right`` of ``other``.
-        starts = other.indptr[self.indices]
-        counts = other.indptr[self.indices + 1] - starts
-        ends = counts.cumsum()
-        right = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
-        places = np.repeat(self.rows() * shape[1], counts) + other.indices[right]
-        # A stable sort by place keeps the products of one output entry in
-        # that order; ``slot`` is each product's output entry.
-        order = np.argsort(places, kind="stable")
-        places = places[order]
-        fresh = np.empty(len(places), dtype=bool)
-        fresh[:1] = True
-        np.not_equal(places[1:], places[:-1], out=fresh[1:])
-        slot = np.empty(len(places), dtype=np.int64)
-        slot[order] = fresh.cumsum() - 1
-        places = places[fresh]
-        a, b = np.repeat(self.data, counts), other.data[right]
-        values = np.empty(len(places), dtype=np.complex128)
-        values.real = np.bincount(slot, a.real * b.real - a.imag * b.imag, len(places))
-        values.imag = np.bincount(slot, a.real * b.imag + a.imag * b.real, len(places))
-        return _nonzero(places, values, shape)
+        shape, places, real, imag = _products(self, other)
+        places, slot = _unique_places(places)
+        return _nonzero(places, _summed(slot, real, imag, len(places)), shape)
+
+
+def _products(a: CSR, b: CSR) -> tuple:
+    """Every product ``a[i, j] * b[j, k]``, by entry of ``a`` (so by row, then
+    ascending ``j``) and along row ``j`` of ``b``: the shape of ``a @ b``,
+    each product's flat place in it, and its real and imaginary parts, each
+    formed from separate real multiplies (no fused multiply-add)."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    # Entry e of ``a`` meets the entries ``right`` of ``b``.
+    starts = b.indptr[a.indices]
+    counts = b.indptr[a.indices + 1] - starts
+    ends = counts.cumsum()
+    right = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+    places = np.repeat(a.rows() * b.shape[1], counts) + b.indices[right]
+    x, y = np.repeat(a.data, counts), b.data[right]
+    del right
+    real, imag = x.real * y.real, x.real * y.imag
+    real -= x.imag * y.imag
+    imag += x.imag * y.real
+    return (a.shape[0], b.shape[1]), places, real, imag
+
+
+def _unique_places(places: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``places``, ascending, and the index of each place among
+    them, found by one stable sort."""
+    order = np.argsort(places, kind="stable")
+    ordinal = places[order]
+    fresh = np.empty(len(places), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordinal[1:], ordinal[:-1], out=fresh[1:])
+    places = ordinal.compress(fresh)
+    # The sorted places are read; their buffer takes each one's ordinal.
+    np.cumsum(fresh, out=ordinal)
+    ordinal -= 1
+    slot = np.empty(len(ordinal), dtype=np.int64)
+    slot[order] = ordinal
+    return places, slot
+
+
+def _summed(slot: np.ndarray, real: np.ndarray, imag: np.ndarray, size: int) -> np.ndarray:
+    """The parts summed from 0 at each of ``size`` slots, in input order."""
+    values = np.empty(size, dtype=np.complex128)
+    values.real = np.bincount(slot, real, size)
+    values.imag = np.bincount(slot, imag, size)
+    return values
+
+
+def signed_sum(terms: Sequence[tuple]) -> CSR:
+    """``t0 ± t1 ± t2 ...`` in one pass, bit for bit the chain of ``CSR``
+    operations it stands for, ``((t0 ± t1) ± t2) ...``.
+
+    Each of the two or more terms is ``(sign, A)`` for the matrix ``A`` or
+    ``(sign, A, B)`` for the product ``A @ B``; a sign is ``+1`` or ``-1``,
+    the first ``+1``.  Every product of every term is enumerated once, and
+    one stable sort of all the terms' places gives each its output entry.
+    Each term is then evaluated on the distinct places and applied in order,
+    under the rounding contract of the module docstring.
+    """
+    if len(terms) < 2 or terms[0][0] != 1 or any(sign not in (1, -1) for sign, *_ in terms):
+        raise ValueError("signed_sum needs two or more terms with signs +1 or -1, the first +1")
+    shapes, places, parts = set(), [], []
+    for _, *factors in terms:
+        if len(factors) == 2:
+            shape, term_places, *values = _products(*factors)
+        else:
+            shape, term_places, values = factors[0].shape, factors[0]._places(), factors[0].data
+        shapes.add(shape)
+        places.append(term_places)
+        parts.append(values)
+    if len(shapes) > 1:
+        raise ValueError(f"terms of shapes {sorted(shapes)} cannot be summed")
+    bounds = np.cumsum([0] + [len(term_places) for term_places in places])
+    places = np.concatenate(places)  # the terms' own arrays are freed before the sort
+    places, slot = _unique_places(places)
+    for index, ((sign, *_), values) in enumerate(zip(terms, parts)):
+        at = slot[bounds[index]:bounds[index + 1]]
+        if isinstance(values, list):
+            term = _summed(at, *values, len(places))
+        else:
+            term = np.zeros(len(places), dtype=np.complex128)
+            term[at] = values
+        if index == 0:
+            total = term
+            continue
+        if index > 1:
+            total[total == 0] = 0  # the entry a merge drops reads 0 + 0j
+        (np.add if sign == 1 else np.subtract)(total, term, out=total)
+    return _nonzero(places, total, shapes.pop())
+
+
+def commutator(a: CSR, b: CSR) -> CSR:
+    """``a @ b - b @ a`` in one :func:`signed_sum` pass, bit for bit."""
+    return signed_sum([(1, a, b), (-1, b, a)])
 
 
 #: A matrix argument: a :class:`CSR`, a dense 2-D array, or any other sparse
@@ -481,21 +566,22 @@ def unitary_generator(k: int, l: int, basis: FockBasis) -> CSR:
 
 @lru_cache(maxsize=64)
 def casimir_c1(basis: FockBasis) -> CSR:
-    """First-order Casimir: sum of the diagonal generators, on any basis."""
-    total = zero_operator(basis.dim)
-    for l in range(1, basis.m + 1):
-        total = total + _generator_cached(basis, l, l)
-    return as_operator(total)
+    """First-order Casimir: sum of the diagonal generators, on any basis.
+
+    The sum starts from the zero matrix, which keeps the rounding of
+    ``0 + E(1,1) + ...``."""
+    terms = [(1, _generator_cached(basis, l, l)) for l in range(1, basis.m + 1)]
+    return as_operator(signed_sum([(1, zero_operator(basis.dim))] + terms))
 
 
 @lru_cache(maxsize=64)
 def casimir_c2(basis: FockBasis) -> CSR:
-    """Second-order Casimir: sum over k, l of E(k,l) E(l,k), on any basis."""
-    total = zero_operator(basis.dim)
-    for k in range(1, basis.m + 1):
-        for l in range(1, basis.m + 1):
-            total = total + _generator_cached(basis, k, l) @ _generator_cached(basis, l, k)
-    return as_operator(total)
+    """Second-order Casimir: sum over k, l of E(k,l) E(l,k), on any basis,
+    from the zero matrix as :func:`casimir_c1`."""
+    states = range(1, basis.m + 1)
+    terms = [(1, _generator_cached(basis, k, l), _generator_cached(basis, l, k))
+             for k in states for l in states]
+    return as_operator(signed_sum([(1, zero_operator(basis.dim))] + terms))
 
 
 def coupling_sum(basis: FockBasis) -> CSR:

@@ -30,7 +30,14 @@ the exact negation of one it reads.  The exchange pairs of
 ``duality_commutation`` differ in the last bit, so it reads them all.
 
 The residual of a task is the largest entry magnitude of its sparse
-difference matrices (``operators.max_abs``), read exactly.
+difference matrices (``operators.max_abs``), read exactly.  Each commutator
+and multi-term difference is one ``operators.signed_sum``, bit for bit the
+chain of sparse operations it replaces, and the residuals are streamed: a
+recipe hands its differences back lazily, so ``run_task`` holds one at a
+time, and a ``ValueError`` raised while it reads them is a task error like
+any other.  The spectral comparison holds no matrix and is cached by its
+sector basis, so a full-space task and the ``sector:1`` task of one point
+share one dense solve.
 Diagonal operands (position totals, the occupation-function correction)
 are numpy vectors, never sparse products.  The spectral space is the one
 dense solve, in the (weight, momentum) blocks of
@@ -48,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -69,6 +76,7 @@ from .operators import (
     casimir_c1,
     casimir_c2,
     class_sum,
+    commutator,
     coupling_sum,
     diagonal_operator,
     eigensolve_hermitian,
@@ -76,6 +84,7 @@ from .operators import (
     exchange_op,
     hermitian_part,
     max_abs,
+    signed_sum,
     total_number,
     unitary_generator,
 )
@@ -203,8 +212,8 @@ def _single_mode_diffs(basis: FockBasis) -> dict[str, tuple]:
         "annihilator_pair_phase": (a @ b - phase * (b @ a),),
         "creator_pair_phase": (a_dag @ b_dag - phase * (b_dag @ a_dag),),
         "creator_pair_phase_double_angle": (a_dag @ b_dag - phase * phase * (b_dag @ a_dag),),
-        "raiser_lowerer_diag": (a_dag @ a - diag_g,),
-        "ladder_gap_diag": (a @ a_dag - a_dag @ a - diag_f,),
+        "raiser_lowerer_diag": (signed_sum([(1, a_dag, a), (-1, diag_g)]),),
+        "ladder_gap_diag": (signed_sum([(1, a, a_dag), (-1, a_dag, a), (-1, diag_f)]),),
         "top_state_annihilation": (a_dag.data[a_dag.indices == order.n],),
         "self_bracket_plain": self_brackets(1.0),
         "self_bracket_deformed": self_brackets(q),
@@ -245,7 +254,7 @@ def _ladder_nbracket(pair: FockBasis) -> float:
     raiser = [_ladder_cached(pair, "a_dag", flat) for flat in (0, 1)]
     eye = diagonal_operator(np.ones(pair.dim))
     diffs = [lower[0] @ raiser[0] - pair.order.q * (raiser[0] @ lower[0]) - eye]
-    diffs += [lower[f1] @ raiser[f2] - raiser[f2] @ lower[f1] for f1, f2 in ((0, 1), (1, 0))]
+    diffs += [commutator(lower[f1], raiser[f2]) for f1, f2 in ((0, 1), (1, 0))]
     return max(map(max_abs, diffs))
 
 
@@ -299,7 +308,6 @@ def _recipe_generator_commutation(task, basis):
     m = basis.m
     states = range(1, m + 1)
     ident = {(k, l): unitary_generator(k, l, basis) for k, l in product(states, repeat=2)}
-    products = {(a, b): ident[a] @ ident[b] for a, b in permutations(ident, 2)}
 
     # The residual is the maximum over all m**4 tuples, read off fewer of
     # them: a tuple (k,l,k,l) is exactly zero (P - P, then -E + E and a zero
@@ -308,35 +316,37 @@ def _recipe_generator_commutation(task, basis):
     # gets both delta terms, so it keeps both orders.
     tuples = [(*a, *b) for a, b in combinations(ident, 2)]
     tuples += [(l, k, k, l) for k, l in ident if k < l]
-    diffs = []
-    for k, l, p, q in tuples:
-        d = products[(k, l), (p, q)] - products[(p, q), (k, l)]
-        if l == p:
-            d = d - ident[(k, q)]
-        if q == k:
-            d = d + ident[(p, l)]
-        if l == p and q == k:
-            d = d - 2.0 * _occupation_correction(basis, k, l)
-        diffs.append(d)
+
+    def diffs():
+        for k, l, p, q in tuples:
+            terms = [(1, ident[k, l], ident[p, q]), (-1, ident[p, q], ident[k, l])]
+            if l == p:
+                terms.append((-1, ident[k, q]))
+            if q == k:
+                terms.append((1, ident[p, l]))
+            if l == p and q == k:
+                terms.append((-1, 2.0 * _occupation_correction(basis, k, l)))
+            yield signed_sum(terms)
+
     detail = (
         "generator commutators vs delta terms plus the occupation-function "
         f"correction, all {m}**4 index tuples; the correction need not cancel "
         "(occ_f(0) = +1 and occ_f tends to +1 at large order, so the "
         "antisymmetrized f*g sum survives)"
     )
-    return diffs, 0.0, detail
+    return diffs(), 0.0, detail
 
 
 def _recipe_duality(task, basis):
     taus = [exchange_op(i, j, basis) for i, j in combinations(range(1, basis.nu + 1), 2)]
     gens = [unitary_generator(s, t, basis) for s, t in product(range(1, basis.m + 1), repeat=2)]
-    diffs = [tau @ gen - gen @ tau for tau in taus for gen in gens]
+    diffs = (commutator(tau, gen) for tau in taus for gen in gens)
     return diffs, 0.0, f"commutators of {len(taus)} exchanges with {len(gens)} generators"
 
 
 def _casimir_side(basis):
     """``C2/2 - (m/2) C1`` on ``basis``, the right side of both relations."""
-    return 0.5 * casimir_c2(basis) - 0.5 * basis.m * casimir_c1(basis)
+    return signed_sum([(1, 0.5 * casimir_c2(basis)), (-1, 0.5 * basis.m * casimir_c1(basis))])
 
 
 def _theorem_sides(basis, interpretation):
@@ -345,7 +355,7 @@ def _theorem_sides(basis, interpretation):
     j_mat = coupling_sum(basis)
     qp = basis.order.q * p_mat
     interp = hermitian_part(qp) if interpretation == "hermitian_part" else entrywise_real(qp)
-    return interp + basis.m * j_mat - _casimir_side(basis)
+    return signed_sum([(1, interp), (1, basis.m * j_mat), (-1, _casimir_side(basis))])
 
 
 def _recipe_class_sum_casimir(task, basis):
@@ -360,7 +370,8 @@ def _limit_sides(basis):
     sign = -1.0 if basis.order.n == 1 else 1.0
     p_mat = class_sum(basis)
     n_mat = total_number(basis)
-    return sign * p_mat - basis.m * n_mat - _casimir_side(basis), sign
+    side = signed_sum([(1, sign * p_mat), (-1, basis.m * n_mat), (-1, _casimir_side(basis))])
+    return side, sign
 
 
 def _recipe_limit_relation(task, basis):
@@ -370,9 +381,7 @@ def _recipe_limit_relation(task, basis):
 
 
 def _recipe_casimir_hermiticity(task, basis):
-    c1 = casimir_c1(basis)
-    c2 = casimir_c2(basis)
-    diffs = [c1 - c1.getH(), c2 - c2.getH()]
+    diffs = (signed_sum([(1, c), (-1, c.getH())]) for c in (casimir_c1(basis), casimir_c2(basis)))
     return diffs, 0.0, "adjoint comparison of both Casimir operators"
 
 
@@ -409,7 +418,15 @@ def _recipe_sector_conservation(task, basis):
     return [], residual, f"{len(ops)} operators x {nu} position totals; {detail}"
 
 
-def _spectrum_match(task, sector):
+def _recipe_spectrum(task, sector):
+    return _spectrum_match(sector)
+
+
+@lru_cache(maxsize=64)
+def _spectrum_match(sector: FockBasis) -> tuple[tuple, Optional[float], str]:
+    """The spectral comparison on ``sector``, cached by it: a full-space task
+    and the ``sector:1`` task of one point solve the same C2 on the same
+    basis.  The result holds no matrix."""
     # C1 is diagonal: its spectrum is its diagonal, which must be real.
     c1 = casimir_c1(sector)
     c1_diag = c1.diagonal()
@@ -453,7 +470,7 @@ def _spectrum_match(task, sector):
         + f"; C1 measured {measured_c1} vs partition weight {pred_c1!r} "
         f"(deviation {dev_c1!r})"
     )
-    return [], residual, detail
+    return (), residual, detail
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +516,7 @@ _IDENTITIES: dict[IdentityId, _Identity] = {
     IdentityId.LIMIT_RELATION: _Identity(_recipe_limit_relation, None, "task"),
     IdentityId.CASIMIR_HERMITICITY: _Identity(_recipe_casimir_hermiticity, 1e-10, "task"),
     IdentityId.SECTOR_CONSERVATION: _Identity(_recipe_sector_conservation, 1e-10, "task"),
-    IdentityId.CASIMIR_SPECTRUM: _Identity(_spectrum_match, None, "spectral"),
+    IdentityId.CASIMIR_SPECTRUM: _Identity(_recipe_spectrum, None, "spectral"),
 }
 
 #: Identities asserted to hold, with their pass tolerances.

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gentile import basis as basis_module
+from gentile import basis as basis_module, verifier
 from gentile.basis import largest_weight_block
 from gentile.cli import main
 from gentile.operators import as_operator, casimir_c2, class_sum
@@ -397,6 +397,9 @@ def test_block_coupling_refused_by_spectrum(monkeypatch, tmp_path, capsys):
 
 
 def test_block_coupling_is_a_verify_task_error(monkeypatch, tmp_path, capsys):
+    # The spectral comparison is cached by its sector basis: an earlier
+    # test's result must not stand in for the patched C2's.
+    verifier._spectrum_match.cache_clear()
     monkeypatch.setattr("gentile.verifier.casimir_c2", coupled(casimir_c2))
     out = tmp_path / "v.json"
     assert run_cli(["verify", "--n", "1", "--nu", "2", "--m", "2", "--subspace", "sector:1",

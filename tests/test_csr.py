@@ -3,7 +3,8 @@
 scipy is a test-only oracle here: every operation of ``operators.CSR`` must
 give the ``indptr``, ``indices`` and ``data`` bits that scipy's compiled CSR
 kernels give for the same operands, and the CLI must run without importing
-scipy at all.
+scipy at all.  ``signed_sum`` and ``commutator`` are held to the chain of
+``CSR`` operations they replace, which is held to scipy here.
 """
 
 import itertools
@@ -31,7 +32,7 @@ from gentile import (
     total_number,
     unitary_generator,
 )
-from gentile.operators import CSR, DROP_TOL
+from gentile.operators import CSR, DROP_TOL, commutator, signed_sum
 from scipy_oracle import to_scipy
 
 
@@ -136,6 +137,97 @@ def test_random_canonical_matrices_bit_equal_to_scipy(triple):
     for a, b in itertools.product([left, other, library(triple[0].conj())], repeat=2):
         assert_bit_equal(a + b, to_scipy(a) + to_scipy(b))
         assert_bit_equal(a - b, to_scipy(a) - to_scipy(b))
+
+
+def chain(terms):
+    """The ``CSR`` operations ``signed_sum(terms)`` stands for, one at a time."""
+    total = None
+    for sign, *factors in terms:
+        term = factors[0] @ factors[1] if len(factors) == 2 else factors[0]
+        total = term if total is None else total + term if sign == 1 else total - term
+    return total
+
+
+def assert_same_bits(got, ref):
+    """``got`` stores exactly the entries of the library CSR ``ref``."""
+    assert_bit_equal(got, to_scipy(ref))
+
+
+@pytest.mark.parametrize("n, nu, m, sector", DEFAULT_SPACES)
+def test_signed_sum_of_every_builder_pair_is_the_chain(n, nu, m, sector):
+    basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
+    ops = builders(basis)
+    for a, b in itertools.product(ops, repeat=2):
+        assert_same_bits(commutator(a, b), a @ b - b @ a)
+        for terms in ([(1, a), (-1, b, a), (1, 0.5 * b)], [(1, b, a), (1, a, b), (-1, a)]):
+            assert_same_bits(signed_sum(terms), chain(terms))
+
+
+#: Entries with a -0.0 part, which a sum may keep or lose.
+SIGNED_ZERO_PARTS = st.sampled_from([complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0, -0.0)])
+
+
+@st.composite
+def signed_sum_terms(draw):
+    """Terms over a pool of square matrices: canonical ones, some with -0.0
+    parts, and the explicit zeros of ``0.0 * A``; the first term's sign is +1."""
+    dim = draw(st.integers(1, 5))
+
+    def matrix():
+        values = draw(st.lists(st.one_of(ENTRIES, SIGNED_ZERO_PARTS), min_size=dim * dim,
+                               max_size=dim * dim))
+        kept = draw(st.lists(st.booleans(), min_size=dim * dim, max_size=dim * dim))
+        return library(np.where(np.reshape(kept, (dim, dim)), np.reshape(values, (dim, dim)), 0))
+
+    pool = [matrix() for _ in range(3)]
+    pool += [0.0 * pool[0], -1.0 * pool[1]]
+    picks = st.integers(0, len(pool) - 1)
+    terms = []
+    for index in range(draw(st.integers(2, 5))):
+        sign = 1 if index == 0 else draw(st.sampled_from([1, -1]))
+        factors = [pool[draw(picks)] for _ in range(draw(st.integers(1, 2)))]
+        terms.append((sign, *factors))
+    return terms
+
+
+@given(terms=signed_sum_terms())
+@settings(max_examples=300, deadline=None)
+def test_signed_sum_of_random_terms_is_the_chain(terms):
+    assert_same_bits(signed_sum(terms), chain(terms))
+    a, b = terms[0][1], terms[-1][-1]
+    assert_same_bits(commutator(a, b), a @ b - b @ a)
+
+
+def one_entry(value):
+    """The 1 x 1 matrix that stores ``value``, an exact zero included."""
+    return CSR(np.array([0, 1]), np.array([0]), np.array([value], dtype=np.complex128), (1, 1))
+
+
+@pytest.mark.parametrize("signed, imag_sign", [
+    # (1 - 0j) - (1 + 0j) is 0 - 0j, an exact zero with a -0.0 part, which
+    # the chain drops: it reads 0 + 0j, so adding 5 - 0j keeps +0.0.
+    (((1, complex(1, -0.0)), (-1, complex(1, 0.0)), (1, complex(5, -0.0))), False),
+    # The first term is taken as it is, an exact zero stored with -0.0 parts
+    # included: -0.0 - 0j plus 1 - 0j keeps -0.0.
+    (((1, complex(-0.0, -0.0)), (1, complex(1, -0.0))), True),
+])
+def test_signed_sum_drops_an_exact_zero_only_between_terms(signed, imag_sign):
+    terms = [(sign, one_entry(value)) for sign, value in signed]
+    got = signed_sum(terms)
+    assert_same_bits(got, chain(terms))
+    assert np.signbit(got.data.imag[0]) == imag_sign
+
+
+def test_signed_sum_refuses_bad_signs_and_shapes():
+    a = one_entry(1.0)
+    for terms in ([], [(1, a)], [(-1, a), (1, a)], [(1, a), (2, a)]):
+        with pytest.raises(ValueError, match="signs"):
+            signed_sum(terms)
+    wide = CSR(np.array([0, 1]), np.array([1]), np.array([1.0 + 0j]), (1, 2))
+    with pytest.raises(ValueError, match="shapes"):
+        signed_sum([(1, a), (1, wide)])
+    with pytest.raises(ValueError, match="cannot multiply"):
+        signed_sum([(1, a), (1, wide, wide)])
 
 
 @given(data=st.data())

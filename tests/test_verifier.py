@@ -140,6 +140,23 @@ class TestVerdict:
             "residual", "tolerance", "status", "detail",
         ]
 
+    def test_error_while_residuals_stream_is_a_task_error(self, monkeypatch):
+        # The duality recipe hands back its commutators lazily, so the second
+        # one fails only while run_task reads the residuals.
+        made = []
+
+        def failing(a, b):
+            made.append(a)
+            if len(made) == 2:
+                raise ValueError("planted")
+            return a
+
+        monkeypatch.setattr(verifier, "commutator", failing)
+        verdict = run_task(make_task(IdentityId.DUALITY_COMMUTATION))
+        assert len(made) == 2
+        assert (verdict.residual, verdict.status) == (None, "error")
+        assert verdict.detail == "task error (ValueError): planted"
+
     @pytest.mark.parametrize("row, col, value", [(0, 1, 1e-3), (0, 0, 1e-9j)])
     def test_non_diagonal_c1_is_a_task_error(self, monkeypatch, row, col, value):
         # The spectral comparison reads C1's spectrum off its diagonal, so it
@@ -152,6 +169,7 @@ class TestVerdict:
             return as_operator(to_scipy(op) + extra)
 
         monkeypatch.setattr(verifier, "casimir_c1", skewed)
+        verifier._spectrum_match.cache_clear()  # cached by the sector basis
         verdict = run_task(make_task(IdentityId.CASIMIR_SPECTRUM, n=1))
         assert verdict.status == "error"
         assert "C1 is not a real diagonal matrix" in verdict.detail
@@ -236,6 +254,8 @@ class TestGrid:
             return [(0.0, mat.shape[0])]
 
         monkeypatch.setattr(verifier, "eigensolve_hermitian", solve)
+        # The uncached comparison: no stubbed result outlives the test.
+        monkeypatch.setattr(verifier, "_spectrum_match", verifier._spectrum_match.__wrapped__)
         task = VerificationTask(IdentityId.CASIMIR_SPECTRUM, n=1, nu=13, m=2, subspace=1)
         verdict = run_task(task)
         assert solved == [((8192, 8192), 1716)]
