@@ -214,7 +214,7 @@ def _products(a: CSR, b: CSR) -> tuple:
     right = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
     places = np.repeat(a.rows() * b.shape[1], counts) + b.indices[right]
     x, y = np.repeat(a.data, counts), b.data[right]
-    del right
+    del right  # freed before the products' temporaries
     real, imag = x.real * y.real, x.real * y.imag
     real -= x.imag * y.imag
     imag += x.imag * y.real
@@ -262,7 +262,8 @@ def signed_sum(terms: Sequence[tuple]) -> CSR:
     shapes, places, parts = set(), [], []
     for _, *factors in terms:
         if len(factors) == 2:
-            shape, term_places, *values = _products(*factors)
+            shape, term_places, real, imag = _products(*factors)
+            values = (real, imag)
         else:
             shape, term_places, values = factors[0].shape, factors[0]._places(), factors[0].data
         shapes.add(shape)
@@ -275,7 +276,7 @@ def signed_sum(terms: Sequence[tuple]) -> CSR:
     places, slot = _unique_places(places)
     for index, ((sign, *_), values) in enumerate(zip(terms, parts)):
         at = slot[bounds[index]:bounds[index + 1]]
-        if isinstance(values, list):
+        if isinstance(values, tuple):
             term = _summed(at, *values, len(places))
         else:
             term = np.zeros(len(places), dtype=np.complex128)
