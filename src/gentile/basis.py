@@ -113,13 +113,6 @@ class FockBasis:
         integer arrays that broadcast; the caller keeps them in range."""
         return (positions - 1) * self.m + (states - 1)
 
-    def mode_flat(self, position: int, state: int) -> int:
-        if not 1 <= position <= self.nu:
-            raise ValueError(f"position must be in 1..{self.nu}, got {position}")
-        if not 1 <= state <= self.m:
-            raise ValueError(f"state must be in 1..{self.m}, got {state}")
-        return self.flat_modes(position, state)
-
 
 def subspace_label(sector: Optional[int]) -> str:
     """``full`` for the full space, ``sector:T`` for per-position total T."""

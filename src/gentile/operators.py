@@ -42,17 +42,19 @@ and building distinct operators concurrently is safe.
 
 A signed sum of matrices and products, ``t0 ± t1 ± ...``, is one
 :func:`signed_sum` pass with the bits of the chain of ``+``, ``-`` and ``@``
-it replaces.  Its rounding contract: the products are enumerated in ``@``'s
-order by the one helper ``@`` uses, and each output entry of a product is
-summed from 0 by ``bincount``; a matrix term's stored values are scattered
-by assignment, since a ``bincount`` would turn a ``-0.0`` part into
-``+0.0``; the first term is taken as it is and each later one applied by
-``np.add`` or ``np.subtract``, an exact complex zero between two terms
-becomes ``0 + 0j`` (the entry a merge drops), and the exact zeros of the
-result are dropped.  A scalar multiplies a matrix before it enters and
-never a product's sum, which a complex scale may round differently (the FMA
-note above).  :func:`commutator` is the two-term case, and the Casimirs
-start from the zero matrix, which keeps the rounding of ``0 + x``.
+it replaces; those three are its one- and two-term cases, so the contract
+has one implementation.  Its rounding contract: each product is formed from
+separate real multiplies (no FMA), and each output entry of a product is
+summed from 0 in ascending inner index by ``bincount``; a matrix term's
+stored values are scattered by assignment, since a ``bincount`` would turn
+a ``-0.0`` part into ``+0.0``; the first term is taken as it is and each
+later one applied by ``np.add`` or ``np.subtract``, an absent entry reading
+``0 + 0j``; an exact complex zero between two terms becomes ``0 + 0j`` (the
+entry the chain drops), and the exact zeros of the result are dropped.  A
+scalar multiplies a matrix before it enters and never a product's sum,
+which a complex scale may round differently (the FMA note above).
+:func:`commutator` is the two-term case of products, and the Casimirs start
+from the zero matrix, which keeps the rounding of ``0 + x``.
 
 Every composite also commutes with the diagonal generators ``E(k,k)``, so it
 is block-diagonal in the weight ``FockBasis.weights``; the class sum and
@@ -105,16 +107,11 @@ class CSR:
     ``indices`` (columns, strictly ascending) and ``data`` (``complex128``).
     The three arrays are read-only, so an operator that a cache hands out
     cannot be changed by its caller.  The arithmetic is bit for bit that of
-    the classic compiled CSR kernels, which the tests hold it to:
-
-    * ``A + B`` and ``A - B`` are elementwise on the union of the stored
-      places, an absent entry reading ``0 + 0j``, and drop exact zeros;
-    * ``A @ B`` sums each output entry from 0 in ascending inner index, each
-      complex product formed from separate real multiplies (no fused
-      multiply-add), and drops exact zeros;
-    * ``c * A`` multiplies the stored entries by the scalar ``c`` and keeps
-      every place;
-    * ``A.getH()`` is the conjugate transpose.
+    the classic compiled CSR kernels, which the tests hold it to: ``A + B``,
+    ``A - B`` and ``A @ B`` are the :func:`signed_sum` cases ``(1, A), (±1,
+    B)`` and ``(1, A, B)``; ``c * A`` multiplies the stored entries by the
+    scalar ``c`` and keeps every place; ``A.getH()`` is the conjugate
+    transpose.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape")
@@ -163,27 +160,11 @@ class CSR:
         """The flat place ``row * columns + column`` of each stored entry, ascending."""
         return self.rows() * self.shape[1] + self.indices
 
-    def _merge(self, other, op) -> CSR:
-        if not isinstance(other, CSR):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
-        # A stable merge of the two place lists: a place stored in both has its
-        # entry of ``self`` first, which takes op(a, b); its second copy is dropped.
-        places = np.concatenate((self._places(), other._places()))
-        order = np.argsort(places, kind="stable")
-        places = places[order]
-        values = np.concatenate((op(self.data, 0), op(0, other.data)))[order]
-        shared = np.flatnonzero(places[1:] == places[:-1])
-        values[shared] = op(self.data[order[shared]], other.data[order[shared + 1] - self.nnz])
-        values[shared + 1] = 0
-        return _nonzero(places, values, self.shape)
-
     def __add__(self, other) -> CSR:
-        return self._merge(other, np.add)
+        return signed_sum([(1, self), (1, other)]) if isinstance(other, CSR) else NotImplemented
 
     def __sub__(self, other) -> CSR:
-        return self._merge(other, np.subtract)
+        return signed_sum([(1, self), (-1, other)]) if isinstance(other, CSR) else NotImplemented
 
     def __mul__(self, scalar) -> CSR:
         if not isinstance(scalar, Number):
@@ -193,11 +174,7 @@ class CSR:
     __rmul__ = __mul__
 
     def __matmul__(self, other) -> CSR:
-        if not isinstance(other, CSR):
-            return NotImplemented
-        shape, places, real, imag = _products(self, other)
-        places, slot = _unique_places(places)
-        return _nonzero(places, _summed(slot, real, imag, len(places)), shape)
+        return signed_sum([(1, self, other)]) if isinstance(other, CSR) else NotImplemented
 
 
 def _products(a: CSR, b: CSR) -> tuple:
@@ -238,27 +215,19 @@ def _unique_places(places: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return places, slot
 
 
-def _summed(slot: np.ndarray, real: np.ndarray, imag: np.ndarray, size: int) -> np.ndarray:
-    """The parts summed from 0 at each of ``size`` slots, in input order."""
-    values = np.empty(size, dtype=np.complex128)
-    values.real = np.bincount(slot, real, size)
-    values.imag = np.bincount(slot, imag, size)
-    return values
-
-
 def signed_sum(terms: Sequence[tuple]) -> CSR:
     """``t0 ± t1 ± t2 ...`` in one pass, bit for bit the chain of ``CSR``
     operations it stands for, ``((t0 ± t1) ± t2) ...``.
 
-    Each of the two or more terms is ``(sign, A)`` for the matrix ``A`` or
+    Each of the one or more terms is ``(sign, A)`` for the matrix ``A`` or
     ``(sign, A, B)`` for the product ``A @ B``; a sign is ``+1`` or ``-1``,
     the first ``+1``.  Every product of every term is enumerated once, and
     one stable sort of all the terms' places gives each its output entry.
     Each term is then evaluated on the distinct places and applied in order,
     under the rounding contract of the module docstring.
     """
-    if len(terms) < 2 or terms[0][0] != 1 or any(sign not in (1, -1) for sign, *_ in terms):
-        raise ValueError("signed_sum needs two or more terms with signs +1 or -1, the first +1")
+    if not terms or terms[0][0] != 1 or any(sign not in (1, -1) for sign, *_ in terms):
+        raise ValueError("signed_sum needs one or more terms with signs +1 or -1, the first +1")
     shapes, places, parts = set(), [], []
     for _, *factors in terms:
         if len(factors) == 2:
@@ -276,18 +245,22 @@ def signed_sum(terms: Sequence[tuple]) -> CSR:
     places, slot = _unique_places(places)
     for index, ((sign, *_), values) in enumerate(zip(terms, parts)):
         at = slot[bounds[index]:bounds[index + 1]]
+        term = np.zeros(len(places), dtype=np.complex128)
         if isinstance(values, tuple):
-            term = _summed(at, *values, len(places))
+            term.real = np.bincount(at, values[0], len(places))
+            term.imag = np.bincount(at, values[1], len(places))
         else:
-            term = np.zeros(len(places), dtype=np.complex128)
             term[at] = values
         if index == 0:
             total = term
             continue
         if index > 1:
-            total[total == 0] = 0  # the entry a merge drops reads 0 + 0j
+            total[total == 0] = 0  # an exact zero the chain drops reads 0 + 0j
         (np.add if sign == 1 else np.subtract)(total, term, out=total)
-    return _nonzero(places, total, shapes.pop())
+    keep = total != 0
+    if not keep.all():
+        places, total = places.compress(keep), total.compress(keep)
+    return _from_places(places, total, shapes.pop())
 
 
 def commutator(a: CSR, b: CSR) -> CSR:
@@ -306,14 +279,6 @@ def _from_places(places: np.ndarray, values: np.ndarray, shape: tuple[int, int])
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     return CSR(indptr, places - rows * shape[1], values, shape)
-
-
-def _nonzero(places: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> CSR:
-    """:func:`_from_places` without the exact zeros."""
-    keep = values != 0
-    if not keep.all():
-        places, values = places.compress(keep), values.compress(keep)
-    return _from_places(places, values, shape)
 
 
 def _coo(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> CSR:
@@ -486,8 +451,7 @@ def _apply_words(
     return _coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (dim, dim))
 
 
-@lru_cache(maxsize=256)
-def _ladder_cached(basis: FockBasis, name: str, flat: int) -> CSR:
+def _ladder(basis: FockBasis, name: str, flat: int) -> CSR:
     """One single-mode ladder matrix (``a``, ``b``, ``a_dag`` or ``b_dag``)
     acting on one flat mode of a full basis, identity on every other mode.
     """

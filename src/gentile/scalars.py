@@ -61,11 +61,6 @@ class GentileOrder:
         """The unit phase exp(i*2*pi/(n+1))."""
         return cmath.exp(2j * math.pi / (self.n + 1))
 
-    @property
-    def dim(self) -> int:
-        """Single-mode Hilbert space dimension n+1."""
-        return self.n + 1
-
 
 def bracket_nu(nu: int, order: GentileOrder) -> complex:
     """q-number ``<nu> = (1 - q**nu)/(1 - q)`` for ``q = exp(i*2*pi/(n+1))``.

@@ -72,7 +72,7 @@ from .operators import (
     CSR,
     DROP_TOL,
     HERMITICITY_TOL,
-    _ladder_cached,
+    _ladder,
     casimir_c1,
     casimir_c2,
     class_sum,
@@ -190,7 +190,7 @@ def _single_mode_diffs(basis: FockBasis) -> dict[str, tuple]:
     column of the top state, which must vanish identically.  The result is
     cached and shared: read only.
     """
-    a, b, a_dag, b_dag = (_ladder_cached(basis, name, 0) for name in ("a", "b", "a_dag", "b_dag"))
+    a, b, a_dag, b_dag = (_ladder(basis, name, 0) for name in ("a", "b", "a_dag", "b_dag"))
     order = basis.order
     q = order.q
     phase = np.exp(1j * order.x)
@@ -250,8 +250,8 @@ def _ladder_nbracket(pair: FockBasis) -> float:
     deformed bracket reduces to the plain commutator, taken for both orders
     of the pair; no statement has a sector.
     """
-    lower = [_ladder_cached(pair, "b", flat) for flat in (0, 1)]
-    raiser = [_ladder_cached(pair, "a_dag", flat) for flat in (0, 1)]
+    lower = [_ladder(pair, "b", flat) for flat in (0, 1)]
+    raiser = [_ladder(pair, "a_dag", flat) for flat in (0, 1)]
     eye = diagonal_operator(np.ones(pair.dim))
     diffs = [lower[0] @ raiser[0] - pair.order.q * (raiser[0] @ lower[0]) - eye]
     diffs += [commutator(lower[f1], raiser[f2]) for f1, f2 in ((0, 1), (1, 0))]
@@ -295,7 +295,7 @@ def _occupation_correction(basis: FockBasis, k: int, l: int) -> CSR:
 
     def occ(fn, i, state):
         # The prune of a diagonal operator: occ_f(n/2) at even n is ~1e-16.
-        vals = fn(basis.occupations[:, basis.mode_flat(i, state)], basis.order)
+        vals = fn(basis.occupations[:, basis.flat_modes(i, state)], basis.order)
         return np.where(np.abs(vals) < DROP_TOL, 0.0, vals)
 
     total = np.zeros(basis.dim)

@@ -200,27 +200,23 @@ class TestIndexing:
 
 
 class TestModeIndex:
-    """``FockBasis.mode_flat`` is position-major: ``(position-1)*m + (state-1)``,
-    and ``flat_modes`` is its array form."""
+    """``FockBasis.flat_modes`` is position-major: ``(position-1)*m + (state-1)``,
+    for integers and for arrays that broadcast."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_flat_round_trip(self, m):
         basis = enumerate_basis(3, m, GentileOrder(1), sector=0)
-        flats = [basis.mode_flat(position, state)
+        flats = [basis.flat_modes(position, state)
                  for position in range(1, 4) for state in range(1, m + 1)]
         assert flats == list(range(basis.modes))
         positions, states = np.arange(1, 4)[:, None], np.arange(1, m + 1)
         assert basis.flat_modes(positions, states).reshape(-1).tolist() == flats
-        with pytest.raises(ValueError):
-            basis.mode_flat(4, 1)
-        with pytest.raises(ValueError):
-            basis.mode_flat(1, m + 1)
 
     def test_flat_is_position_major(self):
         basis = enumerate_basis(2, 3, GentileOrder(1), sector=0)
-        assert basis.mode_flat(1, 1) == 0
-        assert basis.mode_flat(1, 3) == 2
-        assert basis.mode_flat(2, 1) == 3
+        assert basis.flat_modes(1, 1) == 0
+        assert basis.flat_modes(1, 3) == 2
+        assert basis.flat_modes(2, 1) == 3
 
 
 class TestDenseCap:

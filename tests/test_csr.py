@@ -220,14 +220,31 @@ def test_signed_sum_drops_an_exact_zero_only_between_terms(signed, imag_sign):
 
 def test_signed_sum_refuses_bad_signs_and_shapes():
     a = one_entry(1.0)
-    for terms in ([], [(1, a)], [(-1, a), (1, a)], [(1, a), (2, a)]):
+    for terms in ([], [(-1, a), (1, a)], [(1, a), (2, a)]):
         with pytest.raises(ValueError, match="signs"):
             signed_sum(terms)
+    assert_same_bits(signed_sum([(1, a)]), a)  # one term is the case of ``@``
     wide = CSR(np.array([0, 1]), np.array([1]), np.array([1.0 + 0j]), (1, 2))
     with pytest.raises(ValueError, match="shapes"):
         signed_sum([(1, a), (1, wide)])
     with pytest.raises(ValueError, match="cannot multiply"):
         signed_sum([(1, a), (1, wide, wide)])
+
+
+def test_operators_refuse_bad_shapes_and_operands():
+    a = one_entry(1.0)
+    wide = CSR(np.array([0, 1]), np.array([1]), np.array([1.0 + 0j]), (1, 2))
+    with pytest.raises(ValueError, match="shapes"):
+        a + wide
+    with pytest.raises(ValueError, match="shapes"):
+        a - wide
+    with pytest.raises(ValueError, match="cannot multiply"):
+        wide @ wide
+    # A non-CSR operand returns NotImplemented, which Python turns into TypeError.
+    with pytest.raises(TypeError):
+        a + 1
+    with pytest.raises(TypeError):
+        a @ 1
 
 
 @given(data=st.data())

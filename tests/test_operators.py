@@ -36,7 +36,7 @@ from gentile import (
 )
 from gentile import operators, verifier
 from gentile.basis import check_dimension
-from gentile.operators import CSR, _ladder_cached
+from gentile.operators import CSR, _ladder
 from gentile.verifier import _ladder_nbracket, _single_mode_diffs
 from scipy_oracle import to_scipy
 
@@ -68,7 +68,7 @@ def leakage(op, sector):
 def mode_letters(order):
     """The four single-mode ladder letters: the word kernel's on the one-mode space."""
     mode = enumerate_basis(1, 1, order)
-    return SimpleNamespace(**{name: _ladder_cached(mode, name, 0)
+    return SimpleNamespace(**{name: _ladder(mode, name, 0)
                               for name in ("a", "b", "a_dag", "b_dag")})
 
 
@@ -117,7 +117,7 @@ def kron_embed(op, position, state, basis):
     mat = to_scipy(op)
     if mat.shape != (d, d):
         raise ValueError(f"single-mode operator must be {d}x{d}, got {mat.shape}")
-    flat = basis.mode_flat(position, state)
+    flat = basis.flat_modes(position, state)
     return as_operator(kron_embed_flat(mat, flat, basis))
 
 
@@ -164,7 +164,7 @@ def kron_exchange_oracle(full, i, j):
     products, summed, halved and pruned.
     """
     emb = kron_mode_ops(full)
-    f = full.mode_flat
+    f = full.flat_modes
     total = sp.csr_matrix((full.dim, full.dim), dtype=np.complex128)
     for k in range(1, full.m + 1):
         for l in range(1, full.m + 1):
@@ -189,7 +189,7 @@ def kron_class_sum_oracle(full):
 def kron_generator_oracle(full, k, l):
     """Reference E(k, l): both two-letter words at every position, summed."""
     emb = kron_mode_ops(full)
-    f = full.mode_flat
+    f = full.flat_modes
     total = sp.csr_matrix((full.dim, full.dim), dtype=np.complex128)
     for i in range(1, full.nu + 1):
         total = total + kron_word([emb["a_dag"][f(i, k)], emb["b"][f(i, l)]])
@@ -255,7 +255,7 @@ def test_word_application_matches_kron_oracle(n, nu, m):
     emb = kron_mode_ops(full)
     for name in ("a", "b", "a_dag", "b_dag"):
         for flat in range(full.modes):
-            op, ref = _ladder_cached(full, name, flat), emb[name][flat]
+            op, ref = _ladder(full, name, flat), emb[name][flat]
             assert np.array_equal(op.indptr, ref.indptr)
             assert np.array_equal(op.indices, ref.indices)
             assert np.array_equal(op.data, ref.data)
@@ -286,11 +286,11 @@ class TestClosureCheck:
             sector = enumerate_basis(nu, m, GentileOrder(n), sector=t)
             for name, flat in itertools.product(("a", "b", "a_dag", "b_dag"), range(nu * m)):
                 if t == (n * m if name.endswith("dag") else 0):
-                    assert _ladder_cached(sector, name, flat).nnz == 0
+                    assert _ladder(sector, name, flat).nnz == 0
                     continue
                 message = re.escape(f"word {name}({flat}) leaves the sector:{t} basis")
                 with pytest.raises(ValueError, match=message):
-                    _ladder_cached(sector, name, flat)
+                    _ladder(sector, name, flat)
 
     @pytest.mark.parametrize("n, nu, m", [p for p in ORACLE_GRID if p[0] * p[2] >= 2])
     def test_misplaced_exchange_letter(self, n, nu, m, monkeypatch):

@@ -34,7 +34,6 @@ class TestGentileOrder:
         assert order.x == pytest.approx(math.pi / (n + 1), abs=0.0)
 
     def test_extreme_orders_representable(self):
-        assert GentileOrder(1).dim == 2
         assert math.isfinite(GentileOrder(BOSE_PROXY_N).x)
 
 

@@ -22,7 +22,7 @@ from gentile import GentileOrder, basis as basis_module, verifier
 from gentile.basis import DEFAULT_DIMENSION_CAP, enumerate_basis
 from scipy_oracle import to_scipy
 from gentile.operators import (
-    _ladder_cached,
+    _ladder,
     as_operator,
     casimir_c1,
     casimir_c2,
@@ -398,7 +398,7 @@ def subspaces(n, m):
 
 def occupation_diag(basis, fn, position, state):
     """``occ_f``/``occ_g`` of one mode's occupations, as a pruned diagonal matrix."""
-    vals = fn(basis.occupations[:, basis.mode_flat(position, state)], basis.order)
+    vals = fn(basis.occupations[:, basis.flat_modes(position, state)], basis.order)
     return to_scipy(as_operator(sp.diags(vals, 0)))
 
 
@@ -437,8 +437,8 @@ def ladder_nbracket_oracle(full):
     eye = sp.identity(full.dim, dtype=np.complex128, format="csr")
     residual = 0.0
     for f1, f2 in product(range(full.modes), repeat=2):
-        lower = to_scipy(_ladder_cached(full, "b", f1))
-        raiser = to_scipy(_ladder_cached(full, "a_dag", f2))
+        lower = to_scipy(_ladder(full, "b", f1))
+        raiser = to_scipy(_ladder(full, "a_dag", f2))
         if f1 == f2:
             diff = lower @ raiser - q * (raiser @ lower) - eye
         else:
@@ -525,7 +525,7 @@ class TestFastPathOracles:
         # ladder letters leave every sector, so their jumps are not 0.
         full = enumerate_basis(nu, m, GentileOrder(n))
         totals = position_totals(full)
-        letters = [_ladder_cached(full, name, flat)
+        letters = [_ladder(full, name, flat)
                    for name in ("a", "b", "a_dag", "b_dag") for flat in range(full.modes)]
         assert all(verifier._total_jumps(op, totals) > 0.0 for op in letters)
         for sub in range(n * m + 1):
@@ -541,7 +541,7 @@ class TestFullSpaceMemo:
     kernel's closure check refuses to build it on a sector."""
 
     def test_non_conserving_operand_fails(self, monkeypatch):
-        monkeypatch.setattr(verifier, "casimir_c2", lambda basis: _ladder_cached(basis, "a_dag", 0))
+        monkeypatch.setattr(verifier, "casimir_c2", lambda basis: _ladder(basis, "a_dag", 0))
         verdict = run_task(make_task(IdentityId.SECTOR_CONSERVATION, subspace=None))
         assert verdict.status == "fail"
         assert verdict.residual > 0.0
@@ -554,7 +554,7 @@ class TestFullSpaceMemo:
         # n=2), so it is the zero operator there and the row passes.
         last = enumerate_basis(2, 2, GentileOrder(2)).modes - 1
         monkeypatch.setattr(verifier, "exchange_op",
-                            lambda i, j, basis: _ladder_cached(basis, name, last))
+                            lambda i, j, basis: _ladder(basis, name, last))
         idle = 0 if name in ("a", "b") else 4
         for sub in subspaces(2, 2):
             verdict = run_task(make_task(IdentityId.SECTOR_CONSERVATION, subspace=sub))
@@ -574,7 +574,7 @@ class TestFullSpaceMemo:
         full = enumerate_basis(2, 2, GentileOrder(n))
         totals = position_totals(full)
         for flat in range(full.modes):
-            op = _ladder_cached(full, name, flat)
+            op = _ladder(full, name, flat)
             expected = dense_total_jumps(op, full)
             got = verifier._total_jumps(op, totals)
             assert got > 0.0
@@ -594,7 +594,7 @@ class TestReducedEvaluations:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_two_mode_raiser_defect_fails_ladder_bracket(self, n, monkeypatch, fresh_ladder):
-        real = verifier._ladder_cached
+        real = verifier._ladder
 
         def perturbed(basis, name, flat):
             op = real(basis, name, flat)
@@ -604,7 +604,7 @@ class TestReducedEvaluations:
             mat.data[0] += 1e-3
             return as_operator(mat)
 
-        monkeypatch.setattr(verifier, "_ladder_cached", perturbed)
+        monkeypatch.setattr(verifier, "_ladder", perturbed)
         verdict = run_task(make_task(IdentityId.LADDER_NBRACKET, n=n))
         assert verdict.status == "fail"
         assert verdict.residual > 1e-4

@@ -31,7 +31,7 @@ from gentile import (
 )
 from gentile import operators
 from gentile.basis import _radix, subspace_label
-from gentile.operators import DROP_TOL, _ladder_cached
+from gentile.operators import DROP_TOL, _ladder
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def nested_exchange_words(basis, pairs, lowered=None):
     """The exchange terms of ``pairs``: one group per ``(k, l)``, row-major.
     ``lowered(i, j, k, l)`` gives the mode of the third letter, ``b(i,l)``
     unless a mutation moves it."""
-    f = basis.mode_flat
+    f = basis.flat_modes
     third = lowered or (lambda i, j, k, l: f(i, l))
     return [
         [[[("a_dag", f(i, k)), ("a_dag", f(j, l)), ("b", third(i, j, k, l)), ("b", f(j, k))],
@@ -152,7 +152,7 @@ def nested_exchange_sum(basis, pairs):
 
 
 def nested_generator(basis, k, l):
-    f = basis.mode_flat
+    f = basis.flat_modes
     groups = [[[("a_dag", f(i, k)), ("b", f(i, l))], [("b_dag", f(i, k)), ("a", f(i, l))]]
               for i in range(1, basis.nu + 1)]
     return as_operator(nested_apply_words(basis, [groups]))
@@ -183,7 +183,7 @@ def assert_builders_match_oracle(basis, monkeypatch):
         assert_csr_bit_equal(unitary_generator(k, l, basis), nested_generator(basis, k, l))
     if basis.sector is None:
         for name, flat in itertools.product(_LETTERS, range(basis.modes)):
-            assert_csr_bit_equal(_ladder_cached(basis, name, flat),
+            assert_csr_bit_equal(_ladder(basis, name, flat),
                                  nested_ladder(basis, name, flat))
     c1, c2 = casimir_c1(basis), casimir_c2(basis)
     with monkeypatch.context() as patch:
@@ -233,7 +233,7 @@ def test_misplaced_exchange_refused_like_oracle(n, nu, m):
     for sector in subspaces(n, nu, m):
         basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
         pairs = list(itertools.combinations(range(1, nu + 1), 2))
-        terms = nested_exchange_words(basis, pairs, lambda i, j, k, l: basis.mode_flat(j, l))
+        terms = nested_exchange_words(basis, pairs, lambda i, j, k, l: basis.flat_modes(j, l))
         i, j = np.array(pairs).T[:, :, None]
         k, l = np.indices((m, m)).reshape(2, -1) + 1
         f = basis.flat_modes
