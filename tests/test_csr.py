@@ -223,7 +223,7 @@ def test_signed_sum_refuses_bad_signs_and_shapes():
     for terms in ([], [(-1, a), (1, a)], [(1, a), (2, a)]):
         with pytest.raises(ValueError, match="signs"):
             signed_sum(terms)
-    assert_same_bits(signed_sum([(1, a)]), a)  # one term is the case of ``@``
+    assert_same_bits(signed_sum([(1, a)]), a)  # one term: ``@`` is the one-product case
     wide = CSR(np.array([0, 1]), np.array([1]), np.array([1.0 + 0j]), (1, 2))
     with pytest.raises(ValueError, match="shapes"):
         signed_sum([(1, a), (1, wide)])
