@@ -16,9 +16,12 @@ integer array of flat modes from ``FockBasis.flat_modes``.  The exchange is
 a sum of quartic words, the generator ``E(k,l)`` a sum of two-letter words
 over positions, and ``C1``, ``C2`` are sums and products of cached
 generators.
-The class sum is one kernel pass with one term per position pair, and it
-keeps the rounding of summing the exchange operators: each pair's diagonal
-is halved and pruned on its own and then added to the running diagonal in
+A family of operators is one kernel pass that hands back one matrix per
+part: all ``m**2`` generators of a basis come from one pass, and all its
+pair exchanges from another, each family cached by its basis.  The class
+sum stays one summed pass with one term per position pair, and it keeps
+the rounding of summing the exchange operators: each pair's diagonal is
+halved and pruned on its own and then added to the running diagonal in
 pair order, and each off-diagonal entry, which no two pairs share, is half
 the sum of its two words.  The kernel applies all groups of a chunk of whole
 terms at once, and one ``bincount`` adds each term's diagonal in input
@@ -72,10 +75,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import mul
 from numbers import Number
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -135,7 +138,7 @@ class CSR:
 
     def rows(self) -> np.ndarray:
         """The row of each stored entry."""
-        return np.repeat(np.arange(self.shape[0]), self.indptr[1:] - self.indptr[:-1])
+        return np.arange(self.shape[0]).repeat(self.indptr[1:] - self.indptr[:-1])
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.complex128)
@@ -187,10 +190,10 @@ def _products(a: CSR, b: CSR) -> tuple:
     # Entry e of ``a`` meets the entries ``right`` of ``b``.
     starts = b.indptr[a.indices]
     counts = b.indptr[a.indices + 1] - starts
-    ends = counts.cumsum()
-    right = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
-    places = np.repeat(a.rows() * b.shape[1], counts) + b.indices[right]
-    x, y = np.repeat(a.data, counts), b.data[right]
+    ends = np.add.accumulate(counts)
+    right = np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
+    places = (a.rows() * b.shape[1]).repeat(counts) + b.indices[right]
+    x, y = a.data.repeat(counts), b.data[right]
     del right  # freed before the products' temporaries
     real, imag = x.real * y.real, x.real * y.imag
     real -= x.imag * y.imag
@@ -208,7 +211,7 @@ def _unique_places(places: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(ordinal[1:], ordinal[:-1], out=fresh[1:])
     places = ordinal.compress(fresh)
     # The sorted places are read; their buffer takes each one's ordinal.
-    np.cumsum(fresh, out=ordinal)
+    np.add.accumulate(fresh, dtype=np.int64, out=ordinal)
     ordinal -= 1
     slot = np.empty(len(ordinal), dtype=np.int64)
     slot[order] = ordinal
@@ -240,7 +243,7 @@ def signed_sum(terms: Sequence[tuple]) -> CSR:
         parts.append(values)
     if len(shapes) > 1:
         raise ValueError(f"terms of shapes {sorted(shapes)} cannot be summed")
-    bounds = np.cumsum([0] + [len(term_places) for term_places in places])
+    bounds = list(accumulate(map(len, places), initial=0))
     places = np.concatenate(places)  # the terms' own arrays are freed before the sort
     places, slot = _unique_places(places)
     for index, ((sign, *_), values) in enumerate(zip(terms, parts)):
@@ -277,7 +280,7 @@ def _from_places(places: np.ndarray, values: np.ndarray, shape: tuple[int, int])
     """The CSR with ``values`` at the ascending, distinct flat ``places``."""
     rows = places // shape[1]
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    np.add.accumulate(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     return CSR(indptr, places - rows * shape[1], values, shape)
 
 
@@ -358,21 +361,25 @@ _CHUNK = 2**16
 def _apply_words(
     basis: FockBasis, words: Sequence[Sequence[str]], modes: np.ndarray,
     scale: Optional[float] = None,
-) -> CSR:
-    """Sum of terms of words applied to the occupation array of ``basis``.
+) -> Union[CSR, list[CSR]]:
+    """Sums of terms of words applied to the occupation array of ``basis``.
 
     ``words`` names the letters of each word of a group, left to right, so
     the rightmost letter acts first; the words differ only in which letters
     take the conjugate amplitude, so they act on the same rows and send each
-    to the same target.  ``modes[t, g]`` holds the flat mode of each letter
-    in group ``g`` of term ``t``.  A group that returns every state to itself
-    adds to its term's diagonal as ``(acc + w1) + w2``, in group order; any
-    other group stores ``w1 + w2`` at its targets.  Each term is multiplied
-    by ``scale`` (``None`` keeps the signed zeros of the words), and its
-    diagonal is pruned at ``DROP_TOL`` and added to the diagonals of the
-    terms before it.  Terms share no off-diagonal entry, so pruning those
-    once, in :func:`as_operator`, prunes each term's: the pruned result is
-    bit-identical to summing the terms' pruned matrices one after another.
+    to the same target.  ``modes[..., t, g, :]`` holds the flat mode of each
+    letter in group ``g`` of term ``t``.  A ``(terms, groups, letters)``
+    array gives the one matrix that sums its terms; a leading axis of
+    ``parts`` gives a list of ``parts`` matrices, each the sum of its own
+    terms: a family of operators from one pass.  A group that returns every
+    state to itself adds to its term's diagonal as ``(acc + w1) + w2``, in
+    group order; any other group stores ``w1 + w2`` at its targets.  Each
+    term is multiplied by ``scale`` (``None`` keeps the signed zeros of the
+    words), and its diagonal is pruned at ``DROP_TOL`` and added to the
+    diagonals of the terms before it in its part; each off-diagonal entry is
+    tagged with its part.  Terms share no off-diagonal entry, so pruning
+    those once, in :func:`as_operator`, prunes each term's: a pruned part is
+    bit-identical to summing its terms' pruned matrices one after another.
 
     Whole terms are taken in chunks of at most ``_CHUNK`` met levels (a
     larger term is a chunk alone), each in one array pass.  The level every
@@ -383,10 +390,15 @@ def _apply_words(
     in 1..n.  One ``bincount`` per real and imaginary part sums each term's
     diagonal in input order, group then word, so its sums are the
     sequential ones above.  A target that is not a state of ``basis`` raises
-    ``ValueError`` naming the first word of the first such group.
+    ``ValueError`` naming the first word of the first such group.  A chunk
+    that ends on a part boundary hands back the parts it completes: they are
+    sorted as the rows of one tall matrix, part-major, and sliced apart, so a
+    family holds the unsorted entries of one chunk's parts at a time.
     """
     n, dim, ranks = basis.order.n, basis.dim, basis.ranks
-    terms, groups, length = modes.shape
+    parts = modes.shape[0] if modes.ndim == 4 else None
+    terms, groups, length = modes.shape[-3:]
+    modes = modes.reshape(-1, groups, length)  # the terms of every part, part-major
     raises = np.array([_LETTERS[name][0] for name in words[0]])
     conj = [[_LETTERS[name][1] for name in word] for word in words]
     step = np.where(raises, 1, -1)
@@ -398,12 +410,15 @@ def _apply_words(
     offset = (np.triu(same_mode, 1) @ step + raises).astype(level_type)
     columns = np.ascontiguousarray(basis.occupations.T, dtype=level_type)
     amp: dict[int, complex] = {}  # the ladder amplitude of each level met so far
-    diag = np.zeros(dim, dtype=np.complex128)
-    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
     per_chunk = max(1, _CHUNK // (groups * length * dim))
-    for first in range(0, terms, per_chunk):
-        met = columns[modes[first:first + per_chunk]]  # (terms, groups, letters, states)
-        met += offset[first:first + per_chunk, ..., None]
+    # The parts from ``done`` on that the chunks so far reach: their running
+    # diagonals, and their off-diagonal entries with rows tagged by the part.
+    done, diag, out = 0, np.zeros((0, dim), dtype=np.complex128), []
+    rows, cols, vals = [], [], []
+    for first in range(0, len(modes), per_chunk):
+        last = min(first + per_chunk, len(modes))
+        met = columns[modes[first:last]]  # (terms, groups, letters, states)
+        met += offset[first:last, ..., None]
         at = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=2))
         group, row = np.divmod(at, dim)  # group: the index in the chunk, term-major
         # One integer per acting row: its met levels as digits in base (the
@@ -416,7 +431,7 @@ def _apply_words(
         table = []
         for levels in (distinct[:, None] // _radix(base - 1, length) % base).tolist():
             # Only levels some word meets are evaluated, so a huge order costs nothing.
-            for u in set(levels) - amp.keys():
+            for u in set(levels).difference(amp):
                 amp[u] = sqrt_bracket(u, basis.order)
             table.append([reduce(mul, [amp[u].conjugate() if c else amp[u]
                                        for u, c in zip(levels, flags)]) for flags in conj])
@@ -431,8 +446,11 @@ def _apply_words(
         if scale is not None:
             term_diag = scale * term_diag
         term_diag[np.abs(term_diag) < DROP_TOL] = 0
-        for values in term_diag:
-            diag += values
+        reach = -(-last // terms) - done
+        if len(diag) < reach:
+            diag = np.concatenate([diag, np.zeros((reach - len(diag), dim), dtype=np.complex128)])
+        for term, values in enumerate(term_diag, first):
+            diag[term // terms - done] += values
         away = ~here
         source, target = row[away], ranks[row[away]] + moves[away]
         found = np.searchsorted(ranks, target)
@@ -445,10 +463,22 @@ def _apply_words(
             raise ValueError(f"word {letters} leaves the {subspace_label(basis.sector)} basis "
                              f"from its state {source[missing[0]]}")
         value = reduce(np.add, table.T)
-        rows.append(found)
+        rows.append(((first + group[away] // groups) // terms - done) * dim + found)
         cols.append(source)
         vals.append((value if scale is None else scale * value)[inverse[away]])
-    return _coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (dim, dim))
+        if last % terms:
+            continue  # the chunk's last part has terms in the next chunk
+        # A diagonal entry of 0 is one that as_operator would drop.
+        stored = np.flatnonzero(diag)
+        stacked = _coo(np.concatenate([stored, *rows]), np.concatenate([stored % dim, *cols]),
+                       np.concatenate([diag.reshape(-1)[stored], *vals]), (diag.size, dim))
+        ends = stacked.indptr[::dim].tolist()
+        out += [CSR(stacked.indptr[part * dim:(part + 1) * dim + 1] - ends[part],
+                    stacked.indices[ends[part]:ends[part + 1]],
+                    stacked.data[ends[part]:ends[part + 1]], (dim, dim))
+                for part in range(len(diag))]
+        done, diag, rows, cols, vals = last // terms, diag[:0], [], [], []
+    return out if parts is not None else out[0]
 
 
 def _ladder(basis: FockBasis, name: str, flat: int) -> CSR:
@@ -458,71 +488,89 @@ def _ladder(basis: FockBasis, name: str, flat: int) -> CSR:
     return as_operator(_apply_words(basis, [[name]], np.array([[[flat]]])))
 
 
-def _exchange_sum(basis: FockBasis, pairs: Iterable[tuple[int, int]]) -> CSR:
-    """Sum of the exchanges of ``pairs``, built in one kernel pass.
+#: The two quartic words of one exchange group.
+_EXCHANGE_WORDS = [("a_dag", "a_dag", "b", "b"), ("a_dag", "b_dag", "b", "a")]
 
-    Each pair ``(i, j)`` is one term: half the sum over internal states
-    ``k, l`` (one group each, in row-major order) of the two quartic words
-    ``a†(i,k) a†(j,l) b(i,l) b(j,k)`` and ``a†(i,k) b†(j,l) b(i,l) a(j,k)``.
-    Both words of one ``(k, l)`` send a state to the same target, which is
-    the state itself only for ``k == l``; two pairs change different
-    positions, so their terms share no off-diagonal entry.
+
+def _exchange_modes(basis: FockBasis) -> np.ndarray:
+    """The flat modes of the exchange words of every pair, one term each.
+
+    Each pair ``(i, j)``, ascending, is one term: the sum over internal
+    states ``k, l`` (one group each, in row-major order) of the two quartic
+    words ``a†(i,k) a†(j,l) b(i,l) b(j,k)`` and ``a†(i,k) b†(j,l) b(i,l)
+    a(j,k)``, halved by ``scale=0.5``.  Both words of one ``(k, l)`` send a
+    state to the same target, which is the state itself only for ``k == l``;
+    two pairs change different positions, so their terms share no
+    off-diagonal entry.  The two words coincide on single-occupancy states,
+    so the raw sum would exchange with amplitude 2; halving makes each
+    pair's operator the unit transposition there (tau^2 = 1 on the spin
+    sector).
     """
-    words = [("a_dag", "a_dag", "b", "b"), ("a_dag", "b_dag", "b", "a")]
-    i, j = np.array(list(pairs)).T[:, :, None]
+    i, j = np.array(list(combinations(range(1, basis.nu + 1), 2))).T[:, :, None]
     k, l = np.indices((basis.m, basis.m)).reshape(2, -1) + 1
     f = basis.flat_modes
-    modes = np.stack([f(i, k), f(j, l), f(i, l), f(j, k)], axis=-1)
-    # The two quartic words coincide on single-occupancy states, so the raw
-    # sum would exchange with amplitude 2; halving makes each pair's operator
-    # the unit transposition there (tau^2 = 1 on the spin sector).
-    return as_operator(_apply_words(basis, words, modes, scale=0.5))
+    return np.stack([f(i, k), f(j, l), f(i, l), f(j, k)], axis=-1)
 
 
-@lru_cache(maxsize=256)
-def _exchange_cached(basis: FockBasis, i: int, j: int) -> CSR:
-    """The exchange of one pair: the one-term pass of :func:`class_sum`."""
-    return _exchange_sum(basis, [(i, j)])
+@lru_cache(maxsize=64)
+def _exchanges(basis: FockBasis) -> dict[tuple[int, int], CSR]:
+    """The exchange of every pair, from one kernel pass with one part per
+    pair.  Cached by the basis and shared: read only."""
+    parts = _apply_words(basis, _EXCHANGE_WORDS, _exchange_modes(basis)[:, None], scale=0.5)
+    return dict(zip(combinations(range(1, basis.nu + 1), 2), map(as_operator, parts)))
 
 
 def exchange_op(i: int, j: int, basis: FockBasis) -> CSR:
     """Exchange of the particles at positions ``i`` and ``j`` (both 1-based).
 
-    Acts on the full space or on any sector basis.
+    Acts on the full space or on any sector basis; read from the basis's
+    cached exchange family.
     """
     if i == j:
         raise ValueError("exchange requires two distinct positions")
     if not (1 <= i < j <= basis.nu):
         raise ValueError(f"need 1 <= i < j <= nu={basis.nu}, got ({i}, {j})")
-    return _exchange_cached(basis, i, j)
+    return _exchanges(basis)[i, j]
 
 
 @lru_cache(maxsize=64)
 def class_sum(basis: FockBasis) -> CSR:
     """Sum of all pair exchanges (the transposition-class operator).
 
-    Acts on the full space or on any sector basis.  One kernel pass builds
-    it, one term per pair ``(i, j)`` in ascending order, with the rounding of
-    summing the pruned :func:`exchange_op` matrices in that order: each
-    pair's diagonal is halved and pruned before it is added to the running
-    diagonal, and each off-diagonal entry is ``0.5 * (w1 + w2)``.
+    Acts on the full space or on any sector basis.  One summed kernel pass
+    builds it, one term per pair ``(i, j)`` in ascending order, with the
+    rounding of summing the pruned :func:`exchange_op` matrices in that
+    order: each pair's diagonal is halved and pruned before it is added to
+    the running diagonal, and each off-diagonal entry is ``0.5 * (w1 +
+    w2)``.
     """
     if basis.nu < 2:
         raise ValueError(f"class sum needs at least two positions, got nu={basis.nu}")
-    return _exchange_sum(basis, combinations(range(1, basis.nu + 1), 2))
+    return as_operator(_apply_words(basis, _EXCHANGE_WORDS, _exchange_modes(basis), scale=0.5))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
+def _generators(basis: FockBasis) -> dict[tuple[int, int], CSR]:
+    """Every generator ``E(k, l)``, from one kernel pass with one part per
+    ``(k, l)``, row-major.  Cached by the basis and shared: read only."""
+    k, l = np.indices((basis.m, basis.m)).reshape(2, -1) + 1
+    states = np.stack([k, l], axis=-1)[:, None, None]  # (parts, terms, groups, letters)
+    modes = basis.flat_modes(np.arange(1, basis.nu + 1)[:, None], states)
+    parts = _apply_words(basis, [("a_dag", "b"), ("b_dag", "a")], modes)
+    return dict(zip(zip(k.tolist(), l.tolist()), map(as_operator, parts)))
+
+
 def _generator_cached(basis: FockBasis, k: int, l: int) -> CSR:
-    modes = basis.flat_modes(np.arange(1, basis.nu + 1)[:, None], np.array([k, l]))
-    return as_operator(_apply_words(basis, [("a_dag", "b"), ("b_dag", "a")], modes[None]))
+    """``E(k, l)`` of the basis's cached family, as the Casimirs read it."""
+    return _generators(basis)[k, l]
 
 
 def unitary_generator(k: int, l: int, basis: FockBasis) -> CSR:
     """Generator E(k, l): state-l to state-k transfer summed over positions,
     the words ``a†(i,k) b(i,l)`` and ``b†(i,k) a(i,l)`` at every position.
 
-    Acts on the full space or on any sector basis.
+    Acts on the full space or on any sector basis; read from the basis's
+    cached generator family.
     """
     if not (1 <= k <= basis.m and 1 <= l <= basis.m):
         raise ValueError(f"need states in 1..{basis.m}, got ({k}, {l})")

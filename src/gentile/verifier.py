@@ -37,7 +37,9 @@ recipe hands its differences back lazily, so ``run_task`` holds one at a
 time, and a ``ValueError`` raised while it reads them is a task error like
 any other.  The spectral comparison holds no matrix and is cached by its
 sector basis, so a full-space task and the ``sector:1`` task of one point
-share one dense solve.
+share one dense solve.  The Casimir side ``C2/2 - (m/2) C1`` is cached by
+its basis too, so both readings of the class-sum relation and the limit
+relation share one evaluation of it.
 Diagonal operands (position totals, the occupation-function correction)
 are numpy vectors, never sparse products.  The spectral space is the one
 dense solve, in the (weight, momentum) blocks of
@@ -344,8 +346,11 @@ def _recipe_duality(task, basis):
     return diffs, 0.0, f"commutators of {len(taus)} exchanges with {len(gens)} generators"
 
 
+@lru_cache(maxsize=64)
 def _casimir_side(basis):
-    """``C2/2 - (m/2) C1`` on ``basis``, the right side of both relations."""
+    """``C2/2 - (m/2) C1`` on ``basis``, the right side of both relations,
+    cached by the basis: both readings of the class-sum relation and the
+    limit relation share one evaluation.  Read only."""
     return signed_sum([(1, 0.5 * casimir_c2(basis)), (-1, 0.5 * basis.m * casimir_c1(basis))])
 
 

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import re
+import sys
 import time
 from functools import lru_cache
 from types import SimpleNamespace
@@ -31,6 +32,8 @@ from gentile import (
     sqrt_bracket,
     total_number,
     VerificationTask,
+    default_grid_tasks,
+    run_grid,
     run_task,
     unitary_generator,
 )
@@ -1052,3 +1055,52 @@ class TestClassSumPass:
         assert time.perf_counter() - start < 0.25
         assert counted["levels"] == [1]
         assert op.toarray().tolist() == [[1]]
+
+    def test_many_levels_cost_linear_time(self):
+        # Each distinct level tuple looks up only its own levels: a lookup
+        # that walked every level met so far made this about 6 s.
+        basis = enumerate_basis(1, 1, GentileOrder(3 * 10**4))
+        start = time.perf_counter()
+        op = _ladder(basis, "a_dag", 0)
+        assert time.perf_counter() - start < 1.5
+        assert op.nnz == basis.dim - 1
+
+
+class TestOperandFamilies:
+    """Every generator of a basis comes from one kernel pass, and so does
+    every pair exchange; the three relation recipes of a basis share one
+    Casimir side."""
+
+    @pytest.fixture
+    def cold(self):
+        """Empties every operand cache before and after the test."""
+        def clear():
+            for module in (operators, verifier):
+                for value in vars(module).values():
+                    if hasattr(value, "cache_clear"):
+                        value.cache_clear()
+        clear()
+        yield
+        clear()
+
+    def test_default_grid_passes(self, cold, monkeypatch):
+        passes, sides = [], []
+        kernel, summed = operators._apply_words, verifier.signed_sum
+
+        def counting_kernel(basis, words, modes, scale=None):
+            passes.append(modes.shape)
+            return kernel(basis, words, modes, scale)
+
+        def counting_sum(terms):
+            if sys._getframe(1).f_code.co_name == "_casimir_side":
+                sides.append(terms)
+            return summed(terms)
+
+        monkeypatch.setattr(operators, "_apply_words", counting_kernel)
+        monkeypatch.setattr(verifier, "signed_sum", counting_sum)
+        run_grid(default_grid_tasks())
+        # 12 task bases, each with one generator, one exchange and one
+        # class-sum pass, and the four letters of each of the three one-mode
+        # and three two-mode spaces.
+        assert len(passes) == 12 * 3 + 6 * 4
+        assert len(sides) == 12

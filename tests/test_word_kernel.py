@@ -214,6 +214,19 @@ def test_large_builders_bit_equal_to_nested_oracle(n, nu, m, sector, monkeypatch
     assert_builders_match_oracle(basis, monkeypatch)
 
 
+def test_family_split_across_chunks_bit_equal_to_nested_oracle():
+    # The 28 exchanges of the nu=8, m=2 spin sector are one kernel pass in
+    # chunks of 16 whole pairs, so one chunk boundary falls inside the family.
+    basis = enumerate_basis(8, 2, GentileOrder(1), sector=1)
+    pairs = list(itertools.combinations(range(1, basis.nu + 1), 2))
+    per_chunk = operators._CHUNK // (basis.m**2 * 4 * basis.dim)
+    assert (len(pairs), per_chunk) == (28, 16)
+    for i, j in pairs:
+        assert_csr_bit_equal(exchange_op(i, j, basis), nested_exchange_sum(basis, [(i, j)]))
+    for k, l in itertools.product((1, 2), repeat=2):
+        assert_csr_bit_equal(unitary_generator(k, l, basis), nested_generator(basis, k, l))
+
+
 # ---------------------------------------------------------------------------
 # The closure check names the same word
 # ---------------------------------------------------------------------------
