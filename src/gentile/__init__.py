@@ -64,7 +64,6 @@ from .verifier import (
     Verdict,
     default_grid_tasks,
     expand_tasks,
-    limit_theorem_agreement,
     run_grid,
     run_task,
 )

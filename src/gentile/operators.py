@@ -560,11 +560,6 @@ def _generators(basis: FockBasis) -> dict[tuple[int, int], CSR]:
     return dict(zip(zip(k.tolist(), l.tolist()), map(as_operator, parts)))
 
 
-def _generator_cached(basis: FockBasis, k: int, l: int) -> CSR:
-    """``E(k, l)`` of the basis's cached family, as the Casimirs read it."""
-    return _generators(basis)[k, l]
-
-
 def unitary_generator(k: int, l: int, basis: FockBasis) -> CSR:
     """Generator E(k, l): state-l to state-k transfer summed over positions,
     the words ``a†(i,k) b(i,l)`` and ``b†(i,k) a(i,l)`` at every position.
@@ -574,7 +569,7 @@ def unitary_generator(k: int, l: int, basis: FockBasis) -> CSR:
     """
     if not (1 <= k <= basis.m and 1 <= l <= basis.m):
         raise ValueError(f"need states in 1..{basis.m}, got ({k}, {l})")
-    return _generator_cached(basis, k, l)
+    return _generators(basis)[k, l]
 
 
 @lru_cache(maxsize=64)
@@ -583,7 +578,8 @@ def casimir_c1(basis: FockBasis) -> CSR:
 
     The sum starts from the zero matrix, which keeps the rounding of
     ``0 + E(1,1) + ...``."""
-    terms = [(1, _generator_cached(basis, l, l)) for l in range(1, basis.m + 1)]
+    gens = _generators(basis)
+    terms = [(1, gens[l, l]) for l in range(1, basis.m + 1)]
     return as_operator(signed_sum([(1, zero_operator(basis.dim))] + terms))
 
 
@@ -591,9 +587,8 @@ def casimir_c1(basis: FockBasis) -> CSR:
 def casimir_c2(basis: FockBasis) -> CSR:
     """Second-order Casimir: sum over k, l of E(k,l) E(l,k), on any basis,
     from the zero matrix as :func:`casimir_c1`."""
-    states = range(1, basis.m + 1)
-    terms = [(1, _generator_cached(basis, k, l), _generator_cached(basis, l, k))
-             for k in states for l in states]
+    states, gens = range(1, basis.m + 1), _generators(basis)
+    terms = [(1, gens[k, l], gens[l, k]) for k in states for l in states]
     return as_operator(signed_sum([(1, zero_operator(basis.dim))] + terms))
 
 

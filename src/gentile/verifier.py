@@ -38,7 +38,7 @@ time, and a ``ValueError`` raised while it reads them is a task error like
 any other.  The spectral comparison holds no matrix and is cached by its
 sector basis, so a full-space task and the ``sector:1`` task of one point
 share one dense solve.  The Casimir side ``C2/2 - (m/2) C1`` is cached by
-its basis too, so both readings of the class-sum relation and the limit
+the last basis, so both readings of the class-sum relation and the limit
 relation share one evaluation of it.
 Diagonal operands (position totals, the occupation-function correction)
 are numpy vectors, never sparse products.  The spectral space is the one
@@ -47,13 +47,25 @@ dense solve, in the (weight, momentum) blocks of
 compared with its largest weight block.
 
 A ``Verdict`` is its task plus the outcome: residual, status and detail;
-its tolerance follows from the identity.  Tasks are independent; verdict
-order is fixed by sorting, so concurrent evaluation and re-runs are
-reproducible.
+its tolerance follows from the identity.  Tasks are independent.
+``run_grid`` groups them by evaluation basis and deals the groups, largest
+first, to one share per usable CPU (one where forking is unsafe).  It
+evaluates the first share itself and each other share in a worker made
+with ``os.fork``, each share basis by basis, so every basis is built in one
+process and its caches are shared as in a serial run.  A worker sends its
+verdicts, or its exception, back pickled through a pipe, and ends with
+``os._exit``.  An exception is raised again in the caller with its type, a
+worker that ends without a result raises ``ChildProcessError`` naming its
+pid and status, and every worker is reaped before ``run_grid`` returns or
+raises.  Verdicts are sorted, so their order and the report bytes do not
+depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -66,6 +78,7 @@ from .basis import (
     DEFAULT_DIMENSION_CAP,
     DENSE_EIG_CAP,
     FockBasis,
+    check_dimension,
     check_sector,
     enumerate_basis,
     subspace_label,
@@ -346,11 +359,12 @@ def _recipe_duality(task, basis):
     return diffs, 0.0, f"commutators of {len(taus)} exchanges with {len(gens)} generators"
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _casimir_side(basis):
     """``C2/2 - (m/2) C1`` on ``basis``, the right side of both relations,
-    cached by the basis: both readings of the class-sum relation and the
-    limit relation share one evaluation.  Read only."""
+    cached for the last basis: ``run_grid`` runs a basis's tasks together,
+    so both readings of the class-sum relation and the limit relation share
+    one evaluation.  Read only."""
     return signed_sum([(1, 0.5 * casimir_c2(basis)), (-1, 0.5 * basis.m * casimir_c1(basis))])
 
 
@@ -542,6 +556,18 @@ def tolerance_for(identity: IdentityId) -> float:
     return GUARANTEED.get(identity, REPORT_TOLERANCE)
 
 
+def _space(task: VerificationTask, dense_cap: Optional[int]) -> tuple:
+    """``(nu, m, sector, dense cap)`` of the basis ``task`` evaluates on: the
+    one- or two-mode full space, the task's own subspace, or its sector
+    (``sector:1`` for a full-space spectral task), held to ``dense_cap``."""
+    space = _IDENTITIES[task.identity].space
+    if space in _MODE_SPACES:
+        return 1, _MODE_SPACES[space], None, None
+    if space == "spectral":
+        return task.nu, task.m, 1 if task.subspace is None else task.subspace, dense_cap
+    return task.nu, task.m, task.subspace, None
+
+
 def run_task(
     task: VerificationTask,
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
@@ -553,12 +579,7 @@ def run_task(
     only the spectral space, the one dense solve, is held to ``dense_cap``.
     """
     row = _IDENTITIES[task.identity]
-    modes = _MODE_SPACES.get(row.space)
-    nu, m, sector, dense = task.nu, task.m, task.subspace, None
-    if modes is not None:
-        nu, m, sector = 1, modes, None
-    elif row.space == "spectral":
-        sector, dense = (1 if sector is None else sector), dense_cap
+    nu, m, sector, dense = _space(task, dense_cap)
     try:
         basis = enumerate_basis(nu, m, GentileOrder(task.n), sector, dimension_cap, dense)
         diffs, extra, detail = row.recipe(task, basis)
@@ -573,7 +594,7 @@ def run_task(
             status = "pass"
         else:
             status = "fail"
-        if modes is not None:
+        if row.space in _MODE_SPACES:
             detail += "; nu/m/subspace echo the grid point only"
     return Verdict(task, residual, status, detail)
 
@@ -618,13 +639,97 @@ def expand_tasks(
     ]
 
 
+#: Fixed cost of one basis group, in states of its dimension.
+_GROUP_COST = 400
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork safely."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
+
+
+def _shares(tasks: Iterable[VerificationTask], dimension_cap: int) -> list[list]:
+    """The tasks in one share per worker: grouped by evaluation basis, the
+    groups dealt largest first to the least-loaded share, basis-major."""
+    groups: dict[tuple, list] = {}
+    for task in tasks:
+        groups.setdefault((task.n, *_space(task, None)[:3]), []).append(task)
+
+    costs = {}
+    for key in groups:
+        try:
+            costs[key] = check_dimension(*key, dimension_cap) + _GROUP_COST
+        except ValueError:  # refused by sizing: no basis is built
+            costs[key] = 0
+    shares = [[] for _ in range(min(_usable_cpus(), len(groups)) or 1)]
+    loads = [0] * len(shares)
+    for key in sorted(groups, key=costs.get, reverse=True):
+        least = loads.index(min(loads))
+        loads[least] += costs[key]
+        shares[least] += groups[key]
+    return shares
+
+
+def _work(write: int, evaluate: Callable[[list], list], share: list) -> None:
+    """In a forked worker: send ``evaluate(share)`` or its exception down the
+    pipe, then end the process without returning into the caller's code."""
+    status = 1
+    try:
+        try:
+            result = (True, evaluate(share))
+        except BaseException as exc:  # re-raised in the parent
+            result = (False, exc)
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_grid(
     tasks: Iterable[VerificationTask],
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
     dense_cap: int = DENSE_EIG_CAP,
 ) -> list[Verdict]:
-    """Run every task, never aborting; verdicts come back sorted."""
-    verdicts = [run_task(t, dimension_cap, dense_cap) for t in tasks]
+    """Run every task, never aborting, in one process per share: the first
+    share here, each other in a forked worker (see the module docstring).
+    Verdicts come back sorted."""
+    def evaluate(share):
+        return [run_task(t, dimension_cap, dense_cap) for t in share]
+
+    first, *rest = _shares(tasks, dimension_cap)
+    pids, pipes = [], []
+    try:
+        for share in rest:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(write, evaluate, share)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        verdicts = evaluate(first)
+        for pid, pipe in zip(list(pids), pipes):
+            payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids.remove(pid)
+            if code:
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(f"verify worker {pid} ended without a result ({how})")
+            ok, result = pickle.loads(payload)
+            if not ok:
+                raise result
+            verdicts += result
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL, without importing ``signal``
+            os.waitpid(pid, 0)
     verdicts.sort(key=Verdict.sort_key)
     return verdicts
 
@@ -632,15 +737,3 @@ def run_grid(
 def default_grid_tasks() -> list[VerificationTask]:
     return expand_tasks(ns=(1, 2, 3), nus=(2, 3), ms=(2,), subspaces=(None, 1))
 
-
-def limit_theorem_agreement(nu: int, m: int, subspace: Optional[int] = 1) -> float:
-    """Max distance between the two residual recipes at maximum occupation 1.
-
-    With the entrywise real-part reading, the class-sum relation's recipe and
-    the limit relation's minus-sign recipe are algebraically the same
-    expression there (the coupling sum reduces to minus the total number), so
-    they must agree whatever the shared residual is worth.
-    """
-    basis = enumerate_basis(nu, m, GentileOrder(1), sector=subspace)
-    d_limit, _ = _limit_sides(basis)
-    return max_abs(_theorem_sides(basis, "entrywise_real") - d_limit)

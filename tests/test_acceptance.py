@@ -22,7 +22,6 @@ from gentile import (
     eigensolve_hermitian,
     enumerate_basis,
     exchange_op,
-    limit_theorem_agreement,
     partitions_of,
     spectrum_casimir,
     unitary_generator,
@@ -30,6 +29,7 @@ from gentile import (
 from gentile.cli import main
 from gentile.operators import max_abs
 from gentile.verifier import _ladder_nbracket, _single_mode_diffs
+from scipy_oracle import limit_theorem_agreement
 
 
 def announce(number, passed, text):

@@ -1083,24 +1083,31 @@ class TestOperandFamilies:
         yield
         clear()
 
-    def test_default_grid_passes(self, cold, monkeypatch):
-        passes, sides = [], []
+    def test_default_grid_passes(self, cold, monkeypatch, tmp_path):
+        # Every worker of run_grid appends one line per call, so the counts
+        # cover all of them, not only the calling process's share.
+        log = tmp_path / "calls"
         kernel, summed = operators._apply_words, verifier.signed_sum
 
+        def count(kind):
+            with open(log, "a") as out:
+                out.write(kind + "\n")
+
         def counting_kernel(basis, words, modes, scale=None):
-            passes.append(modes.shape)
+            count("pass")
             return kernel(basis, words, modes, scale)
 
         def counting_sum(terms):
             if sys._getframe(1).f_code.co_name == "_casimir_side":
-                sides.append(terms)
+                count("side")
             return summed(terms)
 
         monkeypatch.setattr(operators, "_apply_words", counting_kernel)
         monkeypatch.setattr(verifier, "signed_sum", counting_sum)
         run_grid(default_grid_tasks())
+        calls = log.read_text().split()
         # 12 task bases, each with one generator, one exchange and one
         # class-sum pass, and the four letters of each of the three one-mode
         # and three two-mode spaces.
-        assert len(passes) == 12 * 3 + 6 * 4
-        assert len(sides) == 12
+        assert calls.count("pass") == 12 * 3 + 6 * 4
+        assert calls.count("side") == 12

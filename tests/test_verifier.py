@@ -1,5 +1,9 @@
 """Identity verifier: recipes, statuses, grids, determinism."""
 
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import fields
 from itertools import combinations, product
 
@@ -14,13 +18,12 @@ from gentile import (
     VerificationTask,
     default_grid_tasks,
     expand_tasks,
-    limit_theorem_agreement,
     run_grid,
     run_task,
 )
-from gentile import GentileOrder, basis as basis_module, verifier
+from gentile import GentileOrder, basis as basis_module, operators, verifier
 from gentile.basis import DEFAULT_DIMENSION_CAP, enumerate_basis
-from scipy_oracle import to_scipy
+from scipy_oracle import limit_theorem_agreement, to_scipy
 from gentile.operators import (
     _ladder,
     as_operator,
@@ -299,6 +302,131 @@ class TestGrid:
         verdict = run_task(make_task(IdentityId.QUARTIC_WORD_BRACKET))
         assert _IDENTITIES[verdict.task.identity].space == "one_mode"
         assert "echo" in verdict.detail
+
+
+def use_cpus(monkeypatch, count):
+    """``count`` usable CPUs for ``run_grid``, with every operand cache empty,
+    so each run builds its bases and operands afresh."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    for module in (basis_module, operators, verifier):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+#: A run_grid whose worker tasks end their process at once, run as a script.
+DYING_WORKER = """
+import os, signal, sys
+from gentile import verifier
+os.sched_getaffinity = lambda pid: {0, 1}
+parent = os.getpid()
+def run_task(task, *caps):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL) if sys.argv[1] == "kill" else os._exit(3)
+verifier.run_task = run_task
+try:
+    verifier.run_grid(verifier.default_grid_tasks())
+except ChildProcessError as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+class TestWorkers:
+    """``run_grid`` evaluates its basis groups in one forked worker per
+    usable CPU; the verdicts and failures do not depend on the count."""
+
+    @pytest.mark.parametrize("grid", [
+        {},
+        dict(ns=(1,), nus=(2, 3, 4), ms=(2,), subspaces=(1,)),
+    ], ids=["default", "nu2-4-sector1"])
+    def test_verdicts_bit_equal_at_every_cpu_count(self, grid, monkeypatch):
+        tasks = expand_tasks(**grid) if grid else default_grid_tasks()
+        runs = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            runs.append([(v.record(), None if v.residual is None else v.residual.hex())
+                         for v in run_grid(tasks)])
+        assert len(runs[0]) == len(tasks)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_exception_keeps_its_type_and_reaps_workers(self, where, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        parent, run = os.getpid(), verifier.run_task
+
+        def failing(task, *caps):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ZeroDivisionError(f"raised in the {where}")
+            return run(task, *caps)
+
+        monkeypatch.setattr(verifier, "run_task", failing)
+        with pytest.raises(ZeroDivisionError, match=f"raised in the {where}"):
+            run_grid(default_grid_tasks())
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("how, status", [("kill", "signal 9"), ("exit", "exit status 3")])
+    def test_worker_without_result_raises(self, how, status):
+        proc = subprocess.run([sys.executable, "-c", DYING_WORKER, how], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2, proc.stderr
+        assert lines[0].startswith("verify worker ")
+        assert lines[0].endswith(f" ended without a result ({status})")
+        assert lines[1] == "no child left"
+
+    def test_one_worker_where_forking_is_unsafe(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert verifier._usable_cpus() == 3
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert verifier._usable_cpus() == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert verifier._usable_cpus() == 1
+        assert len(verifier._shares(default_grid_tasks(), DEFAULT_DIMENSION_CAP)) == 1
+
+    def test_groups_balanced_with_a_fixed_cost(self, monkeypatch):
+        # By dimension alone the 4096-state basis outweighs the 17 others
+        # together and is left alone in its share; the fixed cost per group
+        # gives that share more groups and brings the loads within 5%.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def split():
+            shares = verifier._shares(default_grid_tasks(), DEFAULT_DIMENSION_CAP)
+            bases = [[] for _ in shares]
+            for share, keys in zip(shares, bases):
+                for task in share:
+                    key = (task.n, *verifier._space(task, None)[:3])
+                    if key not in keys:
+                        keys.append(key)
+                    assert key == keys[-1], "a basis's tasks run together"
+            assert len(bases[0]) + len(bases[1]) == 18
+            loads = [sum(basis_module.check_dimension(*key, DEFAULT_DIMENSION_CAP)
+                         + verifier._GROUP_COST for key in keys) for keys in bases]
+            return bases, loads
+
+        bases, loads = split()
+        assert bases[0][0] == (3, 3, 2, None) and len(bases[0]) > 1
+        assert abs(loads[0] - loads[1]) < 0.05 * max(loads)
+        monkeypatch.setattr(verifier, "_GROUP_COST", 0)
+        bases, loads = split()
+        assert bases[0] == [(3, 3, 2, None)]
 
 
 class TestIdentityTable:

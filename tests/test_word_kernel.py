@@ -187,7 +187,8 @@ def assert_builders_match_oracle(basis, monkeypatch):
                                  nested_ladder(basis, name, flat))
     c1, c2 = casimir_c1(basis), casimir_c2(basis)
     with monkeypatch.context() as patch:
-        patch.setattr(operators, "_generator_cached", nested_generator)
+        patch.setattr(operators, "_generators", lambda b: {
+            (k, l): nested_generator(b, k, l) for k, l in itertools.product(states, states)})
         assert_csr_bit_equal(c1, casimir_c1.__wrapped__(basis))
         assert_csr_bit_equal(c2, casimir_c2.__wrapped__(basis))
 
