@@ -37,11 +37,12 @@ a chunk: numpy's vectorised complex multiply may use fused multiply-adds
 (FMA), which differ in the last bit from scalar and sparse-product
 arithmetic, and byte-stable reports need bit-stable matrices.  Every
 builder returns a :class:`CSR`, the module's own canonical complex CSR
-type on numpy alone, pruned at ``DROP_TOL`` by :func:`as_operator`.  Its
-sums, differences, scalar multiples and products round exactly as the
-compiled CSR kernels the tests hold them to, and its arrays are read-only,
-so a cached matrix shared between callers cannot be changed by one of them,
-and building distinct operators concurrently is safe.
+type on numpy alone, pruned at ``DROP_TOL`` by :func:`as_operator`, and
+every matrix argument of the module is one.  Its sums, differences, scalar
+multiples and products round exactly as the compiled CSR kernels the tests
+hold them to, and its arrays are read-only, so a cached matrix shared
+between callers cannot be changed by one of them, and building distinct
+operators concurrently is safe.
 
 A signed sum of matrices and products, ``t0 ± t1 ± ...``, is one
 :func:`signed_sum` pass with the bits of the chain of ``+``, ``-`` and ``@``
@@ -62,12 +63,13 @@ from the zero matrix, which keeps the rounding of ``0 + x``.
 Every composite also commutes with the diagonal generators ``E(k,k)``, so it
 is block-diagonal in the weight ``FockBasis.weights``; the class sum and
 ``C2`` also commute with every permutation of positions and of internal
-states.  The dense eigensolve uses all three: it splits each weight block
-by momentum under the cyclic translation of positions, solves one weight
-per orbit of weights under relabelling of the internal states, and solves
-all blocks of one size in one ``eigvalsh`` call, checking each symmetry on
-the matrix first.  Its dense cap is still compared with the largest weight
-block, not with the dimension, by ``basis.check_dimension``.
+states.  The dense eigensolve uses all three on the basis the matrix was
+built on, which it requires: it splits each weight block by momentum under
+the cyclic translation of positions, solves one weight per orbit of weights
+under relabelling of the internal states, and solves all blocks of one size
+in one ``eigvalsh`` call, checking each symmetry on the matrix first.  Its
+dense cap is still compared with the largest weight block, not with the
+dimension, by ``basis.check_dimension``.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from operator import mul
 from numbers import Number
-from typing import Any, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -271,11 +273,6 @@ def commutator(a: CSR, b: CSR) -> CSR:
     return signed_sum([(1, a, b), (-1, b, a)])
 
 
-#: A matrix argument: a :class:`CSR`, a dense 2-D array, or any other sparse
-#: matrix with a ``tocoo()`` method, read by duck typing.
-Matrix = Union[CSR, np.ndarray, Any]
-
-
 def _from_places(places: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> CSR:
     """The CSR with ``values`` at the ascending, distinct flat ``places``."""
     rows = places // shape[1]
@@ -300,18 +297,6 @@ def _coo(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[in
     return _from_places(places, values, shape)
 
 
-def _as_csr(mat: Matrix) -> CSR:
-    """``mat`` as a CSR with every stored entry kept, duplicates summed."""
-    if isinstance(mat, CSR):
-        return mat
-    if hasattr(mat, "tocoo"):
-        coo = mat.tocoo()
-        return _coo(coo.row, coo.col, coo.data, coo.shape)
-    dense = np.atleast_2d(np.asarray(mat))
-    rows, cols = np.nonzero(dense)
-    return _coo(rows, cols, dense[rows, cols], dense.shape)
-
-
 def zero_operator(dim: int) -> CSR:
     """The ``dim`` x ``dim`` matrix with no stored entry."""
     return CSR(np.zeros(dim + 1, dtype=np.int64), np.zeros(0, dtype=np.int64),
@@ -325,11 +310,9 @@ def diagonal_operator(values: np.ndarray) -> CSR:
     return _from_places(rows * (len(values) + 1), values[rows], (len(values), len(values)))
 
 
-def as_operator(mat: Matrix) -> CSR:
-    """A square matrix as a canonical complex CSR with duplicates summed and
-    entries below ``DROP_TOL`` in magnitude dropped; ``mat`` is left as it
-    was."""
-    mat = _as_csr(mat)
+def as_operator(mat: CSR) -> CSR:
+    """A square matrix with entries below ``DROP_TOL`` in magnitude dropped;
+    ``mat`` is left as it was."""
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"operator must be square, got shape {mat.shape}")
     keep = ~(np.abs(mat.data) < DROP_TOL)
@@ -339,10 +322,9 @@ def as_operator(mat: Matrix) -> CSR:
     return CSR(kept[mat.indptr], mat.indices[keep], mat.data[keep], mat.shape)
 
 
-def max_abs(mat: Matrix) -> float:
+def max_abs(mat: CSR) -> float:
     """Largest entry magnitude (0.0 for an empty matrix)."""
-    data = np.asarray(mat) if isinstance(mat, np.ndarray) else _as_csr(mat).data
-    return float(np.abs(data).max(initial=0.0))
+    return float(np.abs(mat.data).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +589,8 @@ def total_number(basis: FockBasis) -> CSR:
 # ---------------------------------------------------------------------------
 
 
-def entrywise_real(mat: Matrix) -> CSR:
+def entrywise_real(mat: CSR) -> CSR:
     """Real part of every stored entry, in the fixed occupation basis."""
-    mat = _as_csr(mat)
     return as_operator(CSR(mat.indptr, mat.indices, mat.data.real.astype(np.complex128),
                            mat.shape))
 
@@ -676,14 +657,12 @@ def _relabelling_copies(weight: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class _Orbits:
-    """The orbits one solve reads: each state's weight label and translation
-    orbit (``rep``, ``shift``, ``period``, see :func:`_translation_orbits`),
-    the translation order ``nu``, the representatives that are solved
-    (``kept``: those of descending weights), and for each of them the weight
-    blocks that share its spectrum (``copies``)."""
+    """The orbits one solve reads: each state's translation orbit (``rep``,
+    ``shift``, ``period``, see :func:`_translation_orbits`), the
+    representatives that are solved (``kept``: those of descending weights),
+    and for each of them the weight blocks that share its spectrum
+    (``copies``)."""
 
-    nu: int
-    weights: np.ndarray
     rep: np.ndarray
     shift: np.ndarray
     period: np.ndarray
@@ -691,22 +670,15 @@ class _Orbits:
     copies: np.ndarray
 
 
-def _symmetry_orbits(mat: CSR, rows: np.ndarray, basis: Optional[FockBasis]) -> _Orbits:
+def _symmetry_orbits(mat: CSR, rows: np.ndarray, basis: FockBasis) -> _Orbits:
     """Check that ``mat`` keeps the symmetries of ``basis`` and find its orbits.
 
     Raises ``ValueError`` for an entry that couples two weight blocks (named
     by the first such entry) and for a matrix that is not invariant, to
     within ``HERMITICITY_TOL``, under the translation or under an adjacent
     relabelling.
-    ``None`` is the trivial group: every state is its own orbit.
     """
-    dim = mat.shape[0]
-    state = np.arange(dim)
-    if basis is None:
-        zeros, ones = np.zeros(dim, dtype=np.int64), np.ones(dim, dtype=np.int64)
-        return _Orbits(nu=1, weights=zeros, rep=state, shift=zeros, period=ones, kept=state,
-                       copies=ones)
-    weights = basis.weights
+    dim, weights = mat.shape[0], basis.weights
     coupled = np.flatnonzero(weights[rows] != weights[mat.indices])
     if coupled.size:
         i, j = rows[coupled[0]], mat.indices[coupled[0]]
@@ -725,16 +697,15 @@ def _symmetry_orbits(mat: CSR, rows: np.ndarray, basis: Optional[FockBasis]) -> 
             raise ValueError(f"matrix is not invariant under {name} (deviation {deviation:.3e})")
     rep, shift, period = _translation_orbits(translation, basis.nu)
     totals = occupations.sum(axis=1)
-    kept = np.flatnonzero((rep == state) & (np.diff(totals, axis=1) <= 0).all(axis=1))
+    kept = np.flatnonzero((rep == np.arange(dim)) & (np.diff(totals, axis=1) <= 0).all(axis=1))
     _, first, inverse = np.unique(weights[kept], return_index=True, return_inverse=True)
     copies = np.array([_relabelling_copies(tuple(w)) for w in totals[kept[first]].tolist()],
                       dtype=np.int64)[inverse]
-    return _Orbits(nu=basis.nu, weights=weights, rep=rep, shift=shift, period=period, kept=kept,
-                   copies=copies)
+    return _Orbits(rep=rep, shift=shift, period=period, kept=kept, copies=copies)
 
 
 def _momentum_stacks(
-    mat: CSR, rows: np.ndarray, orbits: _Orbits
+    mat: CSR, rows: np.ndarray, basis: FockBasis, orbits: _Orbits
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (weight, momentum) blocks of ``mat``, as one ``(count, d, d)`` stack
     per block size ``d`` with the spectrum count of each block.
@@ -749,11 +720,11 @@ def _momentum_stacks(
     to the conjugate of ``H_k``, with the same spectrum, so only ``k <= nu/2``
     is formed and a block with ``0 < k < nu/2`` counts twice.
     """
-    nu, kept, period = orbits.nu, orbits.kept, orbits.period[orbits.kept]
+    nu, kept, period = basis.nu, orbits.kept, orbits.period[orbits.kept]
     real_matrix = not mat.data.imag.any()
     momenta = np.arange(nu // 2 + 1 if real_matrix else nu)
     rep_of, k_of = np.nonzero((momenta * period[:, None]) % nu == 0)
-    weight_of = orbits.weights[kept][rep_of]
+    weight_of = basis.weights[kept][rep_of]
     order = np.lexsort((rep_of, k_of, weight_of))
     rep_of, k_of, weight_of = rep_of[order], k_of[order], weight_of[order]
     starts = np.flatnonzero(np.diff(weight_of * nu + k_of, prepend=-1))
@@ -800,10 +771,10 @@ def _momentum_stacks(
     return stacks
 
 
-def eigensolve_hermitian(mat: CSR, basis: Optional[FockBasis] = None) -> list[tuple[float, int]]:
+def eigensolve_hermitian(mat: CSR, basis: FockBasis) -> list[tuple[float, int]]:
     """Ascending eigenvalues clustered into (value, multiplicity) pairs.
 
-    ``mat`` acts on ``basis`` (``None`` makes it one block) and is solved in
+    ``mat`` acts on ``basis``, the basis it was built on, and is solved in
     symmetry-adapted blocks: by weight, by momentum ``k`` under the cyclic
     translation of positions ``T: i -> i+1``, and once per orbit of weights
     under relabelling of the internal states.  ``T`` permutes the basis, and
@@ -832,14 +803,13 @@ def eigensolve_hermitian(mat: CSR, basis: Optional[FockBasis] = None) -> list[tu
     the largest weight block with ``basis.check_dimension`` before building
     ``mat``.
     """
-    mat = _as_csr(mat)
     rows = mat.rows()
     asym = _deviation(mat, rows, mat.indices, rows, mat.data.conj())
     if asym > HERMITICITY_TOL:
         raise NonHermitianError(asym)
     orbits = _symmetry_orbits(mat, rows, basis)
     eigenvalues, counts = [], []
-    for stack, copies in _momentum_stacks(mat, rows, orbits):
+    for stack, copies in _momentum_stacks(mat, rows, basis, orbits):
         stack = (stack + stack.conj().swapaxes(1, 2)) * 0.5
         eigenvalues.append(np.linalg.eigvalsh(stack).ravel())
         counts.append(np.repeat(copies, stack.shape[-1]))

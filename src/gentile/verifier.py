@@ -54,10 +54,11 @@ evaluates the first share itself and each other share in a worker made
 with ``os.fork``, each share basis by basis, so every basis is built in one
 process and its caches are shared as in a serial run.  A worker sends its
 verdicts, or its exception, back pickled through a pipe, and ends with
-``os._exit``.  An exception is raised again in the caller with its type, a
-worker that ends without a result raises ``ChildProcessError`` naming its
-pid and status, and every worker is reaped before ``run_grid`` returns or
-raises.  Verdicts are sorted, so their order and the report bytes do not
+``os._exit``; it ends before its next task once its parent is not the
+caller, so a caller killed by a signal leaves no worker running.  An
+exception is raised again in the caller with its type, a worker that ends
+without a result raises ``ChildProcessError`` naming its pid and status,
+and every worker is reaped before ``run_grid`` returns or raises.  Verdicts are sorted, so their order and the report bytes do not
 depend on the number of workers.
 """
 
@@ -197,13 +198,13 @@ class Verdict:
 
 
 @lru_cache(maxsize=64)
-def _single_mode_diffs(basis: FockBasis) -> dict[str, tuple]:
+def _single_mode_diffs(basis: FockBasis) -> dict[str, tuple | float]:
     """Difference matrices of every single-mode relation on the one-mode
     space ``basis``, keyed by relation.
 
-    ``top_state_annihilation`` holds the raiser's stored entries in the
-    column of the top state, which must vanish identically.  The result is
-    cached and shared: read only.
+    ``top_state_annihilation`` holds the largest magnitude of the raiser's
+    stored entries in the column of the top state, which must vanish
+    identically.  The result is cached and shared: read only.
     """
     a, b, a_dag, b_dag = (_ladder(basis, name, 0) for name in ("a", "b", "a_dag", "b_dag"))
     order = basis.order
@@ -223,13 +224,14 @@ def _single_mode_diffs(basis: FockBasis) -> dict[str, tuple]:
     up_ba = b_dag @ a_dag @ b_dag @ a_dag
     dn_ab = a @ b @ a @ b
     dn_ba = b @ a @ b @ a
+    top_column = a_dag.data[a_dag.indices == order.n]
     return {
         "annihilator_pair_phase": (a @ b - phase * (b @ a),),
         "creator_pair_phase": (a_dag @ b_dag - phase * (b_dag @ a_dag),),
         "creator_pair_phase_double_angle": (a_dag @ b_dag - phase * phase * (b_dag @ a_dag),),
         "raiser_lowerer_diag": (signed_sum([(1, a_dag, a), (-1, diag_g)]),),
         "ladder_gap_diag": (signed_sum([(1, a, a_dag), (-1, a_dag, a), (-1, diag_f)]),),
-        "top_state_annihilation": (a_dag.data[a_dag.indices == order.n],),
+        "top_state_annihilation": float(np.abs(top_column).max(initial=0.0)),
         "self_bracket_plain": self_brackets(1.0),
         "self_bracket_deformed": self_brackets(q),
         "quartic_word_bracket": (
@@ -295,12 +297,12 @@ def _recipe_creator_phase(task, basis):
 
 def _recipe_occupation_functions(task, basis):
     diffs = _single_mode_diffs(basis)
-    top_col = max_abs(diffs["top_state_annihilation"][0])
     detail = (
         "raiser-lowerer diagonal vs occ_g; ladder gap vs occ_f; extra term is "
         "the raiser column at the top state (must vanish identically)"
     )
-    return diffs["raiser_lowerer_diag"] + diffs["ladder_gap_diag"], top_col, detail
+    return (diffs["raiser_lowerer_diag"] + diffs["ladder_gap_diag"],
+            diffs["top_state_annihilation"], detail)
 
 
 def _occupation_correction(basis: FockBasis, k: int, l: int) -> CSR:
@@ -672,13 +674,21 @@ def _shares(tasks: Iterable[VerificationTask], dimension_cap: int) -> list[list]
     return shares
 
 
-def _work(write: int, evaluate: Callable[[list], list], share: list) -> None:
-    """In a forked worker: send ``evaluate(share)`` or its exception down the
-    pipe, then end the process without returning into the caller's code."""
+def _work(write: int, evaluate: Callable[[VerificationTask], Verdict], share: list,
+          caller: int) -> None:
+    """In a forked worker: send the verdicts of ``share``, or the exception
+    of one, down the pipe, then end the process without returning into the
+    caller's code.  Before each task it ends at once if its parent is no
+    longer ``caller``: a caller killed by a signal runs no ``finally``."""
     status = 1
     try:
         try:
-            result = (True, evaluate(share))
+            verdicts = []
+            for task in share:
+                if os.getppid() != caller:
+                    os._exit(status)
+                verdicts.append(evaluate(task))
+            result = (True, verdicts)
         except BaseException as exc:  # re-raised in the parent
             result = (False, exc)
         with open(write, "wb") as pipe:
@@ -696,11 +706,11 @@ def run_grid(
     """Run every task, never aborting, in one process per share: the first
     share here, each other in a forked worker (see the module docstring).
     Verdicts come back sorted."""
-    def evaluate(share):
-        return [run_task(t, dimension_cap, dense_cap) for t in share]
+    def evaluate(task):
+        return run_task(task, dimension_cap, dense_cap)
 
     first, *rest = _shares(tasks, dimension_cap)
-    pids, pipes = [], []
+    caller, pids, pipes = os.getpid(), [], []
     try:
         for share in rest:
             read, write = os.pipe()
@@ -708,11 +718,11 @@ def run_grid(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(write, evaluate, share)
+                    _work(write, evaluate, share, caller)
             finally:
                 os.close(write)
             pids.append(pid)
-        verdicts = evaluate(first)
+        verdicts = list(map(evaluate, first))
         for pid, pipe in zip(list(pids), pipes):
             payload = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

@@ -1,10 +1,13 @@
-"""SciPy as a test-only oracle: the one conversion from a library operator.
+"""SciPy as a test-only oracle: the conversions to and from a library operator.
 
-The library never imports scipy.  Tests that slice a library operator, or
-mix it with a scipy matrix, convert it here first.  The module also holds
-the test-only helpers that more than one test file reads.
+The library never imports scipy, and its operators take only its own
+:class:`CSR`.  Tests that slice a library operator, or mix it with a scipy
+matrix, convert it here first, and convert a scipy or dense result back
+before a library call reads it.  The module also holds the test-only
+helpers that more than one test file reads.
 """
 
+import numpy as np
 import scipy.sparse as sp
 
 from gentile import GentileOrder, enumerate_basis
@@ -19,6 +22,16 @@ def to_scipy(mat):
         return sp.csr_matrix((mat.data.copy(), mat.indices.copy(), mat.indptr.copy()),
                              shape=mat.shape)
     return sp.csr_matrix(mat)
+
+
+def from_scipy(mat):
+    """A scipy sparse matrix or a dense array as a library :class:`CSR`:
+    scipy's canonical arrays (duplicates summed, columns sorted) of a copy,
+    so ``mat`` is left as it was."""
+    canonical = sp.csr_matrix(mat, dtype=np.complex128, copy=True)
+    canonical.sum_duplicates()
+    return CSR(canonical.indptr.astype(np.int64), canonical.indices.astype(np.int64),
+               canonical.data, canonical.shape)
 
 
 def limit_theorem_agreement(nu, m, subspace=1):

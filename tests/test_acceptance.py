@@ -44,13 +44,13 @@ def test_criterion_1_single_mode_algebra():
         "creator_pair_phase",
         "raiser_lowerer_diag",
         "ladder_gap_diag",
-        "top_state_annihilation",
     )
     worst = 0.0
     for n in range(1, 9):
         order = GentileOrder(n)
         diffs = _single_mode_diffs(enumerate_basis(1, 1, order))
         worst = max(worst, _ladder_nbracket(enumerate_basis(1, 2, order)),
+                    diffs["top_state_annihilation"],
                     max(max_abs(d) for k in keys for d in diffs[k]))
     elapsed = time.monotonic() - started
     announce(
@@ -120,7 +120,8 @@ def test_criterion_4_heisenberg_cross_check():
     started = time.monotonic()
     order = GentileOrder(1)
 
-    two = eigensolve_hermitian(class_sum(enumerate_basis(2, 2, order, sector=1)))
+    spin_two, spin_three = (enumerate_basis(nu, 2, order, sector=1) for nu in (2, 3))
+    two = eigensolve_hermitian(class_sum(spin_two), spin_two)
     ed_two_ok = (
         len(two) == 2
         and abs(two[0][0] + 1.0) < 1e-10 and two[0][1] == 1
@@ -139,7 +140,7 @@ def test_criterion_4_heisenberg_cross_check():
         {match_two.sign, fermi_match.sign} == {1, -1}
     )
 
-    three = eigensolve_hermitian(class_sum(enumerate_basis(3, 2, order, sector=1)))
+    three = eigensolve_hermitian(class_sum(spin_three), spin_three)
     ed_three_ok = (
         len(three) == 2
         and abs(three[0][0]) < 1e-10 and three[0][1] == 4

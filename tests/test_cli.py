@@ -19,7 +19,7 @@ from gentile.basis import largest_weight_block
 from gentile.cli import main
 from gentile.operators import as_operator, casimir_c2, class_sum
 from gentile.reporting import csv_bytes, json_bytes
-from scipy_oracle import to_scipy
+from scipy_oracle import from_scipy, to_scipy
 
 
 def run_cli(args):
@@ -372,7 +372,7 @@ def coupled(build):
     on the nu=2, m=2 spin sector have the weights (2, 0) and (1, 1)."""
     def patched(basis):
         couple = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(basis.dim, basis.dim))
-        return as_operator(to_scipy(build(basis)) + couple)
+        return as_operator(from_scipy(to_scipy(build(basis)) + couple))
     return patched
 
 

@@ -41,7 +41,7 @@ from gentile import operators, verifier
 from gentile.basis import check_dimension
 from gentile.operators import CSR, _ladder
 from gentile.verifier import _ladder_nbracket, _single_mode_diffs
-from scipy_oracle import to_scipy
+from scipy_oracle import from_scipy, to_scipy
 
 
 def ordinal(basis, state):
@@ -55,7 +55,7 @@ def restrict(op, sector):
 
     A sector's ranks are its full-space ordinals, so this is a slice.
     """
-    return as_operator(to_scipy(op)[sector.ranks][:, sector.ranks])
+    return as_operator(from_scipy(to_scipy(op)[sector.ranks][:, sector.ranks]))
 
 
 def leakage(op, sector):
@@ -78,7 +78,7 @@ def mode_letters(order):
 def single_mode_residuals(order):
     """Residuals of the single-mode ladder-algebra suite, keyed by relation."""
     diffs = _single_mode_diffs(enumerate_basis(1, 1, order))
-    return {key: max(map(max_abs, d)) for key, d in diffs.items()}
+    return {key: d if isinstance(d, float) else max(map(max_abs, d)) for key, d in diffs.items()}
 
 
 def swap_matrix_oracle(sector_basis, i, j):
@@ -121,7 +121,7 @@ def kron_embed(op, position, state, basis):
     if mat.shape != (d, d):
         raise ValueError(f"single-mode operator must be {d}x{d}, got {mat.shape}")
     flat = basis.flat_modes(position, state)
-    return as_operator(kron_embed_flat(mat, flat, basis))
+    return as_operator(from_scipy(kron_embed_flat(mat, flat, basis)))
 
 
 @lru_cache(maxsize=64)
@@ -138,8 +138,8 @@ def entrywise_letters(order):
         b[level - 1, level] = amp
         a[level - 1, level] = amp.conjugate()
     a, b = a.tocsr(), b.tocsr()
-    return {"a": a, "b": b, "a_dag": as_operator(a.getH()),
-            "b_dag": as_operator(b.getH())}
+    return {"a": a, "b": b, "a_dag": as_operator(from_scipy(a.getH())),
+            "b_dag": as_operator(from_scipy(b.getH()))}
 
 
 @lru_cache(maxsize=32)
@@ -178,7 +178,7 @@ def kron_exchange_oracle(full, i, j):
                 [emb["a_dag"][f(i, k)], emb["b_dag"][f(j, l)], emb["b"][f(i, l)], emb["a"][f(j, k)]]
             )
             total = total + w1 + w2
-    return as_operator(0.5 * total)
+    return as_operator(from_scipy(0.5 * total))
 
 
 def kron_class_sum_oracle(full):
@@ -186,7 +186,7 @@ def kron_class_sum_oracle(full):
     for i in range(1, full.nu + 1):
         for j in range(i + 1, full.nu + 1):
             total = total + to_scipy(kron_exchange_oracle(full, i, j))
-    return as_operator(total)
+    return as_operator(from_scipy(total))
 
 
 def kron_generator_oracle(full, k, l):
@@ -197,7 +197,7 @@ def kron_generator_oracle(full, k, l):
     for i in range(1, full.nu + 1):
         total = total + kron_word([emb["a_dag"][f(i, k)], emb["b"][f(i, l)]])
         total = total + kron_word([emb["b_dag"][f(i, k)], emb["a"][f(i, l)]])
-    return as_operator(total)
+    return as_operator(from_scipy(total))
 
 
 def kron_casimir_oracles(full):
@@ -213,7 +213,7 @@ def kron_casimir_oracles(full):
         c1 = c1 + gens[(k, k)]
         for l in range(1, full.m + 1):
             c2 = c2 + gens[(k, l)] @ gens[(l, k)]
-    return as_operator(c1), as_operator(c2)
+    return as_operator(from_scipy(c1)), as_operator(from_scipy(c2))
 
 
 def assert_csr_bit_equal(mat, ref):
@@ -343,7 +343,7 @@ class TestSingleMode:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_structural_invariants(self, n):
         ops = mode_letters(GentileOrder(n))
-        assert max_abs(to_scipy(ops.a) - to_scipy(ops.b).conjugate()) == 0.0
+        assert max_abs(from_scipy(to_scipy(ops.a) - to_scipy(ops.b).conjugate())) == 0.0
         assert max_abs(ops.a_dag - ops.a.getH()) == 0.0
         assert max_abs(ops.b_dag - ops.b.getH()) == 0.0
         # raiser column at the top state is structurally empty
@@ -380,7 +380,8 @@ class TestEmbedding:
         basis = enumerate_basis(2, 2, order)
         eye = sp.identity(2, dtype=complex, format="csr")
         embedded = kron_embed(eye, 1, 2, basis)
-        assert max_abs(to_scipy(embedded) - sp.identity(basis.dim, dtype=complex)) == 0.0
+        identity = sp.identity(basis.dim, dtype=complex)
+        assert max_abs(from_scipy(to_scipy(embedded) - identity)) == 0.0
 
     def test_number_embedding_is_occupation_diagonal(self):
         order = GentileOrder(2)
@@ -419,10 +420,10 @@ class TestRestriction:
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
-        eye = as_operator(sp.identity(full.dim, dtype=complex))
+        eye = as_operator(from_scipy(sp.identity(full.dim, dtype=complex)))
         assert leakage(eye, sector) == 0.0
         result = restrict(eye, sector)
-        assert max_abs(to_scipy(result) - sp.identity(sector.dim, dtype=complex)) == 0.0
+        assert max_abs(from_scipy(to_scipy(result) - sp.identity(sector.dim, dtype=complex))) == 0.0
 
     def test_generator_has_no_leakage(self):
         order = GentileOrder(1)
@@ -445,7 +446,7 @@ class TestRestriction:
         inside, outside = int(sector.ranks[0]), 0
         single = sp.csr_matrix(([0.5], ([inside], [outside])), shape=(full.dim, full.dim))
         for mat in (single, single.T):
-            assert leakage(as_operator(mat), sector) == 0.5
+            assert leakage(as_operator(from_scipy(mat)), sector) == 0.5
 
     def test_restrict_commutes_with_assembly_for_conserving_operators(self):
         # restricting the assembled product equals assembling from the
@@ -473,7 +474,7 @@ class TestExchange:
         assert leakage(exchange_op(1, 2, full), sector) < 1e-12
         tau = restrict(exchange_op(1, 2, full), sector)
         oracle = swap_matrix_oracle(sector, 1, 2)
-        assert max_abs(to_scipy(tau) - oracle) < 1e-12
+        assert max_abs(from_scipy(to_scipy(tau) - oracle)) < 1e-12
         # spot: (pos1 state1, pos2 state2) -> (pos1 state2, pos2 state1)
         src = ordinal(sector, (1, 0, 0, 1))
         dst = ordinal(sector, (0, 1, 1, 0))
@@ -494,14 +495,16 @@ class TestExchange:
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         tau = restrict(exchange_op(1, 2, full), sector)
-        assert max_abs(to_scipy(tau @ tau) - sp.identity(sector.dim, dtype=complex)) < 1e-12
+        eye = sp.identity(sector.dim, dtype=complex)
+        assert max_abs(from_scipy(to_scipy(tau @ tau) - eye)) < 1e-12
 
     def test_exchange_spectrum(self):
         order = GentileOrder(1)
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         tau = restrict(exchange_op(1, 2, full), sector)
-        assert eigensolve_hermitian(tau) == [
+        # At nu=2 the one exchange is the class sum, with its symmetries.
+        assert eigensolve_hermitian(tau, sector) == [
             (pytest.approx(-1.0, abs=1e-10), 1),
             (pytest.approx(1.0, abs=1e-10), 3),
         ]
@@ -516,7 +519,7 @@ class TestExchange:
         sector = enumerate_basis(2, 2, order, sector=1)
         tau = restrict(exchange_op(1, 2, full), sector)
         oracle = swap_matrix_oracle(sector, 1, 2)
-        assert max_abs(to_scipy(tau) - oracle) < 1e-12
+        assert max_abs(from_scipy(to_scipy(tau) - oracle)) < 1e-12
 
     def test_argument_validation(self):
         order = GentileOrder(1)
@@ -556,7 +559,7 @@ class TestClassSum:
         full = enumerate_basis(3, 2, order)
         sector = enumerate_basis(3, 2, order, sector=1)
         restricted = restrict(class_sum(full), sector)
-        clusters = eigensolve_hermitian(restricted)
+        clusters = eigensolve_hermitian(restricted, sector)
         assert [(round(v, 9), mult) for v, mult in clusters] == [(0.0, 4), (3.0, 4)]
 
     def test_single_position_rejected(self):
@@ -631,7 +634,7 @@ class TestCasimirs:
         full = enumerate_basis(2, 2, order)
         sector = enumerate_basis(2, 2, order, sector=1)
         c2 = restrict(casimir_c2(full), sector)
-        clusters = eigensolve_hermitian(c2)
+        clusters = eigensolve_hermitian(c2, sector)
         assert [(round(v, 9), mult) for v, mult in clusters] == [(8.0, 1), (24.0, 3)]
 
 
@@ -679,25 +682,27 @@ class TestMatrixUtilities:
             order = GentileOrder(n)
             ops = mode_letters(order)
             bracket = ops.b @ ops.a_dag - order.q * (ops.a_dag @ ops.b)
-            assert max_abs(to_scipy(bracket) - sp.identity(n + 1, dtype=complex)) < 1e-12
+            eye = sp.identity(n + 1, dtype=complex)
+            assert max_abs(from_scipy(to_scipy(bracket) - eye)) < 1e-12
 
     def test_entrywise_operations(self):
         mat = sp.csr_matrix(np.array([[1 + 2j, 0], [0, -3j]]))
-        real = entrywise_real(mat).toarray()
+        real = entrywise_real(from_scipy(mat)).toarray()
         np.testing.assert_allclose(real, [[1, 0], [0, 0]])
 
     def test_assembly_prunes_tiny_entries(self):
         mat = sp.csr_matrix(np.array([[1.0, 1e-16], [0.0, 1.0]], dtype=complex))
-        op = as_operator(mat)
+        op = as_operator(from_scipy(mat))
         assert op.nnz == 2
         assert all(abs(v) >= 1e-14 for v in op.data)
 
     @pytest.mark.parametrize("kind", ["complex_csr", "real_unsorted_csr", "csr_array", "coo",
                                       "dense"])
     def test_as_operator_leaves_its_argument_as_it_was(self, kind):
-        # Each argument has an entry to prune; the real CSR also has row 0
-        # unsorted, so sorting its indices in place, with its data left in
-        # place, would move the 1.0 at (0, 0) to (0, 1).
+        # Each argument, converted by the tests' from_scipy, has an entry to
+        # prune; the real CSR also has row 0 unsorted, so sorting its indices
+        # in place, with its data left in place, would move the 1.0 at (0, 0)
+        # to (0, 1).
         entries = ([2.0, 1.0, 1e-16], [1, 0, 1], [0, 2, 3])
         mat = {
             "complex_csr": sp.csr_matrix(np.array([[1.0, 1e-16], [0.0, 1.0]], dtype=complex)),
@@ -709,7 +714,7 @@ class TestMatrixUtilities:
         dense = mat.toarray() if sp.issparse(mat) else mat.copy()
         held = stored_arrays(mat)
         saved = [array.copy() for array in held]
-        op = as_operator(mat)
+        op = as_operator(from_scipy(mat))
         np.testing.assert_array_equal(op.toarray(), np.where(np.abs(dense) < 1e-14, 0, dense))
         for before, after in zip(saved, held):
             np.testing.assert_array_equal(after, before)
@@ -752,29 +757,36 @@ def test_builder_returns_pruned_canonical_csr(name, sector, n, nu, m):
 
 class TestEigensolver:
     def test_identity(self):
-        op = as_operator(sp.identity(4, dtype=complex))
-        assert eigensolve_hermitian(op) == [(1.0, 4)]
+        spin = enumerate_basis(2, 2, GentileOrder(1), sector=1)
+        op = as_operator(from_scipy(sp.identity(4, dtype=complex)))
+        assert eigensolve_hermitian(op, spin) == [(1.0, 4)]
 
     def test_two_level_diagonal(self):
-        op = as_operator(sp.diags([0.0, 1.0], 0, dtype=complex))
-        assert eigensolve_hermitian(op) == [(0.0, 1), (1.0, 1)]
+        # The n=1, nu=2, m=1 full space has the weights 0, 1, 1, 2; capped at
+        # 1 they are the two levels 0 and 1.
+        full = enumerate_basis(2, 1, GentileOrder(1))
+        op = as_operator(from_scipy(sp.diags(np.minimum(full.weights, 1), 0, dtype=complex)))
+        assert eigensolve_hermitian(op, full) == [(0.0, 1), (1.0, 3)]
 
     def test_degeneracy_clustering(self):
-        op = as_operator(sp.diags([0.0, 1e-9], 0, dtype=complex))
-        clusters = eigensolve_hermitian(op)
-        assert len(clusters) == 1 and clusters[0][1] == 2
+        # 0, 1e-9, 1e-9, 2e-9: each gap is under DEGENERACY_TOL.
+        full = enumerate_basis(2, 1, GentileOrder(1))
+        op = as_operator(from_scipy(sp.diags(full.weights * 1e-9, 0, dtype=complex)))
+        clusters = eigensolve_hermitian(op, full)
+        assert len(clusters) == 1 and clusters[0][1] == 4
 
     def test_multiplicities_sum_to_dim(self):
         order = GentileOrder(1)
         full = enumerate_basis(3, 2, order)
         sector = enumerate_basis(3, 2, order, sector=1)
-        clusters = eigensolve_hermitian(restrict(class_sum(full), sector))
+        clusters = eigensolve_hermitian(restrict(class_sum(full), sector), sector)
         assert sum(mult for _, mult in clusters) == sector.dim
 
     def test_non_hermitian_rejected(self):
+        pair = enumerate_basis(1, 2, GentileOrder(1), sector=1)
         mat = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(NonHermitianError) as err:
-            eigensolve_hermitian(as_operator(mat))
+            eigensolve_hermitian(as_operator(from_scipy(mat)), pair)
         assert err.value.asymmetry == pytest.approx(1.0)
 
     def test_dimension_cap(self):
@@ -784,8 +796,9 @@ class TestEigensolver:
         assert check_dimension(1, 2, 3, None, 2**20, dense_cap=8) == 64
         with pytest.raises(SizingError, match="dense eigensolve needs dim 8 > dense cap 4"):
             check_dimension(1, 2, 3, None, 2**20, dense_cap=4)
-        op = as_operator(sp.identity(8, dtype=complex))
-        assert eigensolve_hermitian(op) == [(1.0, 8)]
+        spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
+        op = as_operator(from_scipy(sp.identity(8, dtype=complex)))
+        assert eigensolve_hermitian(op, spin) == [(1.0, 8)]
 
 
 #: The benchmark's spectrum ladder as (n, m, nu), all on the spin sector.
@@ -879,28 +892,29 @@ class TestBlockedEigensolver:
         return seen
 
     def test_complex_block_solved_in_complex_arithmetic(self, solved):
-        mat = sp.csr_matrix(np.array([[1, 2j, 0, 0], [-2j, 3, 0, 0],
-                                      [0, 0, 5, 1 + 1j], [0, 0, 1 - 1j, 2]]))
-        expected = np.linalg.eigvalsh(mat.toarray())
-        solved.clear()
-        clusters = eigensolve_hermitian(mat)
-        assert solved == [(np.complex128, (1, 4, 4))]
-        assert [mult for _, mult in clusters] == [1, 1, 1, 1]
-        np.testing.assert_allclose([v for v, _ in clusters], expected, rtol=0, atol=1e-12)
         # Momentum k = 1 of the nu=3 orbit (2,1) carries the phase omega.
         spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
-        solved.clear()
         eigensolve_hermitian(class_sum(spin), spin)
         assert solved == [(np.complex128, (3, 1, 1))]
+        # With i (T - T^T) added every momentum of the orbit is solved too.
+        shift = translation_matrix(spin)
+        mat = from_scipy(to_scipy(class_sum(spin)) + 1j * (shift - shift.T))
+        expected = one_block_complex(mat)
+        solved.clear()
+        clusters = eigensolve_hermitian(mat, spin)
+        assert solved == [(np.complex128, (4, 1, 1))]
+        assert [mult for _, mult in clusters] == [2, 2, 4]
+        assert_same_clusters(clusters, expected)
 
     def test_real_block_solved_in_real_arithmetic(self, solved):
-        mat = sp.csr_matrix(np.array([[1, 2, 0], [2, 3, 0], [0, 0, 5]], dtype=complex))
-        eigensolve_hermitian(mat)
-        # At nu=2 the phases are +-1, exactly: weight (2,0) at k=0 and the
-        # orbit of (1,1) at k=0, 1; the weight (0,2) is not solved.
-        spin = enumerate_basis(2, 2, GentileOrder(1), sector=1)
-        eigensolve_hermitian(class_sum(spin), spin)
-        assert solved == [(np.float64, (1, 3, 3)), (np.float64, (3, 1, 1))]
+        # At nu=2 the phases are +-1, exactly.  On the spin sector: weight
+        # (2,0) at k=0 and the orbit of (1,1) at k=0, 1; the weight (0,2) is
+        # not solved.  The full space adds blocks of size 2.
+        for sector in (1, None):
+            basis = enumerate_basis(2, 2, GentileOrder(1), sector=sector)
+            eigensolve_hermitian(class_sum(basis), basis)
+        assert solved == [(np.float64, (3, 1, 1)), (np.float64, (7, 1, 1)),
+                          (np.float64, (2, 2, 2))]
 
     def test_one_call_per_block_size(self, solved):
         # nu=6, m=3: 729 states, whose momentum blocks come in several
@@ -936,34 +950,20 @@ class TestBlockedEigensolver:
         # every k is solved.
         spin = enumerate_basis(nu, m, GentileOrder(1), sector=1)
         shift = translation_matrix(spin)
-        mat = to_scipy(class_sum(spin)) + 1j * (shift - shift.T)
+        mat = from_scipy(to_scipy(class_sum(spin)) + 1j * (shift - shift.T))
         expected = one_block_complex(mat)
         solved.clear()
         assert_same_clusters(eigensolve_hermitian(mat, spin), expected)
         assert sum(count * size for _, (count, size, _) in solved) == \
             momentum_states(nu, m, range(nu))
 
-    def test_non_canonical_input_solved_like_its_canonical_form(self):
-        # Each stored entry split into two halves and every row's entries
-        # reversed: duplicates and unsorted indices, the same matrix.
-        spin = enumerate_basis(4, 2, GentileOrder(1), sector=1)
-        mat = class_sum(spin)
-        halves = [np.concatenate([mat.data[a:b][::-1] / 2] * 2) for a, b in
-                  zip(mat.indptr, mat.indptr[1:])]
-        cols = [np.concatenate([mat.indices[a:b][::-1]] * 2) for a, b in
-                zip(mat.indptr, mat.indptr[1:])]
-        split = sp.csr_matrix((np.concatenate(halves), np.concatenate(cols), 2 * mat.indptr),
-                              shape=mat.shape)
-        assert not split.has_canonical_format
-        assert eigensolve_hermitian(split, spin) == eigensolve_hermitian(mat, spin)
-
     def test_entry_coupling_two_blocks_refused(self):
         # The nu=2, m=2 spin sector has the weights (0,2), (1,1), (1,1), (2,0),
         # labelled 2, 4, 4, 6.
         spin = enumerate_basis(2, 2, GentileOrder(1), sector=1)
-        mat = sp.csr_matrix(np.array([[1.0, 0.5, 0, 0], [0.5, 2, 0, 0], [0, 0, 2, 0],
-                                      [0, 0, 0, 1]], dtype=complex))
-        assert len(eigensolve_hermitian(mat)) == 4
+        mat = from_scipy(np.array([[1.0, 0.5, 0, 0], [0.5, 2, 0, 0], [0, 0, 2, 0],
+                                   [0, 0, 0, 1]], dtype=complex))
+        assert len(np.unique(np.linalg.eigvalsh(mat.toarray()).round(9))) == 4
         with pytest.raises(ValueError, match=r"entry \(0, 1\) couples weight blocks 2 and 4"):
             eigensolve_hermitian(mat, spin)
 
@@ -972,14 +972,15 @@ class TestBlockedEigensolver:
         tau = exchange_op(1, 2, spin)
         with pytest.raises(ValueError, match="not invariant under the cyclic translation"):
             eigensolve_hermitian(tau, spin)
-        assert eigensolve_hermitian(tau) == [(-1.0, 2), (1.0, 6)]
+        assert np.linalg.eigvalsh(tau.toarray()).tolist() == [-1.0] * 2 + [1.0] * 6
 
     def test_diagonal_generator_breaks_relabelling(self):
         spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
         e11 = unitary_generator(1, 1, spin)
         with pytest.raises(ValueError, match=r"relabelling internal states \(1, 2\)"):
             eigensolve_hermitian(e11, spin)
-        assert [mult for _, mult in eigensolve_hermitian(e11)] == [1, 3, 3, 1]
+        _, mults = np.unique(np.linalg.eigvalsh(e11.toarray()).round(9), return_counts=True)
+        assert mults.tolist() == [1, 3, 3, 1]
 
 
 def summed_exchanges_oracle(basis):
@@ -989,7 +990,7 @@ def summed_exchanges_oracle(basis):
     for i in range(1, basis.nu + 1):
         for j in range(i + 1, basis.nu + 1):
             total = total + to_scipy(exchange_op(i, j, basis))
-    return as_operator(total)
+    return as_operator(from_scipy(total))
 
 
 def summed_grid(bound=4096):

@@ -1,9 +1,11 @@
 """Identity verifier: recipes, statuses, grids, determinism."""
 
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import fields
 from itertools import combinations, product
 
@@ -23,7 +25,7 @@ from gentile import (
 )
 from gentile import GentileOrder, basis as basis_module, operators, verifier
 from gentile.basis import DEFAULT_DIMENSION_CAP, enumerate_basis
-from scipy_oracle import limit_theorem_agreement, to_scipy
+from scipy_oracle import from_scipy, limit_theorem_agreement, to_scipy
 from gentile.operators import (
     _ladder,
     as_operator,
@@ -108,8 +110,7 @@ class TestSampledMode:
     @staticmethod
     def plant(monkeypatch, identity, dim, value):
         """Make ``identity``'s recipe return one ``dim x dim`` CSR with one entry."""
-        defect = sp.csr_matrix(([value], ([dim - 1], [dim // 2])), shape=(dim, dim),
-                               dtype=np.complex128)
+        defect = from_scipy(sp.csr_matrix(([value], ([dim - 1], [dim // 2])), shape=(dim, dim)))
         row = _IDENTITIES[identity]._replace(recipe=lambda t, b: ([defect], 0.0, ""))
         monkeypatch.setitem(_IDENTITIES, identity, row)
 
@@ -169,7 +170,7 @@ class TestVerdict:
         def skewed(basis):
             op = real_c1(basis)
             extra = sp.csr_matrix(([value], ([row], [col])), shape=op.shape)
-            return as_operator(to_scipy(op) + extra)
+            return as_operator(from_scipy(to_scipy(op) + extra))
 
         monkeypatch.setattr(verifier, "casimir_c1", skewed)
         verifier._spectrum_match.cache_clear()  # cached by the sector basis
@@ -342,6 +343,38 @@ except ChildProcessError:
 """
 
 
+#: A run_grid whose caller kills itself with SIGKILL, run as a script: its
+#: worker's tasks record the worker's pid and take 0.2 s each, and the caller
+#: kills itself on its first task, once the worker has recorded its pid.
+KILLED_CALLER = """
+import os, signal, sys, time
+from gentile import verifier
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, record = os.getpid(), sys.argv[1]
+def run_task(task, *caps):
+    if os.getpid() == parent:
+        deadline = time.monotonic() + 30
+        while not os.path.exists(record) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(parent, signal.SIGKILL)
+    with open(record + ".part", "w") as out:
+        out.write(str(os.getpid()))
+    os.replace(record + ".part", record)
+    time.sleep(0.2)
+verifier.run_task = run_task
+verifier.run_grid(verifier.default_grid_tasks())
+"""
+
+
+def running(pid):
+    """Whether ``pid`` is a process that is neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestWorkers:
     """``run_grid`` evaluates its basis groups in one forked worker per
     usable CPU; the verdicts and failures do not depend on the count."""
@@ -386,6 +419,27 @@ class TestWorkers:
         assert lines[0].startswith("verify worker ")
         assert lines[0].endswith(f" ended without a result ({status})")
         assert lines[1] == "no child left"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/stat")
+    def test_worker_ends_with_its_killed_caller(self, tmp_path):
+        # A caller killed by SIGKILL runs no finally, so its worker must see
+        # that its parent changed; its share would take about 18 s.
+        record = tmp_path / "worker"
+        proc = subprocess.run([sys.executable, "-c", KILLED_CALLER, str(record)], timeout=60,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == -signal.SIGKILL
+        worker = int(record.read_text())
+        alive = True
+        try:
+            deadline = time.monotonic() + 3
+            while alive and time.monotonic() < deadline:
+                time.sleep(0.05)
+                alive = running(worker)
+            assert not alive, f"worker {worker} outlived its killed caller"
+        finally:
+            if alive:
+                os.kill(worker, signal.SIGKILL)
 
     def test_one_worker_where_forking_is_unsafe(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -529,7 +583,7 @@ def subspaces(n, m):
 def occupation_diag(basis, fn, position, state):
     """``occ_f``/``occ_g`` of one mode's occupations, as a pruned diagonal matrix."""
     vals = fn(basis.occupations[:, basis.flat_modes(position, state)], basis.order)
-    return to_scipy(as_operator(sp.diags(vals, 0)))
+    return to_scipy(as_operator(from_scipy(sp.diags(vals, 0))))
 
 
 def correction_oracle(basis, k, l):
@@ -557,7 +611,7 @@ def generator_commutation_oracle(basis):
             d = d + e[p, l]
         if l == p and q == k:
             d = d - 2.0 * correction_oracle(basis, k, l)
-        residual = max(residual, max_abs(d))
+        residual = max(residual, max_abs(from_scipy(d)))
     return residual
 
 
@@ -573,7 +627,7 @@ def ladder_nbracket_oracle(full):
             diff = lower @ raiser - q * (raiser @ lower) - eye
         else:
             diff = lower @ raiser - raiser @ lower
-        residual = max(residual, max_abs(diff))
+        residual = max(residual, max_abs(from_scipy(diff)))
     return residual
 
 
@@ -643,7 +697,7 @@ class TestFastPathOracles:
             basis = enumerate_basis(nu, m, GentileOrder(n), sector=sub)
             totals = [sp.diags(d, 0, format="csr", dtype=np.complex128)
                       for d in position_totals(basis)]
-            oracle = max(max_abs(to_scipy(op) @ t - t @ to_scipy(op))
+            oracle = max(max_abs(from_scipy(to_scipy(op) @ t - t @ to_scipy(op)))
                          for op in conservation_operands(basis) for t in totals)
             verdict = run_task(VerificationTask(IdentityId.SECTOR_CONSERVATION, n, nu, m, sub))
             assert hex_of(verdict.residual) == oracle.hex(), sub
@@ -732,7 +786,7 @@ class TestReducedEvaluations:
                 return op
             mat = to_scipy(op)
             mat.data[0] += 1e-3
-            return as_operator(mat)
+            return as_operator(from_scipy(mat))
 
         monkeypatch.setattr(verifier, "_ladder", perturbed)
         verdict = run_task(make_task(IdentityId.LADDER_NBRACKET, n=n))

@@ -32,6 +32,7 @@ from gentile import (
 from gentile import operators
 from gentile.basis import _radix, subspace_label
 from gentile.operators import DROP_TOL, _ladder
+from scipy_oracle import from_scipy
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ def nested_apply_words(basis, terms, scale=None):
             letters = " ".join(f"{name}({flat})" for name, flat in moved[group])
             raise ValueError(f"word {letters} leaves the {subspace_label(basis.sector)} basis "
                              f"from its state {cols[dim + missing[0]]}")
-    return sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=(dim, dim))
+    return from_scipy(sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=(dim, dim)))
 
 
 def nested_ladder(basis, name, flat):
