@@ -58,8 +58,9 @@ verdicts, or its exception, back pickled through a pipe, and ends with
 caller, so a caller killed by a signal leaves no worker running.  An
 exception is raised again in the caller with its type, a worker that ends
 without a result raises ``ChildProcessError`` naming its pid and status,
-and every worker is reaped before ``run_grid`` returns or raises.  Verdicts are sorted, so their order and the report bytes do not
-depend on the number of workers.
+and every worker is reaped before ``run_grid`` returns or raises.  Verdicts
+are sorted, so their order and the report bytes do not depend on the number
+of workers.
 """
 
 from __future__ import annotations
