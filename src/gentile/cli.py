@@ -3,8 +3,9 @@
 Exit codes: 0 on success (contested residuals never fail a run), 2 when a
 guaranteed identity misses its tolerance, 3 on sizing or configuration
 errors, which covers every ``ValueError`` the library raises, a report that
-cannot be written, and every ``verify`` verdict with ``status="error"``
-(whose report is still written).
+cannot be written, a ``verify`` worker that ends without a result (killed by
+a signal, say: ``ChildProcessError``), and every ``verify`` verdict with
+``status="error"`` (whose report is still written).
 Reports land in ``--out`` or, by default, in the directory named by the
 ``GENTILE_OUTPUT_DIR`` environment variable (falling back to the working
 directory).
@@ -405,7 +406,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.command == "partitions":
                 return _cmd_partitions(args)
             raise CliError(f"unknown command {args.command!r}")
-        except (CliError, ValueError) as exc:
+        except (CliError, ValueError, ChildProcessError) as exc:
             print(f"gentile: error: {exc}", file=sys.stderr)
             return 3
     finally:

@@ -11,15 +11,16 @@ directly on a sector: a word of ladder letters maps a state to at most one
 state, so it shifts rows of the occupation array, multiplies the ladder
 amplitudes met on the way and ranks the targets by ``searchsorted`` on
 ``FockBasis.ranks``.  A builder gives the kernel its words as arrays: the
-letter names of the words of one group, and a ``(terms, groups, letters)``
-integer array of flat modes from ``FockBasis.flat_modes``.  The exchange is
-a sum of quartic words, the generator ``E(k,l)`` a sum of two-letter words
-over positions, and ``C1``, ``C2`` are sums and products of cached
-generators.
-A family of operators is one kernel pass that hands back one matrix per
-part: all ``m**2`` generators of a basis come from one pass, and all its
+letter names of the words of one group, and a ``(parts, terms, groups,
+letters)`` integer array of flat modes from ``FockBasis.flat_modes``.  The
+exchange is a sum of quartic words, the generator ``E(k,l)`` a sum of
+two-letter words over positions, and ``C1``, ``C2`` are sums and products
+of cached generators.
+The kernel hands back one matrix per part, so a family of operators is one
+pass: all ``m**2`` generators of a basis come from one pass, and all its
 pair exchanges from another, each family cached by its basis.  The class
-sum stays one summed pass with one term per position pair, and it keeps
+sum and a single ladder matrix are families of one part.  The class sum
+stays one summed pass with one term per position pair, and it keeps
 the rounding of summing the exchange operators: each pair's diagonal is
 halved and pruned on its own and then added to the running diagonal in
 pair order, and each off-diagonal entry, which no two pairs share, is half
@@ -58,7 +59,8 @@ entry the chain drops), and the exact zeros of the result are dropped.  A
 scalar multiplies a matrix before it enters and never a product's sum,
 which a complex scale may round differently (the FMA note above).
 :func:`commutator` is the two-term case of products, and the Casimirs start
-from the zero matrix, which keeps the rounding of ``0 + x``.
+from ``diagonal_operator`` of zeros, a matrix with no stored entry, which
+keeps the rounding of ``0 + x``.
 
 Every composite also commutes with the diagonal generators ``E(k,k)``, so it
 is block-diagonal in the weight ``FockBasis.weights``; the class sum and
@@ -75,12 +77,11 @@ dimension, by ``basis.check_dimension``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from operator import mul
 from numbers import Number
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -297,12 +298,6 @@ def _coo(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[in
     return _from_places(places, values, shape)
 
 
-def zero_operator(dim: int) -> CSR:
-    """The ``dim`` x ``dim`` matrix with no stored entry."""
-    return CSR(np.zeros(dim + 1, dtype=np.int64), np.zeros(0, dtype=np.int64),
-               np.zeros(0, dtype=np.complex128), (dim, dim))
-
-
 def diagonal_operator(values: np.ndarray) -> CSR:
     """The diagonal matrix of ``values``, every nonzero one stored as it is."""
     values = np.asarray(values, dtype=np.complex128)
@@ -343,25 +338,26 @@ _CHUNK = 2**16
 def _apply_words(
     basis: FockBasis, words: Sequence[Sequence[str]], modes: np.ndarray,
     scale: Optional[float] = None,
-) -> Union[CSR, list[CSR]]:
+) -> list[CSR]:
     """Sums of terms of words applied to the occupation array of ``basis``.
 
     ``words`` names the letters of each word of a group, left to right, so
     the rightmost letter acts first; the words differ only in which letters
     take the conjugate amplitude, so they act on the same rows and send each
-    to the same target.  ``modes[..., t, g, :]`` holds the flat mode of each
-    letter in group ``g`` of term ``t``.  A ``(terms, groups, letters)``
-    array gives the one matrix that sums its terms; a leading axis of
-    ``parts`` gives a list of ``parts`` matrices, each the sum of its own
-    terms: a family of operators from one pass.  A group that returns every
-    state to itself adds to its term's diagonal as ``(acc + w1) + w2``, in
-    group order; any other group stores ``w1 + w2`` at its targets.  Each
-    term is multiplied by ``scale`` (``None`` keeps the signed zeros of the
-    words), and its diagonal is pruned at ``DROP_TOL`` and added to the
-    diagonals of the terms before it in its part; each off-diagonal entry is
-    tagged with its part.  Terms share no off-diagonal entry, so pruning
-    those once, in :func:`as_operator`, prunes each term's: a pruned part is
-    bit-identical to summing its terms' pruned matrices one after another.
+    to the same target.  ``modes`` is a ``(parts, terms, groups, letters)``
+    integer array: ``modes[p, t, g, :]`` holds the flat mode of each letter
+    in group ``g`` of term ``t`` of part ``p``.  The result is a list of
+    ``parts`` matrices, each the sum of its own terms, so a family of
+    operators is one pass and a single operator is a family of one part.  A
+    group that returns every state to itself adds to its term's diagonal as
+    ``(acc + w1) + w2``, in group order; any other group stores ``w1 + w2``
+    at its targets.  Each term is multiplied by ``scale`` (``None`` keeps
+    the signed zeros of the words), and its diagonal is pruned at
+    ``DROP_TOL`` and added to the diagonals of the terms before it in its
+    part; each off-diagonal entry is tagged with its part.  Terms share no
+    off-diagonal entry, so pruning those once, in :func:`as_operator`,
+    prunes each term's: a pruned part is bit-identical to summing its
+    terms' pruned matrices one after another.
 
     Whole terms are taken in chunks of at most ``_CHUNK`` met levels (a
     larger term is a chunk alone), each in one array pass.  The level every
@@ -378,8 +374,7 @@ def _apply_words(
     family holds the unsorted entries of one chunk's parts at a time.
     """
     n, dim, ranks = basis.order.n, basis.dim, basis.ranks
-    parts = modes.shape[0] if modes.ndim == 4 else None
-    terms, groups, length = modes.shape[-3:]
+    terms, groups, length = modes.shape[1:]
     modes = modes.reshape(-1, groups, length)  # the terms of every part, part-major
     raises = np.array([_LETTERS[name][0] for name in words[0]])
     conj = [[_LETTERS[name][1] for name in word] for word in words]
@@ -460,14 +455,14 @@ def _apply_words(
                     stacked.data[ends[part]:ends[part + 1]], (dim, dim))
                 for part in range(len(diag))]
         done, diag, rows, cols, vals = last // terms, diag[:0], [], [], []
-    return out if parts is not None else out[0]
+    return out
 
 
 def _ladder(basis: FockBasis, name: str, flat: int) -> CSR:
     """One single-mode ladder matrix (``a``, ``b``, ``a_dag`` or ``b_dag``)
     acting on one flat mode of a full basis, identity on every other mode.
     """
-    return as_operator(_apply_words(basis, [[name]], np.array([[[flat]]])))
+    return as_operator(_apply_words(basis, [[name]], np.array([[[[flat]]]]))[0])
 
 
 #: The two quartic words of one exchange group.
@@ -524,11 +519,15 @@ def class_sum(basis: FockBasis) -> CSR:
     rounding of summing the pruned :func:`exchange_op` matrices in that
     order: each pair's diagonal is halved and pruned before it is added to
     the running diagonal, and each off-diagonal entry is ``0.5 * (w1 +
-    w2)``.
+    w2)``.  It is its own pass, not a merge of the cached exchange family:
+    the merge gives the same bits but holds every pair's matrix at once,
+    and it made the class sums of small spectra about 50% slower and the
+    ``nu=14, m=2`` spectrum's peak memory about 40% larger.
     """
     if basis.nu < 2:
         raise ValueError(f"class sum needs at least two positions, got nu={basis.nu}")
-    return as_operator(_apply_words(basis, _EXCHANGE_WORDS, _exchange_modes(basis), scale=0.5))
+    modes = _exchange_modes(basis)[None]  # one part, one term per pair
+    return as_operator(_apply_words(basis, _EXCHANGE_WORDS, modes, scale=0.5)[0])
 
 
 @lru_cache(maxsize=64)
@@ -558,20 +557,20 @@ def unitary_generator(k: int, l: int, basis: FockBasis) -> CSR:
 def casimir_c1(basis: FockBasis) -> CSR:
     """First-order Casimir: sum of the diagonal generators, on any basis.
 
-    The sum starts from the zero matrix, which keeps the rounding of
-    ``0 + E(1,1) + ...``."""
+    The sum starts from the diagonal of zeros, a matrix with no stored
+    entry, which keeps the rounding of ``0 + E(1,1) + ...``."""
     gens = _generators(basis)
     terms = [(1, gens[l, l]) for l in range(1, basis.m + 1)]
-    return as_operator(signed_sum([(1, zero_operator(basis.dim))] + terms))
+    return as_operator(signed_sum([(1, diagonal_operator(np.zeros(basis.dim)))] + terms))
 
 
 @lru_cache(maxsize=64)
 def casimir_c2(basis: FockBasis) -> CSR:
     """Second-order Casimir: sum over k, l of E(k,l) E(l,k), on any basis,
-    from the zero matrix as :func:`casimir_c1`."""
+    from the diagonal of zeros as :func:`casimir_c1`."""
     states, gens = range(1, basis.m + 1), _generators(basis)
     terms = [(1, gens[k, l], gens[l, k]) for k in states for l in states]
-    return as_operator(signed_sum([(1, zero_operator(basis.dim))] + terms))
+    return as_operator(signed_sum([(1, diagonal_operator(np.zeros(basis.dim)))] + terms))
 
 
 def coupling_sum(basis: FockBasis) -> CSR:
@@ -655,23 +654,9 @@ def _relabelling_copies(weight: tuple[int, ...]) -> int:
     return copies
 
 
-@dataclass(frozen=True)
-class _Orbits:
-    """The orbits one solve reads: each state's translation orbit (``rep``,
-    ``shift``, ``period``, see :func:`_translation_orbits`), the
-    representatives that are solved (``kept``: those of descending weights),
-    and for each of them the weight blocks that share its spectrum
-    (``copies``)."""
-
-    rep: np.ndarray
-    shift: np.ndarray
-    period: np.ndarray
-    kept: np.ndarray
-    copies: np.ndarray
-
-
-def _symmetry_orbits(mat: CSR, rows: np.ndarray, basis: FockBasis) -> _Orbits:
-    """Check that ``mat`` keeps the symmetries of ``basis`` and find its orbits.
+def _check_symmetries(mat: CSR, rows: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Check that ``mat`` keeps the symmetries of ``basis`` and return the
+    row of each state's image under the cyclic translation of positions.
 
     Raises ``ValueError`` for an entry that couples two weight blocks (named
     by the first such entry) and for a matrix that is not invariant, to
@@ -695,21 +680,19 @@ def _symmetry_orbits(mat: CSR, rows: np.ndarray, basis: FockBasis) -> _Orbits:
         deviation = _deviation(mat, rows, perm[rows], perm[mat.indices], mat.data)
         if deviation > HERMITICITY_TOL:
             raise ValueError(f"matrix is not invariant under {name} (deviation {deviation:.3e})")
-    rep, shift, period = _translation_orbits(translation, basis.nu)
-    totals = occupations.sum(axis=1)
-    kept = np.flatnonzero((rep == np.arange(dim)) & (np.diff(totals, axis=1) <= 0).all(axis=1))
-    _, first, inverse = np.unique(weights[kept], return_index=True, return_inverse=True)
-    copies = np.array([_relabelling_copies(tuple(w)) for w in totals[kept[first]].tolist()],
-                      dtype=np.int64)[inverse]
-    return _Orbits(rep=rep, shift=shift, period=period, kept=kept, copies=copies)
+    return translation
 
 
 def _momentum_stacks(
-    mat: CSR, rows: np.ndarray, basis: FockBasis, orbits: _Orbits
+    mat: CSR, rows: np.ndarray, basis: FockBasis, translation: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (weight, momentum) blocks of ``mat``, as one ``(count, d, d)`` stack
     per block size ``d`` with the spectrum count of each block.
 
+    ``translation`` gives each state's orbit (``rep``, ``shift``, ``period``,
+    see :func:`_translation_orbits`).  The kept representatives are those of
+    descending weights, and each counts once per weight block that shares
+    its spectrum under relabelling.
     A momentum state is a kept representative ``a`` with a momentum ``k``
     such that ``nu`` divides ``k * p_a``; states are ordered by (weight, k,
     a) and each (weight, k) is one block.  Each stored entry ``H[a, j]`` of a
@@ -720,7 +703,14 @@ def _momentum_stacks(
     to the conjugate of ``H_k``, with the same spectrum, so only ``k <= nu/2``
     is formed and a block with ``0 < k < nu/2`` counts twice.
     """
-    nu, kept, period = basis.nu, orbits.kept, orbits.period[orbits.kept]
+    nu, dim = basis.nu, mat.shape[0]
+    rep, shift, period = _translation_orbits(translation, nu)
+    totals = basis.occupations.reshape(dim, nu, basis.m).sum(axis=1)
+    kept = np.flatnonzero((rep == np.arange(dim)) & (np.diff(totals, axis=1) <= 0).all(axis=1))
+    _, first, inverse = np.unique(basis.weights[kept], return_index=True, return_inverse=True)
+    copies = np.array([_relabelling_copies(tuple(w)) for w in totals[kept[first]].tolist()],
+                      dtype=np.int64)[inverse]
+    period = period[kept]
     real_matrix = not mat.data.imag.any()
     momenta = np.arange(nu // 2 + 1 if real_matrix else nu)
     rep_of, k_of = np.nonzero((momenta * period[:, None]) % nu == 0)
@@ -738,11 +728,11 @@ def _momentum_stacks(
     slot = np.full((len(kept), len(momenta)), -1)
     slot[rep_of, k_of] = np.arange(len(order))
 
-    index = np.full(mat.shape[0], -1)
+    index = np.full(dim, -1)
     index[kept] = np.arange(len(kept))
     taken = np.flatnonzero(index[rows] >= 0)  # the entries of the kept rows
     a, j = index[rows[taken]], mat.indices[taken]
-    b = index[orbits.rep[j]]
+    b = index[rep[j]]
     # omega**t for t in 0..nu-1, exact where it is 0 or +-1.
     phase = np.exp(2j * np.pi * np.arange(nu) / nu)
     phase.real[np.abs(phase.real) < 1e-15] = 0
@@ -751,7 +741,7 @@ def _momentum_stacks(
     entry, k = np.nonzero((source >= 0) & (target >= 0))
     source, target = source[entry, k], target[entry, k]
     values = (mat.data[taken] * np.sqrt(period[a] / period[b]))[entry]
-    values = values * phase[k * orbits.shift[j][entry] % nu]
+    values = values * phase[k * shift[j][entry] % nu]
     block = block_of[source]
     flat = offsets[block] + position[source] * sizes[block] + position[target]
     total = int(offsets[by_size[-1]] + sizes[by_size[-1]] ** 2)
@@ -759,7 +749,7 @@ def _momentum_stacks(
     imag = np.bincount(flat, weights=values.imag, minlength=total)
 
     paired = real_matrix & (k_of[starts] > 0) & (2 * k_of[starts] != nu)
-    counts = orbits.copies[rep_of[starts]] * np.where(paired, 2, 1)
+    counts = copies[rep_of[starts]] * np.where(paired, 2, 1)
     stacks = []
     for size in sorted(set(sizes.tolist())):
         blocks = by_size[sizes[by_size] == size]
@@ -789,27 +779,29 @@ def eigensolve_hermitian(mat: CSR, basis: FockBasis) -> list[tuple[float, int]]:
     descending order are solved; each of their eigenvalues counts once per
     distinct reordering of the weight.  A real matrix has ``H_(nu-k)`` equal
     to the conjugate of ``H_k``, so only ``k <= nu/2`` is solved there and
-    counts for both.  All blocks of one size are stacked,
-    made Hermitian as ``(B + B^H) / 2``, and solved by one
-    ``np.linalg.eigvalsh`` call, in real arithmetic when the stack's
-    imaginary parts are all exactly 0.  Consecutive eigenvalues of the sorted
-    union closer than ``DEGENERACY_TOL`` share a cluster; cluster values are
-    the count-weighted means and multiplicities sum to the dimension.
+    counts for both.  All blocks of one size are stacked, made Hermitian as
+    ``(B + B^H) / 2``, and solved by one ``np.linalg.eigvalsh`` call, in
+    real arithmetic when the stack's imaginary parts are all exactly 0.
+    Consecutive eigenvalues of the sorted union closer than
+    ``DEGENERACY_TOL`` share a cluster; cluster values are the
+    count-weighted means and multiplicities sum to the dimension.
 
-    Rejects non-Hermitian input (with the measured asymmetry) and, with
-    ``ValueError``, any stored entry that couples two weight blocks and a
-    matrix that is not invariant under ``T`` or under each adjacent
-    relabelling ``(s, s+1)`` to within ``HERMITICITY_TOL``.  The caller sized
-    the largest weight block with ``basis.check_dimension`` before building
+    Before any block is formed it rejects, in this order, non-Hermitian
+    input (with the measured asymmetry) and, with ``ValueError``, any
+    stored entry that couples two weight blocks and a matrix that is not
+    invariant under ``T`` or under each adjacent relabelling ``(s, s+1)`` to
+    within ``HERMITICITY_TOL``; the checks hand ``T`` to the blocks, which
+    find the orbits and representatives from it.  The caller sized the
+    largest weight block with ``basis.check_dimension`` before building
     ``mat``.
     """
     rows = mat.rows()
     asym = _deviation(mat, rows, mat.indices, rows, mat.data.conj())
     if asym > HERMITICITY_TOL:
         raise NonHermitianError(asym)
-    orbits = _symmetry_orbits(mat, rows, basis)
+    translation = _check_symmetries(mat, rows, basis)
     eigenvalues, counts = [], []
-    for stack, copies in _momentum_stacks(mat, rows, basis, orbits):
+    for stack, copies in _momentum_stacks(mat, rows, basis, translation):
         stack = (stack + stack.conj().swapaxes(1, 2)) * 0.5
         eigenvalues.append(np.linalg.eigvalsh(stack).ravel())
         counts.append(np.repeat(copies, stack.shape[-1]))

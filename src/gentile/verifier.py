@@ -141,7 +141,8 @@ class VerificationTask:
     ``subspace`` is ``None`` for the full space or the uniform per-position
     total of a sector.  ``interpretation`` only matters for the class-sum /
     Casimir relation, whose statement needs a reading of "real part of an
-    operator"; everything else carries ``not_applicable``.
+    operator"; everything else carries ``not_applicable``.  A reading the
+    identity does not take (see :func:`interpretations_for`) is refused.
     """
 
     identity: IdentityId
@@ -152,8 +153,9 @@ class VerificationTask:
     interpretation: str = "not_applicable"
 
     def __post_init__(self) -> None:
-        if self.interpretation not in INTERPRETATIONS + ("not_applicable",):
-            raise ValueError(f"unknown interpretation {self.interpretation!r}")
+        if self.interpretation not in interpretations_for(self.identity, INTERPRETATIONS):
+            raise ValueError(f"interpretation {self.interpretation!r} does not apply to "
+                             f"{self.identity.value}")
 
     @property
     def subspace_label(self) -> str:
@@ -381,11 +383,8 @@ def _theorem_sides(basis, interpretation):
 
 
 def _recipe_class_sum_casimir(task, basis):
-    interpretation = task.interpretation
-    if interpretation == "not_applicable":
-        interpretation = "entrywise_real"
-    diff = _theorem_sides(basis, interpretation)
-    return [diff], 0.0, f"real-part reading: {interpretation}"
+    diff = _theorem_sides(basis, task.interpretation)
+    return [diff], 0.0, f"real-part reading: {task.interpretation}"
 
 
 def _limit_sides(basis):
@@ -559,16 +558,16 @@ def tolerance_for(identity: IdentityId) -> float:
     return GUARANTEED.get(identity, REPORT_TOLERANCE)
 
 
-def _space(task: VerificationTask, dense_cap: Optional[int]) -> tuple:
-    """``(nu, m, sector, dense cap)`` of the basis ``task`` evaluates on: the
-    one- or two-mode full space, the task's own subspace, or its sector
-    (``sector:1`` for a full-space spectral task), held to ``dense_cap``."""
+def _space(task: VerificationTask) -> tuple:
+    """``(nu, m, sector)`` of the basis ``task`` evaluates on: the one- or
+    two-mode full space, the task's own subspace, or its sector
+    (``sector:1`` for a full-space spectral task)."""
     space = _IDENTITIES[task.identity].space
     if space in _MODE_SPACES:
-        return 1, _MODE_SPACES[space], None, None
+        return 1, _MODE_SPACES[space], None
     if space == "spectral":
-        return task.nu, task.m, 1 if task.subspace is None else task.subspace, dense_cap
-    return task.nu, task.m, task.subspace, None
+        return task.nu, task.m, 1 if task.subspace is None else task.subspace
+    return task.nu, task.m, task.subspace
 
 
 def run_task(
@@ -582,7 +581,8 @@ def run_task(
     only the spectral space, the one dense solve, is held to ``dense_cap``.
     """
     row = _IDENTITIES[task.identity]
-    nu, m, sector, dense = _space(task, dense_cap)
+    nu, m, sector = _space(task)
+    dense = dense_cap if row.space == "spectral" else None
     try:
         basis = enumerate_basis(nu, m, GentileOrder(task.n), sector, dimension_cap, dense)
         diffs, extra, detail = row.recipe(task, basis)
@@ -658,7 +658,7 @@ def _shares(tasks: Iterable[VerificationTask], dimension_cap: int) -> list[list]
     groups dealt largest first to the least-loaded share, basis-major."""
     groups: dict[tuple, list] = {}
     for task in tasks:
-        groups.setdefault((task.n, *_space(task, None)[:3]), []).append(task)
+        groups.setdefault((task.n, *_space(task)), []).append(task)
 
     costs = {}
     for key in groups:

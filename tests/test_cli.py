@@ -6,6 +6,8 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -333,6 +335,41 @@ def test_library_errors_exit_three(args, message, tmp_path, capsys):
     assert err.startswith("gentile: error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "x.json").exists()
+
+
+#: ``gentile verify`` on two CPUs whose worker is killed by SIGKILL on its
+#: first task, as the out-of-memory killer would; exits with main's code.
+KILLED_WORKER = """
+import os, signal, sys
+from gentile import cli, verifier
+os.sched_getaffinity = lambda pid: {0, 1}
+caller, run = os.getpid(), verifier.run_task
+def run_task(task, *caps):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run(task, *caps)
+verifier.run_task = run_task
+code = cli.main(["verify", "--no-timestamp", "--out", sys.argv[1]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+sys.exit(code)
+"""
+
+
+def test_killed_verify_worker_exits_three(tmp_path):
+    out = tmp_path / "v.json"
+    proc = subprocess.run([sys.executable, "-c", KILLED_WORKER, str(out)], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("gentile: error: verify worker ")
+    assert proc.stderr.endswith(" ended without a result (signal 9)\n")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == "no child left\n"
+    assert not out.exists()
 
 
 def test_every_exit_hands_the_frozen_objects_back(tmp_path, capsys):

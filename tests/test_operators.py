@@ -273,8 +273,8 @@ def misplaced_exchange(basis, i, j):
     words: each word moves a particle from position ``j`` to position ``i``."""
     k, l = np.indices((basis.m, basis.m)).reshape(2, -1) + 1
     f = basis.flat_modes
-    modes = np.stack([f(i, k), f(j, l), f(j, l), f(j, k)], axis=-1)[None]
-    return as_operator(operators._apply_words(basis, EXCHANGE_WORDS, modes, scale=0.5))
+    modes = np.stack([f(i, k), f(j, l), f(j, l), f(j, k)], axis=-1)[None, None]
+    return as_operator(operators._apply_words(basis, EXCHANGE_WORDS, modes, scale=0.5)[0])
 
 
 class TestClosureCheck:

@@ -40,6 +40,12 @@ from gentile.scalars import occ_f, occ_g
 from gentile.verifier import _IDENTITIES, INTERPRETATIONS, tolerance_for
 
 
+def reading(identity):
+    """A reading ``identity`` takes: the class-sum relation needs one, and
+    every other identity takes none."""
+    return "entrywise_real" if identity is IdentityId.CLASS_SUM_CASIMIR else "not_applicable"
+
+
 def make_task(identity, **kwargs):
     params = dict(identity=identity, n=2, nu=2, m=2, subspace=1)
     params.update(kwargs)
@@ -50,6 +56,12 @@ class TestTaskValidation:
     def test_interpretation_checked(self):
         with pytest.raises(ValueError):
             make_task(IdentityId.CLASS_SUM_CASIMIR, interpretation="imaginary")
+        # A reading must fit its identity: the class-sum relation needs one,
+        # and no other identity takes one.
+        with pytest.raises(ValueError, match="does not apply to class_sum_casimir_relation"):
+            make_task(IdentityId.CLASS_SUM_CASIMIR)
+        with pytest.raises(ValueError, match="does not apply to limit_relation"):
+            make_task(IdentityId.LIMIT_RELATION, interpretation="entrywise_real")
 
 
 class TestGuaranteedIdentities:
@@ -72,7 +84,7 @@ class TestGuaranteedIdentities:
 class TestContestedIdentities:
     @pytest.mark.parametrize("identity", sorted(CONTESTED, key=lambda i: i.value))
     def test_always_report_only(self, identity):
-        verdict = run_task(make_task(identity))
+        verdict = run_task(make_task(identity, interpretation=reading(identity)))
         assert verdict.status == "report_only"
         assert verdict.residual is not None
 
@@ -468,7 +480,7 @@ class TestWorkers:
             bases = [[] for _ in shares]
             for share, keys in zip(shares, bases):
                 for task in share:
-                    key = (task.n, *verifier._space(task, None)[:3])
+                    key = (task.n, *verifier._space(task))
                     if key not in keys:
                         keys.append(key)
                     assert key == keys[-1], "a basis's tasks run together"
@@ -496,7 +508,7 @@ class TestIdentityTable:
         row = _IDENTITIES[identity]
         assert row.space in ("one_mode", "two_mode", "task", "spectral")
         assert GUARANTEED.get(identity) == row.tolerance
-        verdict = run_task(make_task(identity, n=1))
+        verdict = run_task(make_task(identity, n=1, interpretation=reading(identity)))
         assert verdict.status != "error", verdict.detail
         assert verdict.detail.endswith(self.ECHO) == (row.space in ("one_mode", "two_mode"))
 

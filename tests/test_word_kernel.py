@@ -252,9 +252,9 @@ def test_misplaced_exchange_refused_like_oracle(n, nu, m):
         i, j = np.array(pairs).T[:, :, None]
         k, l = np.indices((m, m)).reshape(2, -1) + 1
         f = basis.flat_modes
-        modes = np.stack([f(i, k), f(j, l), f(j, l), f(j, k)], axis=-1)
+        modes = np.stack([f(i, k), f(j, l), f(j, l), f(j, k)], axis=-1)[None]
         got = refusal(lambda: as_operator(
-            operators._apply_words(basis, EXCHANGE_WORDS, modes, scale=0.5)))
+            operators._apply_words(basis, EXCHANGE_WORDS, modes, scale=0.5)[0]))
         want = refusal(lambda: as_operator(nested_apply_words(basis, terms, scale=0.5)))
         if isinstance(want, str):
             assert got == want
@@ -274,4 +274,4 @@ def test_first_word_at_fault_in_group_major_target_order():
         nested_apply_words(basis, nested)
     with pytest.raises(ValueError, match=re.escape(message)):
         operators._apply_words(basis, [("a_dag", "b"), ("b_dag", "a")],
-                               np.array([[[3, 1], [5, 1]]]))
+                               np.array([[[[3, 1], [5, 1]]]]))
