@@ -30,6 +30,7 @@ from .operators import (
     casimir_c1,
     casimir_c2,
     class_sum,
+    class_sum_spectrum,
     coupling_sum,
     eigensolve_hermitian,
     entrywise_real,

@@ -19,9 +19,11 @@ import gc
 # call builds one, so it loads here with the other modules, at start-up.
 import locale  # noqa: F401
 import os
+import shutil
 import sys
 from collections import Counter
 from datetime import datetime, timezone
+from functools import partial
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -160,12 +162,7 @@ def _write_report(args, out_path: str, config: dict, key: str, records: Sequence
         raise CliError(f"cannot write report {out_path}: {exc}") from None
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="gentile", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"gentile {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run the identity grid", parents=[])
+def _verify_options(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("--n", default="1..3", help="orders, e.g. 2 or 1..3 or 1,3")
     verify.add_argument("--nu", default="2..3", help="particle counts")
     verify.add_argument("--m", default="2", help="internal state counts")
@@ -185,7 +182,8 @@ def _build_parser() -> _Parser:
     verify.add_argument("--dense-cap", type=int, default=DENSE_EIG_CAP,
                         help="largest weight block casimir_spectrum_match may solve densely")
 
-    spectrum = sub.add_parser("spectrum", help="exchange-model spectra")
+
+def _spectrum_options(spectrum: argparse.ArgumentParser) -> None:
     spectrum.add_argument("--nu", required=True, help="particle counts")
     spectrum.add_argument("--m", default="2", help="internal state counts")
     spectrum.add_argument("--n", default="1", help="orders")
@@ -198,12 +196,38 @@ def _build_parser() -> _Parser:
     spectrum.add_argument("--no-timestamp", action="store_true")
     spectrum.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP)
 
-    partitions = sub.add_parser("partitions", help="partition/eigenvalue tables")
+
+def _partitions_options(partitions: argparse.ArgumentParser) -> None:
     partitions.add_argument("--N", type=int, required=True, help="integer to partition")
     partitions.add_argument("--m", type=int, default=None, help="max parts (default N)")
     partitions.add_argument("--format", default="json", choices=["json", "csv"])
     partitions.add_argument("--out", default=None)
     partitions.add_argument("--no-timestamp", action="store_true")
+
+
+#: Each subcommand's help line and the function that adds its options.
+_COMMANDS = {
+    "verify": ("run the identity grid", _verify_options),
+    "spectrum": ("exchange-model spectra", _spectrum_options),
+    "partitions": ("partition/eigenvalue tables", _partitions_options),
+}
+
+
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """The parser of ``argv``: every subcommand, with the options of the one
+    that ``argv`` names (its first argument that is not an option) only, or
+    of all three when it names none, as for ``--help``.  Every help formatter
+    takes one terminal width, read once here, the value argparse would read
+    afresh for each of them."""
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="gentile", description=__doc__, formatter_class=formatter)
+    parser.add_argument("--version", action="version", version=f"gentile {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (help_line, add_options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line, formatter_class=formatter)
+        if named == name or named not in _COMMANDS:
+            add_options(command)
     return parser
 
 
@@ -396,8 +420,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # counters; unfreezing hands it back to the collector afterwards.
     gc.freeze()
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv).parse_args(argv)
         try:
             if args.command == "verify":
                 return _cmd_verify(args)

@@ -1,12 +1,15 @@
 """All-pairs exchange Hamiltonian: exact diagonalization vs partition route.
 
 The Hamiltonian is the class sum of pair exchanges on the spin sector (one
-particle per position), built on the sector basis itself and solved in
-symmetry-adapted blocks (weight, momentum under the cyclic translation of
-positions, one weight per relabelling orbit; see
-:func:`gentile.operators.eigensolve_hermitian`); the additive constant of
-the spin-dot rewriting is fixed to zero by convention and recorded in every
-report.
+particle per position), solved in symmetry-adapted blocks (weight, momentum
+under the cyclic translation of positions, one weight per relabelling
+orbit) by :func:`gentile.operators.class_sum_spectrum`: the exchange words
+act on the kept translation representatives of the sector basis only, and
+the whole matrix is never built.  The blocks couple no two weights and are
+checked to be Hermitian one by one; a sector whose class sum is not
+Hermitian, such as ``sector=2`` at ``n=2``, is refused with
+``NonHermitianError``.  The additive constant of the spin-dot rewriting is
+fixed to zero by convention and recorded in every report.
 
 The partition route evaluates closed-form Casimir eigenvalues over integer
 partitions of the particle number.  Three forms are available:
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .basis import DEFAULT_DIMENSION_CAP, DENSE_EIG_CAP, enumerate_basis
-from .operators import class_sum, eigensolve_hermitian
+from .operators import class_sum_spectrum
 from .partitions import Partition, casimir_value, partitions_of, weyl_dimension
 from .scalars import GentileOrder, coupling_j
 
@@ -214,7 +217,7 @@ def spectrum_report(
     ``cap``, then its largest weight block against ``DENSE_EIG_CAP``.
     """
     basis = enumerate_basis(nu, m, order, sector=sector, cap=cap, dense_cap=DENSE_EIG_CAP)
-    ed = tuple(eigensolve_hermitian(class_sum(basis), basis))
+    ed = tuple(class_sum_spectrum(basis))
     casimir_blocks = []
     matches = []
     singular = []

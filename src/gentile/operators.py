@@ -69,9 +69,13 @@ states.  The dense eigensolve uses all three on the basis the matrix was
 built on, which it requires: it splits each weight block by momentum under
 the cyclic translation of positions, solves one weight per orbit of weights
 under relabelling of the internal states, and solves all blocks of one size
-in one ``eigvalsh`` call, checking each symmetry on the matrix first.  Its
-dense cap is still compared with the largest weight block, not with the
-dimension, by ``basis.check_dimension``.
+in one ``eigvalsh`` call, checking each symmetry on the matrix first.  The
+class sum's own spectrum, :func:`class_sum_spectrum`, builds only the
+columns of the translation representatives the blocks read, checks their
+weights and each block's Hermiticity, and takes the symmetries from the
+construction; ``eigensolve_hermitian`` keeps the whole-matrix checks for
+any other matrix.  The dense cap is still compared with the largest weight
+block, not with the dimension, by ``basis.check_dimension``.
 """
 
 from __future__ import annotations
@@ -330,14 +334,14 @@ def max_abs(mat: CSR) -> float:
 #: Each letter name as (raises, takes the conjugate ``b`` amplitude).
 _LETTERS = {"a_dag": (True, False), "b_dag": (True, True), "b": (False, False), "a": (False, True)}
 
-#: Met levels (groups times letters times basis states) that one kernel
+#: Met levels (groups times letters times acting states) that one kernel
 #: chunk of whole terms may hold; a larger term is a chunk of its own.
 _CHUNK = 2**16
 
 
 def _apply_words(
     basis: FockBasis, words: Sequence[Sequence[str]], modes: np.ndarray,
-    scale: Optional[float] = None,
+    scale: Optional[float] = None, states: Optional[np.ndarray] = None,
 ) -> list[CSR]:
     """Sums of terms of words applied to the occupation array of ``basis``.
 
@@ -357,7 +361,10 @@ def _apply_words(
     part; each off-diagonal entry is tagged with its part.  Terms share no
     off-diagonal entry, so pruning those once, in :func:`as_operator`,
     prunes each term's: a pruned part is bit-identical to summing its
-    terms' pruned matrices one after another.
+    terms' pruned matrices one after another.  The words act on the rows
+    ``states`` (ascending; every state by default): a matrix stores
+    ``M[target, source]``, so it holds the columns of those states only,
+    with the bits of the same columns of the whole matrix.
 
     Whole terms are taken in chunks of at most ``_CHUNK`` met levels (a
     larger term is a chunk alone), each in one array pass.  The level every
@@ -374,6 +381,8 @@ def _apply_words(
     family holds the unsorted entries of one chunk's parts at a time.
     """
     n, dim, ranks = basis.order.n, basis.dim, basis.ranks
+    sources = np.arange(dim) if states is None else states
+    width = len(sources)  # the acting states
     terms, groups, length = modes.shape[1:]
     modes = modes.reshape(-1, groups, length)  # the terms of every part, part-major
     raises = np.array([_LETTERS[name][0] for name in words[0]])
@@ -385,25 +394,26 @@ def _apply_words(
     level_type = np.min_scalar_type(-(n + length + 1))
     same_mode = modes[..., :, None] == modes[..., None, :]
     offset = (np.triu(same_mode, 1) @ step + raises).astype(level_type)
-    columns = np.ascontiguousarray(basis.occupations.T, dtype=level_type)
+    occupations = basis.occupations if states is None else basis.occupations[states]
+    columns = np.ascontiguousarray(occupations.T, dtype=level_type)
     amp: dict[int, complex] = {}  # the ladder amplitude of each level met so far
-    per_chunk = max(1, _CHUNK // (groups * length * dim))
+    per_chunk = max(1, _CHUNK // (groups * length * width))
     # The parts from ``done`` on that the chunks so far reach: their running
     # diagonals, and their off-diagonal entries with rows tagged by the part.
-    done, diag, out = 0, np.zeros((0, dim), dtype=np.complex128), []
+    done, diag, out = 0, np.zeros((0, width), dtype=np.complex128), []
     rows, cols, vals = [], [], []
     for first in range(0, len(modes), per_chunk):
         last = min(first + per_chunk, len(modes))
         met = columns[modes[first:last]]  # (terms, groups, letters, states)
         met += offset[first:last, ..., None]
         at = np.flatnonzero(((met >= 1) & (met <= n)).all(axis=2))
-        group, row = np.divmod(at, dim)  # group: the index in the chunk, term-major
+        group, row = np.divmod(at, width)  # group: the index in the chunk, term-major
         # One integer per acting row: its met levels as digits in base (the
         # largest level an acting letter can meet + 1).
         base = min(n, int(met.max())) + 1
         key = np.zeros(len(at), dtype=np.int64)
         for letter in range(length):
-            key = key * base + met.reshape(-1)[at + (group * (length - 1) + letter) * dim]
+            key = key * base + met.reshape(-1)[at + (group * (length - 1) + letter) * width]
         distinct, inverse = np.unique(key, return_inverse=True)
         table = []
         for levels in (distinct[:, None] // _radix(base - 1, length) % base).tolist():
@@ -415,21 +425,22 @@ def _apply_words(
         table = np.array(table, dtype=np.complex128).reshape(-1, len(conj))
         moves = shift[first * groups + group]
         here = moves == 0
-        index = np.repeat(group[here] // groups * dim + row[here], len(conj))
+        index = np.repeat(group[here] // groups * width + row[here], len(conj))
         weights = np.take(table, inverse[here], axis=0)
-        term_diag = np.stack([np.bincount(index, part.reshape(-1), len(met) * dim)
+        term_diag = np.stack([np.bincount(index, part.reshape(-1), len(met) * width)
                               for part in (weights.real, weights.imag)], axis=-1)
-        term_diag = term_diag.view(np.complex128).reshape(-1, dim)
+        term_diag = term_diag.view(np.complex128).reshape(-1, width)
         if scale is not None:
             term_diag = scale * term_diag
         term_diag[np.abs(term_diag) < DROP_TOL] = 0
         reach = -(-last // terms) - done
         if len(diag) < reach:
-            diag = np.concatenate([diag, np.zeros((reach - len(diag), dim), dtype=np.complex128)])
+            diag = np.concatenate([diag, np.zeros((reach - len(diag), width), dtype=np.complex128)])
         for term, values in enumerate(term_diag, first):
             diag[term // terms - done] += values
         away = ~here
-        source, target = row[away], ranks[row[away]] + moves[away]
+        source = sources[row[away]]
+        target = ranks[source] + moves[away]
         found = np.searchsorted(ranks, target)
         # Closure: every target is a basis state.  A target past the last rank
         # has the insertion index dim, so the index is clipped before the gather.
@@ -447,8 +458,10 @@ def _apply_words(
             continue  # the chunk's last part has terms in the next chunk
         # A diagonal entry of 0 is one that as_operator would drop.
         stored = np.flatnonzero(diag)
-        stacked = _coo(np.concatenate([stored, *rows]), np.concatenate([stored % dim, *cols]),
-                       np.concatenate([diag.reshape(-1)[stored], *vals]), (diag.size, dim))
+        state = sources[stored % width]
+        stacked = _coo(np.concatenate([stored // width * dim + state, *rows]),
+                       np.concatenate([state, *cols]),
+                       np.concatenate([diag.reshape(-1)[stored], *vals]), (len(diag) * dim, dim))
         ends = stacked.indptr[::dim].tolist()
         out += [CSR(stacked.indptr[part * dim:(part + 1) * dim + 1] - ends[part],
                     stacked.indices[ends[part]:ends[part + 1]],
@@ -524,10 +537,16 @@ def class_sum(basis: FockBasis) -> CSR:
     and it made the class sums of small spectra about 50% slower and the
     ``nu=14, m=2`` spectrum's peak memory about 40% larger.
     """
+    return _class_sum_columns(basis)
+
+
+def _class_sum_columns(basis: FockBasis, states: Optional[np.ndarray] = None) -> CSR:
+    """The columns of the rows ``states`` (every row by default) of the
+    class sum, from the exchange words acting on those states only."""
     if basis.nu < 2:
         raise ValueError(f"class sum needs at least two positions, got nu={basis.nu}")
     modes = _exchange_modes(basis)[None]  # one part, one term per pair
-    return as_operator(_apply_words(basis, _EXCHANGE_WORDS, modes, scale=0.5)[0])
+    return as_operator(_apply_words(basis, _EXCHANGE_WORDS, modes, scale=0.5, states=states)[0])
 
 
 @lru_cache(maxsize=64)
@@ -630,11 +649,18 @@ def _deviation(
                      np.abs(data[~hit]).max(initial=0.0)))
 
 
-def _translation_orbits(translation: np.ndarray, nu: int) -> tuple[np.ndarray, ...]:
+def _translation(basis: FockBasis) -> np.ndarray:
+    """The row of each state's image under the cyclic translation of positions."""
+    occupations = basis.occupations.reshape(basis.dim, basis.nu, basis.m)
+    return _permutation(basis, np.roll(occupations, 1, axis=1))
+
+
+def _translation_orbits(basis: FockBasis, translation: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each state's orbit under the translation: its representative (the
     orbit's lowest row), the power ``s`` with ``T**s`` representative = state,
-    and the orbit's size (the state's period)."""
-    state = np.arange(len(translation))
+    and the orbit's size (the state's period); then the kept representatives,
+    those of descending weight, ascending."""
+    nu, state = basis.nu, np.arange(basis.dim)
     rep, back, period = state.copy(), np.zeros_like(state), np.zeros_like(state)
     image = state
     for power in range(1, nu + 1):
@@ -642,7 +668,9 @@ def _translation_orbits(translation: np.ndarray, nu: int) -> tuple[np.ndarray, .
         period[(period == 0) & (image == state)] = power
         lower = image < rep
         rep[lower], back[lower] = image[lower], power
-    return rep, (nu - back) % nu, period
+    totals = basis.occupations.reshape(basis.dim, nu, basis.m).sum(axis=1)
+    kept = np.flatnonzero((rep == state) & (np.diff(totals, axis=1) <= 0).all(axis=1))
+    return rep, (nu - back) % nu, period, kept
 
 
 def _relabelling_copies(weight: tuple[int, ...]) -> int:
@@ -654,6 +682,15 @@ def _relabelling_copies(weight: tuple[int, ...]) -> int:
     return copies
 
 
+def _check_weights(mat: CSR, rows: np.ndarray, weights: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first stored entry that couples two
+    weight blocks."""
+    coupled = np.flatnonzero(weights[rows] != weights[mat.indices])
+    if coupled.size:
+        i, j = rows[coupled[0]], mat.indices[coupled[0]]
+        raise ValueError(f"entry ({i}, {j}) couples weight blocks {weights[i]} and {weights[j]}")
+
+
 def _check_symmetries(mat: CSR, rows: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Check that ``mat`` keeps the symmetries of ``basis`` and return the
     row of each state's image under the cyclic translation of positions.
@@ -663,13 +700,9 @@ def _check_symmetries(mat: CSR, rows: np.ndarray, basis: FockBasis) -> np.ndarra
     within ``HERMITICITY_TOL``, under the translation or under an adjacent
     relabelling.
     """
-    dim, weights = mat.shape[0], basis.weights
-    coupled = np.flatnonzero(weights[rows] != weights[mat.indices])
-    if coupled.size:
-        i, j = rows[coupled[0]], mat.indices[coupled[0]]
-        raise ValueError(f"entry ({i}, {j}) couples weight blocks {weights[i]} and {weights[j]}")
-    occupations = basis.occupations.reshape(dim, basis.nu, basis.m)
-    translation = _permutation(basis, np.roll(occupations, 1, axis=1))
+    _check_weights(mat, rows, basis.weights)
+    translation = _translation(basis)
+    occupations = basis.occupations.reshape(basis.dim, basis.nu, basis.m)
     symmetries = [("the cyclic translation of positions", translation)]
     for s in range(1, basis.m):
         swap = np.arange(basis.m)
@@ -684,15 +717,15 @@ def _check_symmetries(mat: CSR, rows: np.ndarray, basis: FockBasis) -> np.ndarra
 
 
 def _momentum_stacks(
-    mat: CSR, rows: np.ndarray, basis: FockBasis, translation: np.ndarray
+    mat: CSR, rows: np.ndarray, basis: FockBasis, orbits: tuple[np.ndarray, ...]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (weight, momentum) blocks of ``mat``, as one ``(count, d, d)`` stack
     per block size ``d`` with the spectrum count of each block.
 
-    ``translation`` gives each state's orbit (``rep``, ``shift``, ``period``,
-    see :func:`_translation_orbits`).  The kept representatives are those of
-    descending weights, and each counts once per weight block that shares
-    its spectrum under relabelling.
+    ``orbits`` gives each state's orbit (``rep``, ``shift``, ``period``) and
+    the kept representatives (see :func:`_translation_orbits`); only the
+    kept rows of ``mat`` are read.  Each kept representative counts once per
+    weight block that shares its spectrum under relabelling.
     A momentum state is a kept representative ``a`` with a momentum ``k``
     such that ``nu`` divides ``k * p_a``; states are ordered by (weight, k,
     a) and each (weight, k) is one block.  Each stored entry ``H[a, j]`` of a
@@ -704,17 +737,17 @@ def _momentum_stacks(
     is formed and a block with ``0 < k < nu/2`` counts twice.
     """
     nu, dim = basis.nu, mat.shape[0]
-    rep, shift, period = _translation_orbits(translation, nu)
-    totals = basis.occupations.reshape(dim, nu, basis.m).sum(axis=1)
-    kept = np.flatnonzero((rep == np.arange(dim)) & (np.diff(totals, axis=1) <= 0).all(axis=1))
-    _, first, inverse = np.unique(basis.weights[kept], return_index=True, return_inverse=True)
-    copies = np.array([_relabelling_copies(tuple(w)) for w in totals[kept[first]].tolist()],
+    rep, shift, period, kept = orbits
+    weights = basis.weights[kept]
+    _, first, inverse = np.unique(weights, return_index=True, return_inverse=True)
+    totals = basis.occupations[kept[first]].reshape(-1, nu, basis.m).sum(axis=1)
+    copies = np.array([_relabelling_copies(tuple(w)) for w in totals.tolist()],
                       dtype=np.int64)[inverse]
     period = period[kept]
     real_matrix = not mat.data.imag.any()
     momenta = np.arange(nu // 2 + 1 if real_matrix else nu)
     rep_of, k_of = np.nonzero((momenta * period[:, None]) % nu == 0)
-    weight_of = basis.weights[kept][rep_of]
+    weight_of = weights[rep_of]
     order = np.lexsort((rep_of, k_of, weight_of))
     rep_of, k_of, weight_of = rep_of[order], k_of[order], weight_of[order]
     starts = np.flatnonzero(np.diff(weight_of * nu + k_of, prepend=-1))
@@ -761,6 +794,24 @@ def _momentum_stacks(
     return stacks
 
 
+def _clusters(stacks: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[float, int]]:
+    """The eigenvalues of every stack of blocks, each made Hermitian as ``(B +
+    B^H) / 2`` and solved by one ``eigvalsh`` call, clustered into ascending
+    (value, multiplicity) pairs."""
+    eigenvalues, counts = [], []
+    for stack, copies in stacks:
+        stack = (stack + stack.conj().swapaxes(1, 2)) * 0.5
+        eigenvalues.append(np.linalg.eigvalsh(stack).ravel())
+        counts.append(np.repeat(copies, stack.shape[-1]))
+    eigenvalues, counts = np.concatenate(eigenvalues), np.concatenate(counts)
+    order = np.argsort(eigenvalues, kind="stable")
+    eigenvalues, counts = eigenvalues[order], counts[order]
+    cuts = np.flatnonzero(np.diff(eigenvalues, prepend=-np.inf) >= DEGENERACY_TOL)
+    multiplicities = np.add.reduceat(counts, cuts)
+    means = np.add.reduceat(eigenvalues * counts, cuts) / multiplicities
+    return list(zip(means.tolist(), multiplicities.tolist()))
+
+
 def eigensolve_hermitian(mat: CSR, basis: FockBasis) -> list[tuple[float, int]]:
     """Ascending eigenvalues clustered into (value, multiplicity) pairs.
 
@@ -786,29 +837,44 @@ def eigensolve_hermitian(mat: CSR, basis: FockBasis) -> list[tuple[float, int]]:
     ``DEGENERACY_TOL`` share a cluster; cluster values are the
     count-weighted means and multiplicities sum to the dimension.
 
-    Before any block is formed it rejects, in this order, non-Hermitian
-    input (with the measured asymmetry) and, with ``ValueError``, any
-    stored entry that couples two weight blocks and a matrix that is not
-    invariant under ``T`` or under each adjacent relabelling ``(s, s+1)`` to
-    within ``HERMITICITY_TOL``; the checks hand ``T`` to the blocks, which
-    find the orbits and representatives from it.  The caller sized the
-    largest weight block with ``basis.check_dimension`` before building
-    ``mat``.
+    Before any block is formed it checks the whole matrix, and rejects, in
+    this order, non-Hermitian input (with the measured asymmetry) and, with
+    ``ValueError``, any stored entry that couples two weight blocks and a
+    matrix that is not invariant under ``T`` or under each adjacent
+    relabelling ``(s, s+1)`` to within ``HERMITICITY_TOL``; the checks hand
+    ``T`` to the blocks.  The caller sized the largest weight block with
+    ``basis.check_dimension`` before building ``mat``.  The class sum's
+    spectrum needs none of its other rows: see :func:`class_sum_spectrum`.
     """
     rows = mat.rows()
     asym = _deviation(mat, rows, mat.indices, rows, mat.data.conj())
     if asym > HERMITICITY_TOL:
         raise NonHermitianError(asym)
     translation = _check_symmetries(mat, rows, basis)
-    eigenvalues, counts = [], []
-    for stack, copies in _momentum_stacks(mat, rows, basis, translation):
-        stack = (stack + stack.conj().swapaxes(1, 2)) * 0.5
-        eigenvalues.append(np.linalg.eigvalsh(stack).ravel())
-        counts.append(np.repeat(copies, stack.shape[-1]))
-    eigenvalues, counts = np.concatenate(eigenvalues), np.concatenate(counts)
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues, counts = eigenvalues[order], counts[order]
-    cuts = np.flatnonzero(np.diff(eigenvalues, prepend=-np.inf) >= DEGENERACY_TOL)
-    multiplicities = np.add.reduceat(counts, cuts)
-    means = np.add.reduceat(eigenvalues * counts, cuts) / multiplicities
-    return list(zip(means.tolist(), multiplicities.tolist()))
+    return _clusters(_momentum_stacks(mat, rows, basis, _translation_orbits(basis, translation)))
+
+
+def class_sum_spectrum(basis: FockBasis) -> list[tuple[float, int]]:
+    """The clusters of ``eigensolve_hermitian(class_sum(basis), basis)``,
+    bit for bit, without building the whole class sum.
+
+    The blocks read only the rows of the kept translation representatives
+    (30 of 512 states at ``nu=9, m=2``), so the exchange words act on those
+    states only.  The kernel gives their columns, and a kept row is read as
+    its column's conjugate transpose, which is exact wherever the class sum
+    is Hermitian (on the spin sector every ladder amplitude met is 1).  In
+    place of the whole-matrix checks, the columns must couple no two weight
+    blocks and every block must be Hermitian to within ``HERMITICITY_TOL``
+    (else ``NonHermitianError`` with the largest block asymmetry); the
+    symmetries hold by construction, which the tests check against the
+    whole-matrix path.
+    """
+    orbits = _translation_orbits(basis, _translation(basis))
+    columns = _class_sum_columns(basis, orbits[-1])
+    _check_weights(columns, columns.rows(), basis.weights)
+    kept_rows = columns.getH()
+    stacks = _momentum_stacks(kept_rows, kept_rows.rows(), basis, orbits)
+    asym = max(float(np.abs(stack - stack.conj().swapaxes(1, 2)).max()) for stack, _ in stacks)
+    if asym > HERMITICITY_TOL:
+        raise NonHermitianError(asym)
+    return _clusters(stacks)

@@ -16,10 +16,10 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gentile import basis as basis_module, verifier
+from gentile import basis as basis_module, operators, verifier
 from gentile.basis import largest_weight_block
 from gentile.cli import main
-from gentile.operators import as_operator, casimir_c2, class_sum
+from gentile.operators import as_operator, casimir_c2
 from gentile.reporting import csv_bytes, json_bytes
 from scipy_oracle import from_scipy, to_scipy
 
@@ -36,6 +36,15 @@ def read_json(path):
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def kernel_passes(monkeypatch):
+    """A list that grows by one on every pass of the word kernel, which
+    builds every operator of a spectrum or a verify task."""
+    passes, kernel = [], operators._apply_words
+    monkeypatch.setattr(operators, "_apply_words",
+                        lambda *args, **kwargs: passes.append(1) or kernel(*args, **kwargs))
+    return passes
 
 
 class TestVerifyCommand:
@@ -242,18 +251,18 @@ class TestSpectrumCommand:
         assert sum(level["multiplicity"] for level in ed) == 256
         capsys.readouterr()
 
-    def test_dense_eigensolve_cap_exits_three(self, tmp_path, capsys):
+    def test_dense_eigensolve_cap_exits_three(self, tmp_path, capsys, monkeypatch):
         # the 2**15-state sector enumerates under the cap, but its largest
         # weight block C(15, 7) = 6435 is too large to solve densely; it is
-        # refused at once, before the Hamiltonian is built
-        built = class_sum.cache_info().misses
+        # refused at once, before the word kernel builds any of the Hamiltonian
+        passes = kernel_passes(monkeypatch)
         started = time.perf_counter()
         code = run_cli(["spectrum", "--nu", "15", "--m", "2", "--out", str(tmp_path / "x.json")])
         assert time.perf_counter() - started < 1.0
         assert code == 3
         err = capsys.readouterr().err
         assert "dense eigensolve needs dim 6435 > dense cap 4096" in err
-        assert class_sum.cache_info().misses == built
+        assert passes == []
         assert not (tmp_path / "x.json").exists()
 
     def test_sector_over_dense_cap_solved_by_blocks(self, tmp_path, capsys):
@@ -265,17 +274,26 @@ class TestSpectrumCommand:
         assert sum(level["multiplicity"] for level in ed) == 2**13
         capsys.readouterr()
 
-    def test_every_point_sized_before_any_solve(self, tmp_path, capsys):
+    def test_every_point_sized_before_any_solve(self, tmp_path, capsys, monkeypatch):
         # nu=2 fits, nu=15 does not: the whole grid is refused before the
         # first point is built.
-        built = class_sum.cache_info().misses
+        passes = kernel_passes(monkeypatch)
         code = run_cli(["spectrum", "--nu", "2,15", "--m", "2",
                         "--out", str(tmp_path / "x.json")])
         assert code == 3
         err = capsys.readouterr().err
         assert "dense eigensolve needs dim 6435 > dense cap 4096" in err
-        assert class_sum.cache_info().misses == built
+        assert passes == []
         assert not (tmp_path / "x.json").exists()
+
+    def test_one_kernel_pass_per_point(self, tmp_path, capsys, monkeypatch):
+        # Each point's class sum is one word-kernel pass over its kept
+        # translation representatives, the counter the refusals above read.
+        passes = kernel_passes(monkeypatch)
+        assert run_cli(["spectrum", "--nu", "2..4", "--m", "2", "--n", "1,2",
+                        "--out", str(tmp_path / "x.json")]) == 0
+        assert len(passes) == 6
+        capsys.readouterr()
 
     def test_single_particle_rejected(self, tmp_path, capsys):
         code = run_cli(["spectrum", "--nu", "1", "--out", str(tmp_path / "x.json")])
@@ -425,7 +443,11 @@ def test_spectrum_sizes_each_point_once(tmp_path, capsys):
 
 
 def test_block_coupling_refused_by_spectrum(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr("gentile.heisenberg.class_sum", coupled(class_sum))
+    # A spectrum builds the class sum's columns of the kept translation
+    # representatives only, here states 1 and 3; the coupling sits in column 1.
+    columns = operators._class_sum_columns
+    monkeypatch.setattr(operators, "_class_sum_columns", lambda basis, states=None: coupled(
+        lambda sector: columns(sector, states))(basis))
     out = tmp_path / "x.json"
     assert run_cli(["spectrum", "--nu", "2", "--m", "2", "--out", str(out)]) == 3
     err = capsys.readouterr().err

@@ -39,7 +39,7 @@ from gentile import (
 )
 from gentile import operators, verifier
 from gentile.basis import check_dimension
-from gentile.operators import CSR, _ladder
+from gentile.operators import CSR, _ladder, class_sum_spectrum
 from gentile.verifier import _ladder_nbracket, _single_mode_diffs
 from scipy_oracle import from_scipy, to_scipy
 
@@ -983,6 +983,82 @@ class TestBlockedEigensolver:
         assert mults.tolist() == [1, 3, 3, 1]
 
 
+#: The class-sum spectra held bit for bit to the whole-matrix solve, as
+#: (n, nu, m, sector): the spin sector of orders 1..3 at nu 2..12 (m=2),
+#: 2..7 (m=3) and 2..6 (m=4), sector 0, and the n=1 sectors t <= m.
+CLASS_SUM_POINTS = (
+    [(n, nu, 2, 1) for n in (1, 2, 3) for nu in range(2, 13)]
+    + [(n, nu, 3, 1) for n in (1, 2, 3) for nu in range(2, 8)]
+    + [(n, nu, 4, 1) for n in (1, 2, 3) for nu in range(2, 7)]
+    + [(n, nu, m, 0) for n in (1, 2, 3) for nu in (2, 3, 5) for m in (1, 2, 3)]
+    + [(1, nu, m, t) for m in (1, 2, 3, 4) for t in range(2, m + 1) for nu in (2, 3, 4)])
+
+
+def bits(clusters):
+    """Each cluster's value as its exact bits, and its multiplicity."""
+    return [(value.hex(), mult) for value, mult in clusters]
+
+
+def solved_or_refused(solve, basis):
+    """``solve(basis)``'s clusters in :func:`bits`, or the kind of error it raised."""
+    try:
+        return bits(solve(basis))
+    except ValueError as error:
+        return type(error).__name__
+
+
+class TestClassSumSpectrum:
+    @pytest.mark.parametrize("n, nu, m, sector", CLASS_SUM_POINTS)
+    def test_bit_equal_to_the_whole_matrix_solve(self, n, nu, m, sector):
+        # The whole-matrix path checks Hermiticity and every symmetry; the
+        # kept-rows path takes them from the construction, so equal bits
+        # here prove that the construction keeps them.
+        basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
+        assert bits(class_sum_spectrum(basis)) == bits(eigensolve_hermitian(class_sum(basis), basis))
+
+    @pytest.mark.parametrize("n, nu, m, sector", [(2, 3, 2, 2), (2, 2, 1, 2), (3, 4, 2, 3),
+                                                  (2, 3, 3, 4)])
+    def test_non_hermitian_sectors_refused_by_both(self, n, nu, m, sector):
+        # Off the spin sector at n >= 2 the class sum is not Hermitian: the
+        # per-block check refuses it where the whole-matrix check does.
+        basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
+        with pytest.raises(NonHermitianError):
+            eigensolve_hermitian(class_sum(basis), basis)
+        with pytest.raises(NonHermitianError):
+            class_sum_spectrum(basis)
+
+    def test_reads_the_kept_rows_only(self, monkeypatch):
+        # nu=9, m=2: the words act on the 30 kept representatives of 512 states.
+        spin = enumerate_basis(9, 2, GentileOrder(1), sector=1)
+        acting, kernel = [], operators._apply_words
+
+        def spy(basis, words, modes, scale=None, states=None):
+            acting.append(len(states))
+            return kernel(basis, words, modes, scale, states)
+
+        monkeypatch.setattr(operators, "_apply_words", spy)
+        clusters = class_sum_spectrum(spin)
+        assert acting == [30] and sum(mult for _, mult in clusters) == 512
+
+    @pytest.mark.parametrize("n, nu, m", [(1, 6, 2), (2, 5, 3), (1, 4, 4)])
+    def test_dropped_pair_fails(self, monkeypatch, n, nu, m):
+        # Without the pair (1, 2) the sum is no longer translation invariant,
+        # which the kept-rows path does not check: its spectrum must differ.
+        basis = enumerate_basis(nu, m, GentileOrder(n), sector=1)
+        expected = bits(eigensolve_hermitian(class_sum(basis), basis))
+        pairs = operators._exchange_modes
+        monkeypatch.setattr(operators, "_exchange_modes", lambda b: pairs(b)[1:])
+        assert solved_or_refused(class_sum_spectrum, basis) != expected
+
+    @pytest.mark.parametrize("n, nu, m", [(1, 6, 2), (2, 5, 3), (1, 4, 4)])
+    def test_dropped_word_amplitude_fails(self, monkeypatch, n, nu, m):
+        # Without the second word of each group every exchange is halved.
+        basis = enumerate_basis(nu, m, GentileOrder(n), sector=1)
+        expected = bits(eigensolve_hermitian(class_sum(basis), basis))
+        monkeypatch.setattr(operators, "_EXCHANGE_WORDS", operators._EXCHANGE_WORDS[:1])
+        assert solved_or_refused(class_sum_spectrum, basis) != expected
+
+
 def summed_exchanges_oracle(basis):
     """Reference class sum: the CSR sum of every pair's pruned exchange
     matrix, in pair order, pruned once more."""
@@ -1094,9 +1170,9 @@ class TestOperandFamilies:
             with open(log, "a") as out:
                 out.write(kind + "\n")
 
-        def counting_kernel(basis, words, modes, scale=None):
+        def counting_kernel(*args, **kwargs):
             count("pass")
-            return kernel(basis, words, modes, scale)
+            return kernel(*args, **kwargs)
 
         def counting_sum(terms):
             if sys._getframe(1).f_code.co_name == "_casimir_side":

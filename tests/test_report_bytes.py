@@ -4,11 +4,19 @@ Each case runs ``gentile <command> ... --no-timestamp`` in a scratch working
 directory with a relative ``--out`` (reports echo the output path), then
 compares the file byte for byte with ``tests/golden/<name>``.
 
+The text of the help screens, of ``--version`` and of two argparse errors,
+at a terminal width of 80 columns, is held to ``tests/golden/cli_text.txt``
+the same way: the parser is built anew on every call, and how it is built
+must not show.
+
 A change that moves a number on purpose regenerates the goldens with
 ``PYTHONPATH=src python tests/test_report_bytes.py`` and says in its
 description which values changed and why.
 """
 
+import contextlib
+import io
+import os
 from pathlib import Path
 
 import pytest
@@ -36,6 +44,32 @@ CASES = {
 }
 
 
+#: Each screen's argv: the top-level and subcommand help, the version, an
+#: unknown option and a missing ``--nu``.
+SCREENS = [["--help"], ["verify", "--help"], ["spectrum", "--help"], ["partitions", "--help"],
+           ["--version"], ["spectrum", "--nu", "2", "--bogus"], ["spectrum", "--m", "2"]]
+
+
+def _screens() -> str:
+    """Each screen's argv, exit code, standard output and standard error."""
+    text = []
+    for argv in SCREENS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        text.append(f"### {' '.join(argv)} exit {code}\n--- stdout\n{out.getvalue()}"
+                    f"--- stderr\n{err.getvalue()}")
+    return "".join(text)
+
+
+def test_cli_text_matches_golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _screens() == (GOLDEN / "cli_text.txt").read_text()
+
+
 def _report(name: str) -> bytes:
     """Run one case in the working directory and return the report bytes."""
     assert main(CASES[name] + ["--no-timestamp", "--out", name]) == 0
@@ -50,9 +84,9 @@ def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
 
 
 if __name__ == "__main__":
-    import os
-
     GOLDEN.mkdir(exist_ok=True)
     os.chdir(GOLDEN)
     for case in sorted(CASES):
         _report(case)
+    os.environ["COLUMNS"] = "80"
+    Path("cli_text.txt").write_text(_screens())

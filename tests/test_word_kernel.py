@@ -275,3 +275,52 @@ def test_first_word_at_fault_in_group_major_target_order():
     with pytest.raises(ValueError, match=re.escape(message)):
         operators._apply_words(basis, [("a_dag", "b"), ("b_dag", "a")],
                                np.array([[[[3, 1], [5, 1]]]]))
+
+
+# ---------------------------------------------------------------------------
+# Acting states: the columns of the whole pass
+# ---------------------------------------------------------------------------
+
+
+def columns_of(mat, states):
+    """``mat`` with every stored entry outside the columns ``states`` dropped."""
+    keep = np.isin(mat.indices, states)
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return operators.CSR(kept[mat.indptr], mat.indices[keep], mat.data[keep], mat.shape)
+
+
+@pytest.mark.parametrize("n, nu, m, sector", [(1, 10, 2, 1), (2, 3, 2, None), (2, 3, 3, 2),
+                                              (3, 2, 2, None), (1, 4, 3, 1)])
+def test_acting_states_give_their_columns(n, nu, m, sector):
+    # Each part of the exchange family, of the generator family and of the
+    # class sum, with only some states acting, is the same part of the whole
+    # pass with the other columns dropped, bit for bit, whatever chunks the
+    # two passes are cut into (the nu=10 class sum takes several whole).
+    basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
+    k, l = np.indices((m, m)).reshape(2, -1) + 1
+    exchanges = operators._exchange_modes(basis)
+    generators = basis.flat_modes(np.arange(1, nu + 1)[:, None],
+                                  np.stack([k, l], axis=-1)[:, None, None])
+    passes = [(EXCHANGE_WORDS, exchanges[:, None], 0.5), (EXCHANGE_WORDS, exchanges[None], 0.5),
+              ([("a_dag", "b"), ("b_dag", "a")], generators, None)]
+    rng = np.random.default_rng(7)
+    subsets = [np.arange(0, basis.dim, 3), np.array([basis.dim - 1]),
+               np.flatnonzero(rng.random(basis.dim) < 0.3)]
+    for words, modes, scale in passes:
+        whole = operators._apply_words(basis, words, modes, scale)
+        for states in subsets:
+            parts = operators._apply_words(basis, words, modes, scale, states=states)
+            assert len(parts) == len(whole)
+            for part, ref in zip(parts, whole):
+                assert_csr_bit_equal(part, columns_of(ref, states))
+
+
+def test_acting_state_named_by_its_basis_row():
+    # Of the two groups of test_first_word_at_fault_in_group_major_target_order,
+    # only the second acts on state 1; with state 1 acting alone it is named,
+    # from its row in the whole basis.
+    basis = enumerate_basis(3, 2, GentileOrder(1), sector=1)
+    message = "word a_dag(5) b(1) leaves the sector:1 basis from its state 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        operators._apply_words(basis, [("a_dag", "b"), ("b_dag", "a")],
+                               np.array([[[[3, 1], [5, 1]]]]), states=np.array([1, 5]))
