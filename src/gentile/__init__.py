@@ -32,7 +32,6 @@ from .operators import (
     class_sum,
     class_sum_spectrum,
     coupling_sum,
-    eigensolve_hermitian,
     entrywise_real,
     exchange_op,
     hermitian_part,

@@ -65,17 +65,16 @@ keeps the rounding of ``0 + x``.
 Every composite also commutes with the diagonal generators ``E(k,k)``, so it
 is block-diagonal in the weight ``FockBasis.weights``; the class sum and
 ``C2`` also commute with every permutation of positions and of internal
-states.  The dense eigensolve uses all three on the basis the matrix was
-built on, which it requires: it splits each weight block by momentum under
-the cyclic translation of positions, solves one weight per orbit of weights
-under relabelling of the internal states, and solves all blocks of one size
-in one ``eigvalsh`` call, checking each symmetry on the matrix first.  The
-class sum's own spectrum, :func:`class_sum_spectrum`, builds only the
-columns of the translation representatives the blocks read, checks their
-weights and each block's Hermiticity, and takes the symmetries from the
-construction; ``eigensolve_hermitian`` keeps the whole-matrix checks for
-any other matrix.  The dense cap is still compared with the largest weight
-block, not with the dimension, by ``basis.check_dimension``.
+states.  Both spectra, :func:`eigensolve_hermitian` of a built matrix and
+:func:`class_sum_spectrum` from the class sum's columns of the kept
+translation representatives, use all three through one routine: it splits
+each weight block by momentum under the cyclic translation of positions,
+solves one weight per orbit of weights under relabelling of the internal
+states, and solves all blocks of one size in one ``eigvalsh`` call.  It
+refuses an entry that couples two weight blocks and a block that is not
+Hermitian; the two permutation symmetries come from the construction, and
+the tests check them.  The dense cap is still compared with the largest
+weight block, not with the dimension, by ``basis.check_dimension``.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ DROP_TOL = 1e-14
 #: Eigenvalues of a solve closer than this share a cluster.
 DEGENERACY_TOL = 1e-8
 
-#: Largest asymmetry, and largest deviation under a symmetry, a solve accepts.
+#: Largest block asymmetry a solve accepts.
 HERMITICITY_TOL = 1e-10
 
 
@@ -622,45 +621,17 @@ def hermitian_part(mat: CSR) -> CSR:
 # ---------------------------------------------------------------------------
 
 
-def _permutation(basis: FockBasis, moved: np.ndarray) -> np.ndarray:
-    """Row of each state's image, given the images' occupations: the kernel's
-    rank arithmetic, ``searchsorted`` on ``ranks``."""
-    ranks = moved.reshape(basis.dim, -1) @ _radix(basis.order.n, basis.modes)
-    return np.searchsorted(basis.ranks, ranks)
-
-
-def _deviation(
-    mat: CSR, rows: np.ndarray, new_rows: np.ndarray, new_cols: np.ndarray,
-    new_data: np.ndarray,
-) -> float:
-    """Largest entry magnitude of ``M - mat``, where ``M`` holds ``new_data`` at
-    (``new_rows``, ``new_cols``), no two at one place, and ``mat`` is canonical
-    with row indices ``rows``: the value ``max_abs(M - mat)`` gives, found by
-    ``searchsorted`` on the entries' flat positions."""
-    dim = mat.shape[0]
-    places = np.append(rows * dim + mat.indices, dim * dim)  # a sentinel past every place
-    moved = new_rows * dim + new_cols
-    at = np.searchsorted(places, moved)
-    found = places[at] == moved
-    hit = np.zeros(len(places), dtype=bool)
-    hit[at[found]] = True
-    data = np.append(mat.data, 0)
-    return float(max(np.abs(new_data - np.where(found, data[at], 0)).max(initial=0.0),
-                     np.abs(data[~hit]).max(initial=0.0)))
-
-
-def _translation(basis: FockBasis) -> np.ndarray:
-    """The row of each state's image under the cyclic translation of positions."""
-    occupations = basis.occupations.reshape(basis.dim, basis.nu, basis.m)
-    return _permutation(basis, np.roll(occupations, 1, axis=1))
-
-
-def _translation_orbits(basis: FockBasis, translation: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each state's orbit under the translation: its representative (the
-    orbit's lowest row), the power ``s`` with ``T**s`` representative = state,
-    and the orbit's size (the state's period); then the kept representatives,
-    those of descending weight, ascending."""
+def _translation_orbits(basis: FockBasis) -> tuple[np.ndarray, ...]:
+    """Each state's orbit under the cyclic translation of positions: its
+    representative (the orbit's lowest row), the power ``s`` with ``T**s``
+    representative = state, and the orbit's size (the state's period); then
+    the kept representatives, those of descending weight, ascending.  The
+    row of each state's image is the kernel's rank arithmetic,
+    ``searchsorted`` on ``ranks``."""
     nu, state = basis.nu, np.arange(basis.dim)
+    occupations = basis.occupations.reshape(basis.dim, nu, basis.m)
+    moved = np.roll(occupations, 1, axis=1).reshape(basis.dim, -1)
+    translation = np.searchsorted(basis.ranks, moved @ _radix(basis.order.n, basis.modes))
     rep, back, period = state.copy(), np.zeros_like(state), np.zeros_like(state)
     image = state
     for power in range(1, nu + 1):
@@ -668,7 +639,7 @@ def _translation_orbits(basis: FockBasis, translation: np.ndarray) -> tuple[np.n
         period[(period == 0) & (image == state)] = power
         lower = image < rep
         rep[lower], back[lower] = image[lower], power
-    totals = basis.occupations.reshape(basis.dim, nu, basis.m).sum(axis=1)
+    totals = occupations.sum(axis=1)
     kept = np.flatnonzero((rep == state) & (np.diff(totals, axis=1) <= 0).all(axis=1))
     return rep, (nu - back) % nu, period, kept
 
@@ -682,42 +653,8 @@ def _relabelling_copies(weight: tuple[int, ...]) -> int:
     return copies
 
 
-def _check_weights(mat: CSR, rows: np.ndarray, weights: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first stored entry that couples two
-    weight blocks."""
-    coupled = np.flatnonzero(weights[rows] != weights[mat.indices])
-    if coupled.size:
-        i, j = rows[coupled[0]], mat.indices[coupled[0]]
-        raise ValueError(f"entry ({i}, {j}) couples weight blocks {weights[i]} and {weights[j]}")
-
-
-def _check_symmetries(mat: CSR, rows: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Check that ``mat`` keeps the symmetries of ``basis`` and return the
-    row of each state's image under the cyclic translation of positions.
-
-    Raises ``ValueError`` for an entry that couples two weight blocks (named
-    by the first such entry) and for a matrix that is not invariant, to
-    within ``HERMITICITY_TOL``, under the translation or under an adjacent
-    relabelling.
-    """
-    _check_weights(mat, rows, basis.weights)
-    translation = _translation(basis)
-    occupations = basis.occupations.reshape(basis.dim, basis.nu, basis.m)
-    symmetries = [("the cyclic translation of positions", translation)]
-    for s in range(1, basis.m):
-        swap = np.arange(basis.m)
-        swap[[s - 1, s]] = s, s - 1
-        symmetries.append((f"relabelling internal states ({s}, {s + 1})",
-                           _permutation(basis, occupations[:, :, swap])))
-    for name, perm in symmetries:
-        deviation = _deviation(mat, rows, perm[rows], perm[mat.indices], mat.data)
-        if deviation > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not invariant under {name} (deviation {deviation:.3e})")
-    return translation
-
-
 def _momentum_stacks(
-    mat: CSR, rows: np.ndarray, basis: FockBasis, orbits: tuple[np.ndarray, ...]
+    mat: CSR, basis: FockBasis, orbits: tuple[np.ndarray, ...]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (weight, momentum) blocks of ``mat``, as one ``(count, d, d)`` stack
     per block size ``d`` with the spectrum count of each block.
@@ -736,7 +673,7 @@ def _momentum_stacks(
     to the conjugate of ``H_k``, with the same spectrum, so only ``k <= nu/2``
     is formed and a block with ``0 < k < nu/2`` counts twice.
     """
-    nu, dim = basis.nu, mat.shape[0]
+    nu, dim, rows = basis.nu, mat.shape[0], mat.rows()
     rep, shift, period, kept = orbits
     weights = basis.weights[kept]
     _, first, inverse = np.unique(weights, return_index=True, return_inverse=True)
@@ -812,17 +749,38 @@ def _clusters(stacks: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[float, 
     return list(zip(means.tolist(), multiplicities.tolist()))
 
 
+def _block_spectrum(
+    mat: CSR, basis: FockBasis, orbits: tuple[np.ndarray, ...]
+) -> list[tuple[float, int]]:
+    """The clusters of ``mat``, which holds at least the kept rows of
+    ``orbits``, solved in its (weight, momentum) blocks.
+
+    Raises ``ValueError`` naming the first stored entry that couples two
+    weight blocks, and ``NonHermitianError`` with the largest block
+    asymmetry when it exceeds ``HERMITICITY_TOL``.
+    """
+    rows, weights = mat.rows(), basis.weights
+    coupled = np.flatnonzero(weights[rows] != weights[mat.indices])
+    if coupled.size:
+        i, j = rows[coupled[0]], mat.indices[coupled[0]]
+        raise ValueError(f"entry ({i}, {j}) couples weight blocks {weights[i]} and {weights[j]}")
+    stacks = _momentum_stacks(mat, basis, orbits)
+    asym = max(float(np.abs(stack - stack.conj().swapaxes(1, 2)).max()) for stack, _ in stacks)
+    if asym > HERMITICITY_TOL:
+        raise NonHermitianError(asym)
+    return _clusters(stacks)
+
+
 def eigensolve_hermitian(mat: CSR, basis: FockBasis) -> list[tuple[float, int]]:
     """Ascending eigenvalues clustered into (value, multiplicity) pairs.
 
     ``mat`` acts on ``basis``, the basis it was built on, and is solved in
     symmetry-adapted blocks: by weight, by momentum ``k`` under the cyclic
     translation of positions ``T: i -> i+1``, and once per orbit of weights
-    under relabelling of the internal states.  ``T`` permutes the basis, and
-    its rows are read by the basis's rank arithmetic.  Each translation orbit
-    has a representative (its lowest row ``a``) and a period ``p_a``, and
-    carries momentum ``k`` when ``nu`` divides ``k * p_a``.  The block of
-    weight ``w`` and momentum ``k`` reads the representative rows only::
+    under relabelling of the internal states.  Each translation orbit has a
+    representative (its lowest row ``a``) and a period ``p_a``, and carries
+    momentum ``k`` when ``nu`` divides ``k * p_a``.  The block of weight
+    ``w`` and momentum ``k`` reads the representative rows only::
 
         H_k[a, b] = sqrt(p_a / p_b) * sum over j in orbit(b) of omega**(k * s_j) * H[a, j]
 
@@ -830,28 +788,16 @@ def eigensolve_hermitian(mat: CSR, basis: FockBasis) -> list[tuple[float, int]]:
     descending order are solved; each of their eigenvalues counts once per
     distinct reordering of the weight.  A real matrix has ``H_(nu-k)`` equal
     to the conjugate of ``H_k``, so only ``k <= nu/2`` is solved there and
-    counts for both.  All blocks of one size are stacked, made Hermitian as
-    ``(B + B^H) / 2``, and solved by one ``np.linalg.eigvalsh`` call, in
-    real arithmetic when the stack's imaginary parts are all exactly 0.
-    Consecutive eigenvalues of the sorted union closer than
-    ``DEGENERACY_TOL`` share a cluster; cluster values are the
-    count-weighted means and multiplicities sum to the dimension.
+    counts for both.  All blocks of one size are solved by one ``eigvalsh``
+    call (see :func:`_clusters`); eigenvalues closer than ``DEGENERACY_TOL``
+    share a cluster, whose value is their count-weighted mean.
 
-    Before any block is formed it checks the whole matrix, and rejects, in
-    this order, non-Hermitian input (with the measured asymmetry) and, with
-    ``ValueError``, any stored entry that couples two weight blocks and a
-    matrix that is not invariant under ``T`` or under each adjacent
-    relabelling ``(s, s+1)`` to within ``HERMITICITY_TOL``; the checks hand
-    ``T`` to the blocks.  The caller sized the largest weight block with
-    ``basis.check_dimension`` before building ``mat``.  The class sum's
-    spectrum needs none of its other rows: see :func:`class_sum_spectrum`.
+    ``mat`` must commute with ``T`` and with every relabelling, as every
+    ``C2`` does: the solve does not check that, the tests do.  It refuses
+    what :func:`_block_spectrum` refuses.  The caller sized the largest
+    weight block with ``basis.check_dimension`` before building ``mat``.
     """
-    rows = mat.rows()
-    asym = _deviation(mat, rows, mat.indices, rows, mat.data.conj())
-    if asym > HERMITICITY_TOL:
-        raise NonHermitianError(asym)
-    translation = _check_symmetries(mat, rows, basis)
-    return _clusters(_momentum_stacks(mat, rows, basis, _translation_orbits(basis, translation)))
+    return _block_spectrum(mat, basis, _translation_orbits(basis))
 
 
 def class_sum_spectrum(basis: FockBasis) -> list[tuple[float, int]]:
@@ -862,19 +808,8 @@ def class_sum_spectrum(basis: FockBasis) -> list[tuple[float, int]]:
     (30 of 512 states at ``nu=9, m=2``), so the exchange words act on those
     states only.  The kernel gives their columns, and a kept row is read as
     its column's conjugate transpose, which is exact wherever the class sum
-    is Hermitian (on the spin sector every ladder amplitude met is 1).  In
-    place of the whole-matrix checks, the columns must couple no two weight
-    blocks and every block must be Hermitian to within ``HERMITICITY_TOL``
-    (else ``NonHermitianError`` with the largest block asymmetry); the
-    symmetries hold by construction, which the tests check against the
-    whole-matrix path.
+    is Hermitian (on the spin sector every ladder amplitude met is 1); a
+    sector where it is not is refused by the block Hermiticity check.
     """
-    orbits = _translation_orbits(basis, _translation(basis))
-    columns = _class_sum_columns(basis, orbits[-1])
-    _check_weights(columns, columns.rows(), basis.weights)
-    kept_rows = columns.getH()
-    stacks = _momentum_stacks(kept_rows, kept_rows.rows(), basis, orbits)
-    asym = max(float(np.abs(stack - stack.conj().swapaxes(1, 2)).max()) for stack, _ in stacks)
-    if asym > HERMITICITY_TOL:
-        raise NonHermitianError(asym)
-    return _clusters(stacks)
+    orbits = _translation_orbits(basis)
+    return _block_spectrum(_class_sum_columns(basis, orbits[-1]).getH(), basis, orbits)

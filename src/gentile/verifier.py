@@ -42,9 +42,10 @@ the last basis, so both readings of the class-sum relation and the limit
 relation share one evaluation of it.
 Diagonal operands (position totals, the occupation-function correction)
 are numpy vectors, never sparse products.  The spectral space is the one
-dense solve, in the (weight, momentum) blocks of
-``operators.eigensolve_hermitian``, so it alone is held to the dense cap,
-compared with its largest weight block.
+dense solve: ``operators.eigensolve_hermitian`` solves ``C2`` in the
+(weight, momentum) blocks of the class-sum spectrum, by the same routine,
+and takes its symmetries from the construction.  So it alone is held to
+the dense cap, compared with its largest weight block.
 
 A ``Verdict`` is its task plus the outcome: residual, status and detail;
 its tolerance follows from the identity.  Tasks are independent.

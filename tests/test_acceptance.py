@@ -19,7 +19,6 @@ from gentile import (
     class_sum,
     compare_spectra,
     coupling_j,
-    eigensolve_hermitian,
     enumerate_basis,
     exchange_op,
     partitions_of,
@@ -27,7 +26,7 @@ from gentile import (
     unitary_generator,
 )
 from gentile.cli import main
-from gentile.operators import max_abs
+from gentile.operators import eigensolve_hermitian, max_abs
 from gentile.verifier import _ladder_nbracket, _single_mode_diffs
 from scipy_oracle import limit_theorem_agreement
 

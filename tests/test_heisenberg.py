@@ -12,7 +12,6 @@ from gentile import (
     as_operator,
     class_sum,
     compare_spectra,
-    eigensolve_hermitian,
     enumerate_basis,
     spectrum_casimir,
     spectrum_report,
@@ -20,7 +19,7 @@ from gentile import (
 from gentile import basis, heisenberg
 from gentile.basis import SizingError
 from gentile.heisenberg import FORMS, CasimirLevel
-from gentile.operators import max_abs
+from gentile.operators import eigensolve_hermitian, max_abs
 from gentile.partitions import VARIANTS, casimir_value, partitions_of, weyl_dimension
 from gentile.scalars import coupling_j
 from scipy_oracle import from_scipy
@@ -120,10 +119,14 @@ class TestSpectrumEd:
         assert [(round(v, 9), mult) for v, mult in clusters] == [(0.0, 4), (3.0, 4)]
 
     def test_rejects_non_hermitian(self):
-        pair = enumerate_basis(1, 2, GentileOrder(1), sector=1)
-        bad = as_operator(from_scipy(np.array([[0.0, 1.0], [0.0, 0.0]])))
-        with pytest.raises(NonHermitianError):
-            eigensolve_hermitian(bad, pair)
+        # i times the identity conserves every weight and commutes with every
+        # symmetry, but each of its blocks is i times an identity, whose
+        # asymmetry is |i - (-i)| = 2.
+        spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
+        bad = as_operator(from_scipy(1j * np.eye(8)))
+        with pytest.raises(NonHermitianError) as err:
+            eigensolve_hermitian(bad, spin)
+        assert err.value.asymmetry == 2.0
 
 
 class TestSpectrumCasimir:

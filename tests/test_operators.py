@@ -23,7 +23,6 @@ from gentile import (
     casimir_c2,
     class_sum,
     coupling_sum,
-    eigensolve_hermitian,
     entrywise_real,
     enumerate_basis,
     exchange_op,
@@ -39,7 +38,7 @@ from gentile import (
 )
 from gentile import operators, verifier
 from gentile.basis import check_dimension
-from gentile.operators import CSR, _ladder, class_sum_spectrum
+from gentile.operators import CSR, _ladder, class_sum_spectrum, eigensolve_hermitian
 from gentile.verifier import _ladder_nbracket, _single_mode_diffs
 from scipy_oracle import from_scipy, to_scipy
 
@@ -783,11 +782,13 @@ class TestEigensolver:
         assert sum(mult for _, mult in clusters) == sector.dim
 
     def test_non_hermitian_rejected(self):
-        pair = enumerate_basis(1, 2, GentileOrder(1), sector=1)
-        mat = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        # The translation T conserves every weight and commutes with every
+        # symmetry of the basis, but is not Hermitian: at nu=3 its k=1 block
+        # is the phase omega, whose asymmetry is 2 sin(2 pi / 3) = sqrt(3).
+        spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
         with pytest.raises(NonHermitianError) as err:
-            eigensolve_hermitian(as_operator(from_scipy(mat)), pair)
-        assert err.value.asymmetry == pytest.approx(1.0)
+            eigensolve_hermitian(as_operator(from_scipy(translation_matrix(spin))), spin)
+        assert err.value.asymmetry == pytest.approx(math.sqrt(3))
 
     def test_dimension_cap(self):
         # The one dense-cap comparison is the basis's sizing, made before
@@ -840,14 +841,29 @@ def momentum_states(nu, m, momenta=None):
     return count
 
 
-def translation_matrix(basis):
-    """The permutation matrix of ``T: i -> i+1`` on ``basis``, from its
-    occupation tuples."""
-    index = {tuple(row): i for i, row in enumerate(basis.occupations.tolist())}
+def permutation_matrix(basis, image):
+    """The permutation matrix of a symmetry of ``basis``, from its occupation
+    tuples: ``image`` maps a state, as a tuple of per-position occupation
+    tuples, to its image."""
     m = basis.m
-    images = [index[tuple(row[-m:] + row[:-m])] for row in basis.occupations.tolist()]
+    states = [tuple(tuple(row[i:i + m]) for i in range(0, len(row), m))
+              for row in basis.occupations.tolist()]
+    index = {state: i for i, state in enumerate(states)}
+    images = [index[image(state)] for state in states]
     return sp.csr_matrix((np.ones(basis.dim), (images, np.arange(basis.dim))),
                          shape=(basis.dim, basis.dim))
+
+
+def translation_matrix(basis):
+    """The permutation matrix of ``T: i -> i+1`` on ``basis``."""
+    return permutation_matrix(basis, lambda state: state[-1:] + state[:-1])
+
+
+def relabelling_matrix(basis, s):
+    """The permutation matrix of swapping the internal states ``s`` and
+    ``s + 1`` at every position of ``basis``."""
+    return permutation_matrix(basis, lambda state: tuple(
+        at[:s - 1] + (at[s], at[s - 1]) + at[s + 1:] for at in state))
 
 
 def oracle_grid(bound=1024):
@@ -870,7 +886,7 @@ class TestBlockedEigensolver:
     def test_symmetry_blocks_match_dense_oracle(self, n, nu, m, sector):
         # Every Hermitian class sum and C2 of the grid solves as the dense
         # eigvalsh of the whole matrix does; the non-Hermitian ones (the
-        # full spaces of n >= 2) are refused before any block is formed.
+        # full spaces of n >= 2) are refused by the block Hermiticity check.
         basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
         for op in (class_sum(basis), casimir_c2(basis)):
             if max_abs(op - op.getH()) > 1e-10:
@@ -967,21 +983,6 @@ class TestBlockedEigensolver:
         with pytest.raises(ValueError, match=r"entry \(0, 1\) couples weight blocks 2 and 4"):
             eigensolve_hermitian(mat, spin)
 
-    def test_single_exchange_breaks_translation(self):
-        spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
-        tau = exchange_op(1, 2, spin)
-        with pytest.raises(ValueError, match="not invariant under the cyclic translation"):
-            eigensolve_hermitian(tau, spin)
-        assert np.linalg.eigvalsh(tau.toarray()).tolist() == [-1.0] * 2 + [1.0] * 6
-
-    def test_diagonal_generator_breaks_relabelling(self):
-        spin = enumerate_basis(3, 2, GentileOrder(1), sector=1)
-        e11 = unitary_generator(1, 1, spin)
-        with pytest.raises(ValueError, match=r"relabelling internal states \(1, 2\)"):
-            eigensolve_hermitian(e11, spin)
-        _, mults = np.unique(np.linalg.eigvalsh(e11.toarray()).round(9), return_counts=True)
-        assert mults.tolist() == [1, 3, 3, 1]
-
 
 #: The class-sum spectra held bit for bit to the whole-matrix solve, as
 #: (n, nu, m, sector): the spin sector of orders 1..3 at nu 2..12 (m=2),
@@ -1007,12 +1008,66 @@ def solved_or_refused(solve, basis):
         return type(error).__name__
 
 
+#: The spaces whose class sum and C2 are held invariant: the oracle grid and
+#: the spin points of the class-sum spectra, once each.
+INVARIANCE_POINTS = list(dict.fromkeys(
+    [*oracle_grid(), *(point for point in CLASS_SUM_POINTS if point[3] == 1)]))
+
+
+class TestInvariance:
+    """The solve takes the translation and relabelling symmetries as given,
+    so the operators it is handed are checked for them here."""
+
+    @pytest.mark.parametrize("n, nu, m, sector", INVARIANCE_POINTS)
+    def test_class_sum_and_c2_commute_with_the_symmetries(self, n, nu, m, sector):
+        # The class sums of the full spaces of n >= 2 are neither Hermitian
+        # nor invariant, and the solve refuses them as not Hermitian (see
+        # test_symmetry_blocks_match_dense_oracle); their C2 is held here.
+        basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
+        ops, h = [casimir_c2(basis)], class_sum(basis)
+        if max_abs(h - h.getH()) <= 1e-10:
+            ops.append(h)
+        else:
+            assert sector is None and n >= 2
+        symmetries = [translation_matrix(basis)]
+        symmetries += [relabelling_matrix(basis, s) for s in range(1, m)]
+        for op in map(to_scipy, ops):
+            for perm in symmetries:
+                assert abs(perm @ op @ perm.T - op).max() <= 1e-10
+
+    @pytest.mark.parametrize("n, nu, m", [(1, 6, 2), (2, 5, 3), (1, 4, 4)])
+    def test_generators_without_position_1_fail(self, monkeypatch, n, nu, m):
+        # Without position 1 in every generator, C2 is still Hermitian and
+        # conserves every weight, but it no longer commutes with the
+        # translation, which the solve does not check: it must refuse the
+        # blocks it forms or give clusters that differ from the unblocked
+        # solve's.
+        basis = enumerate_basis(nu, m, GentileOrder(n), sector=1)
+        kernel = operators._apply_words
+
+        def without_position_1(basis, words, modes, scale=None, states=None):
+            # A generator is one term whose groups are its positions.
+            return kernel(basis, words, modes[:, :, 1:], scale, states)
+
+        monkeypatch.setattr(operators, "_apply_words", without_position_1)
+        monkeypatch.setattr(operators, "_generators", operators._generators.__wrapped__)
+        c2 = operators.casimir_c2.__wrapped__(basis)
+        assert max_abs(c2 - c2.getH()) <= 1e-10
+        try:
+            clusters = eigensolve_hermitian(c2, basis)
+        except NonHermitianError:
+            return
+        with pytest.raises(AssertionError):
+            assert_same_clusters(clusters, one_block_complex(c2))
+
+
 class TestClassSumSpectrum:
     @pytest.mark.parametrize("n, nu, m, sector", CLASS_SUM_POINTS)
     def test_bit_equal_to_the_whole_matrix_solve(self, n, nu, m, sector):
-        # The whole-matrix path checks Hermiticity and every symmetry; the
-        # kept-rows path takes them from the construction, so equal bits
-        # here prove that the construction keeps them.
+        # Both paths form the same blocks from the kept rows: the whole
+        # matrix's rows and the conjugate transposes of the kept columns.
+        # Equal bits prove that those transposed columns equal the kept
+        # rows bit for bit.
         basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
         assert bits(class_sum_spectrum(basis)) == bits(eigensolve_hermitian(class_sum(basis), basis))
 
@@ -1020,7 +1075,8 @@ class TestClassSumSpectrum:
                                                   (2, 3, 3, 4)])
     def test_non_hermitian_sectors_refused_by_both(self, n, nu, m, sector):
         # Off the spin sector at n >= 2 the class sum is not Hermitian: the
-        # per-block check refuses it where the whole-matrix check does.
+        # block check refuses it from the whole matrix's kept rows and from
+        # the conjugated kept columns alike.
         basis = enumerate_basis(nu, m, GentileOrder(n), sector=sector)
         with pytest.raises(NonHermitianError):
             eigensolve_hermitian(class_sum(basis), basis)
@@ -1043,7 +1099,7 @@ class TestClassSumSpectrum:
     @pytest.mark.parametrize("n, nu, m", [(1, 6, 2), (2, 5, 3), (1, 4, 4)])
     def test_dropped_pair_fails(self, monkeypatch, n, nu, m):
         # Without the pair (1, 2) the sum is no longer translation invariant,
-        # which the kept-rows path does not check: its spectrum must differ.
+        # which the solve does not check: its spectrum must differ.
         basis = enumerate_basis(nu, m, GentileOrder(n), sector=1)
         expected = bits(eigensolve_hermitian(class_sum(basis), basis))
         pairs = operators._exchange_modes
