@@ -67,14 +67,10 @@ is block-diagonal in the weight ``FockBasis.weights``; the class sum and
 ``C2`` also commute with every permutation of positions and of internal
 states.  Both spectra, :func:`eigensolve_hermitian` of a built matrix and
 :func:`class_sum_spectrum` from the class sum's columns of the kept
-translation representatives, use all three through one routine: it splits
-each weight block by momentum under the cyclic translation of positions,
-solves one weight per orbit of weights under relabelling of the internal
-states, and solves all blocks of one size in one ``eigvalsh`` call.  It
-refuses an entry that couples two weight blocks and a block that is not
-Hermitian; the two permutation symmetries come from the construction, and
-the tests check them.  The dense cap is still compared with the largest
-weight block, not with the dimension, by ``basis.check_dimension``.
+translation representatives, use all three in :func:`_block_spectrum`, one
+block size at a time.  The two permutation symmetries come from the
+construction, and the tests check them.  The dense cap is compared with the
+largest weight block, not with the dimension, by ``basis.check_dimension``.
 """
 
 from __future__ import annotations
@@ -644,42 +640,49 @@ def _translation_orbits(basis: FockBasis) -> tuple[np.ndarray, ...]:
     return rep, (nu - back) % nu, period, kept
 
 
-def _relabelling_copies(weight: tuple[int, ...]) -> int:
-    """Distinct reorderings of a weight: the weight blocks that share its
-    spectrum under relabelling of the internal states."""
-    copies = math.factorial(len(weight))
-    for value in set(weight):
-        copies //= math.factorial(weight.count(value))
-    return copies
-
-
-def _momentum_stacks(
+def _block_spectrum(
     mat: CSR, basis: FockBasis, orbits: tuple[np.ndarray, ...]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (weight, momentum) blocks of ``mat``, as one ``(count, d, d)`` stack
-    per block size ``d`` with the spectrum count of each block.
+) -> list[tuple[float, int]]:
+    """The clusters of ``mat``, which holds at least the kept rows of
+    ``orbits`` (see :func:`_translation_orbits`), solved in its (weight,
+    momentum) blocks.
 
-    ``orbits`` gives each state's orbit (``rep``, ``shift``, ``period``) and
-    the kept representatives (see :func:`_translation_orbits`); only the
-    kept rows of ``mat`` are read.  Each kept representative counts once per
-    weight block that shares its spectrum under relabelling.
-    A momentum state is a kept representative ``a`` with a momentum ``k``
-    such that ``nu`` divides ``k * p_a``; states are ordered by (weight, k,
-    a) and each (weight, k) is one block.  Each stored entry ``H[a, j]`` of a
-    kept row adds ``sqrt(p_a / p_b) * omega**(k * s_j) * H[a, j]`` to the
-    entry ``(a, b)`` of every block ``k`` where both ``a`` and ``b =
-    rep[j]`` exist, summed by one ``bincount`` over all blocks in entry order.
-    A matrix whose imaginary parts are all exactly 0 has ``H_(nu-k)`` equal
-    to the conjugate of ``H_k``, with the same spectrum, so only ``k <= nu/2``
+    A momentum state is a kept representative ``a`` of period ``p_a`` with
+    a momentum ``k`` such that ``nu`` divides ``k * p_a``; ordered by
+    (weight, k, a), each (weight, k) is one block, read from kept rows::
+
+        H_k[a, b] = sqrt(p_a / p_b) * sum over j in orbit(b) of omega**(k * s_j) * H[a, j]
+
+    with ``omega = exp(2 pi i / nu)`` and ``T**s_j b = j`` under the cyclic
+    translation ``T: i -> i+1``.  One ``bincount`` over the kept rows'
+    stored entries, in entry order, sums every block.  Only descending
+    weights are kept, and each eigenvalue counts once per distinct
+    reordering of its weight.  A matrix whose imaginary parts are all
+    exactly 0 has ``H_(nu-k)`` conjugate to ``H_k``, so only ``k <= nu/2``
     is formed and a block with ``0 < k < nu/2`` counts twice.
+
+    The block sizes are taken one at a time, ascending: the blocks of one
+    size are stacked, real unless an imaginary part is nonzero, solved as
+    ``(B + B^H) / 2`` by one ``eigvalsh`` call and dropped.  Eigenvalues
+    closer than ``DEGENERACY_TOL`` share a cluster, valued at their
+    count-weighted mean.  Raises ``ValueError`` naming the first stored
+    entry that couples two weight blocks, before any block is formed, and
+    ``NonHermitianError``, once every size is solved, with the largest block
+    asymmetry over all sizes when it exceeds ``HERMITICITY_TOL``.
     """
-    nu, dim, rows = basis.nu, mat.shape[0], mat.rows()
+    rows, weights = mat.rows(), basis.weights
+    coupled = np.flatnonzero(weights[rows] != weights[mat.indices])
+    if coupled.size:
+        i, j = rows[coupled[0]], mat.indices[coupled[0]]
+        raise ValueError(f"entry ({i}, {j}) couples weight blocks {weights[i]} and {weights[j]}")
+    nu, dim = basis.nu, mat.shape[0]
     rep, shift, period, kept = orbits
-    weights = basis.weights[kept]
+    weights = weights[kept]
     _, first, inverse = np.unique(weights, return_index=True, return_inverse=True)
     totals = basis.occupations[kept[first]].reshape(-1, nu, basis.m).sum(axis=1)
-    copies = np.array([_relabelling_copies(tuple(w)) for w in totals.tolist()],
-                      dtype=np.int64)[inverse]
+    copies = [math.factorial(len(w)) // math.prod(map(math.factorial, map(w.count, set(w))))
+              for w in totals.tolist()]
+    copies = np.array(copies, dtype=np.int64)[inverse]
     period = period[kept]
     real_matrix = not mat.data.imag.any()
     momenta = np.arange(nu // 2 + 1 if real_matrix else nu)
@@ -717,29 +720,27 @@ def _momentum_stacks(
     total = int(offsets[by_size[-1]] + sizes[by_size[-1]] ** 2)
     real = np.bincount(flat, weights=values.real, minlength=total)
     imag = np.bincount(flat, weights=values.imag, minlength=total)
+    del rows, taken, a, j, b, source, target, entry, k, values, block, flat
 
     paired = real_matrix & (k_of[starts] > 0) & (2 * k_of[starts] != nu)
-    counts = copies[rep_of[starts]] * np.where(paired, 2, 1)
-    stacks = []
+    copies = copies[rep_of[starts]] * np.where(paired, 2, 1)  # the count of each block
+    asym, eigenvalues, counts = 0.0, [], []
     for size in sorted(set(sizes.tolist())):
         blocks = by_size[sizes[by_size] == size]
         span = slice(offsets[blocks[0]], offsets[blocks[-1]] + size * size)
         stack = real[span].reshape(-1, size, size)
         if imag[span].any():
             stack = stack + 1j * imag[span].reshape(-1, size, size)
-        stacks.append((stack, counts[blocks]))
-    return stacks
-
-
-def _clusters(stacks: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[float, int]]:
-    """The eigenvalues of every stack of blocks, each made Hermitian as ``(B +
-    B^H) / 2`` and solved by one ``eigvalsh`` call, clustered into ascending
-    (value, multiplicity) pairs."""
-    eigenvalues, counts = [], []
-    for stack, copies in stacks:
-        stack = (stack + stack.conj().swapaxes(1, 2)) * 0.5
-        eigenvalues.append(np.linalg.eigvalsh(stack).ravel())
-        counts.append(np.repeat(copies, stack.shape[-1]))
+        # B - B^H and then B + B^H are formed in one buffer, and the stack is
+        # freed before the halving, so one stack-sized buffer at a time joins it.
+        buffer = np.conjugate(stack.swapaxes(1, 2))
+        asym = max(asym, float(np.abs(np.subtract(stack, buffer, out=buffer)).max()))
+        np.add(stack, np.conjugate(stack.swapaxes(1, 2), out=buffer), out=buffer)
+        del stack
+        eigenvalues.append(np.linalg.eigvalsh(buffer * 0.5).ravel())
+        counts.append(np.repeat(copies[blocks], size))
+    if asym > HERMITICITY_TOL:
+        raise NonHermitianError(asym)
     eigenvalues, counts = np.concatenate(eigenvalues), np.concatenate(counts)
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues, counts = eigenvalues[order], counts[order]
@@ -749,53 +750,16 @@ def _clusters(stacks: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[float, 
     return list(zip(means.tolist(), multiplicities.tolist()))
 
 
-def _block_spectrum(
-    mat: CSR, basis: FockBasis, orbits: tuple[np.ndarray, ...]
-) -> list[tuple[float, int]]:
-    """The clusters of ``mat``, which holds at least the kept rows of
-    ``orbits``, solved in its (weight, momentum) blocks.
-
-    Raises ``ValueError`` naming the first stored entry that couples two
-    weight blocks, and ``NonHermitianError`` with the largest block
-    asymmetry when it exceeds ``HERMITICITY_TOL``.
-    """
-    rows, weights = mat.rows(), basis.weights
-    coupled = np.flatnonzero(weights[rows] != weights[mat.indices])
-    if coupled.size:
-        i, j = rows[coupled[0]], mat.indices[coupled[0]]
-        raise ValueError(f"entry ({i}, {j}) couples weight blocks {weights[i]} and {weights[j]}")
-    stacks = _momentum_stacks(mat, basis, orbits)
-    asym = max(float(np.abs(stack - stack.conj().swapaxes(1, 2)).max()) for stack, _ in stacks)
-    if asym > HERMITICITY_TOL:
-        raise NonHermitianError(asym)
-    return _clusters(stacks)
-
-
 def eigensolve_hermitian(mat: CSR, basis: FockBasis) -> list[tuple[float, int]]:
     """Ascending eigenvalues clustered into (value, multiplicity) pairs.
 
     ``mat`` acts on ``basis``, the basis it was built on, and is solved in
-    symmetry-adapted blocks: by weight, by momentum ``k`` under the cyclic
-    translation of positions ``T: i -> i+1``, and once per orbit of weights
-    under relabelling of the internal states.  Each translation orbit has a
-    representative (its lowest row ``a``) and a period ``p_a``, and carries
-    momentum ``k`` when ``nu`` divides ``k * p_a``.  The block of weight
-    ``w`` and momentum ``k`` reads the representative rows only::
-
-        H_k[a, b] = sqrt(p_a / p_b) * sum over j in orbit(b) of omega**(k * s_j) * H[a, j]
-
-    with ``omega = exp(2 pi i / nu)`` and ``T**s_j b = j``.  Only weights in
-    descending order are solved; each of their eigenvalues counts once per
-    distinct reordering of the weight.  A real matrix has ``H_(nu-k)`` equal
-    to the conjugate of ``H_k``, so only ``k <= nu/2`` is solved there and
-    counts for both.  All blocks of one size are solved by one ``eigvalsh``
-    call (see :func:`_clusters`); eigenvalues closer than ``DEGENERACY_TOL``
-    share a cluster, whose value is their count-weighted mean.
-
-    ``mat`` must commute with ``T`` and with every relabelling, as every
-    ``C2`` does: the solve does not check that, the tests do.  It refuses
-    what :func:`_block_spectrum` refuses.  The caller sized the largest
-    weight block with ``basis.check_dimension`` before building ``mat``.
+    its (weight, momentum) blocks by :func:`_block_spectrum`, which also
+    says what it refuses.  ``mat`` must commute with the cyclic translation
+    of positions and with every relabelling of the internal states, as
+    every ``C2`` does: the solve does not check that, the tests do.  The
+    caller sized the largest weight block with ``basis.check_dimension``
+    before building ``mat``.
     """
     return _block_spectrum(mat, basis, _translation_orbits(basis))
 

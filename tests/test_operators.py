@@ -1061,6 +1061,52 @@ class TestInvariance:
             assert_same_clusters(clusters, one_block_complex(c2))
 
 
+#: Spin-sector spectra past the goldens, as exact bits: the class-sum
+#: spectrum at each (nu, m), and the solve of C2 at nu=10, m=2.  They pin
+#: the summation order inside each block at sizes the goldens do not reach.
+PINNED_CLASS_SUM_BITS = {
+    (12, 2): [
+        ("0x1.8000000000000p+4", 132), ("0x1.a000000000001p+4", 891),
+        ("0x1.e000000000000p+4", 1375), ("0x1.2000000000000p+5", 1078),
+        ("0x1.5ffffffffffffp+5", 486), ("0x1.b000000000000p+5", 121),
+        ("0x1.0800000000000p+6", 13)],
+    (13, 2): [
+        ("0x1.dffffffffffffp+4", 858), ("0x1.0800000000000p+5", 2288),
+        ("0x1.3000000000000p+5", 2574), ("0x1.6800000000000p+5", 1664),
+        ("0x1.afffffffffffep+5", 650), ("0x1.03fffffffffffp+6", 144),
+        ("0x1.3800000000000p+6", 14)],
+    (14, 2): [
+        ("0x1.1800000000000p+5", 429), ("0x1.2800000000000p+5", 3003),
+        ("0x1.4800000000000p+5", 5005), ("0x1.7800000000000p+5", 4459),
+        ("0x1.b800000000000p+5", 2457), ("0x1.0400000000000p+6", 847),
+        ("0x1.3400000000001p+6", 169), ("0x1.6c00000000000p+6", 15)],
+    (8, 3): [
+        ("-0x1.3bbc830f3caf7p-51", 126), ("0x1.ffffffffffffap+0", 336),
+        ("0x1.0000000000000p+2", 1050), ("0x1.c000000000000p+2", 1536),
+        ("0x1.ffffffffffffep+2", 210), ("0x1.4000000000000p+3", 1176),
+        ("0x1.7ffffffffffffp+3", 441), ("0x1.c000000000000p+3", 1200),
+        ("0x1.4000000000000p+4", 441), ("0x1.c000000000001p+4", 45)],
+    (6, 4): [
+        ("-0x1.4000000000000p+2", 54), ("-0x1.7ffffffffffffp+1", 150),
+        ("0x1.00798f4c0f850p-53", 1024), ("0x1.8000000000000p+1", 950),
+        ("0x1.4000000000000p+2", 1134), ("0x1.1ffffffffffffp+3", 700),
+        ("0x1.e000000000000p+3", 84)],
+}
+PINNED_C2_BITS = [
+    ("0x1.8fffffffffffep+7", 42), ("0x1.b000000000000p+7", 270),
+    ("0x1.f000000000000p+7", 375), ("0x1.2800000000000p+8", 245),
+    ("0x1.6800000000001p+8", 81), ("0x1.b800000000000p+8", 11)]
+
+
+def sector_grid(bound=1024):
+    """Every sector t = 0..n*m of n 1..3, nu 2..5, m 1..3 with at most
+    ``bound`` states, as (n, nu, m, t)."""
+    for n, nu, m in itertools.product((1, 2, 3), range(2, 6), (1, 2, 3)):
+        for t in range(n * m + 1):
+            if check_dimension(n, nu, m, t, cap=2**40) <= bound:
+                yield n, nu, m, t
+
+
 class TestClassSumSpectrum:
     @pytest.mark.parametrize("n, nu, m, sector", CLASS_SUM_POINTS)
     def test_bit_equal_to_the_whole_matrix_solve(self, n, nu, m, sector):
@@ -1113,6 +1159,39 @@ class TestClassSumSpectrum:
         expected = bits(eigensolve_hermitian(class_sum(basis), basis))
         monkeypatch.setattr(operators, "_EXCHANGE_WORDS", operators._EXCHANGE_WORDS[:1])
         assert solved_or_refused(class_sum_spectrum, basis) != expected
+
+    @pytest.mark.parametrize("nu, m", list(PINNED_CLASS_SUM_BITS))
+    def test_pinned_bits(self, nu, m):
+        spin = enumerate_basis(nu, m, GentileOrder(1), sector=1)
+        assert bits(class_sum_spectrum(spin)) == PINNED_CLASS_SUM_BITS[nu, m]
+
+    def test_pinned_c2_bits(self):
+        spin = enumerate_basis(10, 2, GentileOrder(1), sector=1)
+        assert bits(eigensolve_hermitian(casimir_c2(spin), spin)) == PINNED_C2_BITS
+
+    @pytest.mark.parametrize("nu, asymmetry", [(3, 3.4641016151377553), (5, 11.258330249197705)])
+    def test_refusal_reports_the_largest_asymmetry(self, nu, asymmetry):
+        # n=2, m=2, sector 2: the first block size that fails reads 2.598
+        # (nu=3) and 8.660 (nu=5), and at nu=5 the largest asymmetry is not
+        # that of the last size either.  The refusal waits for every size.
+        basis = enumerate_basis(nu, 2, GentileOrder(2), sector=2)
+        with pytest.raises(NonHermitianError) as refused:
+            class_sum_spectrum(basis)
+        assert refused.value.asymmetry == asymmetry
+
+    def test_non_invariant_class_sums_refused(self):
+        # The solve takes translation invariance as given.  On this grid
+        # every class sum that does not commute with T is refused as not
+        # Hermitian, so no non-invariant sector is solved.
+        grid, non_invariant = list(sector_grid()), 0
+        for n, nu, m, t in grid:
+            basis = enumerate_basis(nu, m, GentileOrder(n), sector=t)
+            h, shift = to_scipy(class_sum(basis)), translation_matrix(basis)
+            if abs(shift @ h @ shift.T - h).max() > 1e-10:
+                non_invariant += 1
+                with pytest.raises(NonHermitianError):
+                    class_sum_spectrum(basis)
+        assert (len(grid), non_invariant) == (160, 28)
 
 
 def summed_exchanges_oracle(basis):
