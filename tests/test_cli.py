@@ -341,8 +341,8 @@ class TestPartitionsCommand:
     "args, message",
     [
         (["spectrum", "--nu", "3", "--sector", "5"], "per-position total 5"),
-        (["spectrum", "--nu", "3", "--n", "2", "--sector", "2"],
-         "matrix is not Hermitian (asymmetry 3.464e+00)"),
+        pytest.param(["spectrum", "--nu", "3", "--n", "2", "--sector", "2"],
+                     "matrix is not Hermitian (asymmetry 3.464e+00)", id="args1-not Hermitian"),
         (["spectrum", "--nu", "2", "--n", "0"], "maximum occupation"),
         (["verify", "--mode", "sampled", "--k", "5"], "k >= 32"),
         (["verify", "--n", "1", "--nu", "2", "--subspace", "sector:5"], "per-position total 5"),
