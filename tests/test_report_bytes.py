@@ -4,7 +4,7 @@ Each case runs ``gentile <command> ... --no-timestamp`` in a scratch working
 directory with a relative ``--out`` (reports echo the output path), then
 compares the file byte for byte with ``tests/golden/<name>``.
 
-The text of the help screens, of ``--version`` and of two argparse errors,
+The text of the help screens, of ``--version`` and of argparse's errors,
 at a terminal width of 80 columns, is held to ``tests/golden/cli_text.txt``
 the same way: the parser is built anew on every call, and how it is built
 must not show.
@@ -45,9 +45,15 @@ CASES = {
 
 
 #: Each screen's argv: the top-level and subcommand help, the version, an
-#: unknown option and a missing ``--nu``.
+#: unknown option and a missing ``--nu``; then no argument, an unknown
+#: command, help before the command, the version after it, a stray argument,
+#: an ambiguous abbreviation, a value that is not a number and a top-level
+#: option before the command.
 SCREENS = [["--help"], ["verify", "--help"], ["spectrum", "--help"], ["partitions", "--help"],
-           ["--version"], ["spectrum", "--nu", "2", "--bogus"], ["spectrum", "--m", "2"]]
+           ["--version"], ["spectrum", "--nu", "2", "--bogus"], ["spectrum", "--m", "2"],
+           [], ["bogus"], ["-h", "spectrum"], ["spectrum", "--nu", "2", "--version"],
+           ["verify", "--nu", "2", "extra"], ["spectrum", "--nu", "2", "--c"],
+           ["partitions", "--N", "x"], ["--no-timestamp", "spectrum", "--nu", "2"]]
 
 
 def _screens() -> str:
