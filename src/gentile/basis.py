@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -188,27 +189,32 @@ def largest_weight_block(n: int, nu: int, m: int, sector: Optional[int]) -> int:
 
     It is the largest coefficient of ``(sum over c of x**c)**nu``, ``c``
     running over one position's occupations (the compositions of the sector,
-    or all of ``0..n`` per state on the full space), multiplied out one
-    position at a time on weight labels.  On the spin sector (``sector ==
-    1``) a block holds the orderings of its weight, so this is the balanced
-    multinomial ``nu!/prod(w_i!)``.  :func:`check_dimension` calls it once
-    the dimension fits: the work grows with the number of weights, which the
-    dimension bounds.  It is a pure function of its four integers and is
-    memoized, so a point sized before it is solved is counted once.
+    or all of ``0..n`` per state on the full space).  The power is multiplied
+    out one position at a time in Python integers, as a ``dict`` from weight
+    label to count.  Each occupation has a label of its own (its entries are
+    below the base ``nu*n + 1``), so a position adds each label once.  On
+    the spin sector (``sector == 1``) a block holds the orderings of its
+    weight, so this is the balanced multinomial ``nu!/prod(w_i!)``.
+    :func:`check_dimension` calls it once the dimension fits: the work grows
+    with the number of weights, which the dimension bounds.  It is a pure
+    function of its four integers and is memoized, so a point sized before
+    it is solved is counted once.
     """
     if sector is None:
-        per_position = np.arange((n + 1) ** m)[:, None] // _radix(n, m) % (n + 1)
+        per_position = product(range(n + 1), repeat=m)
     else:
-        per_position = np.array(_compositions(n, m, sector), dtype=np.int64).reshape(-1, m)
-    steps = per_position @ _radix(nu * n, m)
-    labels, counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        per_position = _compositions(n, m, sector)
+    base = nu * n + 1
+    steps = [reduce(lambda label, c: label * base + c, occupation, 0)
+             for occupation in per_position]
+    counts = {0: 1}
     for _ in range(nu):
-        labels = (labels[:, None] + steps).ravel()
-        order = np.argsort(labels, kind="stable")
-        labels, counts = labels[order], np.repeat(counts, len(steps))[order]
-        starts = np.flatnonzero(np.diff(labels, prepend=-1))
-        labels, counts = labels[starts], np.add.reduceat(counts, starts)
-    return int(counts.max())
+        grown: dict[int, int] = {}
+        for label, count in counts.items():
+            for step in steps:
+                grown[label + step] = grown.get(label + step, 0) + count
+        counts = grown
+    return max(counts.values())
 
 
 def _compositions(n: int, m: int, total: int) -> list[tuple[int, ...]]:

@@ -213,22 +213,30 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: Sequence[str]) -> _Parser:
-    """The parser of ``argv``: every subcommand, with the options of the one
-    that ``argv`` names (its first argument that is not an option) only, or
-    of all three when it names none, as for ``--help``.  Every help formatter
+def _build_parser(argv: Sequence[str]) -> tuple[_Parser, Sequence[str]]:
+    """The parser that reads ``argv``, and the arguments it reads.
+
+    When ``argv`` starts with a subcommand, that subcommand's parser alone
+    reads the rest: the parser the full one would hand them to, with the
+    command set as a default.  Otherwise, as for ``--help``, ``--version`` or
+    no argument, the full parser, with every subcommand and its options,
+    reads all of ``argv``.  Every ``_Parser`` error is one ``gentile: error:``
+    line, so either parser prints the same screens.  Every help formatter
     takes one terminal width, read once here, the value argparse would read
     afresh for each of them."""
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = _Parser(prog=f"gentile {name}", formatter_class=formatter)
+        _COMMANDS[name][1](parser)
+        parser.set_defaults(command=name)
+        return parser, argv[1:]
     parser = _Parser(prog="gentile", description=__doc__, formatter_class=formatter)
     parser.add_argument("--version", action="version", version=f"gentile {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    named = next((arg for arg in argv if not arg.startswith("-")), None)
     for name, (help_line, add_options) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_line, formatter_class=formatter)
-        if named == name or named not in _COMMANDS:
-            add_options(command)
-    return parser
+        add_options(sub.add_parser(name, help=help_line, formatter_class=formatter))
+    return parser, argv
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +429,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gc.freeze()
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        args = _build_parser(argv).parse_args(argv)
+        parser, arguments = _build_parser(argv)
+        args = parser.parse_args(arguments)
         try:
             if args.command == "verify":
                 return _cmd_verify(args)

@@ -1,7 +1,11 @@
 """Bit-stable JSON/CSV emission for verification grids, spectra, tables.
 
 Numbers serialize as Python's shortest round-trip decimal in both formats,
-so the JSON and CSV views of one run carry identical values.  The CSV rows
+so the JSON and CSV views of one run carry identical values.  The JSON is
+written by one recursive writer, :func:`json_bytes`, which gives exactly the
+bytes of ``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline;
+with an indent, ``json.dumps`` runs the json module's pure-Python encoder,
+which took longer than the writer on every report.  The CSV rows
 of ``verify`` and ``partitions`` are the JSON records' values under a header
 of their keys (a partition reads as its label); ``spectrum`` flattens its
 nested records into rows of its own.  Files are written atomically (temp
@@ -14,9 +18,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 import os
 import uuid
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
 from .heisenberg import SpectrumReport
@@ -36,8 +41,54 @@ def partition_label(partition: Sequence[int]) -> str:
     return "(" + ",".join(str(p) for p in partition) + ")"
 
 
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2,
+    allow_nan=False)`` writes it, its nested lines indented by ``indent`` and
+    two spaces a level.  Tuples are written as lists and dicts in their
+    order; NaN and infinities raise ``ValueError`` with json's message, and
+    any other type, or a key that is not a ``str``, raises ``TypeError``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        opening = "[\n" + inner
+        for item in value:
+            out.append(opening)
+            opening = ",\n" + inner
+            _write(item, inner, out)
+        out.append("\n" + indent + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        opening = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(opening + encode_basestring_ascii(key) + ": ")
+            opening = ",\n" + inner
+            _write(item, inner, out)
+        out.append("\n" + indent + "}" if value else "{}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
+    """``(json.dumps(payload, indent=2, allow_nan=False) + "\\n").encode()``."""
+    out: list[str] = []
+    _write(payload, "", out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def csv_bytes(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:

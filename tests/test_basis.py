@@ -279,6 +279,22 @@ class TestWeights:
             _enumerate_cached.cache_clear()
         assert checked > 300
 
+    #: Largest weight blocks past the enumeration grid, (n, nu, m, sector):
+    #: spin and higher-m sectors, sectors of many compositions at small nu,
+    #: and full spaces.
+    PINNED = {
+        (1, 14, 2, 1): 3432, (1, 16, 2, 1): 12870, (1, 20, 2, 1): 184756,
+        (1, 10, 3, 1): 4200, (1, 8, 4, 1): 2520,
+        (1, 2, 12, 6): 924, (1, 2, 10, 5): 252, (1, 3, 9, 4): 1710, (1, 4, 7, 3): 4440,
+        (2, 3, 6, 4): 2385, (2, 6, 3, 2): 2385,
+        (2, 5, 2, None): 2601, (1, 5, 4, None): 10000, (1, 4, 5, None): 7776,
+        (3, 8, 2, None): 65480464,
+    }
+
+    def test_largest_block_pinned_beyond_enumeration(self):
+        found = {point: largest_weight_block(*point) for point in self.PINNED}
+        assert found == self.PINNED
+
     def test_spin_sector_is_the_balanced_multinomial(self):
         # nu! / prod(w_i!) at the most even weight, at every order
         assert [largest_weight_block(1, nu, 2, 1) for nu in (12, 13, 15)] == [924, 1716, 6435]

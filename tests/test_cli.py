@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gentile import basis as basis_module, operators, verifier
 from gentile.basis import largest_weight_block
-from gentile.cli import main
+from gentile.cli import _build_parser, main
 from gentile.operators import as_operator, casimir_c2
 from gentile.reporting import csv_bytes, json_bytes
 from scipy_oracle import from_scipy, to_scipy
@@ -686,6 +686,34 @@ ARGV = st.one_of(
         "--N": st.one_of(INTS.map(str), st.just("x")), "--m": INTS.map(str), "--format": FORMATS,
     }),
 )
+
+
+def parsed(parser, argv):
+    """The namespace ``parser`` reads from ``argv``, or its exit code, standard
+    output and standard error when it exits instead."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(argv=ARGV)
+@example(argv=["spectrum"])
+@example(argv=["verify", "--nu", "2", "extra"])
+@example(argv=["spectrum", "--nu", "2", "--c"])
+@example(argv=["spectrum", "--nu", "2", "--version"])
+@example(argv=["partitions", "--N", "3", "--help"])
+def test_named_parser_reads_as_the_full_parser(argv):
+    """A call that names its subcommand first is read by that subcommand's
+    parser alone: the same namespace as the full parser's, or the same exit
+    and screens."""
+    named, rest = _build_parser(argv)
+    full, everything = _build_parser([])
+    assert named.prog == f"gentile {argv[0]}" and rest == argv[1:] and everything == []
+    assert parsed(named, rest) == parsed(full, argv), argv
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
