@@ -3,15 +3,15 @@
 Numbers serialize as Python's shortest round-trip decimal in both formats,
 so the JSON and CSV views of one run carry identical values.  The JSON is
 written by one recursive writer, :func:`json_bytes`, which gives exactly the
-bytes of ``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline;
-with an indent, ``json.dumps`` runs the json module's pure-Python encoder,
-which took longer than the writer on every report.  The CSV rows
-of ``verify`` and ``partitions`` are the JSON records' values under a header
-of their keys (a partition reads as its label); ``spectrum`` flattens its
-nested records into rows of its own.  Files are written atomically (temp
-file in the target directory, then rename).  Row and key order are fixed,
-so reruns with the same inputs are byte-identical apart from the optional
-timestamp field.
+bytes of the json module's ``dumps(payload, indent=2, allow_nan=False)``
+plus a newline; with an indent, ``dumps`` runs the json module's
+pure-Python encoder, which took longer than the writer on every report.
+The CSV rows of ``verify`` and ``partitions`` are the JSON records' values
+under a header of their keys (a partition reads as its label); ``spectrum``
+flattens its nested records into rows of its own.  Files are written
+atomically (temp file in the target directory, then rename).  Row and key
+order are fixed, so reruns with the same inputs are byte-identical apart
+from the optional timestamp field.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ def partition_label(partition: Sequence[int]) -> str:
 
 
 def _write(value, indent: str, out: list[str]) -> None:
-    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2,
-    allow_nan=False)`` writes it, its nested lines indented by ``indent`` and
-    two spaces a level.  Tuples are written as lists and dicts in their
-    order; NaN and infinities raise ``ValueError`` with json's message, and
-    any other type, or a key that is not a ``str``, raises ``TypeError``."""
+    """Append ``value`` to ``out`` as the json module's ``dumps(value,
+    indent=2, allow_nan=False)`` writes it, its nested lines indented by
+    ``indent`` and two spaces a level.  Tuples are written as lists and
+    dicts in their order; NaN and infinities raise ``ValueError`` with
+    json's message, and any other type, or a key that is not a ``str``,
+    raises ``TypeError``."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -84,7 +85,8 @@ def _write(value, indent: str, out: list[str]) -> None:
 
 
 def json_bytes(payload: dict) -> bytes:
-    """``(json.dumps(payload, indent=2, allow_nan=False) + "\\n").encode()``."""
+    """The json module's ``dumps(payload, indent=2, allow_nan=False)`` and a
+    newline, encoded."""
     out: list[str] = []
     _write(payload, "", out)
     out.append("\n")
