@@ -2,7 +2,9 @@
 
 Each case runs ``gentile <command> ... --no-timestamp`` in a scratch working
 directory with a relative ``--out`` (reports echo the output path), then
-compares the file byte for byte with ``tests/golden/<name>``.
+compares the file byte for byte with ``tests/golden/<name>``.  The run's
+standard output, the summary that echoes the same relative path, is held to
+its ``### <name>`` section of ``tests/golden/cli_stdout.txt``.
 
 The text of the help screens, of ``--version`` and of argparse's errors,
 at a terminal width of 80 columns, is held to ``tests/golden/cli_text.txt``
@@ -76,23 +78,37 @@ def test_cli_text_matches_golden(monkeypatch):
     assert _screens() == (GOLDEN / "cli_text.txt").read_text()
 
 
-def _report(name: str) -> bytes:
-    """Run one case in the working directory and return the report bytes."""
-    assert main(CASES[name] + ["--no-timestamp", "--out", name]) == 0
-    return Path(name).read_bytes()
+def _report(name: str) -> tuple[bytes, str]:
+    """Run one case in the working directory and return the report bytes and
+    the standard output."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(CASES[name] + ["--no-timestamp", "--out", name]) == 0
+    return Path(name).read_bytes(), out.getvalue()
+
+
+def _stdout_sections() -> dict[str, str]:
+    """The golden standard output of each case, by case name."""
+    text = (GOLDEN / "cli_stdout.txt").read_text()
+    return dict(section.split("\n", 1) for section in text.split("### ")[1:])
+
+
+def test_stdout_golden_holds_every_case():
+    assert list(_stdout_sections()) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
+def test_report_bytes_match_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _report(name) == (GOLDEN / name).read_bytes()
-    capsys.readouterr()
+    report, stdout = _report(name)
+    assert report == (GOLDEN / name).read_bytes()
+    assert stdout == _stdout_sections()[name]
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     os.chdir(GOLDEN)
-    for case in sorted(CASES):
-        _report(case)
+    Path("cli_stdout.txt").write_text(
+        "".join(f"### {case}\n{_report(case)[1]}" for case in sorted(CASES)))
     os.environ["COLUMNS"] = "80"
     Path("cli_text.txt").write_text(_screens())
