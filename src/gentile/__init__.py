@@ -15,10 +15,7 @@ from .basis import (
     enumerate_basis,
 )
 from .heisenberg import (
-    CasimirLevel,
     SingularPrefactorError,
-    SpectrumMatch,
-    SpectrumReport,
     compare_spectra,
     spectrum_casimir,
     spectrum_report,

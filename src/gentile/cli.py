@@ -30,18 +30,16 @@ from typing import Callable, Optional, Sequence
 from . import __version__
 from .basis import DEFAULT_DIMENSION_CAP, DENSE_EIG_CAP, check_dimension, subspace_label
 from .heisenberg import CONSTANT_CONVENTION, FORMS, spectrum_report
-from .partitions import partition_count
+from .partitions import partition_count, partition_label
 from .reporting import (
     SPECTRUM_HEADER,
     atomic_write,
     csv_bytes,
     float_repr,
     json_bytes,
-    partition_label,
     partition_table,
     record_table,
     report_payload,
-    spectrum_report_dict,
     spectrum_rows,
 )
 from .scalars import GentileOrder
@@ -354,23 +352,22 @@ def _cmd_spectrum(args) -> int:
         "dimension_cap": args.cap,
         "constant_convention": CONSTANT_CONVENTION,
     }
-    _write_report(args, out_path, config, "spectra",
-                  [spectrum_report_dict(r) for r in reports],
+    _write_report(args, out_path, config, "spectra", reports,
                   lambda: (SPECTRUM_HEADER, spectrum_rows(reports)))
 
     print(f"gentile spectrum — {len(reports)} runs — report: {out_path}")
     for report in reports:
         clusters = ", ".join(
-            f"{float_repr(v)} (x{mult})" for v, mult in report.ed_spectrum
+            f"{float_repr(c['eigenvalue'])} (x{c['multiplicity']})" for c in report["ed"]
         )
-        print(f"nu={report.nu} m={report.m} n={report.n}: ED {clusters}")
-        for match in report.matches:
+        print(f"nu={report['nu']} m={report['m']} n={report['n']}: ED {clusters}")
+        for match in report["matches"]:
             print(
-                f"  casimir:{match.variant}:{match.form} sign={match.sign:+d} "
-                f"max_dev={float_repr(match.max_deviation)} matched={match.matched}"
+                f"  casimir:{match['variant']}:{match['form']} sign={match['sign']:+d} "
+                f"max_dev={float_repr(match['max_deviation'])} matched={match['matched']}"
             )
-        for variant, form in report.singular_forms:
-            print(f"  casimir:{variant}:{form} singular prefactor (skipped)")
+        for skipped in report["singular"]:
+            print(f"  casimir:{skipped['variant']}:{skipped['form']} singular prefactor (skipped)")
     return 0
 
 

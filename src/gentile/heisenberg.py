@@ -28,17 +28,20 @@ exact diagonalization against the predictions as multisets, inferring the
 symmetric-group multiplicity factor per partition and the overall sign;
 ties within its tolerance are broken by value and towards ``+1``, never by
 the last bit of a cluster mean.
+
+The results are the report records themselves, built here and described
+nowhere else: the JSON report holds them as they are, and the CSV rows and
+the CLI summary read them by key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .basis import DEFAULT_DIMENSION_CAP, DENSE_EIG_CAP, enumerate_basis
 from .operators import class_sum_spectrum
-from .partitions import Partition, casimir_value, partitions_of, weyl_dimension
+from .partitions import casimir_value, partition_label, partitions_of, weyl_dimension
 from .scalars import GentileOrder, coupling_j
 
 #: Additive constant dropped from the spin-dot rewriting of the Hamiltonian.
@@ -52,41 +55,6 @@ MATCH_TOL = 1e-9
 
 class SingularPrefactorError(ValueError):
     """The finite-n prefactor 1/cos(2*pi/(n+1)) has no value at this order."""
-
-
-@dataclass(frozen=True)
-class CasimirLevel:
-    """One predicted level: partition label, energy, and irrep dimension."""
-
-    partition: Partition
-    energy: float
-    weyl_dim: int
-
-
-@dataclass(frozen=True)
-class SpectrumMatch:
-    """Outcome of matching predictions against exact diagonalization."""
-
-    variant: str
-    form: str
-    sign: int
-    max_deviation: float
-    factors: dict[Partition, float]
-    matched: bool
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Everything one (n, nu, m) run produced."""
-
-    n: int
-    nu: int
-    m: int
-    constant: float
-    ed_spectrum: tuple[tuple[float, int], ...]
-    casimir: tuple[tuple[str, str, tuple[CasimirLevel, ...]], ...]
-    matches: tuple[SpectrumMatch, ...]
-    singular_forms: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
 
 def _form_energy(
@@ -111,21 +79,17 @@ def _form_energy(
     return lambda base: prefactor * (base - coupling_shift)
 
 
-def _casimir_bases(nu: int, m: int, variant: str) -> list[CasimirLevel]:
-    """Every partition of ``nu`` into at most ``m`` parts with its base
-    ``C2/2 - (m/2) C1`` as the energy (the Bose form), computed once."""
+def _casimir_bases(nu: int, m: int, variant: str) -> list[dict]:
+    """The level record of every partition of ``nu`` into at most ``m`` parts,
+    with its base ``C2/2 - (m/2) C1`` as the eigenvalue (the Bose form),
+    computed once."""
     levels = []
     for part in partitions_of(nu, m):
         c1 = casimir_value(1, part, m, variant)
         c2 = casimir_value(2, part, m, variant)
-        levels.append(CasimirLevel(part, 0.5 * c2 - 0.5 * m * c1, weyl_dimension(part, m)))
+        levels.append({"partition": list(part), "eigenvalue": 0.5 * c2 - 0.5 * m * c1,
+                       "weyl_dimension": weyl_dimension(part, m)})
     return levels
-
-
-def _in_form(bases: Sequence[CasimirLevel], energy: Callable[[float], float]) -> list[CasimirLevel]:
-    """The levels of ``bases`` with each base mapped to its energy by ``energy``."""
-    return [CasimirLevel(level.partition, float(energy(level.energy)), level.weyl_dim)
-            for level in bases]
 
 
 def spectrum_casimir(
@@ -134,72 +98,75 @@ def spectrum_casimir(
     variant: str = "shifted",
     form: str = "bose",
     order: Optional[GentileOrder] = None,
-) -> list[CasimirLevel]:
-    """Predicted levels for every partition of ``nu`` into at most ``m`` parts."""
+) -> list[dict]:
+    """Predicted level records for every partition of ``nu`` into at most ``m`` parts."""
     energy = _form_energy(form, nu, m, order)
-    return _in_form(_casimir_bases(nu, m, variant), energy)
+    return [dict(level, eigenvalue=float(energy(level["eigenvalue"])))
+            for level in _casimir_bases(nu, m, variant)]
 
 
 def _signed_match(
-    ed: Sequence[tuple[float, int]],
-    casimir: Sequence[CasimirLevel],
-    variant: str,
-    form: str,
-    sign: int,
-) -> SpectrumMatch:
-    """The match of one overall sign: each level takes the lowest-valued ED
-    cluster within ``MATCH_TOL`` of its nearest distance."""
+    ed: Sequence[tuple[float, int]], casimir: Sequence[dict], sign: int
+) -> tuple[bool, float, list[float]]:
+    """Whether the match of one overall sign holds, its largest deviation and
+    each level's factor: each level takes the lowest-valued ED cluster within
+    ``MATCH_TOL`` of its nearest distance."""
     deviation = 0.0
-    factors: dict[Partition, float] = {}
+    factors = []
     claimed = 0.0
     integral = True
     for level in casimir:
-        target = sign * level.energy
+        target = sign * level["eigenvalue"]
         distances = [abs(value - target) for value, _ in ed]
         nearest = min(distances)
         value, mult = min(pair for pair, distance in zip(ed, distances)
                           if distance - nearest < MATCH_TOL)
         deviation = max(deviation, abs(value - target))
-        factor = mult / level.weyl_dim
+        factor = mult / level["weyl_dimension"]
         if abs(factor - round(factor)) < 1e-9:
             factor = float(round(factor))
         else:
             integral = False
-        factors[level.partition] = factor
-        claimed += level.weyl_dim * factor
+        factors.append(factor)
+        claimed += level["weyl_dimension"] * factor
     total_ed = sum(mult for _, mult in ed)
-    return SpectrumMatch(
-        variant=variant,
-        form=form,
-        sign=sign,
-        max_deviation=deviation,
-        factors=factors,
-        matched=deviation < MATCH_TOL and integral and claimed == total_ed,
-    )
+    return deviation < MATCH_TOL and integral and claimed == total_ed, deviation, factors
 
 
 def compare_spectra(
     ed: Sequence[tuple[float, int]],
-    casimir: Sequence[CasimirLevel],
+    casimir: Sequence[dict],
     variant: str = "shifted",
     form: str = "bose",
-) -> SpectrumMatch:
-    """Match predicted levels to ED clusters, trying both overall signs.
+) -> dict:
+    """Match predicted level records to ED clusters, trying both overall signs.
 
     A partition matches when some ED cluster sits within ``MATCH_TOL`` of
-    its (possibly sign-flipped) energy and the cluster multiplicity is an
+    its (possibly sign-flipped) eigenvalue and the cluster multiplicity is an
     integer multiple of the partition's irrep dimension -- that integer is
     the inferred permutation-group multiplicity.  Among the clusters within
     ``MATCH_TOL`` of a level's nearest distance, the lowest-valued one is
     taken.  A matched sign beats an unmatched one; otherwise the smaller
     maximum deviation wins, and deviations less than ``MATCH_TOL`` apart are
     a tie, won by ``+1``.  So a level midway between two clusters keeps its
-    factor and sign when a cluster mean moves in its last bits.
+    factor and sign when a cluster mean moves in its last bits.  The
+    record's ``factors`` are keyed by partition label, in descending order.
     """
-    plus, minus = (_signed_match(ed, casimir, variant, form, sign) for sign in (1, -1))
-    if plus.matched != minus.matched:
-        return plus if plus.matched else minus
-    return minus if minus.max_deviation < plus.max_deviation - MATCH_TOL else plus
+    plus, minus = (_signed_match(ed, casimir, sign) for sign in (1, -1))
+    if plus[0] != minus[0]:
+        sign = 1 if plus[0] else -1
+    else:
+        sign = -1 if minus[1] < plus[1] - MATCH_TOL else 1
+    matched, deviation, factors = plus if sign == 1 else minus
+    ranked = sorted(zip((level["partition"] for level in casimir), factors), reverse=True)
+    return {
+        "variant": variant,
+        "form": form,
+        "sign": sign,
+        "max_deviation": deviation,
+        "factors": {partition_label(part): factor for part, factor in ranked},
+        "matched": matched,
+    }
 
 
 def spectrum_report(
@@ -210,34 +177,36 @@ def spectrum_report(
     variants: Sequence[str] = ("shifted", "raw"),
     forms: Sequence[str] = FORMS,
     cap: int = DEFAULT_DIMENSION_CAP,
-) -> SpectrumReport:
+) -> dict:
     """Run ED and every requested partition-route prediction side by side.
 
     The sector is sized before it is enumerated: its dimension against
     ``cap``, then its largest weight block against ``DENSE_EIG_CAP``.
     """
     basis = enumerate_basis(nu, m, order, sector=sector, cap=cap, dense_cap=DENSE_EIG_CAP)
-    ed = tuple(class_sum_spectrum(basis))
-    casimir_blocks = []
-    matches = []
+    ed = class_sum_spectrum(basis)
+    casimir = []
     singular = []
+    matches = []
     for variant in variants:
         bases = _casimir_bases(nu, m, variant)
         for form in forms:
             try:
-                levels = tuple(_in_form(bases, _form_energy(form, nu, m, order)))
+                energy = _form_energy(form, nu, m, order)
             except SingularPrefactorError:
-                singular.append((variant, form))
+                singular.append({"variant": variant, "form": form, "flag": "singular"})
                 continue
-            casimir_blocks.append((variant, form, levels))
+            levels = [dict(level, eigenvalue=float(energy(level["eigenvalue"])))
+                      for level in bases]
+            casimir.append({"variant": variant, "form": form, "levels": levels})
             matches.append(compare_spectra(ed, levels, variant, form))
-    return SpectrumReport(
-        n=order.n,
-        nu=nu,
-        m=m,
-        constant=CONSTANT_CONVENTION,
-        ed_spectrum=ed,
-        casimir=tuple(casimir_blocks),
-        matches=tuple(matches),
-        singular_forms=tuple(singular),
-    )
+    return {
+        "nu": nu,
+        "m": m,
+        "n": order.n,
+        "constant_convention": CONSTANT_CONVENTION,
+        "ed": [{"eigenvalue": value, "multiplicity": mult} for value, mult in ed],
+        "casimir": casimir,
+        "singular": singular,
+        "matches": matches,
+    }

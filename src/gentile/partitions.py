@@ -19,6 +19,11 @@ def weight(partition: Sequence[int]) -> int:
     return sum(partition)
 
 
+def partition_label(partition: Sequence[int]) -> str:
+    """The report label of a partition, such as ``(2,1,0)``."""
+    return "(" + ",".join(str(p) for p in partition) + ")"
+
+
 def _validate(partition: Sequence[int], m: int) -> Partition:
     parts = tuple(int(p) for p in partition)
     if any(p < 0 for p in parts):

@@ -8,10 +8,12 @@ plus a newline; with an indent, ``dumps`` runs the json module's
 pure-Python encoder, which took longer than the writer on every report.
 The CSV rows of ``verify`` and ``partitions`` are the JSON records' values
 under a header of their keys (a partition reads as its label); ``spectrum``
-flattens its nested records into rows of its own.  Files are written
-atomically (temp file in the target directory, then rename).  Row and key
-order are fixed, so reruns with the same inputs are byte-identical apart
-from the optional timestamp field.
+flattens its nested records into rows of its own.  The module writes the
+records it is given and imports no product module: a spectrum record is
+described once, by :mod:`gentile.heisenberg`, which builds it, and is read
+here by key.  Files are written atomically (temp file in the target
+directory, then rename).  Row and key order are fixed, so reruns with the
+same inputs are byte-identical apart from the optional timestamp field.
 """
 
 from __future__ import annotations
@@ -24,21 +26,21 @@ import uuid
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
-from .heisenberg import SpectrumReport
-from .partitions import casimir_sp, casimir_value, partitions_of, weight, weyl_dimension
+from .partitions import (
+    casimir_sp,
+    casimir_value,
+    partition_label,
+    partitions_of,
+    weight,
+    weyl_dimension,
+)
 
 SPECTRUM_HEADER = ["nu", "m", "n", "source", "eigenvalue", "multiplicity", "partition", "flag"]
 
 
-def float_repr(value: Optional[float]) -> str:
-    """Shortest round-trip decimal; empty string for a missing value."""
-    if value is None:
-        return ""
+def float_repr(value: float) -> str:
+    """Shortest round-trip decimal."""
     return repr(float(value))
-
-
-def partition_label(partition: Sequence[int]) -> str:
-    return "(" + ",".join(str(p) for p in partition) + ")"
 
 
 def _write(value, indent: str, out: list[str]) -> None:
@@ -142,73 +144,23 @@ def atomic_write(path: str, data: bytes) -> None:
 # -- spectrum ----------------------------------------------------------------
 
 
-def spectrum_report_dict(report: SpectrumReport) -> dict:
-    return {
-        "nu": report.nu,
-        "m": report.m,
-        "n": report.n,
-        "constant_convention": report.constant,
-        "ed": [
-            {"eigenvalue": value, "multiplicity": mult}
-            for value, mult in report.ed_spectrum
-        ],
-        "casimir": [
-            {
-                "variant": variant,
-                "form": form,
-                "levels": [
-                    {
-                        "partition": list(level.partition),
-                        "eigenvalue": level.energy,
-                        "weyl_dimension": level.weyl_dim,
-                    }
-                    for level in levels
-                ],
-            }
-            for variant, form, levels in report.casimir
-        ],
-        "singular": [
-            {"variant": variant, "form": form, "flag": "singular"}
-            for variant, form in report.singular_forms
-        ],
-        "matches": [
-            {
-                "variant": match.variant,
-                "form": match.form,
-                "sign": match.sign,
-                "max_deviation": match.max_deviation,
-                "factors": {
-                    partition_label(part): factor
-                    for part, factor in sorted(match.factors.items(), reverse=True)
-                },
-                "matched": match.matched,
-            }
-            for match in report.matches
-        ],
-    }
-
-
-def spectrum_rows(reports: Sequence[SpectrumReport]) -> list[list]:
+def spectrum_rows(reports: Sequence[dict]) -> list[list]:
+    """CSV rows of spectrum records: ED clusters, predicted levels, singular forms."""
     rows = []
     for report in reports:
-        base = [report.nu, report.m, report.n]
-        for value, mult in report.ed_spectrum:
-            rows.append(base + ["ed", float_repr(value), mult, "", ""])
-        for variant, form, levels in report.casimir:
-            source = f"casimir:{variant}:{form}"
-            for level in levels:
-                rows.append(
-                    base
-                    + [
-                        source,
-                        float_repr(level.energy),
-                        level.weyl_dim,
-                        partition_label(level.partition),
-                        "",
-                    ]
-                )
-        for variant, form in report.singular_forms:
-            rows.append(base + [f"casimir:{variant}:{form}", "", "", "", "singular"])
+        base = [report["nu"], report["m"], report["n"]]
+        for cluster in report["ed"]:
+            rows.append(base + ["ed", float_repr(cluster["eigenvalue"]),
+                                cluster["multiplicity"], "", ""])
+        for block in report["casimir"]:
+            source = f"casimir:{block['variant']}:{block['form']}"
+            for level in block["levels"]:
+                rows.append(base + [source, float_repr(level["eigenvalue"]),
+                                    level["weyl_dimension"],
+                                    partition_label(level["partition"]), ""])
+        for skipped in report["singular"]:
+            rows.append(base + [f"casimir:{skipped['variant']}:{skipped['form']}",
+                                "", "", "", skipped["flag"]])
     return rows
 
 

@@ -127,16 +127,18 @@ def test_criterion_4_heisenberg_cross_check():
         and abs(two[1][0] - 1.0) < 1e-10 and two[1][1] == 3
     )
     levels_two = spectrum_casimir(2, 2, "shifted", "bose")
-    casimir_two_ok = [(l.partition, l.energy, l.weyl_dim) for l in levels_two] == [
-        ((2, 0), 1.0, 3),
-        ((1, 1), -1.0, 1),
+    casimir_two_ok = [
+        (l["partition"], l["eigenvalue"], l["weyl_dimension"]) for l in levels_two
+    ] == [
+        ([2, 0], 1.0, 3),
+        ([1, 1], -1.0, 1),
     ]
     match_two = compare_spectra(two, levels_two)
     fermi_match = compare_spectra(
         two, spectrum_casimir(2, 2, "shifted", "fermi"), "shifted", "fermi"
     )
-    sign_convention_ok = match_two.matched and fermi_match.matched and (
-        {match_two.sign, fermi_match.sign} == {1, -1}
+    sign_convention_ok = match_two["matched"] and fermi_match["matched"] and (
+        {match_two["sign"], fermi_match["sign"]} == {1, -1}
     )
 
     three = eigensolve_hermitian(class_sum(spin_three), spin_three)
@@ -147,9 +149,9 @@ def test_criterion_4_heisenberg_cross_check():
     )
     levels_three = spectrum_casimir(3, 2, "shifted", "bose")
     match_three = compare_spectra(three, levels_three)
-    factors_ok = match_three.matched and match_three.factors == {
-        (3, 0): 1.0,
-        (2, 1): 2.0,
+    factors_ok = match_three["matched"] and match_three["factors"] == {
+        "(3,0)": 1.0,
+        "(2,1)": 2.0,
     }
     elapsed = time.monotonic() - started
     announce(

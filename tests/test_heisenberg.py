@@ -1,6 +1,8 @@
 """Exchange-model solver: ED against the partition route."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from gentile import (
 )
 from gentile import basis, heisenberg
 from gentile.basis import SizingError
-from gentile.heisenberg import FORMS, CasimirLevel
+from gentile.heisenberg import FORMS
 from gentile.operators import eigensolve_hermitian, max_abs
 from gentile.partitions import VARIANTS, casimir_value, partitions_of, weyl_dimension
 from gentile.scalars import coupling_j
@@ -132,39 +134,40 @@ class TestSpectrumEd:
 class TestSpectrumCasimir:
     def test_two_spin_bose_shifted(self):
         levels = spectrum_casimir(2, 2, "shifted", "bose")
-        assert [(l.partition, l.energy, l.weyl_dim) for l in levels] == [
-            ((2, 0), 1.0, 3),
-            ((1, 1), -1.0, 1),
+        assert [(l["partition"], l["eigenvalue"], l["weyl_dimension"]) for l in levels] == [
+            ([2, 0], 1.0, 3),
+            ([1, 1], -1.0, 1),
         ]
 
     def test_three_spin_bose_shifted(self):
         levels = spectrum_casimir(3, 2, "shifted", "bose")
-        assert [(l.partition, l.energy, l.weyl_dim) for l in levels] == [
-            ((3, 0), 3.0, 4),
-            ((2, 1), 0.0, 2),
+        assert [(l["partition"], l["eigenvalue"], l["weyl_dimension"]) for l in levels] == [
+            ([3, 0], 3.0, 4),
+            ([2, 1], 0.0, 2),
         ]
 
     def test_fermi_flips_sign(self):
         bose = spectrum_casimir(2, 2, "shifted", "bose")
         fermi = spectrum_casimir(2, 2, "shifted", "fermi")
         for b, f in zip(bose, fermi):
-            assert f.energy == -b.energy
+            assert f["eigenvalue"] == -b["eigenvalue"]
 
     def test_raw_variant_two_spins(self):
         levels = spectrum_casimir(2, 2, "raw", "bose")
-        assert [(l.partition, l.energy) for l in levels] == [((2, 0), 2.0), ((1, 1), 0.0)]
+        assert [(l["partition"], l["eigenvalue"]) for l in levels] == [
+            ([2, 0], 2.0), ([1, 1], 0.0)]
 
     def test_general_m_uses_theorem_coefficients(self):
         # oracle: the exchange class sum acts as the content sum of the
         # partition, here (2,0,0) -> +1 and (1,1,0) -> -1 for three states
         levels = spectrum_casimir(2, 3, "shifted", "bose")
-        assert [(l.partition, l.energy, l.weyl_dim) for l in levels] == [
-            ((2, 0, 0), 1.0, 6),
-            ((1, 1, 0), -1.0, 3),
+        assert [(l["partition"], l["eigenvalue"], l["weyl_dimension"]) for l in levels] == [
+            ([2, 0, 0], 1.0, 6),
+            ([1, 1, 0], -1.0, 3),
         ]
         spin = enumerate_basis(2, 3, GentileOrder(1), sector=1)
         ed = eigensolve_hermitian(class_sum(spin), spin)
-        assert compare_spectra(ed, levels, "shifted", "bose").matched
+        assert compare_spectra(ed, levels, "shifted", "bose")["matched"]
 
     def test_finite_order_form(self):
         order = GentileOrder(2)
@@ -181,7 +184,7 @@ class TestSpectrumCasimir:
         fermi = spectrum_casimir(2, 2, "shifted", "fermi")
         gentile = spectrum_casimir(2, 2, "shifted", "gentile", GentileOrder(1))
         for f, g in zip(fermi, gentile):
-            assert g.energy == pytest.approx(f.energy - 4.0, abs=1e-9)
+            assert g["eigenvalue"] == pytest.approx(f["eigenvalue"] - 4.0, abs=1e-9)
 
     def test_form_validation(self):
         with pytest.raises(ValueError):
@@ -205,14 +208,15 @@ class TestSpectrumCasimir:
                 else:
                     prefactor = 1.0 / math.cos(2.0 * math.pi / (order.n + 1))
                     energy = prefactor * (base - m * nu * coupling_j(1, order))
-                levels.append((part, float(energy).hex(), weyl_dimension(part, m)))
+                levels.append((list(part), float(energy).hex(), weyl_dimension(part, m)))
             return levels
 
         for order in (GentileOrder(1), GentileOrder(2), GentileOrder(4)):
             for variant in VARIANTS:
                 for form in FORMS:
                     got = spectrum_casimir(nu, m, variant, form, order)
-                    assert [(l.partition, l.energy.hex(), l.weyl_dim) for l in got] == \
+                    assert [(l["partition"], l["eigenvalue"].hex(), l["weyl_dimension"])
+                            for l in got] == \
                         per_form(variant, form, order), (order.n, variant, form)
 
     def test_report_evaluates_each_level_once_per_variant(self, monkeypatch):
@@ -225,30 +229,31 @@ class TestSpectrumCasimir:
         monkeypatch.setattr(heisenberg, "casimir_value", counted)
         report = spectrum_report(4, 2, GentileOrder(2))
         assert len(calls) == 2 * 2 * len(partitions_of(4, 2))  # variants x (C1, C2) x partitions
-        for variant, form, levels in report.casimir:
-            assert levels == tuple(spectrum_casimir(4, 2, variant, form, GentileOrder(2)))
+        for block in report["casimir"]:
+            assert block["levels"] == spectrum_casimir(
+                4, 2, block["variant"], block["form"], GentileOrder(2))
 
 
 class TestCompareSpectra:
     def test_exact_match_two_spins(self):
         ed = [(-1.0, 1), (1.0, 3)]
         match = compare_spectra(ed, spectrum_casimir(2, 2, "shifted", "bose"))
-        assert match.matched and match.sign == 1
-        assert match.max_deviation < 1e-12
-        assert match.factors == {(2, 0): 1.0, (1, 1): 1.0}
+        assert match["matched"] and match["sign"] == 1
+        assert match["max_deviation"] < 1e-12
+        assert match["factors"] == {"(2,0)": 1.0, "(1,1)": 1.0}
 
     def test_fermi_matches_with_flipped_sign(self):
         ed = [(-1.0, 1), (1.0, 3)]
         match = compare_spectra(
             ed, spectrum_casimir(2, 2, "shifted", "fermi"), "shifted", "fermi"
         )
-        assert match.matched and match.sign == -1
+        assert match["matched"] and match["sign"] == -1
 
     def test_three_spin_multiplicity_factors(self):
         ed = [(0.0, 4), (3.0, 4)]
         match = compare_spectra(ed, spectrum_casimir(3, 2, "shifted", "bose"))
-        assert match.matched
-        assert match.factors == {(3, 0): 1.0, (2, 1): 2.0}
+        assert match["matched"]
+        assert match["factors"] == {"(3,0)": 1.0, "(2,1)": 2.0}
 
     @pytest.mark.parametrize("moved", [0, 1, 2])
     @pytest.mark.parametrize("direction", [-math.inf, math.inf])
@@ -260,36 +265,37 @@ class TestCompareSpectra:
         # cluster by one ulp changes neither the factor nor the sign.
         ed = [(-2.0, 2), (0.0, 6), (2.0, 2)]
         ed[moved] = (math.nextafter(ed[moved][0], direction), ed[moved][1])
-        match = compare_spectra(ed, [CasimirLevel(partition=(1, 0), energy=1.0, weyl_dim=2)])
-        assert (match.sign, match.factors, match.matched) == (1, {(1, 0): 3.0}, False)
-        assert abs(match.max_deviation - 1.0) < 1e-15
+        level = {"partition": [1, 0], "eigenvalue": 1.0, "weyl_dimension": 2}
+        match = compare_spectra(ed, [level])
+        assert (match["sign"], match["factors"], match["matched"]) == (1, {"(1,0)": 3.0}, False)
+        assert abs(match["max_deviation"] - 1.0) < 1e-15
 
     def test_raw_variant_reports_deviation(self):
         ed = [(-1.0, 1), (1.0, 3)]
         match = compare_spectra(ed, spectrum_casimir(2, 2, "raw", "bose"), "raw", "bose")
-        assert not match.matched
-        assert match.max_deviation == pytest.approx(1.0)
+        assert not match["matched"]
+        assert match["max_deviation"] == pytest.approx(1.0)
 
 
 class TestSpectrumReport:
     def test_report_contents(self):
         report = spectrum_report(2, 2, GentileOrder(1))
-        assert report.constant == 0.0
-        assert [(round(v, 9), mult) for v, mult in report.ed_spectrum] == [
+        assert report["constant_convention"] == 0.0
+        assert [(round(c["eigenvalue"], 9), c["multiplicity"]) for c in report["ed"]] == [
             (-1.0, 1),
             (1.0, 3),
         ]
         shifted_bose = [
-            match for match in report.matches
-            if match.variant == "shifted" and match.form == "bose"
+            match for match in report["matches"]
+            if match["variant"] == "shifted" and match["form"] == "bose"
         ]
-        assert shifted_bose and shifted_bose[0].matched
+        assert shifted_bose and shifted_bose[0]["matched"]
 
     def test_singular_forms_recorded(self):
         report = spectrum_report(2, 2, GentileOrder(3))
-        assert ("shifted", "gentile") in report.singular_forms
-        assert ("raw", "gentile") in report.singular_forms
-        assert all(form != "gentile" for _, form, _ in report.casimir)
+        assert {"variant": "shifted", "form": "gentile", "flag": "singular"} in report["singular"]
+        assert {"variant": "raw", "form": "gentile", "flag": "singular"} in report["singular"]
+        assert all(block["form"] != "gentile" for block in report["casimir"])
 
     @pytest.mark.parametrize("nu", [12, 13, 14])
     def test_large_spin_points_match_the_bose_form(self, nu):
@@ -297,9 +303,17 @@ class TestSpectrumReport:
         # at most 80, 132 and 246 states, match the shifted Bose form and not
         # the raw one.
         report = spectrum_report(nu, 2, GentileOrder(1), forms=("bose",))
-        assert [(match.variant, match.matched) for match in report.matches] == [
+        assert [(match["variant"], match["matched"]) for match in report["matches"]] == [
             ("shifted", True), ("raw", False)]
-        assert sum(mult for _, mult in report.ed_spectrum) == 2**nu
+        assert sum(cluster["multiplicity"] for cluster in report["ed"]) == 2**nu
+
+    def test_records_are_the_golden_report_spectra(self):
+        # The JSON report holds the records as they are, so the records of the
+        # golden run's points equal its "spectra", read back.
+        golden = Path(__file__).parent / "golden" / "spectrum_compare.json"
+        spectra = json.loads(golden.read_text())["spectra"]
+        assert [spectrum_report(nu, 2, GentileOrder(n))
+                for nu in (2, 3, 4) for n in (1, 2, 3)] == spectra
 
     def test_oversized_sector_refused_before_enumeration(self):
         # The sector has 2**18 states, under the enumeration cap, and its

@@ -19,5 +19,7 @@ def test_library_sketch_runs():
     ed = scope["ed"]
     assert [mult for _, mult in ed] == [4, 4]
     assert all(abs(value - expected) <= 1e-12 for (value, _), expected in zip(ed, (0, 3)))
+    match = scope["match"]
+    assert match["matched"] and match["sign"] == 1
     assert scope["tau"].shape == (4, 4)
     assert len(scope["verdicts"]) == 180
