@@ -22,7 +22,13 @@ from gentile import basis, heisenberg
 from gentile.basis import SizingError
 from gentile.heisenberg import FORMS
 from gentile.operators import eigensolve_hermitian, max_abs
-from gentile.partitions import VARIANTS, casimir_value, partitions_of, weyl_dimension
+from gentile.partitions import (
+    VARIANTS,
+    casimir_value,
+    partition_label,
+    partitions_of,
+    weyl_dimension,
+)
 from gentile.scalars import coupling_j
 from scipy_oracle import from_scipy
 
@@ -269,6 +275,21 @@ class TestCompareSpectra:
         match = compare_spectra(ed, [level])
         assert (match["sign"], match["factors"], match["matched"]) == (1, {"(1,0)": 3.0}, False)
         assert abs(match["max_deviation"] - 1.0) < 1e-15
+
+    def test_factors_labelled_for_the_kept_sign_in_descending_order(self, monkeypatch):
+        # Levels given in ascending order still key the factors in descending
+        # partition order, and only the kept sign's match builds its labels.
+        labels = []
+
+        def counted(part):
+            labels.append(part)
+            return partition_label(part)
+
+        monkeypatch.setattr(heisenberg, "partition_label", counted)
+        levels = spectrum_casimir(3, 2, "shifted", "bose")[::-1]
+        match = compare_spectra([(0.0, 4), (3.0, 4)], levels)
+        assert list(match["factors"].items()) == [("(3,0)", 1.0), ("(2,1)", 2.0)]
+        assert labels == [[3, 0], [2, 1]]
 
     def test_raw_variant_reports_deviation(self):
         ed = [(-1.0, 1), (1.0, 3)]
